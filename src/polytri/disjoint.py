@@ -6,12 +6,13 @@ diagonal.  The central quantity here is
     count_disjoint(T) = #{T' : T' shares no diagonal with T},
 
 computed by count_avoiding(n, F): the number of triangulations avoiding a
-fixed set F of forbidden diagonals.  That count is evaluated by a pruned
-recursive decomposition: the sub-polygon on the arc i..j (closed by the
-chord (i, j)) is split at the apex of the triangle over its closing chord,
-and any split that would create a forbidden diagonal is discarded.  With
-memoization on (i, j) the full list of triangulations is never
-materialized.
+fixed set F of forbidden diagonals.  That count is a bottom-up interval
+DP: A(i, j), the number of triangulations of the sub-polygon on the arc
+i..j (closed by the chord (i, j)), is 1 for a side, 0 for a forbidden
+chord and otherwise the sum over apexes m of A(i, m) A(m, j).  The table
+has C(n, 2) cells and each costs one sum of up to n-2 products, so a
+count takes O(n^3) big-integer multiplications (the entries grow to about
+2n bits).  No triangulation is ever materialized, and nothing recurses.
 
 Identities implemented and cross-checked by the verify suites:
 
@@ -48,7 +49,7 @@ Identities implemented and cross-checked by the verify suites:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from operator import mul
 from typing import Iterable
 
 from polytri.counting import catalan, catalan_partial_convolution
@@ -148,28 +149,27 @@ def three_ear_type(t: Triangulation) -> tuple[int, int, int]:
 def count_avoiding(n: int, forbidden: Iterable[Pair]) -> int:
     """Number of triangulations of the n-gon using no forbidden diagonal.
 
-    Pruned recursive split with memoization on sub-polygon arcs; the
-    triangulations themselves are never materialized.
+    Bottom-up interval DP over the arcs i..j, i from n-2 down to 0 and j
+    from i+1 up: A(i, j) is 1 for a side, 0 when (i, j) is forbidden and
+    otherwise sum_m A(i, m) A(m, j).  ``row`` holds A(i, .) for increasing
+    j and ``col[j]`` holds A(., j) for decreasing i, so each cell is one
+    ``sum(map(mul, ...))`` over two whole lists.  O(n^3) big-integer
+    multiplications and O(n^2) stored entries; the triangulations
+    themselves are never materialized.
     """
     if n < 3:
         raise ValueError(f"polygon needs at least 3 vertices, got n={n}")
     forb = frozenset(diagonal(n, a, b) for a, b in forbidden)
-
-    @lru_cache(maxsize=None)
-    def arc(i: int, j: int) -> int:
-        # triangulations of the sub-polygon i..j closed by the chord (i, j)
-        if j - i < 2:
-            return 1
-        total = 0
-        for m in range(i + 1, j):
-            if m - i >= 2 and (i, m) in forb:
-                continue
-            if j - m >= 2 and (m, j) in forb:
-                continue
-            total += arc(i, m) * arc(m, j)
-        return total
-
-    return arc(0, n - 1)
+    col: list[list[int]] = [[] for _ in range(n)]
+    for i in range(n - 2, -1, -1):
+        row = [1]  # A(i, i+1): a side
+        col[i + 1].append(1)
+        for j in range(i + 2, n):
+            # row = A(i, i+1..j-1); col[j] = A(j-1..i+1, j)
+            a = 0 if (i, j) in forb else sum(map(mul, row, reversed(col[j])))
+            row.append(a)
+            col[j].append(a)
+    return row[-1]
 
 
 def count_disjoint(t: Triangulation) -> int:

@@ -72,26 +72,28 @@ def is_triangulation(n: int, diagonals: Iterable[Pair]) -> bool:
     """True iff the set of pairs is a triangulation of the n-gon.
 
     Returns False (never raises) on malformed input: wrong cardinality,
-    duplicates, non-diagonals, or a crossing pair.
+    duplicates, non-diagonals, or a crossing pair.  Runs in O(n log n):
+    seen as intervals a..b, two diagonals that do not cross are nested or
+    overlap at most in an endpoint, which one pass over them sorted by
+    (a, -b) checks with a stack of enclosing right ends.
     """
     if n < 3:
         return False
     try:
-        diags = sorted(diagonal(n, a, b) for a, b in diagonals)
+        diags = sorted((diagonal(n, a, b) for a, b in diagonals),
+                       key=lambda d: (d[0], -d[1]))
     except (ValueError, TypeError):
         return False
     if len(diags) != n - 3 or len(set(diags)) != n - 3:
         return False
-    return not any(
-        crosses(diags[i], diags[j])
-        for i in range(len(diags))
-        for j in range(i + 1, len(diags))
-    )
-
-
-def _side(n: int, a: int, b: int) -> Pair:
-    """Normalized polygon side (a, b) where b = a+1 mod n."""
-    return (a, b) if a < b else (b, a)
+    ends: list[int] = []  # right ends of the diagonals enclosing the current one
+    for a, b in diags:
+        while ends and ends[-1] <= a:
+            ends.pop()
+        if ends and b > ends[-1]:
+            return False  # the enclosing (c, e) has c < a < e < b: they cross
+        ends.append(b)
+    return True
 
 
 def _is_side(n: int, pair: Pair) -> bool:
@@ -99,7 +101,10 @@ def _is_side(n: int, pair: Pair) -> bool:
     return b - a == 1 or (a, b) == (0, n - 1)
 
 
-@lru_cache(maxsize=None)
+# Callers work through one n at a time: three verify suites (core,
+# compositions, formulas) may each be on a different n at once.  An unbounded
+# cache would keep 2n maps of n entries for every n ever seen.
+@lru_cache(maxsize=3)
 def _dihedral_maps(n: int) -> tuple[tuple[int, ...], ...]:
     """All 2n vertex maps of the dihedral group: rotations, then reflections."""
     rotations = [tuple((v + s) % n for v in range(n)) for s in range(n)]
@@ -267,20 +272,19 @@ class Triangulation:
             return y - x == 1 or (x, y) == (0, n - 1) or (x, y) in dset
 
         out: list[Triple] = []
-
-        def split(i: int, j: int) -> None:
-            # triangle over the chord/side (i, j), facing into the interval
+        stack = [(0, n - 1)]
+        while stack:
+            # the triangle over the chord/side (i, j), facing into the interval
+            i, j = stack.pop()
             if j - i < 2:
-                return
+                continue
             for m in range(i + 1, j):
                 if has_edge(i, m) and has_edge(m, j):
                     out.append((i, m, j))
-                    split(i, m)
-                    split(m, j)
-                    return
-            raise AssertionError(f"no triangle over ({i}, {j})")
-
-        split(0, n - 1)
+                    stack += ((i, m), (m, j))
+                    break
+            else:
+                raise AssertionError(f"no triangle over ({i}, {j})")
         return tuple(sorted(out))
 
     def _boundary_side_count(self, tri: Triple) -> int:

@@ -2,15 +2,17 @@
 
 These are written independently of the package internals on purpose: the
 Catalan oracle uses the Segner recurrence (the package uses the binomial
-closed form), and the ear oracle classifies triangles by counting boundary
-sides directly.
+closed form), the ear oracle classifies triangles by counting boundary
+sides directly, the avoidance oracle is the memoized top-down recursion
+that the package's bottom-up DP replaced, and the triangulation test scans
+every pair of diagonals for a crossing.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from polytri.triangulation import Triangulation
+from polytri.triangulation import Triangulation, crosses, diagonal
 
 
 @lru_cache(maxsize=None)
@@ -39,3 +41,63 @@ def ears_by_definition(t: Triangulation) -> list[tuple[int, int, int]]:
 
 def internal_by_definition(t: Triangulation) -> list[tuple[int, int, int]]:
     return [tri for tri in t.triangles() if boundary_sides(t.n, tri) == 0]
+
+
+def count_avoiding_recursive(n: int, forbidden) -> int:
+    """Triangulations of the n-gon using no forbidden diagonal, by a pruned
+    top-down split with memoization on arcs.  Recurses about n deep."""
+    if n < 3:
+        raise ValueError(f"polygon needs at least 3 vertices, got n={n}")
+    forb = frozenset(diagonal(n, a, b) for a, b in forbidden)
+
+    @lru_cache(maxsize=None)
+    def arc(i: int, j: int) -> int:
+        # triangulations of the sub-polygon i..j closed by the chord (i, j)
+        if j - i < 2:
+            return 1
+        total = 0
+        for m in range(i + 1, j):
+            if m - i >= 2 and (i, m) in forb:
+                continue
+            if j - m >= 2 and (m, j) in forb:
+                continue
+            total += arc(i, m) * arc(m, j)
+        return total
+
+    return arc(0, n - 1)
+
+
+def is_triangulation_pairwise(n: int, diagonals) -> bool:
+    """is_triangulation by testing every pair of diagonals for a crossing."""
+    if n < 3:
+        return False
+    try:
+        diags = sorted(diagonal(n, a, b) for a, b in diagonals)
+    except (ValueError, TypeError):
+        return False
+    if len(diags) != n - 3 or len(set(diags)) != n - 3:
+        return False
+    return not any(
+        crosses(diags[i], diags[j])
+        for i in range(len(diags))
+        for j in range(i + 1, len(diags))
+    )
+
+
+def all_diagonals(n: int) -> list[tuple[int, int]]:
+    """Every diagonal (a, b), a < b, of the n-gon."""
+    return [(a, b) for a in range(n) for b in range(a + 2, n) if (a, b) != (0, n - 1)]
+
+
+def random_triangulation(n: int, rng) -> Triangulation:
+    """A triangulation built by random apex splits of the arcs, from (0, n-1)."""
+    diags = []
+    arcs = [(0, n - 1)]
+    while arcs:
+        i, j = arcs.pop()
+        if j - i < 2:
+            continue
+        m = rng.randrange(i + 1, j)
+        diags += [(a, b) for a, b in ((i, m), (m, j)) if b - a >= 2]
+        arcs += [(i, m), (m, j)]
+    return Triangulation(n, tuple(diags))

@@ -278,6 +278,15 @@ def test_svg_unwritable_path(capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("shape", ["--arrow", "--snake"])
+def test_svg_deep_triangulation(shape, capsys):
+    # n above the default recursion limit
+    assert invoke(["svg", shape, "--n", "1200", "--highlight", "ears"]) == 0
+    root = ET.fromstring(capsys.readouterr().out)
+    ns = "{http://www.w3.org/2000/svg}"
+    assert len(root.findall(f"{ns}line")) == 1200 - 3
+
+
 def test_svg_triangle_with_highlight(capsys):
     assert invoke(["svg", "--t", "3:", "--highlight", "both"]) == 0
     ET.fromstring(capsys.readouterr().out)

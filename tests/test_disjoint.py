@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import random
+import sys
 from functools import lru_cache
 from itertools import permutations
 
 import pytest
+from helpers import all_diagonals, count_avoiding_recursive, random_triangulation
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polytri.counting import catalan, catalan_partial_convolution
 from polytri.disjoint import (
@@ -120,6 +125,62 @@ def test_count_avoiding_matches_enumeration(n):
 
 def test_count_disjoint_pinwheel():
     assert count_disjoint(Triangulation.parse("6:0-2,2-4,0-4")) == 4
+
+
+def test_count_avoiding_triangle_and_square():
+    assert count_avoiding(3, []) == 1
+    assert count_avoiding(4, []) == 2
+    assert count_avoiding(4, [(0, 2)]) == 1
+    assert count_avoiding(4, [(3, 1)]) == 1
+    assert count_avoiding(4, [(0, 2), (2, 0)]) == 1
+    assert count_avoiding(4, [(0, 2), (1, 3)]) == 0
+    with pytest.raises(ValueError):
+        count_avoiding(2, [])
+    with pytest.raises(ValueError):
+        count_avoiding(3, [(0, 2)])  # (0, 2) is a side of the triangle
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 40), st.floats(0, 0.3), st.randoms(use_true_random=False))
+def test_count_avoiding_matches_recursive_oracle_random_subsets(n, density, rng):
+    forbidden = [d for d in all_diagonals(n) if rng.random() < density]
+    assert count_avoiding(n, forbidden) == count_avoiding_recursive(n, forbidden)
+
+
+@pytest.mark.parametrize("n", [6, 8, 13, 21, 30, 40])
+def test_count_avoiding_matches_recursive_oracle_on_shapes(n):
+    rng = random.Random(n)
+    shapes = [snake(n), arrow(n), random_triangulation(n, rng)]
+    for _ in range(3):
+        p = rng.randrange(1, n - 4)
+        q = rng.randrange(1, n - 3 - p)
+        shapes.append(three_ear_rep(n, (p, q, n - 3 - p - q)))
+    for t in shapes:
+        image = t.rotated(rng.randrange(n))
+        if rng.random() < 0.5:
+            image = image.reflected()
+        for forbidden in (t.diagonals, image.diagonals):
+            assert count_avoiding(n, forbidden) == count_avoiding_recursive(n, forbidden)
+    for residues in ([1], [1, 2], [0, n // 2], [rng.randrange(n)]):
+        forbidden = diagonals_with_residue(n, residues)
+        expected = count_avoiding_recursive(n, forbidden)
+        assert count_avoiding(n, forbidden) == expected
+        assert count_avoiding_parallel(n, residues) == expected
+
+
+def test_count_avoiding_does_not_recurse():
+    # the top-down recursion needs about n frames; allow 50 above this one
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    forbidden = snake(150).diagonals
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        value = count_avoiding(150, forbidden)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value == catalan(147)
 
 
 # -- 2-eared counts ------------------------------------------------------------------

@@ -6,10 +6,18 @@ from __future__ import annotations
 from functools import lru_cache
 
 import pytest
-from helpers import ears_by_definition, internal_by_definition, segner_catalan
+from helpers import (
+    all_diagonals,
+    ears_by_definition,
+    internal_by_definition,
+    is_triangulation_pairwise,
+    random_triangulation,
+    segner_catalan,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 
+from polytri.disjoint import arrow, snake
 from polytri.triangulation import (
     Triangulation,
     crosses,
@@ -50,8 +58,7 @@ def test_crosses_basic():
 
 
 def test_crosses_symmetric_exhaustive():
-    n = 9
-    diags = [(a, b) for a in range(n) for b in range(a + 2, n) if (a, b) != (0, n - 1)]
+    diags = all_diagonals(9)
     for d1 in diags:
         for d2 in diags:
             assert crosses(d1, d2) == crosses(d2, d1)
@@ -66,6 +73,34 @@ def test_is_triangulation_malformed_inputs():
     assert not is_triangulation(6, [(0, 7), (2, 4), (0, 4)])  # out of range
     assert is_triangulation(3, [])
     assert not is_triangulation(2, [])
+    assert not is_triangulation(6, [None, (2, 4), (0, 4)])  # not a pair
+    assert not is_triangulation(6, [(0, 2, 4), (2, 4), (0, 4)])
+    assert not is_triangulation(8, [(0, 4), (1, 3), (0, 5), (2, 6), (5, 7)])
+
+
+@st.composite
+def pair_lists(draw):
+    """n and a list of pairs: mostly n-3 diagonals, which share endpoints and
+    cross often, mixed with out-of-range pairs, sides and wrong sizes."""
+    n = draw(st.integers(2, 12))
+    any_pair = st.tuples(st.integers(-1, n), st.integers(-1, n))
+    pair = st.one_of(st.sampled_from(all_diagonals(n)), any_pair) if n > 3 else any_pair
+    size = draw(st.one_of(st.just(max(n - 3, 0)), st.integers(0, n)))
+    return n, draw(st.lists(pair, min_size=size, max_size=size))
+
+
+@given(pair_lists())
+def test_is_triangulation_matches_pairwise_scan(case):
+    n, pairs = case
+    assert is_triangulation(n, pairs) == is_triangulation_pairwise(n, pairs)
+
+
+@given(st.integers(4, 14), st.randoms(use_true_random=False))
+def test_is_triangulation_matches_pairwise_scan_one_diagonal_moved(n, rng):
+    diags = list(random_triangulation(n, rng).diagonals)
+    assert is_triangulation(n, diags)
+    diags[rng.randrange(n - 3)] = rng.choice(all_diagonals(n))
+    assert is_triangulation(n, diags) == is_triangulation_pairwise(n, diags)
 
 
 # -- enumeration --------------------------------------------------------------
@@ -166,6 +201,17 @@ def test_dual_tree_structure(n):
         assert sorted(dt.leaves()) == sorted(t.ears())
         assert sorted(dt.branch_nodes()) == sorted(t.internal_triangles())
         assert all(dt.degree(x) <= 3 for x in dt.nodes)
+
+
+@pytest.mark.parametrize("shape", [arrow, snake])
+def test_structure_of_deep_triangulations(shape):
+    # n above the default recursion limit
+    t = shape(1200)
+    ears = t.ears()
+    assert len(ears) == 2
+    dt = t.dual_tree()
+    assert len(dt.edges) == 1200 - 3
+    assert sorted(dt.leaves()) == sorted(ears)
 
 
 def test_dual_tree_path_order():
