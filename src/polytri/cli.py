@@ -200,8 +200,18 @@ def _formula_count(t: Triangulation) -> tuple[int, str | None]:
     )
 
 
+# count_disjoint is O(n^3) big-integer work: about 5 s at n = 500 on a
+# 2-core x86-64 machine.
+BRUTE_CEILING = 500
+
+
 def cmd_disjoint(args: argparse.Namespace) -> int:
     t, shape = _resolve_shape(args)
+    if args.method in ("brute", "both") and t.n > BRUTE_CEILING:
+        raise CliError(
+            f"brute-force disjointness counts are feasible for n <= {BRUTE_CEILING}, "
+            f"got n={t.n} (use --method formula)"
+        )
     result: dict = {"n": t.n, "triangulation": str(t), "shape": shape, "method": args.method}
     note = None
     if args.method in ("brute", "both"):

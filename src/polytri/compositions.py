@@ -128,11 +128,9 @@ def count_classes(m: int, method: str = "closed") -> int:
     if method == "closed":
         if m < 2:
             raise ValueError("closed form for class counts requires m >= 2")
-        from fractions import Fraction
-
-        value = Fraction(2) ** (m - 3) + Fraction(2) ** ((m - 3) // 2)
-        assert value.denominator == 1
-        return int(value)
+        if m == 2:
+            return 1  # 2^-1 + 2^-1
+        return (1 << (m - 3)) + (1 << ((m - 3) // 2))
     if method == "burnside":
         total = (1 << (m - 1)) + sum(count_fixed(m, op) for op in _OPS)
         if total % 4:

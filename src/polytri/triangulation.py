@@ -25,7 +25,7 @@ Orbits of this action are called symmetry classes.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator
 
 Pair = tuple[int, int]
@@ -101,29 +101,47 @@ def _is_side(n: int, pair: Pair) -> bool:
     return b - a == 1 or (a, b) == (0, n - 1)
 
 
-# Callers work through one n at a time: three verify suites (core,
-# compositions, formulas) may each be on a different n at once.  An unbounded
-# cache would keep 2n maps of n entries for every n ever seen.
-@lru_cache(maxsize=3)
-def _dihedral_maps(n: int) -> tuple[tuple[int, ...], ...]:
-    """All 2n vertex maps of the dihedral group: rotations, then reflections."""
-    rotations = [tuple((v + s) % n for v in range(n)) for s in range(n)]
-    reflections = [tuple((s - v) % n for v in range(n)) for s in range(n)]
-    return tuple(rotations + reflections)
+def _canonical_diagonals(n: int, diags: Iterable[Pair]) -> tuple[Pair, ...]:
+    """Lexicographically least sorted diagonal tuple over the 2n dihedral images.
 
+    An image is a start vertex u0 and a direction step = +1 or -1: position
+    v of the image holds the original vertex (u0 + step*v) % n.  Its sorted
+    diagonal tuple lists, for v = 0, 1, ..., the pairs (v, v+d) ascending
+    in d.  So the images compare position by position on a per-position
+    key: the offsets d < n-v of the diagonals at v, ascending, then an end
+    marker n.  The marker sorts above every offset, because "v has one
+    more diagonal" sorts before "move on to v+1".  The offset from u to a
+    neighbour w is (w-u) % n forward and (u-w) % n backward.
 
-def _map_diagonals(diags: Iterable[Pair], perm: tuple[int, ...]) -> tuple[Pair, ...]:
+    At each position only the images with the least key survive, until
+    one is left; several survive all n positions only when the
+    triangulation is symmetric, and then they are the same image.  The
+    survivors at v share every diagonal at the positions below v, so they
+    agree on their offsets of n-v or more (which point back there), and
+    the whole sorted offset list with the marker compares exactly as the
+    key does: each image costs one tuple lookup per position.
+    """
+    fwd: list[list[int]] = [[] for _ in range(n)]
+    bwd: list[list[int]] = [[] for _ in range(n)]
+    for a, b in diags:
+        d = b - a  # forward offset from a to b; a < b
+        fwd[a].append(d)
+        fwd[b].append(n - d)
+        bwd[a].append(n - d)
+        bwd[b].append(d)
+    fwd_keys = [tuple(sorted(offs)) + (n,) for offs in fwd]
+    bwd_keys = [tuple(sorted(offs)) + (n,) for offs in bwd]
+    images = [(fwd_keys, u0, 1) for u0 in range(n)] + [(bwd_keys, u0, -1) for u0 in range(n)]
+    for v in range(n):
+        if len(images) == 1:
+            break
+        at_v = [keys[(u0 + step * v) % n] for keys, u0, step in images]
+        least = min(at_v)
+        images = [image for image, key in zip(images, at_v) if key == least]
+    keys, u0, step = images[0]
     return tuple(
-        sorted(
-            (perm[a], perm[b]) if perm[a] < perm[b] else (perm[b], perm[a])
-            for a, b in diags
-        )
+        (v, v + d) for v in range(n) for d in keys[(u0 + step * v) % n] if d < n - v
     )
-
-
-def _canonical_diagonals(n: int, diags: tuple[Pair, ...]) -> tuple[Pair, ...]:
-    """Lexicographically least image of the diagonal set under the 2n maps."""
-    return min(_map_diagonals(diags, perm) for perm in _dihedral_maps(n))
 
 
 def _ear_count(n: int, diag_set: frozenset[Pair] | set[Pair]) -> int:
@@ -261,31 +279,30 @@ class Triangulation:
     def diagonal_set(self) -> frozenset[Pair]:
         return frozenset(self.diagonals)
 
-    def triangles(self) -> tuple[Triple, ...]:
-        """The n-2 triangles as sorted vertex triples, in sorted order."""
-        if self.n == 3:
-            return ((0, 1, 2),)
-        dset = self.diagonal_set
+    @cached_property
+    def _triangles(self) -> tuple[Triple, ...]:
         n = self.n
+        # above[i]: the neighbours of i above i; the diagonals are stored
+        # sorted and n-1 is the largest, so every list comes out ascending
+        above = [[i + 1] for i in range(n - 1)]
+        for a, b in self.diagonals:
+            above[a].append(b)
+        above[0].append(n - 1)
+        return tuple(
+            (i, j, k) for i, nbrs in enumerate(above) for j, k in zip(nbrs, nbrs[1:])
+        )
 
-        def has_edge(x: int, y: int) -> bool:
-            return y - x == 1 or (x, y) == (0, n - 1) or (x, y) in dset
+    def triangles(self) -> tuple[Triple, ...]:
+        """The n-2 triangles as sorted vertex triples, in sorted order.
 
-        out: list[Triple] = []
-        stack = [(0, n - 1)]
-        while stack:
-            # the triangle over the chord/side (i, j), facing into the interval
-            i, j = stack.pop()
-            if j - i < 2:
-                continue
-            for m in range(i + 1, j):
-                if has_edge(i, m) and has_edge(m, j):
-                    out.append((i, m, j))
-                    stack += ((i, m), (m, j))
-                    break
-            else:
-                raise AssertionError(f"no triangle over ({i}, {j})")
-        return tuple(sorted(out))
+        The triangles whose least vertex is i are i with each consecutive
+        pair of i's neighbours above i, taken in ascending order (the sides
+        to i+1 and, for i = 0, to n-1 count as neighbours).  Emitted for i
+        ascending they are already sorted.  O(n), computed once per object
+        and cached, since ears, internal triangles and the dual tree all
+        start from it.
+        """
+        return self._triangles
 
     def _boundary_side_count(self, tri: Triple) -> int:
         a, b, c = tri
@@ -325,22 +342,27 @@ class Triangulation:
 
     # -- dihedral action ---------------------------------------------------
 
+    def _image(self, s: int, step: int) -> "Triangulation":
+        """Image under the vertex map v -> s + step*v (mod n), step = +1 or -1."""
+        n = self.n
+        pairs = []
+        for a, b in self.diagonals:
+            x, y = (s + step * a) % n, (s + step * b) % n
+            pairs.append((x, y) if x < y else (y, x))
+        return Triangulation(n, tuple(pairs), validate=False)
+
     def rotated(self, s: int) -> "Triangulation":
         """Image under the rotation v -> v+s (mod n)."""
-        perm = _dihedral_maps(self.n)[s % self.n]
-        return Triangulation(self.n, _map_diagonals(self.diagonals, perm), validate=False)
+        return self._image(s, 1)
 
     def reflected(self) -> "Triangulation":
         """Image under the reflection v -> n-v (mod n)."""
-        perm = _dihedral_maps(self.n)[self.n]  # reflection with s = 0
-        return Triangulation(self.n, _map_diagonals(self.diagonals, perm), validate=False)
+        return self._image(0, -1)
 
     def dihedral_images(self) -> tuple["Triangulation", ...]:
-        """Images under all 2n dihedral maps (may repeat for symmetric inputs)."""
-        return tuple(
-            Triangulation(self.n, _map_diagonals(self.diagonals, perm), validate=False)
-            for perm in _dihedral_maps(self.n)
-        )
+        """Images under all 2n dihedral maps (may repeat for symmetric inputs):
+        the rotations v -> v+s, then the reflections v -> s-v, s = 0..n-1."""
+        return tuple(self._image(s, step) for step in (1, -1) for s in range(self.n))
 
     def canonical(self) -> "Triangulation":
         """Least dihedral image; constant on symmetry classes."""

@@ -5,7 +5,9 @@ Catalan oracle uses the Segner recurrence (the package uses the binomial
 closed form), the ear oracle classifies triangles by counting boundary
 sides directly, the avoidance oracle is the memoized top-down recursion
 that the package's bottom-up DP replaced, and the triangulation test scans
-every pair of diagonals for a crossing.
+every pair of diagonals for a crossing.  The triangle oracle scans every
+apex over each chord, and the canonical-form oracle maps and sorts all 2n
+dihedral images; both are the routines the package's faster ones replaced.
 """
 
 from __future__ import annotations
@@ -35,12 +37,53 @@ def boundary_sides(n: int, tri: tuple[int, int, int]) -> int:
     return count
 
 
+def triangles_by_apex_scan(t: Triangulation) -> tuple[tuple[int, int, int], ...]:
+    """The triangles, sorted, found by scanning every apex m of each chord
+    (i, j) from the side (0, n-1) inward.  O(n^2) on a fan."""
+    n = t.n
+    if n == 3:
+        return ((0, 1, 2),)
+    dset = t.diagonal_set
+
+    def has_edge(x: int, y: int) -> bool:
+        return y - x == 1 or (x, y) == (0, n - 1) or (x, y) in dset
+
+    out = []
+    stack = [(0, n - 1)]
+    while stack:
+        i, j = stack.pop()
+        if j - i < 2:
+            continue
+        for m in range(i + 1, j):
+            if has_edge(i, m) and has_edge(m, j):
+                out.append((i, m, j))
+                stack += ((i, m), (m, j))
+                break
+        else:
+            raise AssertionError(f"no triangle over ({i}, {j})")
+    return tuple(sorted(out))
+
+
 def ears_by_definition(t: Triangulation) -> list[tuple[int, int, int]]:
-    return [tri for tri in t.triangles() if boundary_sides(t.n, tri) == 2]
+    return [tri for tri in triangles_by_apex_scan(t) if boundary_sides(t.n, tri) == 2]
 
 
 def internal_by_definition(t: Triangulation) -> list[tuple[int, int, int]]:
-    return [tri for tri in t.triangles() if boundary_sides(t.n, tri) == 0]
+    return [tri for tri in triangles_by_apex_scan(t) if boundary_sides(t.n, tri) == 0]
+
+
+def canonical_by_sorting(n: int, diags) -> tuple[tuple[int, int], ...]:
+    """Least sorted diagonal tuple over the 2n dihedral images, by mapping
+    and sorting every image: the rotations v -> v+s and the reflections
+    v -> s-v."""
+    images = []
+    for s in range(n):
+        for perm in ([(v + s) % n for v in range(n)], [(s - v) % n for v in range(n)]):
+            images.append(tuple(sorted(
+                (perm[a], perm[b]) if perm[a] < perm[b] else (perm[b], perm[a])
+                for a, b in diags
+            )))
+    return min(images)
 
 
 def count_avoiding_recursive(n: int, forbidden) -> int:

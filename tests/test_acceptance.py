@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 
+import polytri
 from polytri import compositions as comp
 from polytri import counting, disjoint, verify
 from polytri.triangulation import enumerate_triangulations
@@ -171,9 +172,13 @@ def test_criterion_11_internal_signature_invariance():
 def test_criterion_12_verify_report_determinism():
     started = time.perf_counter()
     cmd = [sys.executable, "-m", "polytri", "verify", "--max-n", "10"]
+    # the child imports the package under test, also when pytest alone put
+    # src/ on the path
+    src = os.path.dirname(os.path.dirname(os.path.abspath(polytri.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     outputs = []
     for threads in ("1", "8"):
-        env = dict(os.environ, POLYTRI_THREADS=threads)
+        env = dict(os.environ, POLYTRI_THREADS=threads, PYTHONPATH=path)
         proc = subprocess.run(cmd, capture_output=True, env=env)
         assert proc.returncode == 0, proc.stdout.decode()[-500:]
         outputs.append(proc.stdout)

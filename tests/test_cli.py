@@ -7,7 +7,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from polytri import cli, verify
+from polytri import cli, disjoint, verify
+from polytri.counting import catalan
 from polytri.verify import Check, RunReport
 
 
@@ -180,6 +181,36 @@ def test_disjoint_mismatch_exits_two(capsys, monkeypatch):
     monkeypatch.setattr(cli.disjoint, "count_disjoint", lambda t: 0)
     assert invoke(["disjoint", "--arrow", "--n", "6", "--method", "both"]) == 2
     assert "MISMATCH" in capsys.readouterr().err
+
+
+def _no_dp(*args):
+    raise AssertionError("the brute-force count ran above BRUTE_CEILING")
+
+
+@pytest.mark.parametrize("method", ["brute", "both"])
+@pytest.mark.parametrize(
+    "shape",
+    [["--arrow", "--n", "2000"], ["--snake", "--n", "2000"],
+     ["--type", "600,700,697", "--n", "2000"], ["--t", str(disjoint.arrow(600))]],
+    ids=["arrow", "snake", "type", "inline"],
+)
+def test_disjoint_brute_refuses_above_ceiling(capsys, monkeypatch, shape, method):
+    monkeypatch.setattr(cli.disjoint, "count_disjoint", _no_dp)
+    assert invoke(["disjoint", *shape, "--method", method]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("polytri: error:")
+    assert f"n <= {cli.BRUTE_CEILING}" in captured.err
+
+
+def test_brute_ceiling_covers_benchmark_sizes():
+    # the disjoint benchmark workload runs --method both up to n = 200
+    assert cli.BRUTE_CEILING >= 200
+
+
+def test_disjoint_formula_answers_above_ceiling(capsys):
+    assert invoke(["disjoint", "--method", "formula", "--arrow", "--n", "2000"]) == 0
+    assert capsys.readouterr().out == f"{catalan(1997)}\n"
 
 
 def test_disjoint_bad_inline_text(capsys):

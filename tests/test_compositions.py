@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -134,6 +135,13 @@ def test_count_classes_methods_agree(m):
     direct = count_classes(m, "direct")
     assert count_classes(m, "closed") == direct
     assert count_classes(m, "burnside") == direct
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 17, 64, 201])
+def test_count_classes_closed_matches_rational_formula(m):
+    value = Fraction(2) ** (m - 3) + Fraction(2) ** ((m - 3) // 2)
+    got = count_classes(m, "closed")
+    assert type(got) is int and got == value  # m = 2: 2^-1 + 2^-1 = 1
 
 
 def test_count_classes_values():

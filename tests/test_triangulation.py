@@ -3,21 +3,25 @@ dihedral action, text format."""
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 
 import pytest
 from helpers import (
     all_diagonals,
+    canonical_by_sorting,
     ears_by_definition,
     internal_by_definition,
     is_triangulation_pairwise,
     random_triangulation,
     segner_catalan,
+    triangles_by_apex_scan,
 )
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polytri.disjoint import arrow, snake
+from polytri.compositions import two_eared_from_pointing
+from polytri.disjoint import arrow, snake, three_ear_rep
 from polytri.triangulation import (
     Triangulation,
     crosses,
@@ -31,6 +35,39 @@ from polytri.triangulation import (
 @lru_cache(maxsize=None)
 def all_triangulations(n: int) -> tuple[Triangulation, ...]:
     return tuple(enumerate_triangulations(n))
+
+
+def random_image(t: Triangulation, rng: random.Random) -> Triangulation:
+    image = t.rotated(rng.randrange(t.n))
+    return image.reflected() if rng.random() < 0.5 else image
+
+
+def shapes_of_size(n: int, rng: random.Random) -> list[Triangulation]:
+    """Random images of a random split, the fan, the snake, a 2-eared and a
+    3-eared triangulation of the n-gon (n >= 6)."""
+    pointing = "".join(rng.choice("UD") for _ in range(n - 4))
+    p = rng.randrange(1, n - 4)
+    q = rng.randrange(1, n - 3 - p)
+    shapes = [
+        random_triangulation(n, rng),
+        arrow(n),
+        snake(n),
+        two_eared_from_pointing(pointing),
+        three_ear_rep(n, (p, q, n - 3 - p - q)),
+    ]
+    return [random_image(t, rng) for t in shapes]
+
+
+def rotation_symmetric(n: int, k: int, rng: random.Random) -> Triangulation:
+    """A triangulation fixed by the rotation v -> v + n/k, k = 2 or 3: the
+    central chord or triangle on 0, n/k, ..., with one random triangulation
+    of the arc 0..n/k repeated in every arc."""
+    step = n // k
+    arc = random_triangulation(step + 1, rng).diagonals
+    diags = [(0, step)] if k == 2 else [(0, step), (step, 2 * step), (0, 2 * step)]
+    for s in range(0, n, step):
+        diags += [tuple(sorted(((a + s) % n, (b + s) % n))) for a, b in arc]
+    return Triangulation(n, tuple(diags))
 
 
 # -- diagonals and crossing -------------------------------------------------
@@ -148,6 +185,25 @@ def test_triangle_decomposition(n):
                 edge_use[e] += 1
         for d in t.diagonals:
             assert edge_use[d] == 2
+
+
+def test_triangles_of_triangle_and_square():
+    assert Triangulation.parse("3:").triangles() == ((0, 1, 2),)
+    assert Triangulation.parse("4:0-2").triangles() == ((0, 1, 2), (0, 2, 3))
+    assert Triangulation.parse("4:1-3").triangles() == ((0, 1, 3), (1, 2, 3))
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_triangles_match_apex_scan_exhaustive(n):
+    for t in all_triangulations(n):
+        assert t.triangles() == triangles_by_apex_scan(t)
+
+
+@pytest.mark.parametrize("n", [11, 12, 17, 40, 101, 300])
+def test_triangles_match_apex_scan_on_shapes(n):
+    for t in shapes_of_size(n, random.Random(n)):
+        assert t.triangles() == triangles_by_apex_scan(t)
+        assert t.triangles() is t.triangles()  # computed once per object
 
 
 @pytest.mark.parametrize("n", range(4, 11))
@@ -274,6 +330,46 @@ def test_canonical_constant_on_orbits(n):
 
 def test_canonical_spec_example():
     assert str(Triangulation.parse("4:1-3").canonical()) == "4:0-2"
+
+
+@pytest.mark.parametrize("n", range(3, 12))
+def test_canonical_matches_sorting_oracle_exhaustive(n):
+    for t in all_triangulations(n):
+        assert t.canonical().diagonals == canonical_by_sorting(n, t.diagonals)
+
+
+@pytest.mark.parametrize("n", [12, 13, 16, 29, 64, 150, 300])
+def test_canonical_matches_sorting_oracle_on_shapes(n):
+    for t in shapes_of_size(n, random.Random(n)):
+        assert t.canonical().diagonals == canonical_by_sorting(n, t.diagonals)
+
+
+@pytest.mark.parametrize(
+    "t, shift",
+    [
+        (rotation_symmetric(9, 3, random.Random(1)), 3),
+        (rotation_symmetric(12, 3, random.Random(2)), 4),
+        (rotation_symmetric(300, 3, random.Random(3)), 100),
+        (rotation_symmetric(14, 2, random.Random(4)), 7),
+        (rotation_symmetric(200, 2, random.Random(5)), 100),
+        (snake(11), None),
+        (snake(301), None),
+    ],
+    ids=["3-fold-9", "3-fold-12", "3-fold-300", "2-fold-14", "2-fold-200",
+         "snake-11", "snake-301"],
+)
+def test_canonical_of_symmetric_triangulations(t, shift):
+    # several images tie for least here, so the pruning keeps more than one
+    # image through every position
+    n = t.n
+    if shift is None:  # the snake of odd n is fixed by the reflection v -> (n+3)/2 - v
+        assert t.dihedral_images()[n + (n + 3) // 2] == t
+    else:
+        assert t.rotated(shift) == t
+    canon = canonical_by_sorting(n, t.diagonals)
+    assert sum(img.diagonals == canon for img in t.dihedral_images()) >= 2
+    image = random_image(t, random.Random(n))
+    assert t.canonical().diagonals == image.canonical().diagonals == canon
 
 
 # -- disjointness predicate ----------------------------------------------------
