@@ -4,7 +4,7 @@ identity verification, sequence emission and SVG figures.
 Exit codes: 0 success, 1 usage or domain error, 2 verification failure
 (a FAIL line from `verify`, or a cross-check mismatch under `--method
 both`).  Stdout is byte-deterministic for identical invocations; the
-optional --timing line goes to stderr.
+optional --timing lines go to stderr.
 """
 
 from __future__ import annotations
@@ -251,6 +251,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         sys.stdout.write(report.render_text())
     if args.timing:
         print(f"wall-time: {report.wall_time:.2f}s", file=sys.stderr)
+        for name, seconds in report.suite_times:
+            print(f"suite-time: {name} {seconds:.2f}s", file=sys.stderr)
     return report.exit_code
 
 
@@ -366,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", action="append", choices=tuple(verify.SUITES),
                    help="run only this suite (repeatable)")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--timing", action="store_true", help="report wall time on stderr")
+    p.add_argument("--timing", action="store_true",
+                   help="report wall time and per-suite CPU time on stderr")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("svg",

@@ -121,7 +121,10 @@ def count_classes(m: int, method: str = "closed") -> int:
 
     method 'closed' evaluates 2^(m-3) + 2^floor((m-3)/2) exactly (requires
     m >= 2; at m = 1 the formula is not integral).  'burnside' averages the
-    four fixed-point counts.  'direct' enumerates orbits.
+    four fixed-point counts.  'direct' enumerates the 2^(m-1) bar sets as
+    bitmasks over m-1 bits (bit j is the bar at j+1): reversal reverses the
+    bits, conjugation complements them, and each orbit is counted once, at
+    its least member.
     """
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
@@ -137,7 +140,13 @@ def count_classes(m: int, method: str = "closed") -> int:
             raise ArithmeticError(f"Burnside sum {total} not divisible by 4 at m={m}")
         return total // 4
     if method == "direct":
-        return len({min(composition_class(c)) for c in enumerate_compositions(m)})
+        bits = m - 1
+        full = (1 << bits) - 1
+        count = 0
+        for mask in range(1 << bits):
+            rev = int(f"{mask:0{bits}b}"[::-1], 2)
+            count += mask == min(mask, rev, mask ^ full, rev ^ full)
+        return count
     raise ValueError(f"unknown method {method!r}")
 
 

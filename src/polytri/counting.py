@@ -19,22 +19,23 @@ The key closed forms:
   (1/3) 2^(n-8) (n-4)(n-5) + [2|n] 2^(n/2-4) + [3|n] (1/3) 2^(n/3-2)
   for n >= 6.
 
-Orbit counts used to cross-check the closed forms stream the full
-enumeration, filter by ear count, and count distinct canonical forms, so
-they never hold all triangulations in memory at once.
+Orbit counts used to cross-check the closed forms come from one census
+pass per n over the full enumeration.  Each triangulation is keyed by its
+quiddity sequence (how many triangles meet each vertex), which determines
+it (Conway and Coxeter, 1973): a dihedral image is a rotation or reversal
+of that n-tuple, and the ears are its 1-entries.  The pass keeps only the
+distinct class keys, never all triangulations at once.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from typing import Iterable
 
-from polytri.triangulation import (
-    _canonical_diagonals,
-    _diagonal_sets,
-    _ear_count,
-)
+from polytri.triangulation import Pair, _diagonal_sets, _ear_count
 
 
 def _as_int(value: Fraction, what: str) -> int:
@@ -137,19 +138,49 @@ def symmetry_classes_3ear(n: int) -> int:
     return _as_int(value, f"3-ear class formula at n={n}")
 
 
+def quiddity_key(n: int, diagonals: Iterable[Pair]) -> tuple[int, ...]:
+    """Symmetry-class key of a triangulation: the least rotation of its
+    quiddity sequence or of the reversed sequence.
+
+    Entry v of the quiddity sequence is the number of triangles at vertex
+    v, 1 plus its diagonal count.  It determines the triangulation, and
+    the sequences of the 2n dihedral images are exactly the rotations of
+    the sequence and of its reversal, so two triangulations share a key
+    iff they lie in one symmetry class.  The least rotation starts
+    at a 1-entry, so only the 2k rotations starting at the k 1-entries are
+    compared.  For n >= 4 the 1-entries are the ear tips: key.count(1) is
+    the ear count.
+    """
+    quiddity = [1] * n
+    for a, b in diagonals:
+        quiddity[a] += 1
+        quiddity[b] += 1
+    twice = quiddity + quiddity
+    back = twice[::-1]  # the reversed sequence, twice
+    return tuple(min(
+        [twice[i:i + n] for i in range(n) if twice[i] == 1]
+        + [back[i:i + n] for i in range(n) if back[i] == 1]
+    ))
+
+
+@lru_cache(maxsize=16)
+def _class_census(n: int) -> Counter[int]:
+    # {ear count: number of symmetry classes}, shared by every caller
+    keys = {quiddity_key(n, diags) for diags in _diagonal_sets(tuple(range(n)))}
+    return Counter(key.count(1) for key in keys)
+
+
 def symmetry_classes_orbit(n: int, ears: int | None = None) -> int:
     """Number of dihedral symmetry classes, optionally filtered by ear count.
 
-    Streams the enumeration and counts distinct canonical forms; feasible
-    up to n around 14.
+    One census pass per n keys every triangulation by quiddity_key and
+    tallies the distinct keys by ear count; it is cached, so the counts for
+    every ear count of one n cost one enumeration.  Feasible up to n around
+    14.
     """
     if n < 3:
         raise ValueError(f"polygon needs at least 3 vertices, got n={n}")
     if ears is not None and n < 4:
         raise ValueError("ear filter requires n >= 4")
-    seen: set[tuple] = set()
-    for diags in _diagonal_sets(tuple(range(n))):
-        if ears is not None and _ear_count(n, set(diags)) != ears:
-            continue
-        seen.add(_canonical_diagonals(n, diags))
-    return len(seen)
+    census = _class_census(n)
+    return sum(census.values()) if ears is None else census[ears]

@@ -10,7 +10,7 @@ bytes.
 
 from __future__ import annotations
 
-from math import cos, pi, sin
+from math import cos, isfinite, pi, sin
 
 from polytri.triangulation import Triangulation
 
@@ -50,7 +50,9 @@ def render_svg(
     """Standalone SVG text for a triangulation.
 
     highlight: 'none', 'ears', 'internal', or 'both'; shaded triangles are
-    drawn beneath the edges.
+    drawn beneath the edges.  Raises ValueError for an unknown highlight,
+    size < 60, font_size < 1, or a stroke_width that is negative or not
+    finite.
     """
     if highlight not in HIGHLIGHTS:
         raise ValueError(
@@ -58,6 +60,10 @@ def render_svg(
         )
     if size < 60:
         raise ValueError(f"size must be at least 60, got {size}")
+    if font_size < 1:
+        raise ValueError(f"font size must be at least 1, got {font_size}")
+    if not (isfinite(stroke_width) and stroke_width >= 0):
+        raise ValueError(f"stroke width must be finite and >= 0, got {stroke_width}")
     n = t.n
     cx = cy = size / 2.0
     radius = size * 0.40

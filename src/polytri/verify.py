@@ -404,6 +404,8 @@ class RunReport:
     max_n: int | None
     checks: tuple[Check, ...]
     wall_time: float
+    # (suite, CPU seconds of the thread that ran it), in report order
+    suite_times: tuple[tuple[str, float], ...] = ()
 
     @property
     def counts(self) -> dict[str, int]:
@@ -448,13 +450,22 @@ def thread_count() -> int:
     return max(1, value)
 
 
+def _run_timed(name: str, max_n: int | None) -> tuple[list[Check], float]:
+    # thread_time() counts only this thread's CPU time, not the time it
+    # waits for the interpreter lock while other suites run
+    start = time.thread_time()
+    checks = SUITES[name](max_n)
+    return checks, time.thread_time() - start
+
+
 def run_suites(
     suites: list[str] | None = None, max_n: int | None = None
 ) -> RunReport:
     """Run the named suites (default: all) and return the buffered report.
 
     Suites execute concurrently but results are assembled in registry
-    order, so the report does not depend on the thread count.
+    order, so the report does not depend on the thread count.  Each
+    suite's CPU time is recorded in suite_times.
     """
     names = list(SUITES) if suites is None else list(suites)
     for name in names:
@@ -466,13 +477,17 @@ def run_suites(
         raise ValueError(f"max_n must be >= 3, got {max_n}")
     start = time.perf_counter()
     with ThreadPoolExecutor(max_workers=min(thread_count(), len(names))) as pool:
-        futures = {name: pool.submit(SUITES[name], max_n) for name in names}
+        futures = {name: pool.submit(_run_timed, name, max_n) for name in names}
         checks: list[Check] = []
+        suite_times = []
         for name in names:
-            checks.extend(futures[name].result())
+            suite_checks, seconds = futures[name].result()
+            checks.extend(suite_checks)
+            suite_times.append((name, seconds))
     return RunReport(
         suites=tuple(names),
         max_n=max_n,
         checks=tuple(checks),
         wall_time=time.perf_counter() - start,
+        suite_times=tuple(suite_times),
     )

@@ -8,13 +8,24 @@ that the package's bottom-up DP replaced, and the triangulation test scans
 every pair of diagonals for a crossing.  The triangle oracle scans every
 apex over each chord, and the canonical-form oracle maps and sorts all 2n
 dihedral images; both are the routines the package's faster ones replaced.
+The orbit-count oracle counts distinct canonical diagonal tuples instead
+of quiddity keys, and the composition-class oracle forms every orbit as a
+set of composition tuples instead of bitmasks.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from polytri.triangulation import Triangulation, crosses, diagonal
+from polytri.compositions import composition_class, enumerate_compositions
+from polytri.triangulation import (
+    Triangulation,
+    _canonical_diagonals,
+    _diagonal_sets,
+    _ear_count,
+    crosses,
+    diagonal,
+)
 
 
 @lru_cache(maxsize=None)
@@ -86,6 +97,23 @@ def canonical_by_sorting(n: int, diags) -> tuple[tuple[int, int], ...]:
     return min(images)
 
 
+def orbit_count_by_canonical(n: int, ears: int | None = None) -> int:
+    """Symmetry classes of the n-gon's triangulations (with the given ear
+    count), as the number of distinct canonical diagonal tuples."""
+    seen = set()
+    for diags in _diagonal_sets(tuple(range(n))):
+        if ears is not None and _ear_count(n, set(diags)) != ears:
+            continue
+        seen.add(_canonical_diagonals(n, diags))
+    return len(seen)
+
+
+def count_classes_by_tuples(m: int) -> int:
+    """Composition classes of m, as the number of distinct least members
+    of the orbits formed from composition tuples."""
+    return len({min(composition_class(c)) for c in enumerate_compositions(m)})
+
+
 def count_avoiding_recursive(n: int, forbidden) -> int:
     """Triangulations of the n-gon using no forbidden diagonal, by a pruned
     top-down split with memoization on arcs.  Recurses about n deep."""
@@ -143,4 +171,16 @@ def random_triangulation(n: int, rng) -> Triangulation:
         m = rng.randrange(i + 1, j)
         diags += [(a, b) for a, b in ((i, m), (m, j)) if b - a >= 2]
         arcs += [(i, m), (m, j)]
+    return Triangulation(n, tuple(diags))
+
+
+def rotation_symmetric(n: int, k: int, rng) -> Triangulation:
+    """A triangulation fixed by the rotation v -> v + n/k, k = 2 or 3: the
+    central chord or triangle on 0, n/k, ..., with one random triangulation
+    of the arc 0..n/k repeated in every arc."""
+    step = n // k
+    arc = random_triangulation(step + 1, rng).diagonals
+    diags = [(0, step)] if k == 2 else [(0, step), (step, 2 * step), (0, 2 * step)]
+    for s in range(0, n, step):
+        diags += [tuple(sorted(((a + s) % n, (b + s) % n))) for a, b in arc]
     return Triangulation(n, tuple(diags))

@@ -263,6 +263,21 @@ def test_verify_timing_goes_to_stderr(capsys):
     assert "wall-time" in captured.err
 
 
+def test_verify_timing_lists_suite_times_without_touching_stdout(capsys):
+    assert invoke(["verify", "--max-n", "6"]) == 0
+    plain = capsys.readouterr()
+    assert invoke(["verify", "--max-n", "6", "--timing"]) == 0
+    timed = capsys.readouterr()
+    assert timed.out == plain.out
+    assert plain.err == ""
+    lines = timed.err.splitlines()
+    assert lines[0].startswith("wall-time: ")
+    assert [line.split()[:2] for line in lines[1:]] == [
+        ["suite-time:", name] for name in verify.SUITES
+    ]
+    assert len(lines) == 8 and all(line.endswith("s") for line in lines)
+
+
 def test_verify_rejects_tiny_max_n(capsys):
     assert invoke(["verify", "--max-n", "2"]) == 1
 
@@ -321,6 +336,18 @@ def test_svg_deep_triangulation(shape, capsys):
 def test_svg_triangle_with_highlight(capsys):
     assert invoke(["svg", "--t", "3:", "--highlight", "both"]) == 0
     ET.fromstring(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--font-size", "-1"), ("--font-size", "0"), ("--stroke-width", "nan"),
+     ("--stroke-width", "inf"), ("--stroke-width", "-0.5")],
+)
+def test_svg_rejects_bad_font_size_and_stroke_width(capsys, flag, value):
+    assert invoke(["svg", "--arrow", "--n", "6", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("polytri: error: ")
 
 
 def test_svg_bad_highlight_flag(capsys):

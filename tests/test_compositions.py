@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from helpers import count_classes_by_tuples
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -135,6 +136,11 @@ def test_count_classes_methods_agree(m):
     direct = count_classes(m, "direct")
     assert count_classes(m, "closed") == direct
     assert count_classes(m, "burnside") == direct
+
+
+@pytest.mark.parametrize("m", range(1, 15))
+def test_count_classes_direct_matches_tuple_oracle(m):
+    assert count_classes(m, "direct") == count_classes_by_tuples(m)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 17, 64, 201])

@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
-from helpers import segner_catalan
+from helpers import (
+    orbit_count_by_canonical,
+    random_triangulation,
+    rotation_symmetric,
+    segner_catalan,
+)
 
 from polytri.compositions import count_classes
 from polytri.counting import (
@@ -13,10 +20,13 @@ from polytri.counting import (
     ear_census,
     hurtado_noy,
     max_ears,
+    quiddity_key,
     symmetry_classes_2ear,
     symmetry_classes_3ear,
     symmetry_classes_orbit,
 )
+from polytri.disjoint import arrow, snake
+from polytri.triangulation import enumerate_triangulations
 
 # frozen prefix, derived from the Segner recurrence (see helpers.py)
 CATALAN_PREFIX = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012]
@@ -133,3 +143,37 @@ def test_orbit_unfiltered_hexagon():
 def test_orbit_counts_triangle_and_square():
     assert symmetry_classes_orbit(3) == 1
     assert symmetry_classes_orbit(4) == 1
+
+
+@pytest.mark.parametrize("n", range(3, 12))
+def test_orbit_census_matches_canonical_oracle(n):
+    assert symmetry_classes_orbit(n) == orbit_count_by_canonical(n)
+    if n >= 4:
+        for ears in range(2, max_ears(n) + 2):  # one past the largest: 0 classes
+            assert symmetry_classes_orbit(n, ears=ears) == orbit_count_by_canonical(n, ears), ears
+
+
+# -- the quiddity class key ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_quiddity_key_separates_classes_exhaustive(n):
+    # one key per canonical form and one canonical form per key
+    pairs = set()
+    for t in enumerate_triangulations(n):
+        key = quiddity_key(n, t.diagonals)
+        assert n < 4 or key.count(1) == t.ear_count()
+        pairs.add((key, t.canonical().diagonals))
+    assert len(pairs) == len({key for key, _ in pairs}) == len({c for _, c in pairs})
+
+
+@pytest.mark.parametrize("n", [15, 40, 101])
+def test_quiddity_key_constant_on_dihedral_images(n):
+    rng = random.Random(n)
+    shapes = [random_triangulation(n, rng), arrow(n), snake(n)]
+    # rotation-symmetric triangulations exist only for n divisible by k
+    shapes += [rotation_symmetric(n, k, rng) for k in (2, 3) if n % k == 0]
+    for t in shapes:
+        keys = {quiddity_key(n, img.diagonals) for img in t.dihedral_images()}
+        assert keys == {quiddity_key(n, t.diagonals)}
+        assert keys.pop().count(1) == t.ear_count()

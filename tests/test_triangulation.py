@@ -14,6 +14,7 @@ from helpers import (
     internal_by_definition,
     is_triangulation_pairwise,
     random_triangulation,
+    rotation_symmetric,
     segner_catalan,
     triangles_by_apex_scan,
 )
@@ -56,18 +57,6 @@ def shapes_of_size(n: int, rng: random.Random) -> list[Triangulation]:
         three_ear_rep(n, (p, q, n - 3 - p - q)),
     ]
     return [random_image(t, rng) for t in shapes]
-
-
-def rotation_symmetric(n: int, k: int, rng: random.Random) -> Triangulation:
-    """A triangulation fixed by the rotation v -> v + n/k, k = 2 or 3: the
-    central chord or triangle on 0, n/k, ..., with one random triangulation
-    of the arc 0..n/k repeated in every arc."""
-    step = n // k
-    arc = random_triangulation(step + 1, rng).diagonals
-    diags = [(0, step)] if k == 2 else [(0, step), (step, 2 * step), (0, 2 * step)]
-    for s in range(0, n, step):
-        diags += [tuple(sorted(((a + s) % n, (b + s) % n))) for a, b in arc]
-    return Triangulation(n, tuple(diags))
 
 
 # -- diagonals and crossing -------------------------------------------------
