@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from polytri import cli, disjoint, verify
 from polytri.counting import catalan
 from polytri.verify import Check, RunReport
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def invoke(argv):
@@ -280,6 +283,22 @@ def test_verify_timing_lists_suite_times_without_touching_stdout(capsys):
 
 def test_verify_rejects_tiny_max_n(capsys):
     assert invoke(["verify", "--max-n", "2"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        # most windows are empty at cap 3; the fixed-limit series line still shows
+        (["--max-n", "3"], "verify-max-n-3.txt"),
+        # every check runs its lower window, and the erratum line is present
+        (["--max-n", "8"], "verify-max-n-8.txt"),
+        (["--max-n", "8", "--format", "json"], "verify-max-n-8.json"),
+    ],
+)
+def test_verify_report_matches_golden_bytes(capsys, argv, golden):
+    assert invoke(["verify", *argv]) == 0
+    expected = (GOLDEN_DIR / golden).read_bytes()
+    assert capsys.readouterr().out.encode() == expected
 
 
 # -- svg ------------------------------------------------------------------------
