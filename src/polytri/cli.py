@@ -52,6 +52,16 @@ def _parse_type(text: str) -> tuple[int, ...]:
         raise CliError(f"bad type {text!r}; expected 'p,q,r'") from None
 
 
+def _printable(value: int) -> int:
+    """value, or ValueError if Python refuses to write it in decimal."""
+    try:
+        str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"value too long to print (over {limit} decimal digits)") from None
+    return value
+
+
 def _add_shape_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--t", metavar="TEXT", help="inline triangulation 'n:a-b,c-d,...'")
     sub.add_argument("--arrow", action="store_true", help="fan triangulation (needs --n)")
@@ -149,7 +159,7 @@ def cmd_symmetry(args: argparse.Namespace) -> int:
         row: dict = {"n": n, "ears": args.ears}
         for method in methods:
             try:
-                row[method] = _class_count(n, ears, method)
+                row[method] = _printable(_class_count(n, ears, method))
             except (ValueError, ArithmeticError) as exc:
                 print(f"{PROG}: symmetry: n={n}: {exc}", file=sys.stderr)
                 row[method] = None
@@ -312,7 +322,7 @@ def cmd_sequence(args: argparse.Namespace) -> int:
     rows = []
     for n in parse_range(args.n):
         try:
-            rows.append({"n": n, "value": fn(n)})
+            rows.append({"n": n, "value": _printable(fn(n))})
         except (ValueError, ArithmeticError) as exc:
             print(f"{PROG}: sequence: n={n}: {exc}", file=sys.stderr)
             status = 1

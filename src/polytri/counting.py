@@ -57,6 +57,12 @@ def catalan_list(upto: int) -> list[int]:
     return [catalan(k) for k in range(upto + 1)]
 
 
+def _catalan_convolution(total: int, lo: int, hi: int) -> int:
+    """sum_{i=lo}^{hi-1} C(i) C(total-i), a run of terms of the Catalan
+    self-convolution; empty (0) when hi <= lo."""
+    return sum(catalan(i) * catalan(total - i) for i in range(lo, hi))
+
+
 def catalan_partial_convolution(n: int, k: int) -> int:
     """Partial convolution S(n, k) = sum_{i=0}^{k} C(i) C(n-4-i).
 
@@ -67,7 +73,7 @@ def catalan_partial_convolution(n: int, k: int) -> int:
         raise ValueError(f"k must be >= -1, got {k}")
     if k > n - 4:
         raise ValueError(f"k={k} exceeds n-4={n - 4}")
-    return sum(catalan(i) * catalan(n - 4 - i) for i in range(k + 1))
+    return _catalan_convolution(n - 4, 0, k + 1)
 
 
 def max_ears(n: int) -> int:

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Iterable
 
-from polytri.counting import catalan, catalan_partial_convolution
+from polytri.counting import _catalan_convolution, catalan, catalan_partial_convolution
 from polytri.triangulation import (
     Pair,
     Triple,
@@ -252,7 +252,7 @@ def avoid_fan_formula(n: int, m: int) -> int:
         raise ValueError(f"need n >= 4, got {n}")
     if not 0 <= m <= n - 3:
         raise ValueError(f"need 0 <= m <= n-3, got m={m}")
-    return sum(catalan(i) * catalan(n - 3 - i) for i in range(n - 2 - m))
+    return _catalan_convolution(n - 3, 0, n - 2 - m)
 
 
 def three_ear_disjoint(n: int, ptype: Iterable[int]) -> int:
@@ -267,8 +267,8 @@ def three_ear_disjoint(n: int, ptype: Iterable[int]) -> int:
     2 C(n-3) - S(p-1) - S(q-1) - S(r-1).
     """
     p, q, r = _check_type(n, ptype)
-    case1 = sum(catalan(i) * catalan(n - 4 - i) for i in range(n - 3 - q))
-    case2 = sum(catalan(j) * catalan(n - 4 - j) for j in range(p, p + q))
+    case1 = _catalan_convolution(n - 4, 0, n - 3 - q)
+    case2 = _catalan_convolution(n - 4, p, p + q)
     return case1 + case2
 
 

@@ -1,7 +1,9 @@
 """Self-verification suites over the package's counting identities.
 
-Each suite re-derives a family of identities and reports one line per
-checked instance:
+Every check is one Row of the table CHECKS: its suite, its id, its window
+of n, its params and a body that maps n to (expected, got).  One runner
+turns a suite's rows into report lines, one per checked instance, which
+pass iff expected == got:
 
     PASS|FAIL|ERRATUM  <check-id>  n=<..> params=<..> expected=<..> got=<..>
 
@@ -12,9 +14,7 @@ analysis, witnessed already at n=6.
 
 Suites run concurrently (POLYTRI_THREADS, default: all cores) but their
 output is buffered per suite and emitted in a fixed order, so reports are
-byte-identical regardless of thread count.  Every check ranges over an
-explicit window: the spec'd feasibility ceiling bounds it above, and a
---max-n style cap can lower it.
+byte-identical regardless of thread count.
 """
 
 from __future__ import annotations
@@ -24,11 +24,13 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import product
+from functools import partial
+from itertools import permutations, product
+from typing import Callable, NamedTuple
 
 from polytri import compositions as comp
 from polytri import counting, disjoint
-from polytri.triangulation import Triangulation, enumerate_triangulations
+from polytri.triangulation import enumerate_triangulations
 
 THREADS_ENV = "POLYTRI_THREADS"
 
@@ -59,342 +61,279 @@ class Check:
         }
 
 
-def _check(cid: str, n, expected, got, params: str = "-") -> Check:
-    status = "PASS" if expected == got else "FAIL"
-    return Check(status, cid, str(n), params, str(expected), str(got))
+class Row(NamedTuple):
+    suite: str
+    check_id: str
+    first: int  # first n of the window
+    default: int  # last n when no cap is given
+    ceiling: int  # last n under any cap: a feasibility bound
+    step: int
+    params: str | None  # None: the body returns them as a third value
+    # n -> (expected, got[, params]).  A scan row's body takes the whole
+    # window and returns its lines as (status, n, params, expected, got);
+    # status None means PASS iff expected == got.  Bodies look functions up
+    # on their modules when called, so a wrapper set there sees the calls.
+    body: Callable
+    scan: bool = False
 
 
-def _hi(max_n: int | None, default: int, ceiling: int) -> int:
-    return min(ceiling, default if max_n is None else max_n)
+def _agreed(**routes) -> str:
+    """The value every route gives, or each route's value if they differ."""
+    values = set(routes.values())
+    if len(values) == 1:
+        return str(values.pop())
+    return ",".join(f"{name}={value}" for name, value in routes.items())
 
 
-# -- suites -------------------------------------------------------------------
+def _tally(items, holds) -> tuple[int, int]:
+    """(number of items, number of them for which holds(item) is true)."""
+    items = list(items)
+    return len(items), sum(1 for item in items if holds(item))
 
 
-def suite_core(max_n: int | None) -> list[Check]:
-    out = []
-    for n in range(3, _hi(max_n, 12, 12) + 1):
-        ts = list(enumerate_triangulations(n))
-        distinct_valid = len(
-            {t for t in ts if len(t.diagonals) == n - 3}
-        )
-        out.append(_check("catalan-enumeration", n, counting.catalan(n - 2), distinct_valid))
-    for n in range(4, _hi(max_n, 10, 12) + 1):
-        ts = list(enumerate_triangulations(n))
-        good = sum(1 for t in ts if len(t.ears()) == len(t.internal_triangles()) + 2)
-        out.append(_check("ear-internal-offset", n, len(ts), good))
-    for n in range(4, _hi(max_n, 10, 10) + 1):
-        ts = list(enumerate_triangulations(n))
-        good = 0
-        for t in ts:
-            dt = t.dual_tree()
-            ok = (
-                len(dt.edges) == n - 3
-                and sorted(dt.leaves()) == sorted(t.ears())
-                and sorted(dt.branch_nodes()) == sorted(t.internal_triangles())
-            )
-            good += ok
-        out.append(_check("dual-tree-structure", n, len(ts), good))
-    for n in range(4, _hi(max_n, 9, 10) + 1):
-        ts = set(enumerate_triangulations(n))
-        rot_ok = {t.rotated(1) for t in ts} == ts
-        ref_ok = {t.reflected() for t in ts} == ts
-        ears_ok = all(
-            t.rotated(1).ear_count() == t.ear_count()
-            and t.reflected().ear_count() == t.ear_count()
-            for t in ts
-        )
-        out.append(
-            _check("dihedral-action", n, "bijective+ear-preserving",
-                   "bijective+ear-preserving" if rot_ok and ref_ok and ears_ok else "broken")
-        )
-    for n in range(4, _hi(max_n, 9, 9) + 1):
-        ts = list(enumerate_triangulations(n))
-        good = 0
-        for t in ts:
-            c = t.canonical()
-            good += c.canonical() == c and all(
-                img.canonical() == c for img in t.dihedral_images()
-            )
-        out.append(_check("canonical-orbit-constant", n, len(ts), good))
-    for n in range(4, _hi(max_n, 8, 8) + 1):
-        ts = list(enumerate_triangulations(n))
-        pairs = sum(
-            t1.is_disjoint_from(t2) == t2.is_disjoint_from(t1)
-            for t1 in ts
-            for t2 in ts
-        )
-        out.append(_check("disjoint-symmetry", n, len(ts) ** 2, pairs))
-    return out
+# -- row bodies ----------------------------------------------------------------
 
 
-def suite_compositions(max_n: int | None) -> list[Check]:
-    out = []
-    for m in range(1, _hi(max_n, 16, 18) + 1):
-        comps = list(comp.enumerate_compositions(m))
-        out.append(_check("composition-count", m, 2 ** (m - 1), len(set(comps))))
-    for m in range(1, _hi(max_n, 12, 16) + 1):
-        comps = list(comp.enumerate_compositions(m))
-        good = sum(
-            comp.reverse(comp.reverse(c)) == c
-            and comp.conjugate(comp.conjugate(c)) == c
-            and comp.conjugate(comp.reverse(c)) == comp.reverse(comp.conjugate(c))
-            for c in comps
-        )
-        out.append(_check("involutions-commute", m, len(comps), good))
-    for m in range(1, _hi(max_n, 12, 16) + 1):
-        good = sum(
-            len(comp.composition_class(c)) in (1, 2, 4)
-            for c in comp.enumerate_compositions(m)
-        )
-        out.append(_check("class-orbit-sizes", m, 2 ** (m - 1), good))
-    for m in range(2, _hi(max_n, 16, 20) + 1):
-        direct = comp.count_classes(m, "direct")
-        closed = comp.count_classes(m, "closed")
-        burnside = comp.count_classes(m, "burnside")
-        got = str(closed) if closed == burnside else f"closed={closed},burnside={burnside}"
-        out.append(_check("class-count-methods", m, str(direct), got))
-    for m in range(1, _hi(max_n, 16, 16) + 1):
-        comps = list(comp.enumerate_compositions(m))
-        filtered = (
-            sum(comp.reverse(c) == c for c in comps),
-            sum(comp.conjugate(c) == c for c in comps),
-            sum(comp.conjugate(comp.reverse(c)) == c for c in comps),
-        )
-        closed_forms = tuple(
-            comp.count_fixed(m, op) for op in ("reversal", "conjugation", "conj_rev")
-        )
-        out.append(
-            _check("fixed-point-closed-forms", m, str(filtered), str(closed_forms),
-                   params="ops=reversal,conjugation,conj_rev")
-        )
-    for n in range(5, _hi(max_n, 12, 16) + 1):
-        total = 2 ** (n - 4)
-        good = sum(
-            comp.pointing_string(comp.two_eared_from_pointing("".join(bits))) == "".join(bits)
-            for bits in product("UD", repeat=n - 4)
-        )
-        out.append(_check("pointing-round-trip", n, total, good))
-    for n in range(5, _hi(max_n, 12, 14) + 1):
-        out.append(
-            _check("two-ear-class-bijection", n,
-                   comp.count_classes(n - 3, "direct"),
-                   counting.symmetry_classes_orbit(n, ears=2),
-                   params="m=n-3")
-        )
-    for n in range(5, _hi(max_n, 9, 10) + 1):
-        two_eared = [t for t in enumerate_triangulations(n) if t.ear_count() == 2]
-        good = 0
-        for t in two_eared:
-            cls = comp.composition_class(comp.composition_of(t))
-            good += all(comp.composition_of(img) in cls for img in t.dihedral_images())
-        out.append(_check("image-readings-in-class", n, len(two_eared), good))
-    return out
-
-
-def suite_formulas(max_n: int | None) -> list[Check]:
-    out = []
-    for n in range(4, _hi(max_n, 30, 40) + 1):
-        total = sum(
-            counting.hurtado_noy(n, k) for k in range(2, counting.max_ears(n) + 1)
-        )
-        out.append(_check("ear-count-sum", n, counting.catalan(n - 2), total))
-    for n in range(4, _hi(max_n, 12, 12) + 1):
-        out.append(
-            _check("ear-census-methods", n,
-                   str(counting.ear_census(n, "formula")),
-                   str(counting.ear_census(n, "brute")))
-        )
-    for n in range(5, _hi(max_n, 14, 14) + 1):
-        out.append(
-            _check("two-ear-classes-closed-vs-orbit", n,
-                   counting.symmetry_classes_2ear(n),
-                   counting.symmetry_classes_orbit(n, ears=2))
-        )
-    for n in range(5, _hi(max_n, 20, 20) + 1):
-        out.append(
-            _check("two-ear-classes-vs-compositions", n,
-                   counting.symmetry_classes_2ear(n),
-                   comp.count_classes(n - 3, "direct"),
-                   params="m=n-3")
-        )
-    for n in range(6, _hi(max_n, 14, 14) + 1):
-        out.append(
-            _check("three-ear-classes-closed-vs-orbit", n,
-                   counting.symmetry_classes_3ear(n),
-                   counting.symmetry_classes_orbit(n, ears=3))
-        )
-    return out
-
-
-def suite_disjoint_2ear(max_n: int | None) -> list[Check]:
-    out = []
-    for n in range(4, _hi(max_n, 11, 11) + 1):
-        expected = disjoint.disjoint_two_eared(n)
-        two_eared = 0
-        good = 0
-        for t in enumerate_triangulations(n):
-            if t.ear_count() == 2:
-                two_eared += 1
-                good += disjoint.count_disjoint(t) == expected
-        out.append(
-            _check("two-ear-disjoint-catalan", n, two_eared, good,
-                   params=f"count=C({n - 3})={expected}")
-        )
-    for n in range(4, _hi(max_n, 10, 10) + 1):
-        fan = disjoint.arrow(n)
-        good = sum(
-            u.is_disjoint_from(fan) == ((0, 2) in u.diagonal_set)
-            for u in enumerate_triangulations(n)
-        )
-        out.append(_check("arrow-characterization", n, counting.catalan(n - 2), good))
-    for n in range(4, _hi(max_n, 18, 18) + 1):
-        out.append(
-            _check("inclusion-exclusion", n, counting.catalan(n - 3),
-                   disjoint.disjoint_inclusion_exclusion(n))
-        )
-    limit = 20
-    out.append(
-        _check("series-telescopes-to-catalan", limit,
-               str(counting.catalan_list(limit)), str(disjoint.disjoint_series(limit)),
-               params="coefficients=0..20")
+def _dual_tree_matches(t) -> bool:
+    dt = t.dual_tree()
+    return (
+        len(dt.edges) == t.n - 3
+        and sorted(dt.leaves()) == sorted(t.ears())
+        and sorted(dt.branch_nodes()) == sorted(t.internal_triangles())
     )
-    return out
 
 
-def suite_disjoint_3ear(max_n: int | None) -> list[Check]:
-    out = []
-    for n in range(4, _hi(max_n, 12, 12) + 1):
-        ok = True
-        witness = ""
-        for m in range(n - 2):
-            expected = disjoint.avoid_fan_formula(n, m)
-            for apex in range(n):
-                got = disjoint.count_avoiding(
-                    n, disjoint.fan_prefix_diagonals(n, apex, m)
-                )
-                if got != expected:
-                    ok = False
-                    witness = f"m={m},apex={apex},expected={expected},got={got}"
-                    break
-            if not ok:
-                break
-        out.append(
-            _check("fan-avoidance-formula", n, "all-apexes-match",
-                   "all-apexes-match" if ok else witness,
-                   params=f"m=0..{n - 3}")
-        )
+def _dihedral_action(n: int) -> tuple[str, str]:
+    ts = set(enumerate_triangulations(n))
+    ok = (
+        {t.rotated(1) for t in ts} == ts
+        and {t.reflected() for t in ts} == ts
+        and all(img.ear_count() == t.ear_count()
+                for t in ts for img in (t.rotated(1), t.reflected()))
+    )
+    return "bijective+ear-preserving", "bijective+ear-preserving" if ok else "broken"
 
-    def types(n):
-        for p in range(1, n - 4):
-            for q in range(1, n - 3 - p):
-                yield (p, q, n - 3 - p - q)
 
-    for n in range(6, _hi(max_n, 12, 12) + 1):
-        total = 0
-        good = 0
-        for ptype in types(n):
-            total += 1
-            value = disjoint.three_ear_disjoint(n, ptype)
-            brute = disjoint.count_disjoint(disjoint.three_ear_rep(n, ptype))
-            p, q, r = ptype
-            closed = 2 * counting.catalan(n - 3) - sum(
-                counting.catalan_partial_convolution(n, x - 1) for x in (p, q, r)
-            )
-            perms_ok = all(
-                disjoint.three_ear_disjoint(n, (p2, q2, r2)) == value
-                for p2, q2, r2 in {(p, q, r), (q, r, p), (r, p, q), (r, q, p), (q, p, r), (p, r, q)}
-            )
-            good += value == brute == closed and perms_ok
-        out.append(_check("three-ear-case-sum", n, total, good, params="all-types"))
-    for n in range(5, _hi(max_n, 15, 15) + 1):
-        good = 0
-        total = 0
-        for p in range(1, n - 3):
-            q = n - 3 - p
-            total += 1
-            value = 2 * counting.catalan(n - 3) - (
-                counting.catalan_partial_convolution(n, p - 1)
-                + counting.catalan_partial_convolution(n, q - 1)
-                + counting.catalan_partial_convolution(n, -1)
-            )
-            good += value == counting.catalan(n - 3)
-        out.append(_check("degenerate-branch-catalan", n, total, good, params="r=0"))
+def _canonical_is_orbit_constant(t) -> bool:
+    c = t.canonical()
+    return c.canonical() == c and all(img.canonical() == c for img in t.dihedral_images())
 
+
+def _involutions_commute(c) -> bool:
+    rev, conj = comp.reverse, comp.conjugate
+    return rev(rev(c)) == c and conj(conj(c)) == c and conj(rev(c)) == rev(conj(c))
+
+
+def _fixed_point_closed_forms(m: int) -> tuple[str, str]:
+    comps = list(comp.enumerate_compositions(m))
+    ops = (comp.reverse, comp.conjugate, lambda c: comp.conjugate(comp.reverse(c)))
+    filtered = tuple(sum(op(c) == c for c in comps) for op in ops)
+    closed_forms = tuple(comp.count_fixed(m, op) for op in ("reversal", "conjugation", "conj_rev"))
+    return str(filtered), str(closed_forms)
+
+
+def _two_eared(n: int):
+    return (t for t in enumerate_triangulations(n) if t.ear_count() == 2)
+
+
+def _images_read_in_class(t) -> bool:
+    cls = comp.composition_class(comp.composition_of(t))
+    return all(comp.composition_of(img) in cls for img in t.dihedral_images())
+
+
+def _two_ear_disjoint_catalan(n: int) -> tuple[int, int, str]:
+    expected = disjoint.disjoint_two_eared(n)
+    total, good = _tally(_two_eared(n), lambda t: disjoint.count_disjoint(t) == expected)
+    return total, good, f"count=C({n - 3})={expected}"
+
+
+def _arrow_characterization(n: int) -> tuple[int, int]:
+    fan = disjoint.arrow(n)
+    good = sum(
+        u.is_disjoint_from(fan) == ((0, 2) in u.diagonal_set)
+        for u in enumerate_triangulations(n)
+    )
+    return counting.catalan(n - 2), good
+
+
+def _series(_window: range) -> list[tuple]:
+    # a fixed number of coefficients, reported whatever the cap
+    limit = 20
+    expected, got = counting.catalan_list(limit), disjoint.disjoint_series(limit)
+    return [(None, limit, f"coefficients=0..{limit}", expected, got)]
+
+
+def _fan_avoidance(n: int) -> tuple[str, str, str]:
+    params = f"m=0..{n - 3}"
+    for m in range(n - 2):
+        expected = disjoint.avoid_fan_formula(n, m)
+        for apex in range(n):
+            got = disjoint.count_avoiding(n, disjoint.fan_prefix_diagonals(n, apex, m))
+            if got != expected:
+                witness = f"m={m},apex={apex},expected={expected},got={got}"
+                return "all-apexes-match", witness, params
+    return "all-apexes-match", "all-apexes-match", params
+
+
+def _types(n: int):
+    """Every 3-eared type (p, q, r): positive branch sizes with p+q+r = n-3."""
+    for p in range(1, n - 4):
+        for q in range(1, n - 3 - p):
+            yield (p, q, n - 3 - p - q)
+
+
+def _three_ear_closed(n: int, branches) -> int:
+    """2 C(n-3) - S(p-1) - S(q-1) - S(r-1), the closed form of the 3-ear
+    case sum; an empty branch (size 0) contributes the empty sum S(-1)."""
+    return 2 * counting.catalan(n - 3) - sum(
+        counting.catalan_partial_convolution(n, x - 1) for x in branches
+    )
+
+
+def _three_ear_case_sum(n: int, ptype) -> bool:
+    value = disjoint.three_ear_disjoint(n, ptype)
+    brute = disjoint.count_disjoint(disjoint.three_ear_rep(n, ptype))
+    perms = set(permutations(ptype))
+    symmetric = all(disjoint.three_ear_disjoint(n, perm) == value for perm in perms)
+    return value == brute == _three_ear_closed(n, ptype) and symmetric
+
+
+def _published_variant(window: range) -> list[tuple]:
     # Known discrepancy of the published closed-form variant: report the
     # first witness as an erratum instead of failing.  Finding none over a
     # non-empty scan would mean the discrepancy vanished, which IS a failure.
-    hi = _hi(max_n, 12, 12)
-    witness = None
-    for n in range(6, hi + 1):
-        for ptype in types(n):
+    for n in window:
+        for ptype in _types(n):
             oracle = disjoint.three_ear_disjoint(n, ptype)
             published = disjoint.three_ear_disjoint_published(n, ptype)
             if published != oracle:
-                witness = (n, ptype, oracle, published)
-                break
-        if witness:
-            break
-    if witness:
-        n, ptype, oracle, published = witness
-        out.append(
-            Check("ERRATUM", "three-ear-published-variant", str(n),
-                  f"type={ptype!r}", str(oracle), str(published))
-        )
-    elif hi >= 6:
-        out.append(
-            _check("three-ear-published-variant", f"6..{hi}", "discrepancy", "none-found")
-        )
-    return out
+                return [("ERRATUM", n, f"type={ptype!r}", oracle, published)]
+    if not window:
+        return []
+    return [("FAIL", f"{window[0]}..{window[-1]}", "-", "discrepancy", "none-found")]
 
 
-def suite_parallel(max_n: int | None) -> list[Check]:
+def _snake_residues(n: int) -> tuple[str, str]:
+    sn = disjoint.snake(n)
+    same = set(sn.diagonals) == set(disjoint.diagonals_with_residue(n, [1, 2]))
+    return "equal", "equal" if same and sn.ear_count() == 2 else "mismatch"
+
+
+def _signature(n: int) -> tuple[str, str, str]:
+    report = disjoint.signature_invariance_check(n)
+    got = "constant" if report.ok else f"violated:{report.violations[0].signature}"
+    return "constant", got, f"groups={len(report.groups)}"
+
+
+# -- the table -----------------------------------------------------------------
+# suite, check id, first n, default top, ceiling, step, params, body.  Rows
+# run in table order, and suites report in the order they first appear.
+
+CHECKS: tuple[Row, ...] = (
+    Row("core", "catalan-enumeration", 3, 12, 12, 1, "-", lambda n: (
+        counting.catalan(n - 2),
+        len({t for t in enumerate_triangulations(n) if len(t.diagonals) == n - 3}))),
+    Row("core", "ear-internal-offset", 4, 10, 12, 1, "-", lambda n: _tally(
+        enumerate_triangulations(n),
+        lambda t: len(t.ears()) == len(t.internal_triangles()) + 2)),
+    Row("core", "dual-tree-structure", 4, 10, 10, 1, "-",
+        lambda n: _tally(enumerate_triangulations(n), _dual_tree_matches)),
+    Row("core", "dihedral-action", 4, 9, 10, 1, "-", _dihedral_action),
+    Row("core", "canonical-orbit-constant", 4, 9, 9, 1, "-",
+        lambda n: _tally(enumerate_triangulations(n), _canonical_is_orbit_constant)),
+    Row("core", "disjoint-symmetry", 4, 8, 8, 1, "-", lambda n: _tally(
+        product(list(enumerate_triangulations(n)), repeat=2),
+        lambda pair: pair[0].is_disjoint_from(pair[1]) == pair[1].is_disjoint_from(pair[0]))),
+
+    Row("compositions", "composition-count", 1, 16, 18, 1, "-",
+        lambda m: (2 ** (m - 1), len(set(comp.enumerate_compositions(m))))),
+    Row("compositions", "involutions-commute", 1, 12, 16, 1, "-",
+        lambda m: _tally(comp.enumerate_compositions(m), _involutions_commute)),
+    Row("compositions", "class-orbit-sizes", 1, 12, 16, 1, "-", lambda m: (
+        2 ** (m - 1),
+        sum(len(comp.composition_class(c)) in (1, 2, 4)
+            for c in comp.enumerate_compositions(m)))),
+    Row("compositions", "class-count-methods", 2, 16, 20, 1, "-", lambda m: (
+        str(comp.count_classes(m, "direct")),
+        _agreed(closed=comp.count_classes(m, "closed"),
+                burnside=comp.count_classes(m, "burnside")))),
+    Row("compositions", "fixed-point-closed-forms", 1, 16, 16, 1,
+        "ops=reversal,conjugation,conj_rev", _fixed_point_closed_forms),
+    Row("compositions", "pointing-round-trip", 5, 12, 16, 1, "-", lambda n: _tally(
+        map("".join, product("UD", repeat=n - 4)),
+        lambda s: comp.pointing_string(comp.two_eared_from_pointing(s)) == s)),
+    Row("compositions", "two-ear-class-bijection", 5, 12, 14, 1, "m=n-3", lambda n: (
+        comp.count_classes(n - 3, "direct"), counting.symmetry_classes_orbit(n, ears=2))),
+    Row("compositions", "image-readings-in-class", 5, 9, 10, 1, "-",
+        lambda n: _tally(_two_eared(n), _images_read_in_class)),
+
+    Row("formulas", "ear-count-sum", 4, 30, 40, 1, "-", lambda n: (
+        counting.catalan(n - 2),
+        sum(counting.hurtado_noy(n, k) for k in range(2, counting.max_ears(n) + 1)))),
+    Row("formulas", "ear-census-methods", 4, 12, 12, 1, "-", lambda n: (
+        str(counting.ear_census(n, "formula")), str(counting.ear_census(n, "brute")))),
+    Row("formulas", "two-ear-classes-closed-vs-orbit", 5, 14, 14, 1, "-", lambda n: (
+        counting.symmetry_classes_2ear(n), counting.symmetry_classes_orbit(n, ears=2))),
+    Row("formulas", "two-ear-classes-vs-compositions", 5, 20, 20, 1, "m=n-3", lambda n: (
+        counting.symmetry_classes_2ear(n), comp.count_classes(n - 3, "direct"))),
+    Row("formulas", "three-ear-classes-closed-vs-orbit", 6, 14, 14, 1, "-", lambda n: (
+        counting.symmetry_classes_3ear(n), counting.symmetry_classes_orbit(n, ears=3))),
+
+    Row("disjoint-2ear", "two-ear-disjoint-catalan", 4, 11, 11, 1, None,
+        _two_ear_disjoint_catalan),
+    Row("disjoint-2ear", "arrow-characterization", 4, 10, 10, 1, "-",
+        _arrow_characterization),
+    Row("disjoint-2ear", "inclusion-exclusion", 4, 18, 18, 1, "-", lambda n: (
+        counting.catalan(n - 3), disjoint.disjoint_inclusion_exclusion(n))),
+    Row("disjoint-2ear", "series-telescopes-to-catalan", 20, 20, 20, 1, None, _series,
+        scan=True),
+
+    Row("disjoint-3ear", "fan-avoidance-formula", 4, 12, 12, 1, None, _fan_avoidance),
+    Row("disjoint-3ear", "three-ear-case-sum", 6, 12, 12, 1, "all-types",
+        lambda n: _tally(_types(n), partial(_three_ear_case_sum, n))),
+    Row("disjoint-3ear", "degenerate-branch-catalan", 5, 15, 15, 1, "r=0", lambda n: _tally(
+        range(1, n - 3),
+        lambda p: _three_ear_closed(n, (p, n - 3 - p, 0)) == counting.catalan(n - 3))),
+    Row("disjoint-3ear", "three-ear-published-variant", 6, 12, 12, 1, None,
+        _published_variant, scan=True),
+
+    Row("parallel", "snake-residue-diagonals", 4, 12, 12, 1, "-", _snake_residues),
+    Row("parallel", "parallel-two-residues", 4, 12, 12, 1, "residues={1,2}", lambda n: (
+        str(counting.catalan(n - 3)),
+        _agreed(avoid=disjoint.count_avoiding_parallel(n, [1, 2]),
+                snake=disjoint.count_disjoint(disjoint.snake(n))))),
+    Row("parallel", "parallel-one-residue-even", 6, 12, 12, 2, "residues={1}", lambda n: (
+        2 * counting.catalan(n - 3), disjoint.count_avoiding_parallel(n, [1]))),
+
+    Row("signature", "signature-determines-disjoint", 4, 10, 10, 1, None, _signature),
+)
+
+
+def _line(row: Row, n: int) -> tuple:
+    """The (status, n, params, expected, got) line of a per-n row at n."""
+    result = row.body(n)
+    expected, got, params = result if row.params is None else (*result, row.params)
+    return None, n, params, expected, got
+
+
+def _run_suite(suite: str, max_n: int | None) -> list[Check]:
+    """The checks of one suite's rows, each over its window capped by max_n."""
     out = []
-    for n in range(4, _hi(max_n, 12, 12) + 1):
-        sn = disjoint.snake(n)
-        same = set(sn.diagonals) == set(disjoint.diagonals_with_residue(n, [1, 2]))
-        out.append(
-            _check("snake-residue-diagonals", n, "equal",
-                   "equal" if same and sn.ear_count() == 2 else "mismatch")
-        )
-    for n in range(4, _hi(max_n, 12, 12) + 1):
-        expected = counting.catalan(n - 3)
-        avoiding = disjoint.count_avoiding_parallel(n, [1, 2])
-        via_snake = disjoint.count_disjoint(disjoint.snake(n))
-        got = str(avoiding) if avoiding == via_snake else f"avoid={avoiding},snake={via_snake}"
-        out.append(_check("parallel-two-residues", n, str(expected), got,
-                          params="residues={1,2}"))
-    for n in range(6, _hi(max_n, 12, 12) + 1, 2):
-        out.append(
-            _check("parallel-one-residue-even", n, 2 * counting.catalan(n - 3),
-                   disjoint.count_avoiding_parallel(n, [1]),
-                   params="residues={1}")
-        )
+    for row in CHECKS:
+        if row.suite != suite:
+            continue
+        top = min(row.ceiling, row.default if max_n is None else max_n)
+        window = range(row.first, top + 1, row.step)
+        lines = row.body(window) if row.scan else [_line(row, n) for n in window]
+        for status, n, params, expected, got in lines:
+            if status is None:
+                status = "PASS" if expected == got else "FAIL"
+            out.append(Check(status, row.check_id, str(n), params, str(expected), str(got)))
     return out
 
 
-def suite_signature(max_n: int | None) -> list[Check]:
-    out = []
-    for n in range(4, _hi(max_n, 10, 10) + 1):
-        report = disjoint.signature_invariance_check(n)
-        got = "constant" if report.ok else (
-            f"violated:{report.violations[0].signature}"
-        )
-        out.append(
-            _check("signature-determines-disjoint", n, "constant", got,
-                   params=f"groups={len(report.groups)}")
-        )
-    return out
-
-
-SUITES: dict[str, callable] = {
-    "core": suite_core,
-    "compositions": suite_compositions,
-    "formulas": suite_formulas,
-    "disjoint-2ear": suite_disjoint_2ear,
-    "disjoint-3ear": suite_disjoint_3ear,
-    "parallel": suite_parallel,
-    "signature": suite_signature,
+SUITES: dict[str, Callable[[int | None], list[Check]]] = {
+    name: partial(_run_suite, name) for name in dict.fromkeys(row.suite for row in CHECKS)
 }
 
 
@@ -463,11 +402,12 @@ def run_suites(
 ) -> RunReport:
     """Run the named suites (default: all) and return the buffered report.
 
-    Suites execute concurrently but results are assembled in registry
-    order, so the report does not depend on the thread count.  Each
-    suite's CPU time is recorded in suite_times.
+    A name given twice runs once, at its first position.  Suites execute
+    concurrently but results are assembled in the order given, so the
+    report does not depend on the thread count.  Each suite's CPU time is
+    recorded in suite_times.
     """
-    names = list(SUITES) if suites is None else list(suites)
+    names = list(SUITES) if suites is None else list(dict.fromkeys(suites))
     for name in names:
         if name not in SUITES:
             raise ValueError(

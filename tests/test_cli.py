@@ -3,16 +3,38 @@
 from __future__ import annotations
 
 import json
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
 from polytri import cli, disjoint, verify
-from polytri.counting import catalan
+from polytri.counting import catalan, symmetry_classes_2ear
 from polytri.verify import Check, RunReport
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# Python's default limit on the digits of an int written in decimal
+INT_DIGITS = 4300
+
+
+@pytest.fixture
+def default_int_digits():
+    """Pin the int-to-decimal digit limit at Python's default for one test."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(INT_DIGITS)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def assert_too_long_reported(err, command, ns):
+    """err names each n in ns as too long to print, and nothing else."""
+    assert err.splitlines() == [
+        f"{cli.PROG}: {command}: n={n}: value too long to print "
+        f"(over {INT_DIGITS} decimal digits)"
+        for n in ns
+    ]
 
 
 def invoke(argv):
@@ -118,6 +140,25 @@ def test_symmetry_no_closed_form_for_all_ears(capsys):
 def test_symmetry_orbit_infeasible_beyond_ceiling(capsys):
     assert invoke(["symmetry", "--n", "15", "--ears", "2"]) == 1
     assert "n <= 14" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_symmetry_reports_values_too_long_to_print(capsys, default_int_digits, fmt):
+    assert symmetry_classes_2ear(14290) < 10 ** INT_DIGITS <= symmetry_classes_2ear(14291)
+    argv = ["symmetry", "--n", "14290..14300", "--ears", "2", "--method", "closed",
+            "--format", fmt]
+    assert invoke(argv) == 1
+    captured = capsys.readouterr()
+    assert_too_long_reported(captured.err, "symmetry", range(14291, 14301))
+    value = symmetry_classes_2ear(14290)
+    if fmt == "json":
+        rows = json.loads(captured.out)
+        assert rows[0] == {"n": 14290, "ears": "2", "closed": value}
+        assert [r["closed"] for r in rows[1:]] == [None] * 10
+    elif fmt == "csv":
+        assert captured.out == f"n,closed\n14290,{value}\n"
+    else:
+        assert captured.out == f"14290 {value}\n"
 
 
 def test_symmetry_mismatch_exits_two(capsys, monkeypatch):
@@ -414,6 +455,25 @@ def test_sequence_domain_errors_per_row(capsys):
     captured = capsys.readouterr()
     assert "n=5" in captured.err
     assert captured.out == "1\n1\n"
+
+
+@pytest.mark.parametrize("fmt", ["plain", "oeis", "json"])
+def test_sequence_reports_values_too_long_to_print(capsys, default_int_digits, fmt):
+    ns = range(7150, 7161)
+    printable = [n for n in ns if catalan(n) < 10 ** INT_DIGITS]
+    assert printable == [7150, 7151, 7152]
+    argv = ["sequence", "--what", "catalan", "--n", "7150..7160", "--format", fmt]
+    assert invoke(argv) == 1
+    captured = capsys.readouterr()
+    assert_too_long_reported(captured.err, "sequence", ns[3:])
+    if fmt == "json":
+        rows = json.loads(captured.out)["rows"]
+        assert rows == [{"n": n, "value": catalan(n)} for n in printable]
+    else:
+        prefix = "{} " if fmt == "oeis" else ""
+        assert captured.out.splitlines() == [
+            prefix.format(n) + str(catalan(n)) for n in printable
+        ]
 
 
 def test_sequence_unknown_what(capsys):

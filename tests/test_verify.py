@@ -116,6 +116,27 @@ def test_suites_run_in_registry_order_regardless_of_request_order():
     assert ids.index("catalan-enumeration") > ids.index("snake-residue-diagonals")
 
 
+def test_cap_above_default_stops_at_each_ceiling():
+    report = run_suites(["parallel", "signature"], max_n=14)
+    top = {}
+    for c in report.checks:
+        top[c.check_id] = max(top.get(c.check_id, 0), int(c.n))
+    assert top == {
+        "snake-residue-diagonals": 12,
+        "parallel-two-residues": 12,
+        "parallel-one-residue-even": 12,
+        "signature-determines-disjoint": 10,
+    }
+    assert report.counts["FAIL"] == 0
+
+
+def test_repeated_suite_runs_once_in_first_order():
+    report = run_suites(["parallel", "core", "parallel", "core"], max_n=6)
+    assert report.suites == ("parallel", "core")
+    assert report.checks == run_suites(["parallel", "core"], max_n=6).checks
+    assert json.loads(report.render_json())["suites"] == ["parallel", "core"]
+
+
 def test_timing_line_only_when_requested():
     report = run_suites(["parallel"], max_n=6)
     assert "wall-time" not in report.render_text()
