@@ -107,6 +107,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                 raise CliError(f"polygons need n >= 3, got {n}")
         else:
             count = counting.hurtado_noy(n, args.ears)
+        count = _printable(count)
         if args.format == "json":
             print(json.dumps({"n": n, "ears": args.ears, "count": count}))
         else:
@@ -195,11 +196,11 @@ def cmd_symmetry(args: argparse.Namespace) -> int:
 def _formula_count(t: Triangulation) -> tuple[int, str | None]:
     k = t.ear_count()
     if k == 2:
-        return disjoint.disjoint_two_eared(t.n), None
+        return _printable(disjoint.disjoint_two_eared(t.n)), None
     if k == 3:
         ptype = disjoint.three_ear_type(t)
-        value = disjoint.three_ear_disjoint(t.n, ptype)
-        published = disjoint.three_ear_disjoint_published(t.n, ptype)
+        value = _printable(disjoint.three_ear_disjoint(t.n, ptype))
+        published = _printable(disjoint.three_ear_disjoint_published(t.n, ptype))
         note = (
             f"note: the published closed-form variant evaluates to {published} "
             f"for type {ptype} (known erratum; case-sum formula and brute force agree)"
@@ -210,9 +211,11 @@ def _formula_count(t: Triangulation) -> tuple[int, str | None]:
     )
 
 
-# count_disjoint is O(n^3) big-integer work: about 5 s at n = 500 on a
-# 2-core x86-64 machine.
-BRUTE_CEILING = 500
+# count_disjoint is O(n^2) big-integer work.  At n = 2000 on a 2-core
+# x86-64 machine, `disjoint --method both` takes 4.5-6.2 s for the snake
+# and the fan and 2.2-3.6 s for type (600, 700, 697) over three runs each,
+# at 19 MB peak RSS.
+BRUTE_CEILING = 2000
 
 
 def cmd_disjoint(args: argparse.Namespace) -> int:
@@ -225,7 +228,7 @@ def cmd_disjoint(args: argparse.Namespace) -> int:
     result: dict = {"n": t.n, "triangulation": str(t), "shape": shape, "method": args.method}
     note = None
     if args.method in ("brute", "both"):
-        result["brute"] = disjoint.count_disjoint(t)
+        result["brute"] = _printable(disjoint.count_disjoint(t))
     if args.method in ("formula", "both"):
         result["formula"], note = _formula_count(t)
     status = 0

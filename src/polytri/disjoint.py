@@ -5,14 +5,20 @@ diagonal.  The central quantity here is
 
     count_disjoint(T) = #{T' : T' shares no diagonal with T},
 
-computed by count_avoiding(n, F): the number of triangulations avoiding a
-fixed set F of forbidden diagonals.  That count is a bottom-up interval
-DP: A(i, j), the number of triangulations of the sub-polygon on the arc
-i..j (closed by the chord (i, j)), is 1 for a side, 0 for a forbidden
-chord and otherwise the sum over apexes m of A(i, m) A(m, j).  The table
-has C(n, 2) cells and each costs one sum of up to n-2 products, so a
-count takes O(n^3) big-integer multiplications (the entries grow to about
-2n bits).  No triangulation is ever materialized, and nothing recurses.
+computed by inclusion-exclusion over the subsets of T's diagonals: the
+sum runs bottom-up over T's dual tree as a "tree knapsack" on the sizes
+of the cells the subset leaves, O(n^2) big-integer multiplications.
+
+count_avoiding(n, F) counts the triangulations avoiding any fixed set F
+of forbidden diagonals, crossing or not, which the parallel-class and
+fan-prefix identities need.  It is a bottom-up interval DP: A(i, j), the
+number of triangulations of the sub-polygon on the arc i..j (closed by
+the chord (i, j)), is 1 for a side, 0 for a forbidden chord and
+otherwise the sum over apexes m of A(i, m) A(m, j).  The table has
+C(n, 2) cells and each costs one sum of up to n-2 products, so a count
+takes O(n^3) big-integer multiplications (the entries grow to about 2n
+bits).  With F = T's diagonals it is the oracle for count_disjoint(T).
+Neither route materializes a triangulation or recurses.
 
 Identities implemented and cross-checked by the verify suites:
 
@@ -52,7 +58,12 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Iterable
 
-from polytri.counting import _catalan_convolution, catalan, catalan_partial_convolution
+from polytri.counting import (
+    _catalan_convolution,
+    catalan,
+    catalan_list,
+    catalan_partial_convolution,
+)
 from polytri.triangulation import (
     Pair,
     Triple,
@@ -156,6 +167,11 @@ def count_avoiding(n: int, forbidden: Iterable[Pair]) -> int:
     ``sum(map(mul, ...))`` over two whole lists.  O(n^3) big-integer
     multiplications and O(n^2) stored entries; the triangulations
     themselves are never materialized.
+
+    This is the route for a forbidden set that need not be a
+    triangulation: parallel classes (count_avoiding_parallel) and fan
+    prefixes.  For the diagonals of one triangulation, count_disjoint is
+    O(n^2) and gives the same number; this DP is its oracle.
     """
     if n < 3:
         raise ValueError(f"polygon needs at least 3 vertices, got n={n}")
@@ -173,8 +189,53 @@ def count_avoiding(n: int, forbidden: Iterable[Pair]) -> int:
 
 
 def count_disjoint(t: Triangulation) -> int:
-    """Number of triangulations sharing no diagonal with t."""
-    return count_avoiding(t.n, t.diagonals)
+    """Number of triangulations sharing no diagonal with t.
+
+    By inclusion-exclusion over the subsets S of t's diagonals,
+
+        #disjoint = sum_S (-1)^|S| prod_{cells of S} C(size),
+
+    since a triangulation containing S triangulates each cell S cuts the
+    polygon into, and a cell holding j of t's triangles is a (j+2)-gon
+    with C(j) triangulations.  Each cell is a subtree of t's dual tree, so
+    the sum is a bottom-up "tree knapsack" over that tree, walked through
+    t.triangles() without building a DualTree.  A triangle (i, j, k),
+    i < j < k, sits over the arc (i, k); taken in (-i, k) order it comes
+    after the triangles over its child arcs (i, j) and (j, k).
+    ``below[arc][s-1]`` is the signed weight of everything under the arc
+    when the cell holding the arc's triangle, still open, has s triangles.
+    A child arc that is a side adds nothing.  Over a diagonal the child's
+    list g is either cut (its open cell closes: a factor
+    -sum_s g[s-1] C(s)) or kept (the two open cells merge: a convolution).
+
+    Cutting below a subtree of b triangles takes b products and merging
+    subtrees of a and b triangles about a*b, so a count is O(n^2)
+    big-integer multiplications (the entries grow to about 2n bits) and
+    nothing recurses.  count_avoiding(t.n, t.diagonals) gives the same
+    number by the O(n^3) interval DP; it is this route's oracle.
+    """
+    n = t.n
+    cat = catalan_list(n - 2)[1:]  # cat[s-1] = C(s)
+    below: dict[Pair, list[int]] = {}
+    for i, j, k in sorted(t.triangles(), key=lambda tri: (-tri[0], tri[2])):
+        f = [1]  # the triangle alone: one open cell of size 1
+        for child in ((i, j), (j, k)):
+            if child[1] - child[0] < 2:
+                continue  # a side of the polygon
+            g = below.pop(child)
+            cut = -sum(map(mul, g, cat))
+            if len(f) == 1:  # f is the triangle alone; kept, it joins g's open cell
+                f = [cut, *g]
+                continue
+            merged = [x * cut for x in f] + [0] * len(g)
+            # kept: open cells of sizes a and b merge into size a+b, at index a+b-1
+            short, long_ = (f, g) if len(f) <= len(g) else (g, f)
+            for a, x in enumerate(short, 1):
+                end = a + len(long_)
+                merged[a:end] = [m + x * y for m, y in zip(merged[a:end], long_)]
+            f = merged
+        below[(i, k)] = f
+    return sum(map(mul, below[(0, n - 1)], cat))
 
 
 # -- 2-eared formulas ------------------------------------------------------------

@@ -10,7 +10,8 @@ apex over each chord, and the canonical-form oracle maps and sorts all 2n
 dihedral images; both are the routines the package's faster ones replaced.
 The orbit-count oracle counts distinct canonical diagonal tuples instead
 of quiddity keys, and the composition-class oracle forms every orbit as a
-set of composition tuples instead of bitmasks.
+set of composition tuples instead of bitmasks.  The disjointness oracle
+scans every triangulation of the polygon for a shared diagonal.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from polytri.triangulation import (
     _ear_count,
     crosses,
     diagonal,
+    enumerate_triangulations,
 )
 
 
@@ -112,6 +114,18 @@ def count_classes_by_tuples(m: int) -> int:
     """Composition classes of m, as the number of distinct least members
     of the orbits formed from composition tuples."""
     return len({min(composition_class(c)) for c in enumerate_compositions(m)})
+
+
+@lru_cache(maxsize=None)
+def all_triangulations(n: int) -> tuple[Triangulation, ...]:
+    """Every triangulation of the n-gon, in enumeration order (cached)."""
+    return tuple(enumerate_triangulations(n))
+
+
+def count_disjoint_by_enumeration(t: Triangulation) -> int:
+    """Triangulations sharing no diagonal with t, by testing each one of
+    the full enumeration against t."""
+    return sum(1 for u in all_triangulations(t.n) if u.is_disjoint_from(t))
 
 
 def count_avoiding_recursive(n: int, forbidden) -> int:

@@ -17,7 +17,7 @@ from polytri import compositions as comp
 from polytri import counting, disjoint, verify
 from polytri.triangulation import enumerate_triangulations
 
-from helpers import segner_catalan
+from helpers import count_disjoint_by_enumeration, segner_catalan
 
 
 def _done(name: str, started: float, budget: float) -> None:
@@ -125,6 +125,7 @@ def test_criterion_09_three_ear_disjoint_cases():
                 value = disjoint.three_ear_disjoint(n, (p, q, r))
                 rep = disjoint.three_ear_rep(n, (p, q, r))
                 assert value == disjoint.count_disjoint(rep), f"n={n} {(p, q, r)}"
+                assert value == count_disjoint_by_enumeration(rep), f"n={n} {(p, q, r)}"
                 assert value == disjoint.three_ear_disjoint(n, (q, r, p))
                 assert value == disjoint.three_ear_disjoint(n, (r, q, p))
     # r = 0 degeneration of the case-sum formula collapses to C(n-3).

@@ -37,6 +37,14 @@ def assert_too_long_reported(err, command, ns):
     ]
 
 
+def assert_single_value_too_long(captured):
+    """A one-value command printed nothing and refused its value as too long."""
+    assert captured.out == ""
+    assert captured.err == (
+        f"{cli.PROG}: error: value too long to print (over {INT_DIGITS} decimal digits)\n"
+    )
+
+
 def invoke(argv):
     """Run the CLI in-process, normalizing argparse's SystemExit."""
     try:
@@ -231,11 +239,19 @@ def _no_dp(*args):
     raise AssertionError("the brute-force count ran above BRUTE_CEILING")
 
 
+# the least polygon size the brute-force count refuses, and a 3-eared type
+# (three branches summing to n - 3) of that size
+ABOVE_CEILING = cli.BRUTE_CEILING + 1
+_THIRD = (ABOVE_CEILING - 3) // 3
+TYPE_ABOVE_CEILING = f"{_THIRD},{_THIRD},{ABOVE_CEILING - 3 - 2 * _THIRD}"
+
+
 @pytest.mark.parametrize("method", ["brute", "both"])
 @pytest.mark.parametrize(
     "shape",
-    [["--arrow", "--n", "2000"], ["--snake", "--n", "2000"],
-     ["--type", "600,700,697", "--n", "2000"], ["--t", str(disjoint.arrow(600))]],
+    [["--arrow", "--n", str(ABOVE_CEILING)], ["--snake", "--n", str(ABOVE_CEILING)],
+     ["--type", TYPE_ABOVE_CEILING, "--n", str(ABOVE_CEILING)],
+     ["--t", str(disjoint.arrow(ABOVE_CEILING))]],
     ids=["arrow", "snake", "type", "inline"],
 )
 def test_disjoint_brute_refuses_above_ceiling(capsys, monkeypatch, shape, method):
@@ -253,8 +269,45 @@ def test_brute_ceiling_covers_benchmark_sizes():
 
 
 def test_disjoint_formula_answers_above_ceiling(capsys):
-    assert invoke(["disjoint", "--method", "formula", "--arrow", "--n", "2000"]) == 0
-    assert capsys.readouterr().out == f"{catalan(1997)}\n"
+    argv = ["disjoint", "--method", "formula", "--arrow", "--n", str(ABOVE_CEILING)]
+    assert invoke(argv) == 0
+    assert capsys.readouterr().out == f"{catalan(ABOVE_CEILING - 3)}\n"
+
+
+def test_disjoint_both_answers_above_old_ceiling(capsys):
+    assert invoke(["disjoint", "--snake", "--n", "600", "--method", "both"]) == 0
+    assert capsys.readouterr().out == f"{catalan(597)} {catalan(597)}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["enumerate", "--count-only", "--n", "8000"],
+     ["enumerate", "--count-only", "--n", "8000", "--format", "json"],
+     ["disjoint", "--arrow", "--n", "9000", "--method", "formula"],
+     ["disjoint", "--arrow", "--n", "9000", "--method", "formula", "--format", "json"]],
+    ids=["enumerate-text", "enumerate-json", "disjoint-text", "disjoint-json"],
+)
+def test_single_value_too_long_to_print(capsys, default_int_digits, argv):
+    assert catalan(7998) >= 10 ** INT_DIGITS
+    assert invoke(argv) == 1
+    assert_single_value_too_long(capsys.readouterr())
+
+
+@pytest.mark.parametrize(
+    "route, argv",
+    [("count_disjoint", ["--snake", "--n", "8", "--method", "brute"]),
+     ("three_ear_disjoint", ["--type", "1,1,2", "--n", "7", "--method", "formula"]),
+     ("three_ear_disjoint_published", ["--type", "1,1,2", "--n", "7", "--method", "both"])],
+    ids=["brute", "three-ear", "published"],
+)
+def test_disjoint_counts_too_long_to_print(capsys, monkeypatch, default_int_digits,
+                                           route, argv):
+    # count_disjoint stops at BRUTE_CEILING, far below the limit, and the
+    # 3-eared closed forms take about 30 s near it, so each route is made
+    # to return a count past the limit
+    monkeypatch.setattr(cli.disjoint, route, lambda *args: 10 ** INT_DIGITS)
+    assert invoke(["disjoint", *argv]) == 1
+    assert_single_value_too_long(capsys.readouterr())
 
 
 def test_disjoint_bad_inline_text(capsys):

@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import random
 import sys
-from functools import lru_cache
 from itertools import permutations
 
 import pytest
-from helpers import all_diagonals, count_avoiding_recursive, random_triangulation
+from helpers import (
+    all_diagonals,
+    all_triangulations,
+    count_avoiding_recursive,
+    count_disjoint_by_enumeration,
+    random_triangulation,
+    rotation_symmetric,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,21 +39,12 @@ from polytri.disjoint import (
     three_ear_rep,
     three_ear_type,
 )
-from polytri.triangulation import Triangulation, enumerate_triangulations
-
-
-@lru_cache(maxsize=None)
-def all_triangulations(n: int) -> tuple[Triangulation, ...]:
-    return tuple(enumerate_triangulations(n))
+from polytri.triangulation import Triangulation
 
 
 def brute_count_avoiding(n: int, forbidden) -> int:
     forb = set(forbidden)
     return sum(1 for t in all_triangulations(n) if not forb & t.diagonal_set)
-
-
-def brute_count_disjoint(t: Triangulation) -> int:
-    return sum(1 for u in all_triangulations(t.n) if u.is_disjoint_from(t))
 
 
 # -- named triangulations -----------------------------------------------------
@@ -183,6 +180,65 @@ def test_count_avoiding_does_not_recurse():
     assert value == catalan(147)
 
 
+# -- disjointness by inclusion-exclusion -----------------------------------------
+
+
+def assert_matches_avoidance_dp(t: Triangulation) -> None:
+    assert count_disjoint(t) == count_avoiding(t.n, t.diagonals), str(t)
+
+
+def test_count_disjoint_of_triangle_and_square():
+    assert count_disjoint(Triangulation(3, ())) == 1
+    assert count_disjoint(Triangulation(4, ((0, 2),))) == 1
+    assert count_disjoint(Triangulation(4, ((1, 3),))) == 1
+
+
+@pytest.mark.parametrize("n", range(3, 12))
+def test_count_disjoint_matches_avoidance_dp_exhaustive(n):
+    for t in all_triangulations(n):
+        assert_matches_avoidance_dp(t)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(3, 60), st.randoms(use_true_random=False))
+def test_count_disjoint_matches_avoidance_dp_random(n, rng):
+    t = random_triangulation(n, rng)
+    image = t.rotated(rng.randrange(n))
+    if rng.random() < 0.5:
+        image = image.reflected()
+    assert_matches_avoidance_dp(t)
+    assert_matches_avoidance_dp(image)
+
+
+@pytest.mark.parametrize("n", [6, 9, 12, 13, 24, 30, 61])
+def test_count_disjoint_matches_avoidance_dp_on_shapes(n):
+    rng = random.Random(n)
+    shapes = [arrow(n), snake(n)]
+    for _ in range(4):
+        p = rng.randrange(1, n - 4)
+        q = rng.randrange(1, n - 3 - p)
+        shapes.append(three_ear_rep(n, (p, q, n - 3 - p - q)))
+    shapes += [rotation_symmetric(n, k, rng) for k in (2, 3) if n % k == 0]
+    for t in shapes:
+        assert_matches_avoidance_dp(t)
+        assert_matches_avoidance_dp(t.rotated(rng.randrange(n)).reflected())
+
+
+def test_count_disjoint_does_not_recurse():
+    # a walk that recursed over the dual tree would need about n frames
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    t = snake(400)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        value = count_disjoint(t)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value == catalan(397)
+
+
 # -- 2-eared counts ------------------------------------------------------------------
 
 
@@ -261,8 +317,8 @@ def _types(n):
 def test_three_ear_formula_matches_brute(n):
     for ptype in _types(n):
         t = three_ear_rep(n, ptype)
-        assert three_ear_disjoint(n, ptype) == brute_count_disjoint(t)
-        assert count_disjoint(t) == brute_count_disjoint(t)
+        assert three_ear_disjoint(n, ptype) == count_disjoint_by_enumeration(t)
+        assert count_disjoint(t) == count_disjoint_by_enumeration(t)
 
 
 @pytest.mark.parametrize("n", range(6, 13))
@@ -292,7 +348,7 @@ def test_degenerate_branch_reduces_to_two_ear_count(n):
 
 def test_published_variant_disagrees_with_oracle():
     witness = three_ear_disjoint_published(6, (1, 1, 1))
-    oracle = brute_count_disjoint(three_ear_rep(6, (1, 1, 1)))
+    oracle = count_disjoint_by_enumeration(three_ear_rep(6, (1, 1, 1)))
     assert witness == 1 and oracle == 4
 
 
