@@ -387,6 +387,8 @@ def test_verify_rejects_tiny_max_n(capsys):
         # every check runs its lower window, and the erratum line is present
         (["--max-n", "8"], "verify-max-n-8.txt"),
         (["--max-n", "8", "--format", "json"], "verify-max-n-8.json"),
+        # each composition row past its default window, up to its ceiling
+        (["--suite", "compositions", "--max-n", "16"], "verify-compositions-max-n-16.txt"),
     ],
 )
 def test_verify_report_matches_golden_bytes(capsys, argv, golden):
