@@ -19,6 +19,11 @@ when m is odd, none when m is even.  Burnside then gives the class count
 (2^(m-1) + 2^floor(m/2) + [m odd] 2^floor(m/2)) / 4, which simplifies to
 2^(m-3) + 2^floor((m-3)/2) for m >= 2.
 
+Inside the module a composition of m is its *bar mask* over m-1 bits: bit
+j is the bar at j+1 and letter j of the pointing string below (1 = U).
+Reversal reverses the bits and conjugation complements them (mask_images).
+Each public function checks its input once, at the boundary.
+
 A 2-eared triangulation of the n-gon has a path-shaped dual tree; walking
 the path from one ear to the other, each of the n-4 middle triangles has
 exactly one side on the polygon boundary, lying on one of the two boundary
@@ -26,7 +31,8 @@ arcs between the ears.  Recording D ("down", side on the arc read first)
 or U ("up") per middle triangle yields a *pointing string* of length n-4,
 and the positions of the U letters, read as a bar set, yield a composition
 of m = n-3.  The four compositions in a class correspond to the up-to-four
-oriented readings of one symmetry class of triangulations.
+oriented readings of one symmetry class of triangulations.  Strings are
+written and read back by one chord walk over the diagonals, not the tree.
 """
 
 from __future__ import annotations
@@ -34,22 +40,44 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Iterable, Iterator
 
-from polytri.triangulation import Pair, Triangulation
+from polytri.triangulation import Triangulation
 
 Composition = tuple[int, ...]
 
 _OPS = ("reversal", "conjugation", "conj_rev")
 
+_TO_LETTERS = str.maketrans("01", "DU")
+_TO_BITS = str.maketrans("DU", "01")
 
-def _check_composition(comp: Composition) -> Composition:
+
+def _mask(comp: Iterable[int]) -> tuple[int, int]:
+    """(m, bar mask) of a composition: the one check of its parts."""
     comp = tuple(comp)
     if not comp or any(not isinstance(p, int) or p < 1 for p in comp):
         raise ValueError(f"composition parts must be positive integers: {comp!r}")
-    return comp
+    return sum(comp), sum(1 << (bar - 1) for bar in accumulate(comp[:-1]))
+
+
+def _bits(m: int, mask: int) -> str:
+    """The m-1 bits of mask as '0'/'1', bit 0 first (bit m-1 pads them)."""
+    return bin(mask | 1 << (m - 1))[:2:-1]
+
+
+def _composition(m: int, mask: int) -> Composition:
+    """The composition of m whose bars are the set bits of mask."""
+    return tuple(len(gap) + 1 for gap in _bits(m, mask).split("1"))
+
+
+def mask_images(m: int, mask: int) -> tuple[int, int, int, int]:
+    """(mask, reversal, conjugation, conj_rev) of a bar mask of m.  Reversal
+    maps bar b to m-b, so it reverses the m-1 bits; conjugation flips them."""
+    full = (1 << (m - 1)) - 1
+    rev = int("0" + _bits(m, mask), 2)
+    return mask, rev, mask ^ full, rev ^ full
 
 
 def enumerate_compositions(m: int) -> Iterator[Composition]:
-    """All 2^(m-1) compositions of m, ordered by bar set as a binary counter.
+    """All 2^(m-1) compositions of m, ordered by bar mask as a binary counter.
 
     Bit j of the counter (j = 0..m-2) switches the bar at position j+1, so
     the run starts at (m,) and ends at (1,) * m.
@@ -57,44 +85,40 @@ def enumerate_compositions(m: int) -> Iterator[Composition]:
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
     for mask in range(1 << (m - 1)):
-        bars = [j + 1 for j in range(m - 1) if mask >> j & 1]
-        yield composition_from_bars(m, bars)
+        yield _composition(m, mask)
 
 
 def bar_set(comp: Composition) -> frozenset[int]:
     """Proper partial sums of the composition, a subset of {1..m-1}."""
-    comp = _check_composition(comp)
-    return frozenset(accumulate(comp[:-1]))
+    m, mask = _mask(comp)
+    return frozenset(j for j, bit in enumerate(_bits(m, mask), 1) if bit == "1")
 
 
 def composition_from_bars(m: int, bars: Iterable[int]) -> Composition:
     """Inverse of bar_set for compositions of m."""
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
-    cuts = sorted(set(bars))
-    if cuts and not (1 <= cuts[0] and cuts[-1] <= m - 1):
+    cuts = sorted(set(bars), key=lambda b: (type(b).__name__, b))  # mixed types sort too
+    if any(not isinstance(b, int) or not 1 <= b <= m - 1 for b in cuts):
         raise ValueError(f"bars must lie in 1..{m - 1}: {cuts}")
-    points = [0] + cuts + [m]
-    return tuple(points[i + 1] - points[i] for i in range(len(points) - 1))
+    return _composition(m, sum(1 << (b - 1) for b in cuts))
 
 
 def reverse(comp: Composition) -> Composition:
-    return _check_composition(comp)[::-1]
+    m, mask = _mask(comp)
+    return _composition(m, mask_images(m, mask)[1])
 
 
 def conjugate(comp: Composition) -> Composition:
     """Complement the bar set inside {1..m-1}."""
-    comp = _check_composition(comp)
-    m = sum(comp)
-    bars = bar_set(comp)
-    return composition_from_bars(m, (i for i in range(1, m) if i not in bars))
+    m, mask = _mask(comp)
+    return _composition(m, mask_images(m, mask)[2])
 
 
 def composition_class(comp: Composition) -> frozenset[Composition]:
     """Orbit of the composition under {id, reversal, conjugation, conj_rev}."""
-    comp = _check_composition(comp)
-    rev = reverse(comp)
-    return frozenset((comp, rev, conjugate(comp), conjugate(rev)))
+    m, mask = _mask(comp)
+    return frozenset(_composition(m, image) for image in mask_images(m, mask))
 
 
 def count_fixed(m: int, op: str) -> int:
@@ -121,10 +145,8 @@ def count_classes(m: int, method: str = "closed") -> int:
 
     method 'closed' evaluates 2^(m-3) + 2^floor((m-3)/2) exactly (requires
     m >= 2; at m = 1 the formula is not integral).  'burnside' averages the
-    four fixed-point counts.  'direct' enumerates the 2^(m-1) bar sets as
-    bitmasks over m-1 bits (bit j is the bar at j+1): reversal reverses the
-    bits, conjugation complements them, and each orbit is counted once, at
-    its least member.
+    four fixed-point counts.  'direct' runs over the 2^(m-1) bar masks and
+    counts each orbit once, at its least member.
     """
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
@@ -140,13 +162,7 @@ def count_classes(m: int, method: str = "closed") -> int:
             raise ArithmeticError(f"Burnside sum {total} not divisible by 4 at m={m}")
         return total // 4
     if method == "direct":
-        bits = m - 1
-        full = (1 << bits) - 1
-        count = 0
-        for mask in range(1 << bits):
-            rev = int(f"{mask:0{bits}b}"[::-1], 2)
-            count += mask == min(mask, rev, mask ^ full, rev ^ full)
-        return count
+        return sum(mask == min(mask_images(m, mask)) for mask in range(1 << (m - 1)))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -154,7 +170,7 @@ def count_classes(m: int, method: str = "closed") -> int:
 
 
 def format_composition(comp: Composition) -> str:
-    return "+".join(str(p) for p in _check_composition(comp))
+    return "+".join(map(str, _composition(*_mask(comp))))
 
 
 def parse_composition(text: str) -> Composition:
@@ -162,7 +178,7 @@ def parse_composition(text: str) -> Composition:
         parts = tuple(int(p) for p in text.strip().split("+"))
     except ValueError:
         raise ValueError(f"bad composition text {text!r}") from None
-    return _check_composition(parts)
+    return _composition(*_mask(parts))
 
 
 def _check_pointing(dirs: str) -> str:
@@ -177,18 +193,15 @@ def _check_pointing(dirs: str) -> str:
 def composition_from_pointing(dirs: str) -> Composition:
     """Composition of m = len(dirs)+1 whose bars sit at the U positions."""
     dirs = _check_pointing(dirs)
-    m = len(dirs) + 1
-    return composition_from_bars(m, (i + 1 for i, ch in enumerate(dirs) if ch == "U"))
+    return _composition(len(dirs) + 1, int(dirs[::-1].translate(_TO_BITS), 2))
 
 
 def pointing_from_composition(comp: Composition) -> str:
     """Inverse of composition_from_pointing; the string has length m-1."""
-    comp = _check_composition(comp)
-    m = sum(comp)
+    m, mask = _mask(comp)
     if m < 2:
         raise ValueError("pointing strings need a composition of m >= 2")
-    bars = bar_set(comp)
-    return "".join("U" if i in bars else "D" for i in range(1, m))
+    return _bits(m, mask).translate(_TO_LETTERS)
 
 
 def two_eared_from_pointing(dirs: str) -> Triangulation:
@@ -214,23 +227,16 @@ def two_eared_from_pointing(dirs: str) -> Triangulation:
     return Triangulation(n, tuple(sorted(diags)), validate=False)
 
 
-def _ear_tip(n: int, ear: tuple[int, int, int]) -> int:
-    """The vertex of an ear whose two polygon neighbors are both in the ear."""
-    members = set(ear)
-    for v in ear:
-        if (v - 1) % n in members and (v + 1) % n in members:
-            return v
-    raise AssertionError(f"{ear} has no tip in the {n}-gon")
-
-
 def pointing_string(t: Triangulation) -> str:
     """Read the pointing string of a 2-eared triangulation (n >= 5).
 
     Orientation is canonical: the ear with the lexicographically smallest
     vertex triple is read first, and the "top" boundary arc is the one
     leaving its tip toward increasing labels.  A middle triangle whose
-    single boundary side lies on the other ("bottom") arc points up (U),
-    otherwise down (D).
+    single boundary side lies on the top arc points down (D), otherwise
+    up (U).  The chord walk of two_eared_from_pointing, inverted: from
+    (top, bottom) = (tip+1, tip-1), read D and advance top when
+    (top+1, bottom) is a diagonal, else read U and retreat bottom.
     """
     n = t.n
     if n < 5:
@@ -238,28 +244,19 @@ def pointing_string(t: Triangulation) -> str:
     ears = t.ears()
     if len(ears) != 2:
         raise ValueError(f"triangulation has {len(ears)} ears, need exactly 2")
-    left, right = min(ears), max(ears)
-    tip_l, tip_r = _ear_tip(n, left), _ear_tip(n, right)
-
-    top_sides: set[Pair] = set()
-    w = (tip_l + 1) % n
-    while w != (tip_r - 1) % n:
-        nxt = (w + 1) % n
-        top_sides.add((w, nxt) if w < nxt else (nxt, w))
-        w = nxt
-
-    order = t.dual_tree().path_from(left)
-    assert order[-1] == right
+    ear = min(ears)
+    tip = next(v for v in ear if {(v - 1) % n, (v + 1) % n} <= set(ear))
+    diags = t.diagonal_set
+    top, bottom = (tip + 1) % n, (tip - 1) % n
     letters = []
-    for tri in order[1:-1]:
-        a, b, c = tri
-        sides = [
-            e
-            for e in ((a, b), (b, c), (a, c))
-            if e[1] - e[0] == 1 or e == (0, n - 1)
-        ]
-        assert len(sides) == 1, f"middle triangle {tri} has {len(sides)} sides"
-        letters.append("D" if sides[0] in top_sides else "U")
+    for _ in range(n - 4):
+        step = (top + 1) % n
+        if (min(step, bottom), max(step, bottom)) in diags:
+            letters.append("D")
+            top = step
+        else:
+            letters.append("U")
+            bottom = (bottom - 1) % n
     return "".join(letters)
 
 

@@ -53,14 +53,19 @@ def catalan(k: int) -> int:
 
 
 def catalan_list(upto: int) -> list[int]:
-    """[C(0), ..., C(upto)]."""
-    return [catalan(k) for k in range(upto + 1)]
+    """[C(0), ..., C(upto)], by the ratio C(k+1) = C(k) 2(2k+1) / (k+2),
+    which divides exactly: one product per k instead of one binomial."""
+    out = [1] if upto >= 0 else []
+    for k in range(upto):
+        out.append(out[k] * 2 * (2 * k + 1) // (k + 2))
+    return out
 
 
 def _catalan_convolution(total: int, lo: int, hi: int) -> int:
     """sum_{i=lo}^{hi-1} C(i) C(total-i), a run of terms of the Catalan
     self-convolution; empty (0) when hi <= lo."""
-    return sum(catalan(i) * catalan(total - i) for i in range(lo, hi))
+    cat = catalan_list(total)
+    return sum(cat[i] * cat[total - i] for i in range(lo, hi))
 
 
 def catalan_partial_convolution(n: int, k: int) -> int:

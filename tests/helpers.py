@@ -9,16 +9,20 @@ every pair of diagonals for a crossing.  The triangle oracle scans every
 apex over each chord, and the canonical-form oracle maps and sorts all 2n
 dihedral images; both are the routines the package's faster ones replaced.
 The orbit-count oracle counts distinct canonical diagonal tuples instead
-of quiddity keys, and the composition-class oracle forms every orbit as a
-set of composition tuples instead of bitmasks.  The disjointness oracle
-scans every triangulation of the polygon for a shared diagonal.
+of quiddity keys.  The composition oracles work on tuples and bar sets
+and share no code with the package's bar masks: compositions are built
+part by part, conjugation complements the set of partial sums, and a class
+is the set of the four tuples.  The pointing-string oracle walks the dual
+tree's path from ear to ear and sorts each middle triangle's boundary side
+by arc, where the package walks chords.  The disjointness oracle scans
+every triangulation of the polygon for a shared diagonal.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 
-from polytri.compositions import composition_class, enumerate_compositions
 from polytri.triangulation import (
     Triangulation,
     _canonical_diagonals,
@@ -110,10 +114,68 @@ def orbit_count_by_canonical(n: int, ears: int | None = None) -> int:
     return len(seen)
 
 
+@lru_cache(maxsize=None)
+def compositions_by_parts(m: int) -> tuple[tuple[int, ...], ...]:
+    """Every composition of m, by choosing the first part (m = 0: the empty one)."""
+    if m == 0:
+        return ((),)
+    return tuple(
+        (first, *rest) for first in range(1, m + 1) for rest in compositions_by_parts(m - first)
+    )
+
+
+def bar_set_by_sums(comp: tuple[int, ...]) -> frozenset[int]:
+    """The proper partial sums of a composition."""
+    return frozenset(accumulate(comp[:-1]))
+
+
+def bar_mask_by_sums(comp: tuple[int, ...]) -> int:
+    """The bar set as an integer: bit b-1 set for each partial sum b."""
+    return sum(1 << (b - 1) for b in bar_set_by_sums(comp))
+
+
+def conjugate_by_bars(comp: tuple[int, ...]) -> tuple[int, ...]:
+    """The composition of m whose bar set is the complement of comp's in
+    {1..m-1}, read back as the gaps between consecutive cut points."""
+    m = sum(comp)
+    bars = bar_set_by_sums(comp)
+    points = [0] + [i for i in range(1, m) if i not in bars] + [m]
+    return tuple(b - a for a, b in zip(points, points[1:]))
+
+
+def composition_class_by_tuples(comp: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
+    """The orbit {comp, reversal, conjugate, conjugate of the reversal}."""
+    rev = comp[::-1]
+    return frozenset((comp, rev, conjugate_by_bars(comp), conjugate_by_bars(rev)))
+
+
 def count_classes_by_tuples(m: int) -> int:
     """Composition classes of m, as the number of distinct least members
     of the orbits formed from composition tuples."""
-    return len({min(composition_class(c)) for c in enumerate_compositions(m)})
+    return len({min(composition_class_by_tuples(c)) for c in compositions_by_parts(m)})
+
+
+def pointing_string_by_dual_tree(t: Triangulation) -> str:
+    """The pointing string of a 2-eared triangulation (n >= 5), read along
+    the dual tree's path from the lexicographically least ear: D when a
+    middle triangle's one boundary side lies on the arc leaving that ear's
+    tip toward increasing labels, else U."""
+    n = t.n
+    left, right = sorted(t.ears())
+    tip = next(v for v in left if (v - 1) % n in left and (v + 1) % n in left)
+    tip_r = next(v for v in right if (v - 1) % n in right and (v + 1) % n in right)
+    top_sides = set()
+    w = (tip + 1) % n
+    while w != (tip_r - 1) % n:
+        nxt = (w + 1) % n
+        top_sides.add((w, nxt) if w < nxt else (nxt, w))
+        w = nxt
+    letters = []
+    for tri in t.dual_tree().path_from(left)[1:-1]:
+        a, b, c = tri
+        (side,) = [e for e in ((a, b), (b, c), (a, c)) if e[1] - e[0] == 1 or e == (0, n - 1)]
+        letters.append("D" if side in top_sides else "U")
+    return "".join(letters)
 
 
 @lru_cache(maxsize=None)

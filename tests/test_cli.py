@@ -284,8 +284,9 @@ def test_disjoint_both_answers_above_old_ceiling(capsys):
     [["enumerate", "--count-only", "--n", "8000"],
      ["enumerate", "--count-only", "--n", "8000", "--format", "json"],
      ["disjoint", "--arrow", "--n", "9000", "--method", "formula"],
-     ["disjoint", "--arrow", "--n", "9000", "--method", "formula", "--format", "json"]],
-    ids=["enumerate-text", "enumerate-json", "disjoint-text", "disjoint-json"],
+     ["disjoint", "--arrow", "--n", "9000", "--method", "formula", "--format", "json"],
+     ["disjoint", "--type", "3000,3000,2997", "--n", "9000", "--method", "formula"]],
+    ids=["enumerate-text", "enumerate-json", "disjoint-text", "disjoint-json", "disjoint-type"],
 )
 def test_single_value_too_long_to_print(capsys, default_int_digits, argv):
     assert catalan(7998) >= 10 ** INT_DIGITS
@@ -302,9 +303,9 @@ def test_single_value_too_long_to_print(capsys, default_int_digits, argv):
 )
 def test_disjoint_counts_too_long_to_print(capsys, monkeypatch, default_int_digits,
                                            route, argv):
-    # count_disjoint stops at BRUTE_CEILING, far below the limit, and the
-    # 3-eared closed forms take about 30 s near it, so each route is made
-    # to return a count past the limit
+    # count_disjoint stops at BRUTE_CEILING, far below the limit, so each
+    # route is made to return a count past the limit; the unpatched 3-eared
+    # route is the disjoint-type case of test_single_value_too_long_to_print
     monkeypatch.setattr(cli.disjoint, route, lambda *args: 10 ** INT_DIGITS)
     assert invoke(["disjoint", *argv]) == 1
     assert_single_value_too_long(capsys.readouterr())

@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from helpers import count_classes_by_tuples
+from helpers import (
+    all_triangulations,
+    bar_mask_by_sums,
+    bar_set_by_sums,
+    composition_class_by_tuples,
+    compositions_by_parts,
+    conjugate_by_bars,
+    count_classes_by_tuples,
+    pointing_string_by_dual_tree,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -21,6 +31,7 @@ from polytri.compositions import (
     count_fixed,
     enumerate_compositions,
     format_composition,
+    mask_images,
     parse_composition,
     pointing_from_composition,
     pointing_string,
@@ -72,6 +83,9 @@ def test_invalid_inputs():
         bar_set((2, 0, 1))
     with pytest.raises(ValueError):
         composition_from_bars(4, [4])
+    for bars in ([1.5], [2.0], [1, "2"]):
+        with pytest.raises(ValueError, match=r"bars must lie in 1\.\.3"):
+            composition_from_bars(4, bars)
     with pytest.raises(ValueError):
         count_fixed(3, "transpose")
 
@@ -97,6 +111,19 @@ def test_involutions_and_commutation(comp):
 def test_conjugate_complements_bars(comp):
     m = sum(comp)
     assert bar_set(conjugate(comp)) == frozenset(range(1, m)) - bar_set(comp)
+
+
+@pytest.mark.parametrize("m", range(1, 15))
+def test_routines_match_tuple_oracles(m):
+    comps = list(enumerate_compositions(m))
+    assert sorted(comps) == sorted(compositions_by_parts(m))
+    for comp in comps:
+        assert reverse(comp) == comp[::-1]
+        assert conjugate(comp) == conjugate_by_bars(comp)
+        assert composition_class(comp) == composition_class_by_tuples(comp)
+        assert bar_set(comp) == bar_set_by_sums(comp)
+        orbit = (comp, comp[::-1], conjugate_by_bars(comp), conjugate_by_bars(comp[::-1]))
+        assert mask_images(m, bar_mask_by_sums(comp)) == tuple(map(bar_mask_by_sums, orbit))
 
 
 @pytest.mark.parametrize("m", range(1, 11))
@@ -200,6 +227,24 @@ def test_pointing_round_trip_exhaustive(n):
         assert t.n == n
         assert t.ear_count() == 2
         assert pointing_string(t) == s
+
+
+def test_pointing_string_matches_dual_tree_oracle_exhaustive():
+    two_eared = [
+        t for n in range(5, 13) for t in all_triangulations(n) if t.ear_count() == 2
+    ]
+    assert len(two_eared) == 2813
+    for t in two_eared:
+        assert pointing_string(t) == pointing_string_by_dual_tree(t)
+
+
+@pytest.mark.parametrize("n", [20, 50, 200])
+def test_pointing_string_matches_dual_tree_oracle_on_images(n):
+    rng = random.Random(n)
+    for _ in range(2):
+        t = two_eared_from_pointing("".join(rng.choice("UD") for _ in range(n - 4)))
+        for img in t.dihedral_images():
+            assert pointing_string(img) == pointing_string_by_dual_tree(img)
 
 
 def test_pointing_composition_round_trip():

@@ -32,6 +32,11 @@ from polytri.triangulation import enumerate_triangulations
 CATALAN_PREFIX = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012]
 
 
+def test_catalan_list_matches_binomial_form():
+    assert catalan_list(-1) == []
+    assert catalan_list(1500) == [catalan(k) for k in range(1501)]
+
+
 def test_catalan_against_recurrence():
     assert catalan_list(12) == CATALAN_PREFIX
     for k in range(25):
