@@ -102,9 +102,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     n = args.n
     if args.count_only:
         if args.ears is None:
-            count = counting.catalan(n - 2) if n >= 3 else 0
             if n < 3:
                 raise CliError(f"polygons need n >= 3, got {n}")
+            count = counting.catalan(n - 2)
         else:
             count = counting.hurtado_noy(n, args.ears)
         count = _printable(count)
@@ -120,6 +120,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         )
     if args.ears is not None and n < 4:
         raise CliError("ear filters need n >= 4")
+    if args.ears is not None and args.ears < 2:
+        raise CliError(f"every triangulation has >= 2 ears, got k={args.ears}")
     listing = [
         str(t)
         for t in enumerate_triangulations(n)
@@ -135,7 +137,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 # -- symmetry -------------------------------------------------------------------
 
-ORBIT_CEILING = 14
+ORBIT_CEILING = 16
 
 
 def _class_count(n: int, ears: int | None, method: str) -> int:

@@ -9,20 +9,26 @@ every pair of diagonals for a crossing.  The triangle oracle scans every
 apex over each chord, and the canonical-form oracle maps and sorts all 2n
 dihedral images; both are the routines the package's faster ones replaced.
 The orbit-count oracle counts distinct canonical diagonal tuples instead
-of quiddity keys.  The composition oracles work on tuples and bar sets
-and share no code with the package's bar masks: compositions are built
-part by part, conjugation complements the set of partial sums, and a class
-is the set of the four tuples.  The pointing-string oracle walks the dual
-tree's path from ear to ear and sorts each middle triangle's boundary side
-by arc, where the package walks chords.  The disjointness oracle scans
-every triangulation of the polygon for a shared diagonal.
+of quiddity keys.  The class-census oracle keys every triangulation of the
+full enumeration, where the package builds the keys by ear insertion, and
+the least dihedral image of a sequence is the minimum over all 2n
+rotations and reversed rotations, not only those starting at a 1-entry.
+The composition oracles work on tuples and bar sets and share no code
+with the package's bar masks: compositions are built part by part,
+conjugation complements the set of partial sums, and a class is the set of
+the four tuples.  The pointing-string oracle walks the dual tree's path
+from ear to ear and sorts each middle triangle's boundary side by arc,
+where the package walks chords.  The disjointness oracle scans every
+triangulation of the polygon for a shared diagonal.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import accumulate
 
+from polytri.counting import quiddity_key
 from polytri.triangulation import (
     Triangulation,
     _canonical_diagonals,
@@ -112,6 +118,19 @@ def orbit_count_by_canonical(n: int, ears: int | None = None) -> int:
             continue
         seen.add(_canonical_diagonals(n, diags))
     return len(seen)
+
+
+def class_census_by_enumeration(n: int) -> Counter[int]:
+    """{ear count: symmetry classes} of the n-gon, as the distinct
+    quiddity keys of every triangulation, tallied by their 1-entries."""
+    keys = {quiddity_key(n, diags) for diags in _diagonal_sets(tuple(range(n)))}
+    return Counter(key.count(1) for key in keys)
+
+
+def least_dihedral_image(seq) -> tuple[int, ...]:
+    """The least of the 2n rotations of seq and of its reversal."""
+    fwd = list(seq)
+    return min(tuple(s[i:] + s[:i]) for s in (fwd, fwd[::-1]) for i in range(len(fwd)))
 
 
 @lru_cache(maxsize=None)

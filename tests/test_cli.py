@@ -77,6 +77,19 @@ def test_enumerate_ear_filtered_listing(capsys):
     assert sorted(lines) == ["6:0-2,0-4,2-4", "6:1-3,1-5,3-5"]
 
 
+@pytest.mark.parametrize("count_only", [[], ["--count-only"]], ids=["listing", "count-only"])
+def test_enumerate_refuses_fewer_than_two_ears(capsys, count_only):
+    assert invoke(["enumerate", "--n", "4", "--ears", "1", *count_only]) == 1
+    captured = capsys.readouterr()
+    assert "every triangulation has >= 2 ears" in captured.err
+    assert captured.out == ""
+
+
+def test_enumerate_listing_above_max_ears_is_empty(capsys):
+    assert invoke(["enumerate", "--n", "6", "--ears", "4"]) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_enumerate_count_only_scales_past_listing_cap(capsys):
     assert invoke(["enumerate", "--n", "20", "--count-only"]) == 0
     assert capsys.readouterr().out == "477638700\n"
@@ -146,8 +159,15 @@ def test_symmetry_no_closed_form_for_all_ears(capsys):
 
 
 def test_symmetry_orbit_infeasible_beyond_ceiling(capsys):
-    assert invoke(["symmetry", "--n", "15", "--ears", "2"]) == 1
-    assert "n <= 14" in capsys.readouterr().err
+    assert invoke(["symmetry", "--n", str(cli.ORBIT_CEILING + 1), "--ears", "2"]) == 1
+    assert f"orbit counting is feasible for n <= {cli.ORBIT_CEILING}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ears", ["2", "3"])
+def test_symmetry_orbit_answers_above_old_ceiling(capsys, ears):
+    assert invoke(["symmetry", "--n", "15", "--ears", ears, "--method", "both"]) == 0
+    n, closed, orbit = capsys.readouterr().out.split()
+    assert n == "15" and closed == orbit
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])

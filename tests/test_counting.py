@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from helpers import (
+    class_census_by_enumeration,
+    least_dihedral_image,
     orbit_count_by_canonical,
     random_triangulation,
     rotation_symmetric,
@@ -14,6 +17,9 @@ from helpers import (
 
 from polytri.compositions import count_classes
 from polytri.counting import (
+    _class_census,
+    _class_keys,
+    _glue_ears,
     catalan,
     catalan_list,
     catalan_partial_convolution,
@@ -156,6 +162,37 @@ def test_orbit_census_matches_canonical_oracle(n):
     if n >= 4:
         for ears in range(2, max_ears(n) + 2):  # one past the largest: 0 classes
             assert symmetry_classes_orbit(n, ears=ears) == orbit_count_by_canonical(n, ears), ears
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_class_census_matches_enumeration_oracle(n):
+    assert _class_census(n) == class_census_by_enumeration(n)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_glue_ears_glues_one_ear_onto_every_side(n):
+    for key in _class_keys(n):
+        expected = []
+        for v in range(n):
+            r = key[v + 1:] + key[:v + 1]  # ends at v, so side (v, v+1) closes it
+            expected.append(least_dihedral_image([r[0] + 1, *r[1:-1], r[-1] + 1, 1]))
+        assert Counter(map(least_dihedral_image, _glue_ears(key))) == Counter(expected), key
+
+
+@pytest.mark.parametrize("n", range(5, 14))
+def test_class_keys_have_no_orphan_child(n):
+    # removing any ear of a class at n+1 lands in a class at n
+    parents = _class_keys(n)
+    assert len(parents) == symmetry_classes_orbit(n)
+    for key in _class_keys(n + 1):
+        assert key == least_dihedral_image(key)
+        for i, q in enumerate(key):
+            if q != 1:
+                continue
+            parent = list(key[i + 1:] + key[:i])  # the ear's right neighbour first
+            parent[0] -= 1
+            parent[-1] -= 1
+            assert least_dihedral_image(parent) in parents, (key, i)
 
 
 # -- the quiddity class key ---------------------------------------------------------
