@@ -111,6 +111,21 @@ def test_enumerate_triangle_has_empty_diagonal_list(capsys):
     assert capsys.readouterr().out == "3:\n"
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        # the full listing order, 429 lines
+        (["--n", "9"], "enumerate-n-9.txt"),
+        # an ear filter and the JSON envelope
+        (["--n", "10", "--ears", "3", "--format", "json"], "enumerate-n-10-ears-3.json"),
+    ],
+)
+def test_enumerate_listing_matches_golden_bytes(capsys, argv, golden):
+    assert invoke(["enumerate", *argv]) == 0
+    expected = (GOLDEN_DIR / golden).read_bytes()
+    assert capsys.readouterr().out.encode() == expected
+
+
 # -- symmetry -------------------------------------------------------------------
 
 
