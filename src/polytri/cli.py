@@ -15,7 +15,12 @@ import sys
 
 from polytri import compositions as comp
 from polytri import counting, disjoint, svgfig, verify
-from polytri.triangulation import Triangulation, enumerate_triangulations
+from polytri.triangulation import (
+    Triangulation,
+    _diagonal_tuples,
+    _diagonals_text,
+    _ear_count,
+)
 
 PROG = "polytri"
 
@@ -62,6 +67,31 @@ def _printable(value: int) -> int:
     return value
 
 
+def _refuse_too_long(n: int) -> None:
+    """Refuse, before computing it, a nonzero count at size n that has too
+    many digits to print.
+
+    Every nonzero count the CLI prints at size n is at least 2^(n/2 - 2).
+    The Catalan numbers C(n), C(n-2), C(n-3) and C(n-4) (a term of every
+    3-eared disjointness count) are at least 2^(n-5); the 2-eared, 3-eared
+    and composition class counts at least 2^(n-8); and the k-ear count
+    (n/k) 2^(n-2k) binom(n-4, 2k-4) C(k-2) at least 2^(n-k-2) for
+    2 <= k <= n/2.  As 10/3 > log2(10), a power of two with an exponent
+    above limit*10/3 has more than `limit` decimal digits.
+    """
+    limit = sys.get_int_max_str_digits()
+    if limit and n // 2 - 2 > limit * 10 // 3:
+        raise ValueError(f"value too long to print (over {limit} decimal digits)")
+
+
+def _hurtado_noy(n: int, k: int) -> int:
+    """counting.hurtado_noy(n, k), refused up front when too long; a zero
+    (k > n/2) prints at any n."""
+    if 2 <= k <= n // 2:
+        _refuse_too_long(n)
+    return counting.hurtado_noy(n, k)
+
+
 def _add_shape_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--t", metavar="TEXT", help="inline triangulation 'n:a-b,c-d,...'")
     sub.add_argument("--arrow", action="store_true", help="fan triangulation (needs --n)")
@@ -99,17 +129,18 @@ def _resolve_shape(args: argparse.Namespace) -> tuple[Triangulation, str]:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    n = args.n
+    n, k = args.n, args.ears
     if args.count_only:
-        if args.ears is None:
+        if k is None:
             if n < 3:
                 raise CliError(f"polygons need n >= 3, got {n}")
+            _refuse_too_long(n)
             count = counting.catalan(n - 2)
         else:
-            count = counting.hurtado_noy(n, args.ears)
+            count = _hurtado_noy(n, k)
         count = _printable(count)
         if args.format == "json":
-            print(json.dumps({"n": n, "ears": args.ears, "count": count}))
+            print(json.dumps({"n": n, "ears": k, "count": count}))
         else:
             print(count)
         return 0
@@ -118,17 +149,19 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             f"full listings are supported for 3 <= n <= 14, got n={n} "
             "(use --count-only for larger n)"
         )
-    if args.ears is not None and n < 4:
+    if k is not None and n < 4:
         raise CliError("ear filters need n >= 4")
-    if args.ears is not None and args.ears < 2:
-        raise CliError(f"every triangulation has >= 2 ears, got k={args.ears}")
-    listing = [
-        str(t)
-        for t in enumerate_triangulations(n)
-        if args.ears is None or t.ear_count() == args.ears
-    ]
+    if k is not None and k < 2:
+        raise CliError(f"every triangulation has >= 2 ears, got k={k}")
+    if k is None:
+        tuples = _diagonal_tuples(n)
+    elif k > n // 2:
+        tuples = ()  # no triangulation has more than n/2 ears
+    else:
+        tuples = (d for d in _diagonal_tuples(n) if _ear_count(n, d) == k)
+    listing = [_diagonals_text(n, sorted(d)) for d in tuples]
     if args.format == "json":
-        print(json.dumps({"n": n, "ears": args.ears, "triangulations": listing}))
+        print(json.dumps({"n": n, "ears": k, "triangulations": listing}))
     else:
         for line in listing:
             print(line)
@@ -142,11 +175,12 @@ ORBIT_CEILING = 16
 
 def _class_count(n: int, ears: int | None, method: str) -> int:
     if method == "closed":
+        if ears not in (2, 3):
+            raise ValueError("closed forms exist only for --ears 2 or 3")
+        _refuse_too_long(n)
         if ears == 2:
             return counting.symmetry_classes_2ear(n)
-        if ears == 3:
-            return counting.symmetry_classes_3ear(n)
-        raise ValueError("closed forms exist only for --ears 2 or 3")
+        return counting.symmetry_classes_3ear(n)
     if n > ORBIT_CEILING:
         raise ValueError(f"orbit counting is feasible for n <= {ORBIT_CEILING}")
     return counting.symmetry_classes_orbit(n, ears=ears)
@@ -221,6 +255,8 @@ BRUTE_CEILING = 2000
 
 
 def cmd_disjoint(args: argparse.Namespace) -> int:
+    if args.t is None and args.n is not None:
+        _refuse_too_long(args.n)  # before building an n-gon shape
     t, shape = _resolve_shape(args)
     if args.method in ("brute", "both") and t.n > BRUTE_CEILING:
         raise CliError(
@@ -300,25 +336,29 @@ SEQUENCE_WHATS = ("catalan", "hurtado-noy:k", "sym2", "sym3", "disj2", "classes-
 
 
 def _sequence_fn(what: str):
-    if what == "catalan":
-        return counting.catalan
     if what.startswith("hurtado-noy:"):
         try:
             k = int(what.split(":", 1)[1])
         except ValueError:
             raise CliError(f"bad ear count in {what!r}") from None
-        return lambda n: counting.hurtado_noy(n, k)
-    if what == "sym2":
-        return counting.symmetry_classes_2ear
-    if what == "sym3":
-        return counting.symmetry_classes_3ear
-    if what == "disj2":
-        return disjoint.disjoint_two_eared
-    if what == "classes-compositions":
-        return lambda m: comp.count_classes(m, "closed")
-    raise CliError(
-        f"unknown sequence {what!r}; choose from {', '.join(SEQUENCE_WHATS)}"
-    )
+        return lambda n: _hurtado_noy(n, k)
+    fns = {
+        "catalan": counting.catalan,
+        "sym2": counting.symmetry_classes_2ear,
+        "sym3": counting.symmetry_classes_3ear,
+        "disj2": disjoint.disjoint_two_eared,
+        "classes-compositions": lambda m: comp.count_classes(m, "closed"),
+    }
+    if what not in fns:
+        raise CliError(
+            f"unknown sequence {what!r}; choose from {', '.join(SEQUENCE_WHATS)}"
+        )
+
+    def value(n: int) -> int:
+        _refuse_too_long(n)
+        return fns[what](n)
+
+    return value
 
 
 def cmd_sequence(args: argparse.Namespace) -> int:

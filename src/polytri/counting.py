@@ -37,7 +37,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator
 
-from polytri.triangulation import Pair, _diagonal_sets, _ear_count
+from polytri.triangulation import Pair, _diagonal_tuples, _ear_count
 
 
 def _as_int(value: Fraction, what: str) -> int:
@@ -120,8 +120,8 @@ def ear_census(n: int, method: str = "formula") -> dict[int, int]:
         return {k: hurtado_noy(n, k) for k in ks}
     if method == "brute":
         counts = dict.fromkeys(ks, 0)
-        for diags in _diagonal_sets(tuple(range(n))):
-            counts[_ear_count(n, set(diags))] += 1
+        for diags in _diagonal_tuples(n):
+            counts[_ear_count(n, diags)] += 1
         return counts
     raise ValueError(f"unknown method {method!r}")
 

@@ -68,7 +68,6 @@ from polytri.triangulation import (
     Pair,
     Triple,
     Triangulation,
-    _diagonal_sets,
     diagonal,
 )
 

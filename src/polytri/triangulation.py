@@ -25,7 +25,7 @@ Orbits of this action are called symmetry classes.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 Pair = tuple[int, int]
@@ -144,41 +144,111 @@ def _canonical_diagonals(n: int, diags: Iterable[Pair]) -> tuple[Pair, ...]:
     )
 
 
-def _ear_count(n: int, diag_set: frozenset[Pair] | set[Pair]) -> int:
-    # v is the tip of an ear iff the chord (v-1, v+1) is a diagonal; this
-    # characterization holds for every n >= 4.
-    count = 0
-    for v in range(n):
-        a = v - 1 if v else n - 1
-        b = v + 1 if v < n - 1 else 0
-        if ((a, b) if a < b else (b, a)) in diag_set:
-            count += 1
-    return count
+@lru_cache(maxsize=4)  # loops count ears at one n, a few when verify suites interleave
+def _ear_chords(n: int) -> frozenset[Pair]:
+    """The n chords (v-1, v+1) of the n-gon, normalized: (v-1, v+1) for
+    0 < v < n-1, and (1, n-1) and (0, n-2) for the tips 0 and n-1."""
+    return frozenset(zip(range(n - 2), range(2, n))) | {(1, n - 1), (0, n - 2)}
 
 
-def _diagonal_sets(verts: tuple[int, ...]) -> Iterator[tuple[Pair, ...]]:
-    """Diagonal sets of all triangulations of a convex sub-polygon.
+def _ear_count(n: int, diagonals: Iterable[Pair]) -> int:
+    """Ears of the triangulation with these normalized diagonals (n >= 4).
 
-    `verts` lists the sub-polygon's vertex labels in convex position.  The
-    recursion picks the apex of the triangle over the edge (verts[0],
-    verts[1]) in ascending index order, which fixes the enumeration order.
+    v is the tip of an ear iff the chord (v-1, v+1) is a diagonal, so the
+    count is the number of diagonals among the n ear chords.  At n = 4 the
+    chords are only the two diagonals, each the chord of two opposite tips,
+    and every triangulation has 2 ears.
     """
-    m = len(verts)
+    if n == 4:
+        return 2
+    return len(_ear_chords(n).intersection(diagonals))
+
+
+# 'a-b' for every pair of labels of a polygon up to this size, which
+# covers every listing
+_TEXT_TABLE_MAX = 16
+_PAIR_TEXTS = {(a, b): f"{a}-{b}" for b in range(_TEXT_TABLE_MAX) for a in range(b)}
+
+
+def _diagonals_text(n: int, diagonals: Iterable[Pair]) -> str:
+    """The 'n:a-b,c-d,...' text form, diagonals in the order given.
+
+    Up to _TEXT_TABLE_MAX vertices each pair's text is looked up, which
+    is what makes long listings fast; above that it is formatted, so no
+    table grows with n.
+    """
+    pair_text = _PAIR_TEXTS.__getitem__ if n <= _TEXT_TABLE_MAX else "%d-%d".__mod__
+    return f"{n}:" + ",".join(map(pair_text, diagonals))
+
+
+# Polygons up to this many vertices have their triangulations built once
+# and kept (4,862 diagonal tuples at 11 vertices); larger ones are streamed.
+_SHAPE_CACHE_MAX = 11
+
+
+@lru_cache(maxsize=None)
+def _split(m: int, i: int) -> tuple[tuple[Pair, ...], dict[Pair, Pair], dict[Pair, Pair]]:
+    """The triangle (0, 1, i) of the m-gon, in position form.
+
+    Returns the triangle's diagonals and, for the two sub-polygons it cuts
+    off, the maps from a sub-polygon's own diagonals to the m-gon's: the
+    left i-gon on positions 1..i (its position p is the m-gon's p+1) and
+    the right (m-i+1)-gon on positions i..m-1, 0 (its p is i+p, and its
+    last position is 0).
+    """
+    extra = ((1, i),) if i > 2 else ()
+    if i < m - 1:
+        extra += ((0, i),)
+    tables = []
+    for verts in (range(1, i + 1), [*range(i, m), 0]):
+        size = len(verts)
+        tables.append({
+            (p, q): (min(verts[p], verts[q]), max(verts[p], verts[q]))
+            for q in range(2, size) for p in range(q - 1) if (p, q) != (0, size - 1)
+        })
+    return extra, tables[0], tables[1]
+
+
+def _diagonal_tuples(m: int) -> Iterable[tuple[Pair, ...]]:
+    """Diagonal tuples, unsorted, of all triangulations of the m-gon.
+
+    The apex i of the triangle over the side (0, 1) runs ascending; for
+    each, every triangulation of the left sub-polygon 1..i is taken with
+    every one of the right sub-polygon i..m-1, 0.  A sub-polygon's tuples
+    come in its own positions and are relabeled into the m-gon through the
+    maps of `_split`.  The order is fixed by these rules and does not
+    depend on the cache bound.
+    """
+    if m <= _SHAPE_CACHE_MAX:
+        return _cached_shapes(m)
+    return _streamed_shapes(m)
+
+
+@lru_cache(maxsize=None)
+def _cached_shapes(m: int) -> tuple[tuple[Pair, ...], ...]:
+    return tuple(_streamed_shapes(m))
+
+
+def _streamed_shapes(m: int) -> Iterator[tuple[Pair, ...]]:
     if m <= 3:
         yield ()
         return
-    w0, w1 = verts[0], verts[1]
     for i in range(2, m):
-        apex = verts[i]
-        extra = []
-        if i > 2:
-            extra.append((w1, apex) if w1 < apex else (apex, w1))
-        if i < m - 1:
-            extra.append((w0, apex) if w0 < apex else (apex, w0))
-        extra_t = tuple(extra)
-        for left in _diagonal_sets(verts[1 : i + 1]):
-            for right in _diagonal_sets(verts[i:] + (w0,)):
-                yield extra_t + left + right
+        extra, left_table, right_table = _split(m, i)
+        relabel_right = right_table.__getitem__
+        if m - i + 1 <= _SHAPE_CACHE_MAX:
+            # relabel the cached right shapes once, for every left shape
+            rights = [tuple(map(relabel_right, r)) for r in _cached_shapes(m - i + 1)]
+        else:
+            rights = None
+        for left in _diagonal_tuples(i):
+            head = extra + tuple(map(left_table.__getitem__, left))
+            if rights is not None:
+                for right in rights:
+                    yield head + right
+            else:
+                for right in _streamed_shapes(m - i + 1):
+                    yield head + tuple(map(relabel_right, right))
 
 
 @dataclass(frozen=True)
@@ -271,7 +341,7 @@ class Triangulation:
         return cls(n, tuple(diags))
 
     def __str__(self) -> str:
-        return f"{self.n}:" + ",".join(f"{a}-{b}" for a, b in self.diagonals)
+        return _diagonals_text(self.n, self.diagonals)
 
     # -- basic structure ---------------------------------------------------
 
@@ -322,7 +392,7 @@ class Triangulation:
         """Number of ears, without materializing the triangles (n >= 4)."""
         if self.n < 4:
             raise ValueError("ears are undefined for n < 4")
-        return _ear_count(self.n, self.diagonal_set)
+        return _ear_count(self.n, self.diagonals)
 
     def dual_tree(self) -> DualTree:
         if self.n < 4:
@@ -383,10 +453,10 @@ def enumerate_triangulations(n: int) -> Iterator[Triangulation]:
     """Yield every triangulation of the n-gon exactly once, in a fixed order.
 
     The order is defined by recursively choosing the apex of the triangle
-    over the side (0, 1), apex ascending.  The count is the Catalan number
-    C(n-2).
+    over the side (0, 1), apex ascending (see `_diagonal_tuples`).  The
+    count is the Catalan number C(n-2).
     """
     if n < 3:
         raise ValueError(f"polygon needs at least 3 vertices, got n={n}")
-    for diags in _diagonal_sets(tuple(range(n))):
-        yield Triangulation(n, tuple(sorted(diags)), validate=False)
+    for diags in _diagonal_tuples(n):
+        yield Triangulation(n, diags, validate=False)

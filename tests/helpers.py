@@ -2,11 +2,14 @@
 
 These are written independently of the package internals on purpose: the
 Catalan oracle uses the Segner recurrence (the package uses the binomial
-closed form), the ear oracle classifies triangles by counting boundary
-sides directly, the avoidance oracle is the memoized top-down recursion
-that the package's bottom-up DP replaced, and the triangulation test scans
-every pair of diagonals for a crossing.  The triangle oracle scans every
-apex over each chord, and the canonical-form oracle maps and sorts all 2n
+closed form), the enumeration oracle is the labeled recursion that the
+package's cached position-form enumerator replaced, the ear oracles
+classify triangles by counting boundary sides directly or count the
+vertices no diagonal touches (the package intersects with the ear
+chords), the avoidance oracle is the memoized top-down recursion that the
+package's bottom-up DP replaced, and the triangulation test scans every
+pair of diagonals for a crossing.  The triangle oracle scans every apex
+over each chord, and the canonical-form oracle maps and sorts all 2n
 dihedral images; both are the routines the package's faster ones replaced.
 The orbit-count oracle counts distinct canonical diagonal tuples instead
 of quiddity keys.  The class-census oracle keys every triangulation of the
@@ -32,8 +35,6 @@ from polytri.counting import quiddity_key
 from polytri.triangulation import (
     Triangulation,
     _canonical_diagonals,
-    _diagonal_sets,
-    _ear_count,
     crosses,
     diagonal,
     enumerate_triangulations,
@@ -48,6 +49,32 @@ def segner_catalan(k: int) -> int:
     if k == 0:
         return 1
     return sum(segner_catalan(i) * segner_catalan(k - 1 - i) for i in range(k))
+
+
+def diagonal_sets_by_recursion(verts: tuple[int, ...]):
+    """Diagonal sets of all triangulations of a convex sub-polygon, by
+    labeled recursion.
+
+    `verts` lists the sub-polygon's vertex labels in convex position.  The
+    recursion picks the apex of the triangle over the edge (verts[0],
+    verts[1]) in ascending index order, which fixes the enumeration order.
+    """
+    m = len(verts)
+    if m <= 3:
+        yield ()
+        return
+    w0, w1 = verts[0], verts[1]
+    for i in range(2, m):
+        apex = verts[i]
+        extra = []
+        if i > 2:
+            extra.append((w1, apex) if w1 < apex else (apex, w1))
+        if i < m - 1:
+            extra.append((w0, apex) if w0 < apex else (apex, w0))
+        extra_t = tuple(extra)
+        for left in diagonal_sets_by_recursion(verts[1 : i + 1]):
+            for right in diagonal_sets_by_recursion(verts[i:] + (w0,)):
+                yield extra_t + left + right
 
 
 def boundary_sides(n: int, tri: tuple[int, int, int]) -> int:
@@ -87,6 +114,31 @@ def triangles_by_apex_scan(t: Triangulation) -> tuple[tuple[int, int, int], ...]
     return tuple(sorted(out))
 
 
+def ear_count_by_degree(n: int, diags) -> int:
+    """Ears of an n-gon triangulation (n >= 4), as the vertices that no
+    diagonal touches: such a vertex and its two sides form a triangle."""
+    return n - len({v for pair in diags for v in pair})
+
+
+def ear_census_by_enumeration(n: int) -> Counter[int]:
+    """{ear count: triangulations} of the n-gon over the recursive
+    enumeration."""
+    return Counter(
+        ear_count_by_degree(n, diags) for diags in diagonal_sets_by_recursion(tuple(range(n)))
+    )
+
+
+def listing_by_recursion(n: int, ears: int | None = None) -> list[str]:
+    """The lines of `polytri enumerate --n n [--ears k]`: the recursive
+    enumeration's triangulations with k ears, in order, each written as
+    'n:a-b,...' with its diagonals sorted."""
+    return [
+        f"{n}:" + ",".join(f"{a}-{b}" for a, b in sorted(diags))
+        for diags in diagonal_sets_by_recursion(tuple(range(n)))
+        if ears is None or ear_count_by_degree(n, diags) == ears
+    ]
+
+
 def ears_by_definition(t: Triangulation) -> list[tuple[int, int, int]]:
     return [tri for tri in triangles_by_apex_scan(t) if boundary_sides(t.n, tri) == 2]
 
@@ -113,8 +165,8 @@ def orbit_count_by_canonical(n: int, ears: int | None = None) -> int:
     """Symmetry classes of the n-gon's triangulations (with the given ear
     count), as the number of distinct canonical diagonal tuples."""
     seen = set()
-    for diags in _diagonal_sets(tuple(range(n))):
-        if ears is not None and _ear_count(n, set(diags)) != ears:
+    for diags in diagonal_sets_by_recursion(tuple(range(n))):
+        if ears is not None and ear_count_by_degree(n, diags) != ears:
             continue
         seen.add(_canonical_diagonals(n, diags))
     return len(seen)
@@ -123,7 +175,7 @@ def orbit_count_by_canonical(n: int, ears: int | None = None) -> int:
 def class_census_by_enumeration(n: int) -> Counter[int]:
     """{ear count: symmetry classes} of the n-gon, as the distinct
     quiddity keys of every triangulation, tallied by their 1-entries."""
-    keys = {quiddity_key(n, diags) for diags in _diagonal_sets(tuple(range(n)))}
+    keys = {quiddity_key(n, diags) for diags in diagonal_sets_by_recursion(tuple(range(n)))}
     return Counter(key.count(1) for key in keys)
 
 

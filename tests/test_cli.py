@@ -8,8 +8,9 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from helpers import listing_by_recursion
 
-from polytri import cli, disjoint, verify
+from polytri import cli, compositions, counting, disjoint, triangulation, verify
 from polytri.counting import catalan, symmetry_classes_2ear
 from polytri.verify import Check, RunReport
 
@@ -43,6 +44,10 @@ def assert_single_value_too_long(captured):
     assert captured.err == (
         f"{cli.PROG}: error: value too long to print (over {INT_DIGITS} decimal digits)\n"
     )
+
+
+# a size whose counts would take gigabytes to hold, far past any digit limit
+HUGE = "10000000000"
 
 
 def invoke(argv):
@@ -90,9 +95,68 @@ def test_enumerate_listing_above_max_ears_is_empty(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "n, ears",
+    [(3, None)] + [(n, k) for n in range(4, 12) for k in [None, *sorted({2, 3, 4, n // 2})]],
+)
+def test_enumerate_listing_matches_recursive_oracle(capsys, n, ears):
+    filters = [] if ears is None else ["--ears", str(ears)]
+    assert invoke(["enumerate", "--n", str(n), *filters]) == 0
+    assert capsys.readouterr().out.splitlines() == listing_by_recursion(n, ears)
+
+
+def test_enumerate_ear_filter_above_max_ears_skips_enumeration(capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError("the listing enumerated for an empty ear filter")
+
+    monkeypatch.setattr(cli, "_diagonal_tuples", refuse)
+    monkeypatch.setattr(triangulation, "_diagonal_tuples", refuse)
+    assert invoke(["enumerate", "--n", "14", "--ears", "8"]) == 0
+    assert capsys.readouterr().out == ""
+    assert invoke(["enumerate", "--n", "14", "--ears", "8", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"n": 14, "ears": 8, "triangulations": []}
+
+
 def test_enumerate_count_only_scales_past_listing_cap(capsys):
     assert invoke(["enumerate", "--n", "20", "--count-only"]) == 0
     assert capsys.readouterr().out == "477638700\n"
+
+
+@pytest.mark.parametrize("ears", [[], ["--ears", "3"]], ids=["all", "3-ears"])
+def test_enumerate_count_only_refuses_huge_n_up_front(capsys, default_int_digits, ears):
+    assert invoke(["enumerate", "--n", HUGE, *ears, "--count-only"]) == 1
+    assert_single_value_too_long(capsys.readouterr())
+
+
+def test_zero_ear_counts_print_at_huge_n(capsys, default_int_digits):
+    k = str(int(HUGE) // 2 + 1)
+    assert invoke(["enumerate", "--n", HUGE, "--ears", k, "--count-only"]) == 0
+    assert capsys.readouterr().out == "0\n"
+    assert invoke(["sequence", "--what", f"hurtado-noy:{k}", "--n", HUGE]) == 0
+    assert capsys.readouterr().out == "0\n"
+
+
+def test_refusal_bound_is_below_every_count():
+    """Each count the CLI refuses up front at size n really is too long:
+    checked at the first refused n under the least digit limit, 640."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        n = 2 * (640 * 10 // 3 + 3)
+        cli._refuse_too_long(n - 1)
+        with pytest.raises(ValueError, match="value too long to print"):
+            cli._refuse_too_long(n)
+    finally:
+        sys.set_int_max_str_digits(old)
+    floor = 10 ** 640
+    counts = [
+        catalan(n - 2), catalan(n - 3), counting.symmetry_classes_2ear(n),
+        counting.symmetry_classes_3ear(n), compositions.count_classes(n, "closed"),
+        disjoint.disjoint_two_eared(n), disjoint.three_ear_disjoint(n, (1, 1, n - 5)),
+        disjoint.three_ear_disjoint(n, (n // 3, n // 3, n - 3 - 2 * (n // 3))),
+        *(counting.hurtado_noy(n, k) for k in (2, 3, n // 4, n // 2 - 1, n // 2)),
+    ]
+    assert all(count >= floor for count in counts)
 
 
 def test_enumerate_listing_capped(capsys):
@@ -171,6 +235,14 @@ def test_symmetry_closed_form_outside_domain(capsys):
 def test_symmetry_no_closed_form_for_all_ears(capsys):
     assert invoke(["symmetry", "--n", "6", "--ears", "all", "--method", "closed"]) == 1
     assert "closed forms exist only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ears", ["2", "3"])
+def test_symmetry_closed_refuses_huge_n_up_front(capsys, default_int_digits, ears):
+    assert invoke(["symmetry", "--n", HUGE, "--ears", ears, "--method", "closed"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_too_long_reported(captured.err, "symmetry", [HUGE])
 
 
 def test_symmetry_orbit_infeasible_beyond_ceiling(capsys):
@@ -343,6 +415,16 @@ def test_disjoint_counts_too_long_to_print(capsys, monkeypatch, default_int_digi
     # route is the disjoint-type case of test_single_value_too_long_to_print
     monkeypatch.setattr(cli.disjoint, route, lambda *args: 10 ** INT_DIGITS)
     assert invoke(["disjoint", *argv]) == 1
+    assert_single_value_too_long(capsys.readouterr())
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [["--snake"], ["--arrow"], ["--type", f"1,1,{int(HUGE) - 5}"]],
+    ids=["snake", "arrow", "type"],
+)
+def test_disjoint_formula_refuses_huge_n_up_front(capsys, default_int_digits, shape):
+    assert invoke(["disjoint", *shape, "--n", HUGE, "--method", "formula"]) == 1
     assert_single_value_too_long(capsys.readouterr())
 
 
@@ -565,6 +647,15 @@ def test_sequence_reports_values_too_long_to_print(capsys, default_int_digits, f
         assert captured.out.splitlines() == [
             prefix.format(n) + str(catalan(n)) for n in printable
         ]
+
+
+@pytest.mark.parametrize("what", cli.SEQUENCE_WHATS)
+def test_sequence_refuses_huge_n_up_front(capsys, default_int_digits, what):
+    what = what.replace(":k", ":3")
+    assert invoke(["sequence", "--what", what, "--n", HUGE]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_too_long_reported(captured.err, "sequence", [HUGE])
 
 
 def test_sequence_unknown_what(capsys):

@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 from helpers import (
     class_census_by_enumeration,
+    ear_census_by_enumeration,
     least_dihedral_image,
     orbit_count_by_canonical,
     random_triangulation,
@@ -87,6 +88,13 @@ def test_ear_census_formula_equals_brute(n):
     assert formula == brute
     assert sum(formula.values()) == catalan(n - 2)
     assert set(formula) == set(range(2, max_ears(n) + 1))
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_ear_census_brute_matches_enumeration_oracle(n):
+    tally = ear_census_by_enumeration(n)
+    assert ear_census(n, "brute") == {k: tally[k] for k in range(2, max_ears(n) + 1)}
+    assert set(tally) <= set(range(2, max_ears(n) + 1))
 
 
 def test_ear_census_spec_examples():

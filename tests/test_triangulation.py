@@ -10,6 +10,8 @@ import pytest
 from helpers import (
     all_diagonals,
     canonical_by_sorting,
+    diagonal_sets_by_recursion,
+    ear_count_by_degree,
     ears_by_definition,
     internal_by_definition,
     is_triangulation_pairwise,
@@ -23,8 +25,12 @@ from hypothesis import strategies as st
 
 from polytri.compositions import two_eared_from_pointing
 from polytri.disjoint import arrow, snake, three_ear_rep
+from polytri import triangulation
 from polytri.triangulation import (
     Triangulation,
+    _diagonal_tuples,
+    _ear_chords,
+    _ear_count,
     crosses,
     diagonal,
     enumerate_triangulations,
@@ -145,6 +151,20 @@ def test_enumeration_counts_distinct_valid(n):
         assert is_triangulation(t.n, t.diagonals)
 
 
+@pytest.mark.parametrize("n", range(3, 13))
+def test_diagonal_tuples_match_recursive_oracle(n):
+    # the same tuples, diagonal order included, in the same order
+    assert list(_diagonal_tuples(n)) == list(diagonal_sets_by_recursion(tuple(range(n))))
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_diagonal_tuples_do_not_depend_on_the_cache_bound(monkeypatch, n):
+    expected = list(_diagonal_tuples(n))
+    # with nothing above a triangle cached, every size is streamed
+    monkeypatch.setattr(triangulation, "_SHAPE_CACHE_MAX", 3)
+    assert list(_diagonal_tuples(n)) == expected
+
+
 def test_enumeration_rejects_degenerate():
     with pytest.raises(ValueError):
         list(enumerate_triangulations(2))
@@ -204,6 +224,26 @@ def test_ears_match_definition_and_offset(n):
         assert list(internal) == internal_by_definition(t)
         assert len(ears) == len(internal) + 2
         assert t.ear_count() == len(ears)
+
+
+@pytest.mark.parametrize("n", range(4, 12))
+def test_ear_count_matches_untouched_vertices(n):
+    for diags in diagonal_sets_by_recursion(tuple(range(n))):
+        assert _ear_count(n, diags) == ear_count_by_degree(n, diags)
+
+
+@pytest.mark.parametrize("n", [*range(5, 12), 40])
+def test_ear_chords_are_n_distinct_diagonals(n):
+    chords = _ear_chords(n)
+    assert chords == {tuple(sorted(((v - 1) % n, (v + 1) % n))) for v in range(n)}
+    assert len(chords) == n
+    assert all(is_diagonal(n, a, b) for a, b in chords)
+
+
+def test_square_has_two_ears_from_one_diagonal():
+    # both ear chords of the square are diagonals; each triangulation has one
+    for t in all_triangulations(4):
+        assert t.ear_count() == 2 == len(t.ears())
 
 
 def test_ears_undefined_for_triangle():
@@ -410,6 +450,13 @@ def test_parse_rejections():
     for text in bad:
         with pytest.raises(ValueError):
             Triangulation.parse(text)
+
+
+@pytest.mark.parametrize("n", [16, 17, 40])
+def test_text_on_both_sides_of_the_stored_table(n):
+    t = arrow(n)
+    assert str(t) == f"{n}:" + ",".join(f"1-{b}" for b in range(3, n))
+    assert Triangulation.parse(str(t)) == t
 
 
 def test_parse_triangle():
