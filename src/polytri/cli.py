@@ -12,15 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable
 
 from polytri import compositions as comp
 from polytri import counting, disjoint, svgfig, verify
-from polytri.triangulation import (
-    Triangulation,
-    _diagonal_tuples,
-    _diagonals_text,
-    _ear_count,
-)
+from polytri.triangulation import Triangulation, listing
 
 PROG = "polytri"
 
@@ -100,7 +96,11 @@ def _add_shape_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n", type=int, help="polygon size for --arrow/--snake/--type")
 
 
-def _resolve_shape(args: argparse.Namespace) -> tuple[Triangulation, str]:
+def _resolve_shape(
+    args: argparse.Namespace, check_n: Callable[[int], None] | None = None
+) -> tuple[Triangulation, str]:
+    """The shape the flags name.  check_n, when given, is called with the
+    polygon size once every flag is valid and before the shape is built."""
     picked = [
         name
         for name, given in (
@@ -115,14 +115,20 @@ def _resolve_shape(args: argparse.Namespace) -> tuple[Triangulation, str]:
         raise CliError("give exactly one of --t, --arrow, --snake, --type")
     kind = picked[0]
     if kind == "t":
-        return Triangulation.parse(args.t), "inline"
+        t = Triangulation.parse(args.t)
+        if check_n is not None:
+            check_n(t.n)
+        return t, "inline"
     if args.n is None:
         raise CliError(f"--{kind} requires --n")
+    ptype = disjoint.check_type(args.n, _parse_type(args.type)) if kind == "type" else None
+    if check_n is not None:
+        check_n(args.n)
     if kind == "arrow":
         return disjoint.arrow(args.n), "arrow"
     if kind == "snake":
         return disjoint.snake(args.n), "snake"
-    return disjoint.three_ear_rep(args.n, _parse_type(args.type)), "type"
+    return disjoint.three_ear_rep(args.n, ptype), "type"
 
 
 # -- enumerate ------------------------------------------------------------------
@@ -153,17 +159,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         raise CliError("ear filters need n >= 4")
     if k is not None and k < 2:
         raise CliError(f"every triangulation has >= 2 ears, got k={k}")
-    if k is None:
-        tuples = _diagonal_tuples(n)
-    elif k > n // 2:
-        tuples = ()  # no triangulation has more than n/2 ears
-    else:
-        tuples = (d for d in _diagonal_tuples(n) if _ear_count(n, d) == k)
-    listing = [_diagonals_text(n, sorted(d)) for d in tuples]
+    lines = listing(n, k)
     if args.format == "json":
-        print(json.dumps({"n": n, "ears": k, "triangulations": listing}))
+        print(json.dumps({"n": n, "ears": k, "triangulations": lines}))
     else:
-        for line in listing:
+        for line in lines:
             print(line)
     return 0
 
@@ -255,14 +255,16 @@ BRUTE_CEILING = 2000
 
 
 def cmd_disjoint(args: argparse.Namespace) -> int:
-    if args.t is None and args.n is not None:
-        _refuse_too_long(args.n)  # before building an n-gon shape
-    t, shape = _resolve_shape(args)
-    if args.method in ("brute", "both") and t.n > BRUTE_CEILING:
-        raise CliError(
-            f"brute-force disjointness counts are feasible for n <= {BRUTE_CEILING}, "
-            f"got n={t.n} (use --method formula)"
-        )
+    def check_n(n: int) -> None:
+        # before an n-gon shape is built, which at a huge n fails for memory
+        if args.method in ("brute", "both") and n > BRUTE_CEILING:
+            raise CliError(
+                f"brute-force disjointness counts are feasible for n <= {BRUTE_CEILING}, "
+                f"got n={n} (use --method formula)"
+            )
+        _refuse_too_long(n)
+
+    t, shape = _resolve_shape(args, check_n)
     result: dict = {"n": t.n, "triangulation": str(t), "shape": shape, "method": args.method}
     note = None
     if args.method in ("brute", "both"):

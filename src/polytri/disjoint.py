@@ -115,7 +115,7 @@ def three_ear_rep(n: int, ptype: Iterable[int]) -> Triangulation:
     fan: at 0 over 1..p+1, at p+1 over p+2..p+q+2, and at p+q+2 over the
     rest back to 0.  The dual-tree branches then have p, q and r triangles.
     """
-    p, q, r = _check_type(n, ptype)
+    p, q, r = check_type(n, ptype)
     diags = [(0, j) for j in range(2, p + 2)]
     diags += [(p + 1, j) for j in range(p + 3, p + q + 3)]
     diags += [(p + q + 2, j) for j in range(p + q + 4, n)]
@@ -123,7 +123,8 @@ def three_ear_rep(n: int, ptype: Iterable[int]) -> Triangulation:
     return Triangulation(n, tuple(sorted(set(diags))))
 
 
-def _check_type(n: int, ptype: Iterable[int]) -> tuple[int, int, int]:
+def check_type(n: int, ptype: Iterable[int]) -> tuple[int, int, int]:
+    """ptype as a 3-eared type (p, q, r) of the n-gon, or ValueError."""
     parts = tuple(ptype)
     if len(parts) != 3 or any(not isinstance(x, int) or x < 1 for x in parts):
         raise ValueError(f"type must be three positive integers, got {parts!r}")
@@ -326,7 +327,7 @@ def three_ear_disjoint(n: int, ptype: Iterable[int]) -> int:
     which is symmetric in (p, q, r): it equals
     2 C(n-3) - S(p-1) - S(q-1) - S(r-1).
     """
-    p, q, r = _check_type(n, ptype)
+    p, q, r = check_type(n, ptype)
     case1 = _catalan_convolution(n - 4, 0, n - 3 - q)
     case2 = _catalan_convolution(n - 4, p, p + q)
     return case1 + case2
@@ -341,7 +342,7 @@ def three_ear_disjoint_published(n: int, ptype: Iterable[int]) -> int:
     at n=6, type (1,1,1), this variant yields 1 where the true count is 4.
     Kept so the verify suite can report the discrepancy as an erratum.
     """
-    p, q, r = _check_type(n, ptype)
+    p, q, r = check_type(n, ptype)
     return 2 * catalan(n - 3) - sum(
         catalan_partial_convolution(n, x) for x in (p, q, r)
     )

@@ -109,7 +109,6 @@ def test_enumerate_ear_filter_above_max_ears_skips_enumeration(capsys, monkeypat
     def refuse(n):
         raise AssertionError("the listing enumerated for an empty ear filter")
 
-    monkeypatch.setattr(cli, "_diagonal_tuples", refuse)
     monkeypatch.setattr(triangulation, "_diagonal_tuples", refuse)
     assert invoke(["enumerate", "--n", "14", "--ears", "8"]) == 0
     assert capsys.readouterr().out == ""
@@ -426,6 +425,32 @@ def test_disjoint_counts_too_long_to_print(capsys, monkeypatch, default_int_digi
 def test_disjoint_formula_refuses_huge_n_up_front(capsys, default_int_digits, shape):
     assert invoke(["disjoint", *shape, "--n", HUGE, "--method", "formula"]) == 1
     assert_single_value_too_long(capsys.readouterr())
+
+
+@pytest.mark.parametrize("method", ["brute", "formula", "both"])
+@pytest.mark.parametrize(
+    "shape, message",
+    [(["--arrow", "--snake"], "give exactly one of --t, --arrow, --snake, --type"),
+     (["--type", "1,x,3"], "bad type '1,x,3'; expected 'p,q,r'"),
+     (["--type", "1,1,1"], f"type (1, 1, 1) must sum to n-3 = {int(HUGE) - 3}")],
+    ids=["two-shapes", "malformed-type", "type-sum"],
+)
+def test_disjoint_input_errors_come_before_the_size_checks(capsys, default_int_digits,
+                                                          shape, message, method):
+    assert invoke(["disjoint", *shape, "--n", HUGE, "--method", method]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{cli.PROG}: error: {message}\n"
+
+
+@pytest.mark.parametrize("method", [[], ["--method", "brute"], ["--method", "both"]],
+                         ids=["default", "brute", "both"])
+def test_disjoint_brute_at_huge_n_points_to_the_formula(capsys, default_int_digits, method):
+    assert invoke(["disjoint", "--snake", "--n", HUGE, *method]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"feasible for n <= {cli.BRUTE_CEILING}" in captured.err
+    assert "(use --method formula)" in captured.err
 
 
 def test_disjoint_bad_inline_text(capsys):
