@@ -34,7 +34,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_range(text: str) -> range:
-    """'a..b' (inclusive) or a single 'a'."""
+    """'a..b' (inclusive) or a single 'a'.
+
+    A range of more than one n that ends past the printable bound is
+    refused as a whole: every n past it would only add a refusal line.
+    """
     lo, sep, hi = text.partition("..")
     try:
         a = int(lo)
@@ -43,6 +47,12 @@ def parse_range(text: str) -> range:
         raise CliError(f"bad range {text!r}; expected 'a' or 'a..b'") from None
     if b < a:
         raise CliError(f"empty range {text!r}")
+    bound = _printable_bound()
+    if b > a and 0 < bound < b:
+        raise CliError(
+            f"range {text!r} ends past n = {bound}, above which counts are too long "
+            f"to print (over {sys.get_int_max_str_digits()} decimal digits)"
+        )
     return range(a, b + 1)
 
 
@@ -63,9 +73,9 @@ def _printable(value: int) -> int:
     return value
 
 
-def _refuse_too_long(n: int) -> None:
-    """Refuse, before computing it, a nonzero count at size n that has too
-    many digits to print.
+def _printable_bound() -> int:
+    """The largest n whose nonzero counts may be short enough to print, or
+    0 when Python prints integers of any length.
 
     Every nonzero count the CLI prints at size n is at least 2^(n/2 - 2).
     The Catalan numbers C(n), C(n-2), C(n-3) and C(n-4) (a term of every
@@ -73,10 +83,19 @@ def _refuse_too_long(n: int) -> None:
     and composition class counts at least 2^(n-8); and the k-ear count
     (n/k) 2^(n-2k) binom(n-4, 2k-4) C(k-2) at least 2^(n-k-2) for
     2 <= k <= n/2.  As 10/3 > log2(10), a power of two with an exponent
-    above limit*10/3 has more than `limit` decimal digits.
+    above limit*10/3 has more than `limit` decimal digits, so the bound is
+    the largest n with n//2 - 2 <= limit*10//3.
     """
     limit = sys.get_int_max_str_digits()
-    if limit and n // 2 - 2 > limit * 10 // 3:
+    return 2 * (limit * 10 // 3 + 2) + 1 if limit else 0
+
+
+def _refuse_too_long(n: int) -> None:
+    """Refuse, before computing it, a nonzero count at size n that has too
+    many digits to print (n above `_printable_bound`)."""
+    bound = _printable_bound()
+    if 0 < bound < n:
+        limit = sys.get_int_max_str_digits()
         raise ValueError(f"value too long to print (over {limit} decimal digits)")
 
 
@@ -312,8 +331,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # -- svg ------------------------------------------------------------------------
 
 
+# A feasibility bound, like BRUTE_CEILING.  On a 2-core x86-64 machine
+# (Python 3.11), `svg --snake --highlight both` takes 0.12 s at n = 2,000,
+# 0.31 s at 20,000 (47 MB peak RSS) and 2.7 s at 200,000 (326 MB) in a
+# fresh process; at n = 10^10 building the shape runs out of memory.
+SVG_CEILING = 20000
+
+
 def cmd_svg(args: argparse.Namespace) -> int:
-    t, _ = _resolve_shape(args)
+    def check_n(n: int) -> None:
+        # before an n-gon shape is built, which at a huge n fails for memory
+        if n > SVG_CEILING:
+            raise CliError(f"svg figures are feasible for n <= {SVG_CEILING}, got n={n}")
+
+    t, _ = _resolve_shape(args, check_n)
     text = svgfig.render_svg(
         t,
         highlight=args.highlight,

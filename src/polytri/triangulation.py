@@ -96,11 +96,6 @@ def is_triangulation(n: int, diagonals: Iterable[Pair]) -> bool:
     return True
 
 
-def _is_side(n: int, pair: Pair) -> bool:
-    a, b = pair
-    return b - a == 1 or (a, b) == (0, n - 1)
-
-
 def _canonical_diagonals(n: int, diags: Iterable[Pair]) -> tuple[Pair, ...]:
     """Lexicographically least sorted diagonal tuple over the 2n dihedral images.
 
@@ -279,26 +274,6 @@ class DualTree:
     def branch_nodes(self) -> tuple[Triple, ...]:
         return tuple(t for t in self.nodes if self.degree(t) == 3)
 
-    def is_path(self) -> bool:
-        return all(self.degree(t) <= 2 for t in self.nodes)
-
-    def path_from(self, leaf: Triple) -> tuple[Triple, ...]:
-        """Node order along a path-shaped tree, starting at the given leaf."""
-        if not self.is_path():
-            raise ValueError("dual tree is not a path")
-        if len(self.nodes) == 1:
-            return (leaf,)
-        if self.degree(leaf) != 1:
-            raise ValueError(f"{leaf} is not a leaf of the dual tree")
-        order = [leaf]
-        prev = None
-        while len(order) < len(self.nodes):
-            nxt = [t for t in self.adjacency[order[-1]] if t != prev]
-            assert len(nxt) == 1
-            prev = order[-1]
-            order.append(nxt[0])
-        return tuple(order)
-
 
 @dataclass(frozen=True, order=True)
 class Triangulation:
@@ -378,19 +353,25 @@ class Triangulation:
         """
         return self._triangles
 
-    def _boundary_side_count(self, tri: Triple) -> int:
-        a, b, c = tri
-        return sum(_is_side(self.n, e) for e in ((a, b), (b, c), (a, c)))
+    def _with_sides(self, sides: int) -> tuple[Triple, ...]:
+        """The triangles with this many polygon sides.  Of a triangle
+        (i, j, k), i < j < k, the sides can only be (i, j), (j, k) and,
+        closing the polygon, (i, k) = (0, n-1)."""
+        last = self.n - 1
+        return tuple(
+            (i, j, k) for i, j, k in self.triangles()
+            if (j - i == 1) + (k - j == 1) + (i == 0 and k == last) == sides
+        )
 
     def ears(self) -> tuple[Triple, ...]:
         """Triangles sharing exactly two sides with the polygon (n >= 4)."""
         if self.n < 4:
             raise ValueError("ears are undefined for n < 4")
-        return tuple(t for t in self.triangles() if self._boundary_side_count(t) == 2)
+        return self._with_sides(2)
 
     def internal_triangles(self) -> tuple[Triple, ...]:
         """Triangles sharing no side with the polygon."""
-        return tuple(t for t in self.triangles() if self._boundary_side_count(t) == 0)
+        return self._with_sides(0)
 
     def ear_count(self) -> int:
         """Number of ears, without materializing the triangles (n >= 4)."""
@@ -399,19 +380,21 @@ class Triangulation:
         return _ear_count(self.n, self.diagonals)
 
     def dual_tree(self) -> DualTree:
+        """The triangle (i, j, k), i < j < k, sits over the arc (i, k) and
+        is joined to the triangles over its child arcs (i, j) and (j, k)
+        that are diagonals.  The one over (i, j) is (i, m, j) with m < j,
+        so it sorts before (i, j, k); the one over (j, k) sorts after."""
         if self.n < 4:
             raise ValueError("dual tree requires n >= 4")
         tris = self.triangles()
-        by_diag: dict[Pair, list[Triple]] = {}
-        for t in tris:
-            a, b, c = t
-            for e in ((a, b), (b, c), (a, c)):
-                if e in self.diagonal_set:
-                    by_diag.setdefault(e, []).append(t)
+        over = {(t[0], t[2]): t for t in tris}
         edges = []
-        for d, pair in sorted(by_diag.items()):
-            assert len(pair) == 2, f"diagonal {d} not shared by two triangles"
-            edges.append(tuple(sorted(pair)))
+        for t in tris:
+            i, j, k = t
+            if j - i > 1:
+                edges.append((over[i, j], t))
+            if k - j > 1:
+                edges.append((t, over[j, k]))
         return DualTree(nodes=tris, edges=tuple(sorted(edges)))
 
     # -- dihedral action ---------------------------------------------------

@@ -21,8 +21,14 @@ with the package's bar masks: compositions are built part by part,
 conjugation complements the set of partial sums, and a class is the set of
 the four tuples.  The pointing-string oracle walks the dual tree's path
 from ear to ear and sorts each middle triangle's boundary side by arc,
-where the package walks chords.  The disjointness oracle scans every
-triangulation of the polygon for a shared diagonal.
+where the package walks chords; the path walk (`is_path`, `path_from`)
+lives here as functions of a DualTree, since only this oracle uses it.
+The dual-tree oracle joins the two triangles found on each diagonal,
+where the package joins each triangle to the ones over its child arcs,
+and the 3-eared type oracle walks the dual tree from the branch node to
+each leaf, where the package reads the arcs of the internal triangle.
+The disjointness oracle scans every triangulation of the polygon for a
+shared diagonal.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from itertools import accumulate
 
 from polytri.counting import quiddity_key
 from polytri.triangulation import (
+    DualTree,
     Triangulation,
     _canonical_diagonals,
     crosses,
@@ -226,6 +233,61 @@ def count_classes_by_tuples(m: int) -> int:
     return len({min(composition_class_by_tuples(c)) for c in compositions_by_parts(m)})
 
 
+def is_path(tree: DualTree) -> bool:
+    """True iff no node of the tree has more than two neighbours."""
+    return all(tree.degree(t) <= 2 for t in tree.nodes)
+
+
+def path_from(tree: DualTree, leaf: tuple[int, int, int]) -> tuple[tuple[int, int, int], ...]:
+    """Node order along a path-shaped tree, starting at the given leaf."""
+    if not is_path(tree):
+        raise ValueError("dual tree is not a path")
+    if len(tree.nodes) == 1:
+        return (leaf,)
+    if tree.degree(leaf) != 1:
+        raise ValueError(f"{leaf} is not a leaf of the dual tree")
+    order = [leaf]
+    prev = None
+    while len(order) < len(tree.nodes):
+        nxt = [t for t in tree.adjacency[order[-1]] if t != prev]
+        assert len(nxt) == 1
+        prev = order[-1]
+        order.append(nxt[0])
+    return tuple(order)
+
+
+def dual_tree_edges_by_shared_diagonal(t: Triangulation):
+    """The dual tree's edges, sorted, each a sorted pair: the two triangles
+    found on each diagonal by testing every edge of every triangle."""
+    by_diag: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for tri in triangles_by_apex_scan(t):
+        a, b, c = tri
+        for e in ((a, b), (b, c), (a, c)):
+            if e in t.diagonal_set:
+                by_diag.setdefault(e, []).append(tri)
+    edges = []
+    for d, pair in sorted(by_diag.items()):
+        assert len(pair) == 2, f"diagonal {d} not shared by two triangles"
+        edges.append(tuple(sorted(pair)))
+    return tuple(sorted(edges))
+
+
+def three_ear_type_by_tree_walk(t: Triangulation) -> tuple[int, int, int]:
+    """Branch sizes (descending) of a 3-eared triangulation, counted by
+    walking the dual tree from the branch node out to each leaf."""
+    dt = t.dual_tree()
+    (center,) = dt.branch_nodes()
+    sizes = []
+    for start in dt.adjacency[center]:
+        size, prev, node = 1, center, start
+        while dt.degree(node) != 1:
+            node, prev = next(x for x in dt.adjacency[node] if x != prev), node
+            size += 1
+        sizes.append(size)
+    assert sum(sizes) == t.n - 3
+    return tuple(sorted(sizes, reverse=True))
+
+
 def pointing_string_by_dual_tree(t: Triangulation) -> str:
     """The pointing string of a 2-eared triangulation (n >= 5), read along
     the dual tree's path from the lexicographically least ear: D when a
@@ -242,7 +304,7 @@ def pointing_string_by_dual_tree(t: Triangulation) -> str:
         top_sides.add((w, nxt) if w < nxt else (nxt, w))
         w = nxt
     letters = []
-    for tri in t.dual_tree().path_from(left)[1:-1]:
+    for tri in path_from(t.dual_tree(), left)[1:-1]:
         a, b, c = tri
         (side,) = [e for e in ((a, b), (b, c), (a, c)) if e[1] - e[0] == 1 or e == (0, n - 1)]
         letters.append("D" if side in top_sides else "U")

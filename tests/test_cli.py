@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import re
 import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 from helpers import listing_by_recursion
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polytri import cli, compositions, counting, disjoint, triangulation, verify
 from polytri.counting import catalan, symmetry_classes_2ear
@@ -591,6 +597,34 @@ def test_svg_deep_triangulation(shape, capsys):
     assert len(root.findall(f"{ns}line")) == 1200 - 3
 
 
+def test_svg_renders_at_the_ceiling(capsys):
+    assert invoke(["svg", "--snake", "--n", str(cli.SVG_CEILING)]) == 0
+    assert capsys.readouterr().out.count("<line ") == cli.SVG_CEILING - 3
+
+
+def fan_text(n):
+    return f"{n}:" + ",".join(f"0-{b}" for b in range(2, n - 1))
+
+
+@pytest.mark.parametrize("n", [cli.SVG_CEILING + 1, int(HUGE)])
+@pytest.mark.parametrize("shape", ["snake", "t"])
+def test_svg_refuses_n_above_the_ceiling(capsys, n, shape):
+    if shape == "snake":
+        argv = ["svg", "--snake", "--n", str(n)]
+    else:
+        # a huge n cannot come with all its diagonals: the text is refused as invalid
+        argv = ["svg", "--t", fan_text(n) if n == cli.SVG_CEILING + 1 else f"{n}:0-2"]
+    assert invoke(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("polytri: error: ")
+    assert "Traceback" not in captured.err
+    if n == cli.SVG_CEILING + 1:
+        assert captured.err == (
+            f"polytri: error: svg figures are feasible for n <= {cli.SVG_CEILING}, got n={n}\n"
+        )
+
+
 def test_svg_triangle_with_highlight(capsys):
     assert invoke(["svg", "--t", "3:", "--highlight", "both"]) == 0
     ET.fromstring(capsys.readouterr().out)
@@ -683,6 +717,36 @@ def test_sequence_refuses_huge_n_up_front(capsys, default_int_digits, what):
     assert_too_long_reported(captured.err, "sequence", [HUGE])
 
 
+# the largest n that the up-front refusal lets through at Python's default limit
+PRINTABLE_BOUND = 2 * (INT_DIGITS * 10 // 3 + 2) + 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["sequence", "--what", "catalan", "--n", f"28000..{HUGE}"],
+    ["symmetry", "--n", f"1..{HUGE}", "--method", "closed", "--ears", "2"],
+    ["sequence", "--what", "catalan", "--n", f"{PRINTABLE_BOUND - 1}..{PRINTABLE_BOUND + 1}"],
+])
+def test_range_past_the_printable_bound_is_refused_whole(capsys, default_int_digits, argv):
+    start = time.perf_counter()
+    assert invoke(argv) == 1
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"polytri: error: range {argv[argv.index('--n') + 1]!r} ends past "
+        f"n = {PRINTABLE_BOUND}, above which counts are too long to print "
+        f"(over {INT_DIGITS} decimal digits)\n"
+    )
+
+
+def test_range_ending_at_the_printable_bound_keeps_per_n_lines(capsys, default_int_digits):
+    ns = [PRINTABLE_BOUND - 1, PRINTABLE_BOUND]
+    assert invoke(["sequence", "--what", "catalan", "--n", f"{ns[0]}..{ns[1]}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_too_long_reported(captured.err, "sequence", ns)
+
+
 def test_sequence_unknown_what(capsys):
     assert invoke(["sequence", "--what", "primes", "--n", "1..3"]) == 1
     assert "unknown sequence" in capsys.readouterr().err
@@ -710,3 +774,133 @@ def test_unknown_subcommand_exits_one(capsys):
 
 def test_help_exits_zero(capsys):
     assert invoke(["--help"]) == 0
+
+
+# -- exit-code contract ---------------------------------------------------------
+
+# A refusal names the program, either as "polytri: ..." or, from argparse,
+# as "polytri <command>: error: ...".
+REFUSAL = re.compile(r"^polytri( [a-z]+)?: ", re.MULTILINE)
+
+# Per subcommand: one n past its feasibility ceiling, a huge n and a
+# malformed flag, each with the exit code it must give.
+CONTRACT_CASES = {
+    "enumerate-ceiling": (["enumerate", "--n", "15"], 1),
+    "enumerate-huge": (["enumerate", "--n", HUGE, "--count-only"], 1),
+    "enumerate-malformed": (["enumerate", "--n", "x"], 1),
+    "symmetry-ceiling": (["symmetry", "--n", str(cli.ORBIT_CEILING + 1)], 1),
+    "symmetry-huge": (["symmetry", "--n", HUGE, "--method", "closed", "--ears", "2"], 1),
+    "symmetry-malformed": (["symmetry", "--n", "1..x"], 1),
+    "disjoint-ceiling": (["disjoint", "--snake", "--n", str(cli.BRUTE_CEILING + 1)], 1),
+    "disjoint-huge": (["disjoint", "--arrow", "--n", HUGE, "--method", "formula"], 1),
+    "disjoint-malformed": (["disjoint", "--type", "1,x,1", "--n", "7"], 1),
+    # the rows of verify cap --max-n at their own feasibility ceilings
+    "verify-ceiling": (["verify", "--suite", "parallel", "--max-n", "13"], 0),
+    "verify-huge": (["verify", "--suite", "parallel", "--max-n", HUGE], 0),
+    "verify-malformed": (["verify", "--max-n", "2"], 1),
+    "svg-ceiling": (["svg", "--snake", "--n", str(cli.SVG_CEILING + 1)], 1),
+    "svg-huge": (["svg", "--type", f"1,1,{int(HUGE) - 5}", "--n", HUGE], 1),
+    "svg-malformed": (["svg", "--t", "6:0-2,2-x"], 1),
+    "sequence-ceiling": (["sequence", "--what", "sym2", "--n", str(PRINTABLE_BOUND + 1)], 1),
+    "sequence-huge": (["sequence", "--what", "catalan", "--n", f"5..{HUGE}"], 1),
+    "sequence-malformed": (["sequence", "--what", "hurtado-noy:x", "--n", "5"], 1),
+}
+
+
+@pytest.mark.parametrize("argv, code", CONTRACT_CASES.values(), ids=CONTRACT_CASES)
+def test_exit_code_contract(capsys, default_int_digits, argv, code):
+    start = time.perf_counter()
+    assert invoke(argv) == code
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if code == 1:
+        assert REFUSAL.search(captured.err), captured.err
+
+
+def subcommand_parsers():
+    """{name: parser} of the CLI's subcommands."""
+    (sub,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    return sub.choices
+
+
+def test_exit_code_contract_covers_every_subcommand():
+    assert {case.split("-")[0] for case in CONTRACT_CASES} == set(subcommand_parsers())
+    assert {case.split("-", 1)[1] for case in CONTRACT_CASES} == {"ceiling", "huge", "malformed"}
+
+
+# Flag values for the argv property test: small sizes only, so every run
+# is quick, plus values that are malformed or past a ceiling.
+_SIZES = ["x", "-1", "0", "3", "4", "7", "11", "2..6", "6..3", HUGE]
+_SHAPE_FLAGS = {
+    "--t": ["6:0-2,2-4,0-4", "5:0-2", "4:", "3:", "7:0-3", "x", "6:0-2,0-2,0-4"],
+    "--arrow": None,
+    "--snake": None,
+    "--type": ["1,1,1", "1,2,1", "1,x", "1,2,3,4", "0,2,2"],
+    "--n": _SIZES,
+}
+CLI_FLAGS = {
+    "enumerate": {
+        "--n": _SIZES, "--ears": ["x", "0", "2", "3", "7", HUGE],
+        "--count-only": None, "--format": ["text", "json", "xml"],
+    },
+    "symmetry": {
+        "--n": _SIZES, "--ears": ["2", "3", "all", "4"],
+        "--method": ["closed", "orbit", "both", "x"], "--format": ["text", "csv", "json", "x"],
+    },
+    "disjoint": {
+        **_SHAPE_FLAGS, "--method": ["brute", "formula", "both", "x"],
+        "--format": ["text", "json", "x"],
+    },
+    "verify": {
+        "--max-n": ["x", "2", "3", "5"], "--suite": ["parallel", "disjoint-3ear", "bogus"],
+        "--format": ["text", "json"], "--timing": None,
+    },
+    "svg": {
+        **_SHAPE_FLAGS, "--highlight": ["none", "ears", "both", "wings"],
+        "--size": ["x", "-1", "0", "60"], "--stroke-width": ["nan", "-1", "1.5"],
+        "--font-size": ["0", "10"],
+    },
+    "sequence": {
+        "--what": ["catalan", "sym2", "sym3", "disj2", "hurtado-noy:2", "hurtado-noy:x",
+                   "classes-compositions", "primes"],
+        "--n": _SIZES, "--format": ["plain", "oeis", "json", "x"],
+    },
+}
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(sorted(CLI_FLAGS)))
+    flags = CLI_FLAGS[command]
+    names = draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=4))
+    if command == "verify" and "--max-n" not in names:
+        names.append("--max-n")  # the default window runs the full report
+    argv = [command]
+    for name in names:
+        argv.append(name)
+        if flags[name] is not None:
+            argv.append(draw(st.sampled_from(flags[name])))
+    return argv
+
+
+def test_cli_flags_are_the_parsers_flags():
+    parsers = subcommand_parsers()
+    assert set(CLI_FLAGS) == set(parsers)
+    for command, parser in parsers.items():
+        real = {s for a in parser._actions for s in a.option_strings if s.startswith("--")}
+        assert set(CLI_FLAGS[command]) == real - {"--help", "--out"}  # --out writes files
+
+
+@settings(max_examples=80, deadline=None)
+@given(cli_argvs())
+def test_nothing_but_exit_0_or_1_escapes_run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1), (argv, err.getvalue())
+    if code == 1:
+        assert REFUSAL.search(err.getvalue()), (argv, err.getvalue())

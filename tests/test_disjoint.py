@@ -14,6 +14,7 @@ from helpers import (
     count_disjoint_by_enumeration,
     random_triangulation,
     rotation_symmetric,
+    three_ear_type_by_tree_walk,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -91,6 +92,25 @@ def test_three_ear_rep_type_round_trip(n):
             assert t.ear_count() == 3
             assert t.internal_triangles() == ((0, p + 1, p + q + 2),)
             assert three_ear_type(t) == tuple(sorted((p, q, r), reverse=True))
+
+
+@pytest.mark.parametrize("n", range(6, 13))
+def test_three_ear_type_matches_tree_walk_exhaustive(n):
+    three_eared = [t for t in all_triangulations(n) if t.ear_count() == 3]
+    assert three_eared
+    for t in three_eared:
+        assert three_ear_type(t) == three_ear_type_by_tree_walk(t)
+
+
+@pytest.mark.parametrize("n, ptypes", [
+    (50, [(1, 1, 45), (5, 20, 22), (15, 16, 16)]),
+    (200, [(1, 96, 100), (30, 70, 97)]),
+])
+def test_three_ear_type_matches_tree_walk_on_images(n, ptypes):
+    for ptype in ptypes:
+        want = tuple(sorted(ptype, reverse=True))
+        for image in three_ear_rep(n, ptype).dihedral_images():
+            assert three_ear_type(image) == three_ear_type_by_tree_walk(image) == want
 
 
 def test_three_ear_type_rejects_two_eared():

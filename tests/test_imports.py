@@ -1,0 +1,33 @@
+"""The runtime package imports nothing outside the standard library."""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).parent.parent / "src" / "polytri").glob("*.py"))
+
+
+def imported_top_levels(path: Path) -> set[str]:
+    """Top-level names of the modules a source file imports ("polytri"
+    for a relative import)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add("polytri" if node.level else node.module.split(".")[0])
+    return names
+
+
+def test_sources_found():
+    assert "cli.py" in {path.name for path in SOURCES}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_imports_are_stdlib_or_polytri(path):
+    outside = imported_top_levels(path) - set(sys.stdlib_module_names) - {"polytri"}
+    assert not outside, f"{path.name} imports {sorted(outside)}"

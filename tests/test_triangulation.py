@@ -9,12 +9,16 @@ from functools import lru_cache
 import pytest
 from helpers import (
     all_diagonals,
+    boundary_sides,
     canonical_by_sorting,
     diagonal_sets_by_recursion,
+    dual_tree_edges_by_shared_diagonal,
     ear_count_by_degree,
     ears_by_definition,
     internal_by_definition,
+    is_path,
     is_triangulation_pairwise,
+    path_from,
     random_triangulation,
     rotation_symmetric,
     segner_catalan,
@@ -226,6 +230,15 @@ def test_ears_match_definition_and_offset(n):
         assert t.ear_count() == len(ears)
 
 
+@pytest.mark.parametrize("shape", [arrow, snake])
+def test_ears_match_boundary_sides_on_deep_triangulations(shape):
+    # the fan at 1 has the ear (0, 1, n-1) on the closing side (0, n-1)
+    for t in (shape(1200), shape(1200).reflected()):
+        tris = t.triangles()
+        assert t.ears() == tuple(x for x in tris if boundary_sides(t.n, x) == 2)
+        assert t.internal_triangles() == tuple(x for x in tris if boundary_sides(t.n, x) == 0)
+
+
 @pytest.mark.parametrize("n", range(4, 12))
 def test_ear_count_matches_untouched_vertices(n):
     for diags in diagonal_sets_by_recursion(tuple(range(n))):
@@ -302,15 +315,27 @@ def test_structure_of_deep_triangulations(shape):
 def test_dual_tree_path_order():
     fan = Triangulation.parse("6:0-2,0-3,0-4")
     dt = fan.dual_tree()
-    assert dt.is_path()
+    assert is_path(dt)
     ears = fan.ears()
-    order = dt.path_from(ears[0])
+    order = path_from(dt, ears[0])
     assert order[0] == ears[0] and order[-1] == ears[1]
     assert sorted(order) == sorted(dt.nodes)
     pin = Triangulation.parse("6:0-2,2-4,0-4")
-    assert not pin.dual_tree().is_path()
+    assert not is_path(pin.dual_tree())
     with pytest.raises(ValueError):
-        pin.dual_tree().path_from((0, 1, 2))
+        path_from(pin.dual_tree(), (0, 1, 2))
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_dual_tree_edges_match_shared_diagonal_oracle(n):
+    for t in all_triangulations(n):
+        assert t.dual_tree().edges == dual_tree_edges_by_shared_diagonal(t)
+
+
+@pytest.mark.parametrize("n", [11, 17, 40, 101])
+def test_dual_tree_edges_match_shared_diagonal_oracle_on_shapes(n):
+    for t in shapes_of_size(n, random.Random(n)):
+        assert t.dual_tree().edges == dual_tree_edges_by_shared_diagonal(t)
 
 
 # -- dihedral action ----------------------------------------------------------
