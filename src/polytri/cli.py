@@ -209,6 +209,12 @@ def cmd_symmetry(args: argparse.Namespace) -> int:
     ns = parse_range(args.n)
     ears = None if args.ears == "all" else int(args.ears)
     methods = ["closed", "orbit"] if args.method == "both" else [args.method]
+    if "orbit" in methods and len(ns) > 1 and ns[0] > ORBIT_CEILING:
+        # every n of the range would only add the same refusal line
+        raise CliError(
+            f"range {args.n!r} starts past n = {ORBIT_CEILING}; "
+            f"orbit counting is feasible for n <= {ORBIT_CEILING}"
+        )
     rows: list[dict] = []
     status = 0
     for n in ns:

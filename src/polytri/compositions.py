@@ -246,7 +246,7 @@ def pointing_string(t: Triangulation) -> str:
         raise ValueError(f"triangulation has {len(ears)} ears, need exactly 2")
     ear = min(ears)
     tip = next(v for v in ear if {(v - 1) % n, (v + 1) % n} <= set(ear))
-    diags = t.diagonal_set
+    diags = set(t.diagonals)
     top, bottom = (tip + 1) % n, (tip - 1) % n
     letters = []
     for _ in range(n - 4):

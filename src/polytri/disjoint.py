@@ -44,7 +44,9 @@ Identities implemented and cross-checked by the verify suites:
   only so the verify suite can report the discrepancy as an erratum.
 * More generally, the disjointness count depends only on the positions of
   the internal triangles (the internal signature), not on the rest of the
-  triangulation.
+  triangulation.  signature_invariance_check(n) returns the brute-force
+  counts grouped by signature, each pair tested by one AND of two
+  diagonal masks (Triangulation.mask).
 * In a regular n-gon, diagonals (a, b) and (c, d) are parallel iff
   a+b = c+d (mod n).  The triangulations avoiding every diagonal parallel
   to one of the sides (0,1) or (0,2) -- residues 1 and 2 -- are exactly
@@ -54,7 +56,6 @@ Identities implemented and cross-checked by the verify suites:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 from typing import Iterable
 
@@ -69,6 +70,7 @@ from polytri.triangulation import (
     Triple,
     Triangulation,
     diagonal,
+    enumerate_triangulations,
 )
 
 
@@ -372,57 +374,21 @@ def count_avoiding_parallel(n: int, residues: Iterable[int]) -> int:
 # -- internal signatures ----------------------------------------------------------
 
 
-def internal_signature(t: Triangulation) -> frozenset[Triple]:
-    """The set of internal triangles of t (no dihedral normalization)."""
-    return frozenset(t.internal_triangles())
+def signature_invariance_check(n: int) -> dict[tuple[Triple, ...], list[int]]:
+    """{internal signature: disjointness counts of its members} for the n-gon.
 
-
-@dataclass(frozen=True)
-class SignatureGroup:
-    signature: tuple[Triple, ...]
-    size: int
-    disjoint_counts: tuple[int, ...]
-
-    @property
-    def constant(self) -> bool:
-        return len(set(self.disjoint_counts)) == 1
-
-
-@dataclass(frozen=True)
-class SignatureReport:
-    n: int
-    groups: tuple[SignatureGroup, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(g.constant for g in self.groups)
-
-    @property
-    def violations(self) -> tuple[SignatureGroup, ...]:
-        return tuple(g for g in self.groups if not g.constant)
-
-
-def signature_invariance_check(n: int) -> SignatureReport:
-    """Group all triangulations by internal signature and test that the
-    disjointness count is constant within each group.
-
-    The counts are obtained by brute-force pair scanning (independent of
-    the pruned counting route), so this is only feasible for n <= 10.
+    The signature of t is t.internal_triangles(); the keys come sorted and
+    each list holds its members' counts in enumeration order.  A count
+    tests t's diagonal mask against every triangulation's, so it is brute
+    force over C(n-2)^2 pairs, independent of count_disjoint, and only
+    feasible for n <= 10.  The disjointness count depends only on the
+    signature iff every list is constant.
     """
     if not 4 <= n <= 10:
         raise ValueError(f"pairwise signature check is feasible for 4 <= n <= 10, got {n}")
-    from polytri.triangulation import enumerate_triangulations
-
     ts = list(enumerate_triangulations(n))
-    sets = [t.diagonal_set for t in ts]
-    by_sig: dict[tuple[Triple, ...], list[int]] = {}
-    for idx, t in enumerate(ts):
-        by_sig.setdefault(tuple(sorted(internal_signature(t))), []).append(idx)
-    groups = []
-    for sig in sorted(by_sig):
-        members = by_sig[sig]
-        counts = tuple(
-            sum(1 for other in sets if not (sets[idx] & other)) for idx in members
-        )
-        groups.append(SignatureGroup(sig, len(members), counts))
-    return SignatureReport(n, tuple(groups))
+    masks = [t.mask for t in ts]
+    groups: dict[tuple[Triple, ...], list[int]] = {}
+    for t, x in zip(ts, masks):
+        groups.setdefault(t.internal_triangles(), []).append(sum(not x & y for y in masks))
+    return dict(sorted(groups.items()))

@@ -325,8 +325,13 @@ class Triangulation:
     # -- basic structure ---------------------------------------------------
 
     @cached_property
-    def diagonal_set(self) -> frozenset[Pair]:
-        return frozenset(self.diagonals)
+    def mask(self) -> int:
+        """The diagonals as one int: (a, b), a < b, sets bit b(b-1)/2 + a.
+        Two triangulations share a diagonal iff their masks share a bit."""
+        mask = 0
+        for a, b in self.diagonals:
+            mask |= 1 << (b * (b - 1) // 2 + a)
+        return mask
 
     @cached_property
     def _triangles(self) -> tuple[Triple, ...]:
@@ -433,7 +438,7 @@ class Triangulation:
         """True iff the two triangulations share no diagonal."""
         if self.n != other.n:
             raise ValueError(f"polygon size mismatch: {self.n} != {other.n}")
-        return not (self.diagonal_set & other.diagonal_set)
+        return not self.mask & other.mask
 
 
 def listing(n: int, ears: int | None = None) -> list[str]:

@@ -28,7 +28,8 @@ where the package joins each triangle to the ones over its child arcs,
 and the 3-eared type oracle walks the dual tree from the branch node to
 each leaf, where the package reads the arcs of the internal triangle.
 The disjointness oracle scans every triangulation of the polygon for a
-shared diagonal.
+shared diagonal by intersecting diagonal sets, where the package ANDs
+diagonal masks.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ def triangles_by_apex_scan(t: Triangulation) -> tuple[tuple[int, int, int], ...]
     n = t.n
     if n == 3:
         return ((0, 1, 2),)
-    dset = t.diagonal_set
+    dset = frozenset(t.diagonals)
 
     def has_edge(x: int, y: int) -> bool:
         return y - x == 1 or (x, y) == (0, n - 1) or (x, y) in dset
@@ -260,10 +261,11 @@ def dual_tree_edges_by_shared_diagonal(t: Triangulation):
     """The dual tree's edges, sorted, each a sorted pair: the two triangles
     found on each diagonal by testing every edge of every triangle."""
     by_diag: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    dset = frozenset(t.diagonals)
     for tri in triangles_by_apex_scan(t):
         a, b, c = tri
         for e in ((a, b), (b, c), (a, c)):
-            if e in t.diagonal_set:
+            if e in dset:
                 by_diag.setdefault(e, []).append(tri)
     edges = []
     for d, pair in sorted(by_diag.items()):
@@ -319,8 +321,9 @@ def all_triangulations(n: int) -> tuple[Triangulation, ...]:
 
 def count_disjoint_by_enumeration(t: Triangulation) -> int:
     """Triangulations sharing no diagonal with t, by testing each one of
-    the full enumeration against t."""
-    return sum(1 for u in all_triangulations(t.n) if u.is_disjoint_from(t))
+    the full enumeration against t for a common diagonal."""
+    diags = set(t.diagonals)
+    return sum(1 for u in all_triangulations(t.n) if not diags & set(u.diagonals))
 
 
 def count_avoiding_recursive(n: int, forbidden) -> int:

@@ -105,7 +105,7 @@ def test_criterion_07_inclusion_exclusion_and_series():
 def test_criterion_08_fan_avoidance_formula():
     started = time.perf_counter()
     for n in range(4, 13):
-        all_sets = [t.diagonal_set for t in enumerate_triangulations(n)]
+        all_sets = [frozenset(t.diagonals) for t in enumerate_triangulations(n)]
         for m in range(0, n - 2):
             expected = disjoint.avoid_fan_formula(n, m)
             for apex in range(n):
@@ -164,8 +164,9 @@ def test_criterion_10_parallel_classes_and_snake():
 def test_criterion_11_internal_signature_invariance():
     started = time.perf_counter()
     for n in range(4, 11):
-        report = disjoint.signature_invariance_check(n)
-        assert report.ok, f"n={n}: {report.violations[:1]}"
+        groups = disjoint.signature_invariance_check(n)
+        for sig, counts in groups.items():
+            assert len(set(counts)) == 1, f"n={n}: {sig} {counts}"
     _done("disjointness constant on internal-signature groups, all pairs n<=10",
           started, 180.0)
 

@@ -255,6 +255,31 @@ def test_symmetry_orbit_infeasible_beyond_ceiling(capsys):
     assert f"orbit counting is feasible for n <= {cli.ORBIT_CEILING}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["orbit", "both"])
+def test_symmetry_orbit_range_past_the_ceiling_is_refused_whole(capsys, default_int_digits,
+                                                                method):
+    span = f"{cli.ORBIT_CEILING + 1}..{PRINTABLE_BOUND}"
+    start = time.perf_counter()
+    assert invoke(["symmetry", "--n", span, "--method", method]) == 1
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"polytri: error: range {span!r} starts past n = {cli.ORBIT_CEILING}; "
+        f"orbit counting is feasible for n <= {cli.ORBIT_CEILING}"
+    ]
+
+
+def test_symmetry_range_straddling_the_orbit_ceiling_keeps_per_n_lines(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ORBIT_CEILING", 7)
+    assert invoke(["symmetry", "--n", "6..9", "--ears", "2", "--method", "both"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "6 2 2\n7 3 3\n"
+    assert captured.err.splitlines() == [
+        f"polytri: symmetry: n={n}: orbit counting is feasible for n <= 7" for n in (8, 9)
+    ]
+
+
 @pytest.mark.parametrize("ears", ["2", "3"])
 def test_symmetry_orbit_answers_above_old_ceiling(capsys, ears):
     assert invoke(["symmetry", "--n", "15", "--ears", ears, "--method", "both"]) == 0

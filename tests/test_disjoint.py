@@ -31,7 +31,6 @@ from polytri.disjoint import (
     disjoint_series,
     disjoint_two_eared,
     fan_prefix_diagonals,
-    internal_signature,
     parallel_residue,
     signature_invariance_check,
     snake,
@@ -45,7 +44,7 @@ from polytri.triangulation import Triangulation
 
 def brute_count_avoiding(n: int, forbidden) -> int:
     forb = set(forbidden)
-    return sum(1 for t in all_triangulations(n) if not forb & t.diagonal_set)
+    return sum(1 for t in all_triangulations(n) if not forb & frozenset(t.diagonals))
 
 
 # -- named triangulations -----------------------------------------------------
@@ -55,7 +54,7 @@ def test_arrow_and_snake_forms():
     assert str(arrow(4)) == "4:1-3"
     assert str(arrow(6)) == "6:1-3,1-4,1-5"
     assert str(snake(6)) == "6:0-2,2-5,3-5"
-    assert snake(11).diagonal_set == {
+    assert frozenset(snake(11).diagonals) == {
         (0, 2), (2, 10), (3, 10), (3, 9), (4, 9), (4, 8), (5, 8), (5, 7),
     }
     with pytest.raises(ValueError):
@@ -276,7 +275,7 @@ def test_arrow_characterization(n):
     """T' is disjoint from the fan at 1 iff T' contains the diagonal (0, 2)."""
     fan = arrow(n)
     for u in all_triangulations(n):
-        assert u.is_disjoint_from(fan) == ((0, 2) in u.diagonal_set)
+        assert u.is_disjoint_from(fan) == ((0, 2) in frozenset(u.diagonals))
 
 
 def test_inclusion_exclusion_values():
@@ -403,20 +402,25 @@ def test_even_gon_single_residue(n):
 # -- internal signatures ----------------------------------------------------------------
 
 
-def test_internal_signature_values():
-    assert internal_signature(arrow(6)) == frozenset()
-    assert internal_signature(Triangulation.parse("6:0-2,2-4,0-4")) == {(0, 2, 4)}
-
-
 @pytest.mark.parametrize("n", range(4, 9))
 def test_signature_groups_have_constant_disjoint_counts(n):
-    report = signature_invariance_check(n)
-    assert report.ok
-    assert report.violations == ()
-    assert sum(g.size for g in report.groups) == catalan(n - 2)
-    # cross-check group counts against the pruned route
-    for group in report.groups:
-        assert len(set(group.disjoint_counts)) == 1
+    groups = signature_invariance_check(n)
+    assert list(groups) == sorted(groups)
+    assert sum(map(len, groups.values())) == catalan(n - 2)
+    for counts in groups.values():
+        assert len(set(counts)) == 1
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_signature_scan_counts_match_count_disjoint_and_oracle(n):
+    """Each scan count, in enumeration order within its group, equals the
+    tree-knapsack count and the set-intersection oracle."""
+    expected: dict = {}
+    for t in all_triangulations(n):
+        count = count_disjoint(t)
+        assert count == count_disjoint_by_enumeration(t), str(t)
+        expected.setdefault(t.internal_triangles(), []).append(count)
+    assert signature_invariance_check(n) == expected
 
 
 def test_signature_check_range_guard():

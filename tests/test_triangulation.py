@@ -183,11 +183,10 @@ def test_triangle_decomposition(n):
         tris = t.triangles()
         assert len(tris) == n - 2
         # every triangle edge is a side or a diagonal of t
+        diags = frozenset(t.diagonals)
         for a, b, c in tris:
             for x, y in ((a, b), (b, c), (a, c)):
-                assert (
-                    y - x == 1 or (x, y) == (0, n - 1) or (x, y) in t.diagonal_set
-                )
+                assert y - x == 1 or (x, y) == (0, n - 1) or (x, y) in diags
         # each diagonal occurs in exactly two triangles
         from collections import Counter
 
@@ -438,6 +437,13 @@ def test_disjoint_symmetric(n):
             assert t1.is_disjoint_from(t2) == (
                 not set(t1.diagonals) & set(t2.diagonals)
             )
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_diagonal_masks_are_distinct_single_bits(n):
+    masks = [Triangulation(n, (d,), validate=False).mask for d in all_diagonals(n)]
+    assert all(m > 0 and m & (m - 1) == 0 for m in masks)
+    assert len(set(masks)) == len(masks)
 
 
 def test_disjoint_size_mismatch():

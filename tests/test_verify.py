@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -137,8 +138,13 @@ def test_repeated_suite_runs_once_in_first_order():
     assert json.loads(report.render_json())["suites"] == ["parallel", "core"]
 
 
-def test_timing_line_only_when_requested():
-    report = run_suites(["parallel"], max_n=6)
-    assert "wall-time" not in report.render_text()
-    assert "wall-time" in report.render_text(timing=True)
-    assert "wall_time" in json.loads(report.render_json(timing=True))
+def test_signature_lines_match_the_full_report_golden():
+    """The signature row up to its ceiling, n = 4..10, against the full
+    report golden (the max-n 8 goldens stop at n = 8)."""
+    golden = Path(__file__).parent.parent / "perfbench" / "golden" / "verify.txt"
+    expected = [
+        line for line in golden.read_text().splitlines()
+        if "  signature-determines-disjoint  " in line
+    ]
+    assert len(expected) == 7
+    assert [c.line() for c in run_suites(["signature"]).checks] == expected
