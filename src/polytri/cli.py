@@ -5,6 +5,12 @@ Exit codes: 0 success, 1 usage or domain error, 2 verification failure
 (a FAIL line from `verify`, or a cross-check mismatch under `--method
 both`).  Stdout is byte-deterministic for identical invocations; the
 optional --timing lines go to stderr.
+
+Each refusal is raised as a ValueError.  `symmetry` and `sequence`
+refuse a value at its n with one `polytri: <command>: n=<n>:` line; a
+refusal that does not depend on n is made once, before any n is
+computed: an orbit range that starts past ORBIT_CEILING, closed forms
+with `--ears all`, and `hurtado-noy:k` with k < 2.
 """
 
 from __future__ import annotations
@@ -12,17 +18,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable
+from typing import Callable, Iterator
 
 from polytri import compositions as comp
 from polytri import counting, disjoint, svgfig, verify
 from polytri.triangulation import Triangulation, listing
 
 PROG = "polytri"
-
-
-class CliError(Exception):
-    """Usage/domain error reported to stderr; exits with code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,12 +46,12 @@ def parse_range(text: str) -> range:
         a = int(lo)
         b = int(hi) if sep else a
     except ValueError:
-        raise CliError(f"bad range {text!r}; expected 'a' or 'a..b'") from None
+        raise ValueError(f"bad range {text!r}; expected 'a' or 'a..b'") from None
     if b < a:
-        raise CliError(f"empty range {text!r}")
+        raise ValueError(f"empty range {text!r}")
     bound = _printable_bound()
     if b > a and 0 < bound < b:
-        raise CliError(
+        raise ValueError(
             f"range {text!r} ends past n = {bound}, above which counts are too long "
             f"to print (over {sys.get_int_max_str_digits()} decimal digits)"
         )
@@ -60,7 +62,7 @@ def _parse_type(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise CliError(f"bad type {text!r}; expected 'p,q,r'") from None
+        raise ValueError(f"bad type {text!r}; expected 'p,q,r'") from None
 
 
 def _printable(value: int) -> int:
@@ -107,6 +109,21 @@ def _hurtado_noy(n: int, k: int) -> int:
     return counting.hurtado_noy(n, k)
 
 
+def _rows(command: str, ns: range, columns: dict, **fixed: str) -> Iterator[dict]:
+    """{"n": n, **fixed, name: fn(n), ...} for each n of ns, over the
+    columns {name: fn}.  A value refused at its n prints one
+    `polytri: <command>: n=<n>: <reason>` line and stays None in its row."""
+    for n in ns:
+        row: dict = {"n": n, **fixed}
+        for name, fn in columns.items():
+            try:
+                row[name] = _printable(fn(n))
+            except (ValueError, ArithmeticError) as exc:
+                print(f"{PROG}: {command}: n={n}: {exc}", file=sys.stderr)
+                row[name] = None
+        yield row
+
+
 def _add_shape_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--t", metavar="TEXT", help="inline triangulation 'n:a-b,c-d,...'")
     sub.add_argument("--arrow", action="store_true", help="fan triangulation (needs --n)")
@@ -131,7 +148,7 @@ def _resolve_shape(
         if given
     ]
     if len(picked) != 1:
-        raise CliError("give exactly one of --t, --arrow, --snake, --type")
+        raise ValueError("give exactly one of --t, --arrow, --snake, --type")
     kind = picked[0]
     if kind == "t":
         t = Triangulation.parse(args.t)
@@ -139,7 +156,7 @@ def _resolve_shape(
             check_n(t.n)
         return t, "inline"
     if args.n is None:
-        raise CliError(f"--{kind} requires --n")
+        raise ValueError(f"--{kind} requires --n")
     ptype = disjoint.check_type(args.n, _parse_type(args.type)) if kind == "type" else None
     if check_n is not None:
         check_n(args.n)
@@ -158,7 +175,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.count_only:
         if k is None:
             if n < 3:
-                raise CliError(f"polygons need n >= 3, got {n}")
+                raise ValueError(f"polygons need n >= 3, got {n}")
             _refuse_too_long(n)
             count = counting.catalan(n - 2)
         else:
@@ -170,14 +187,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             print(count)
         return 0
     if not 3 <= n <= 14:
-        raise CliError(
+        raise ValueError(
             f"full listings are supported for 3 <= n <= 14, got n={n} "
             "(use --count-only for larger n)"
         )
-    if k is not None and n < 4:
-        raise CliError("ear filters need n >= 4")
-    if k is not None and k < 2:
-        raise CliError(f"every triangulation has >= 2 ears, got k={k}")
     lines = listing(n, k)
     if args.format == "json":
         print(json.dumps({"n": n, "ears": k, "triangulations": lines}))
@@ -192,51 +205,40 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 ORBIT_CEILING = 16
 
 
-def _class_count(n: int, ears: int | None, method: str) -> int:
-    if method == "closed":
-        if ears not in (2, 3):
-            raise ValueError("closed forms exist only for --ears 2 or 3")
-        _refuse_too_long(n)
-        if ears == 2:
-            return counting.symmetry_classes_2ear(n)
-        return counting.symmetry_classes_3ear(n)
-    if n > ORBIT_CEILING:
-        raise ValueError(f"orbit counting is feasible for n <= {ORBIT_CEILING}")
-    return counting.symmetry_classes_orbit(n, ears=ears)
-
-
 def cmd_symmetry(args: argparse.Namespace) -> int:
     ns = parse_range(args.n)
     ears = None if args.ears == "all" else int(args.ears)
     methods = ["closed", "orbit"] if args.method == "both" else [args.method]
     if "orbit" in methods and len(ns) > 1 and ns[0] > ORBIT_CEILING:
         # every n of the range would only add the same refusal line
-        raise CliError(
+        raise ValueError(
             f"range {args.n!r} starts past n = {ORBIT_CEILING}; "
             f"orbit counting is feasible for n <= {ORBIT_CEILING}"
         )
+    if "closed" in methods and ears is None:
+        raise ValueError("closed forms exist only for --ears 2 or 3")
+
+    def orbit(n: int) -> int:
+        if n > ORBIT_CEILING:
+            raise ValueError(f"orbit counting is feasible for n <= {ORBIT_CEILING}")
+        return counting.symmetry_classes_orbit(n, ears=ears)
+
+    columns = {m: orbit if m == "orbit" else _sequence_fn(f"sym{ears}") for m in methods}
     rows: list[dict] = []
     status = 0
-    for n in ns:
-        row: dict = {"n": n, "ears": args.ears}
-        for method in methods:
-            try:
-                row[method] = _printable(_class_count(n, ears, method))
-            except (ValueError, ArithmeticError) as exc:
-                print(f"{PROG}: symmetry: n={n}: {exc}", file=sys.stderr)
-                row[method] = None
-                status = max(status, 1)
-        if len(methods) == 2 and None not in (row["closed"], row["orbit"]):
-            if row["closed"] != row["orbit"]:
-                row["mismatch"] = True
-                print(
-                    f"{PROG}: symmetry: n={n}: closed={row['closed']} "
-                    f"orbit={row['orbit']} MISMATCH",
-                    file=sys.stderr,
-                )
-                status = 2
+    for row in _rows("symmetry", ns, columns, ears=args.ears):
+        if None in row.values():
+            status = max(status, 1)
+        elif len(methods) == 2 and row["closed"] != row["orbit"]:
+            row["mismatch"] = True
+            print(
+                f"{PROG}: symmetry: n={row['n']}: closed={row['closed']} "
+                f"orbit={row['orbit']} MISMATCH",
+                file=sys.stderr,
+            )
+            status = 2
         rows.append(row)
-    printable = [r for r in rows if all(r.get(m) is not None for m in methods)]
+    printable = [r for r in rows if None not in r.values()]
     if args.format == "json":
         print(json.dumps(rows))
     elif args.format == "csv":
@@ -267,7 +269,7 @@ def _formula_count(t: Triangulation) -> tuple[int, str | None]:
             f"for type {ptype} (known erratum; case-sum formula and brute force agree)"
         )
         return value, note
-    raise CliError(
+    raise ValueError(
         f"no closed disjointness formula for {k}-eared triangulations (only 2 or 3 ears)"
     )
 
@@ -283,7 +285,7 @@ def cmd_disjoint(args: argparse.Namespace) -> int:
     def check_n(n: int) -> None:
         # before an n-gon shape is built, which at a huge n fails for memory
         if args.method in ("brute", "both") and n > BRUTE_CEILING:
-            raise CliError(
+            raise ValueError(
                 f"brute-force disjointness counts are feasible for n <= {BRUTE_CEILING}, "
                 f"got n={n} (use --method formula)"
             )
@@ -348,7 +350,7 @@ def cmd_svg(args: argparse.Namespace) -> int:
     def check_n(n: int) -> None:
         # before an n-gon shape is built, which at a huge n fails for memory
         if n > SVG_CEILING:
-            raise CliError(f"svg figures are feasible for n <= {SVG_CEILING}, got n={n}")
+            raise ValueError(f"svg figures are feasible for n <= {SVG_CEILING}, got n={n}")
 
     t, _ = _resolve_shape(args, check_n)
     text = svgfig.render_svg(
@@ -365,7 +367,7 @@ def cmd_svg(args: argparse.Namespace) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise CliError(f"cannot write {args.out}: {exc}") from None
+        raise ValueError(f"cannot write {args.out}: {exc}") from None
     return 0
 
 
@@ -374,51 +376,50 @@ def cmd_svg(args: argparse.Namespace) -> int:
 SEQUENCE_WHATS = ("catalan", "hurtado-noy:k", "sym2", "sym3", "disj2", "classes-compositions")
 
 
-def _sequence_fn(what: str):
+# name -> count at n; `symmetry --method closed` reads sym2 and sym3 here too
+SEQUENCES: dict[str, Callable[[int], int]] = {
+    "catalan": counting.catalan,
+    "sym2": counting.symmetry_classes_2ear,
+    "sym3": counting.symmetry_classes_3ear,
+    "disj2": disjoint.disjoint_two_eared,
+    "classes-compositions": lambda m: comp.count_classes(m, "closed"),
+}
+
+
+def _sequence_fn(what: str) -> Callable[[int], int]:
     if what.startswith("hurtado-noy:"):
         try:
             k = int(what.split(":", 1)[1])
         except ValueError:
-            raise CliError(f"bad ear count in {what!r}") from None
+            raise ValueError(f"bad ear count in {what!r}") from None
+        if k < 2:
+            raise ValueError(f"every triangulation has >= 2 ears, got k={k}")
         return lambda n: _hurtado_noy(n, k)
-    fns = {
-        "catalan": counting.catalan,
-        "sym2": counting.symmetry_classes_2ear,
-        "sym3": counting.symmetry_classes_3ear,
-        "disj2": disjoint.disjoint_two_eared,
-        "classes-compositions": lambda m: comp.count_classes(m, "closed"),
-    }
-    if what not in fns:
-        raise CliError(
+    if what not in SEQUENCES:
+        raise ValueError(
             f"unknown sequence {what!r}; choose from {', '.join(SEQUENCE_WHATS)}"
         )
 
     def value(n: int) -> int:
         _refuse_too_long(n)
-        return fns[what](n)
+        return SEQUENCES[what](n)
 
     return value
 
 
 def cmd_sequence(args: argparse.Namespace) -> int:
     fn = _sequence_fn(args.what)
-    status = 0
-    rows = []
-    for n in parse_range(args.n):
-        try:
-            rows.append({"n": n, "value": _printable(fn(n))})
-        except (ValueError, ArithmeticError) as exc:
-            print(f"{PROG}: sequence: n={n}: {exc}", file=sys.stderr)
-            status = 1
+    rows = list(_rows("sequence", parse_range(args.n), {"value": fn}))
+    kept = [row for row in rows if row["value"] is not None]
     if args.format == "json":
-        print(json.dumps({"what": args.what, "rows": rows}))
+        print(json.dumps({"what": args.what, "rows": kept}))
     elif args.format == "oeis":
-        for row in rows:
+        for row in kept:
             print(f"{row['n']} {row['value']}")
     else:
-        for row in rows:
+        for row in kept:
             print(row["value"])
-    return status
+    return 0 if len(kept) == len(rows) else 1
 
 
 # -- parser ---------------------------------------------------------------------
@@ -490,9 +491,6 @@ def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, ArithmeticError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 1

@@ -454,6 +454,8 @@ def listing(n: int, ears: int | None = None) -> list[str]:
         kept = _diagonal_tuples(n)
     elif n < 4:
         raise ValueError("ears are undefined for n < 4")
+    elif ears < 2:
+        raise ValueError(f"every triangulation has >= 2 ears, got k={ears}")
     elif ears > n // 2:
         kept = ()  # no triangulation has more than n/2 ears: skip the enumeration
     else:

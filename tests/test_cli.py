@@ -96,6 +96,12 @@ def test_enumerate_refuses_fewer_than_two_ears(capsys, count_only):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("ears", [1, 0, -3])
+def test_listing_refuses_fewer_than_two_ears(ears):
+    with pytest.raises(ValueError, match=f"every triangulation has >= 2 ears, got k={ears}$"):
+        triangulation.listing(12, ears)
+
+
 def test_enumerate_listing_above_max_ears_is_empty(capsys):
     assert invoke(["enumerate", "--n", "6", "--ears", "4"]) == 0
     assert capsys.readouterr().out == ""
@@ -277,6 +283,19 @@ def test_symmetry_range_straddling_the_orbit_ceiling_keeps_per_n_lines(capsys, m
     assert captured.out == "6 2 2\n7 3 3\n"
     assert captured.err.splitlines() == [
         f"polytri: symmetry: n={n}: orbit counting is feasible for n <= 7" for n in (8, 9)
+    ]
+
+
+def test_symmetry_mismatch_and_refusal_lines_keep_n_order(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ORBIT_CEILING", 6)
+    monkeypatch.setattr(cli.counting, "symmetry_classes_orbit", lambda n, ears=None: 999)
+    assert invoke(["symmetry", "--n", "5..7", "--ears", "2", "--method", "both"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "5 1 999\n6 2 999\n"
+    assert captured.err.splitlines() == [
+        "polytri: symmetry: n=5: closed=1 orbit=999 MISMATCH",
+        "polytri: symmetry: n=6: closed=2 orbit=999 MISMATCH",
+        "polytri: symmetry: n=7: orbit counting is feasible for n <= 6",
     ]
 
 
@@ -772,6 +791,26 @@ def test_range_ending_at_the_printable_bound_keeps_per_n_lines(capsys, default_i
     assert_too_long_reported(captured.err, "sequence", ns)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["symmetry", "--n", f"5..{PRINTABLE_BOUND}", "--method", "closed"],
+      "closed forms exist only for --ears 2 or 3"),
+     (["symmetry", "--n", f"5..{PRINTABLE_BOUND}", "--method", "both"],
+      "closed forms exist only for --ears 2 or 3"),
+     (["sequence", "--what", "hurtado-noy:1", "--n", f"4..{PRINTABLE_BOUND}"],
+      "every triangulation has >= 2 ears, got k=1")],
+    ids=["symmetry-closed", "symmetry-both", "hurtado-noy-1"],
+)
+def test_refusal_that_does_not_depend_on_n_is_made_once(capsys, default_int_digits,
+                                                        argv, message):
+    start = time.perf_counter()
+    assert invoke(argv) == 1
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{cli.PROG}: error: {message}\n"
+
+
 def test_sequence_unknown_what(capsys):
     assert invoke(["sequence", "--what", "primes", "--n", "1..3"]) == 1
     assert "unknown sequence" in capsys.readouterr().err
@@ -887,8 +926,8 @@ CLI_FLAGS = {
         "--font-size": ["0", "10"],
     },
     "sequence": {
-        "--what": ["catalan", "sym2", "sym3", "disj2", "hurtado-noy:2", "hurtado-noy:x",
-                   "classes-compositions", "primes"],
+        "--what": ["catalan", "sym2", "sym3", "disj2", "hurtado-noy:1", "hurtado-noy:2",
+                   "hurtado-noy:x", "classes-compositions", "primes"],
         "--n": _SIZES, "--format": ["plain", "oeis", "json", "x"],
     },
 }
