@@ -10,7 +10,8 @@ Each refusal is raised as a ValueError.  `symmetry` and `sequence`
 refuse a value at its n with one `polytri: <command>: n=<n>:` line; a
 refusal that does not depend on n is made once, before any n is
 computed: an orbit range that starts past ORBIT_CEILING, closed forms
-with `--ears all`, and `hurtado-noy:k` with k < 2.
+with `--ears all`, `hurtado-noy:k` with k < 2, and a range of more than
+one n that starts below 0.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ class _Parser(argparse.ArgumentParser):
 def parse_range(text: str) -> range:
     """'a..b' (inclusive) or a single 'a'.
 
-    A range of more than one n that ends past the printable bound is
-    refused as a whole: every n past it would only add a refusal line.
+    A range of more than one n that starts below 0 or ends past the
+    printable bound is refused as a whole: every n below 0 or past the
+    bound would only add a refusal line.
     """
     lo, sep, hi = text.partition("..")
     try:
@@ -49,6 +51,8 @@ def parse_range(text: str) -> range:
         raise ValueError(f"bad range {text!r}; expected 'a' or 'a..b'") from None
     if b < a:
         raise ValueError(f"empty range {text!r}")
+    if b > a and a < 0:
+        raise ValueError(f"range {text!r} starts below n = 0, where no count is defined")
     bound = _printable_bound()
     if b > a and 0 < bound < b:
         raise ValueError(
@@ -195,8 +199,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps({"n": n, "ears": k, "triangulations": lines}))
     else:
-        for line in lines:
-            print(line)
+        sys.stdout.write("\n".join([*lines, ""]))  # one write for the whole listing
     return 0
 
 

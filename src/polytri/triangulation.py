@@ -250,6 +250,96 @@ def _streamed_shapes(m: int) -> Iterator[tuple[Pair, ...]]:
                     yield head + tuple(map(relabel_right, right))
 
 
+def _split_ears(s: int, d: int, j: int) -> tuple[int, int, int]:
+    """Splitting a sub-polygon (s, d) at apex j: the ears of the whole
+    polygon the triangle (0, 1, j) adds, and the d of the left and right
+    parts (see `_eared_shapes`)."""
+    added = (j == 2 and s - 2 - d >= 1) + (d == -1 and j == s - 1)
+    return added, max(0, j + d - s + 1), min(d, s - 1 - j) + 1
+
+
+@lru_cache(maxsize=None)
+def _ear_counts(s: int, d: int) -> tuple[int, ...]:
+    """The ears each of `_cached_shapes(s)` holds as a sub-polygon (s, d),
+    in the same order."""
+    if s <= 3:
+        return (int(s == 3 and d <= 0),)
+    counts: list[int] = []
+    for j in range(2, s):
+        added, d_left, d_right = _split_ears(s, d, j)
+        rights = _ear_counts(s - j + 1, d_right)
+        for a in _ear_counts(j, d_left):
+            counts.extend([added + a + b for b in rights])
+    return tuple(counts)
+
+
+@lru_cache(maxsize=None)
+def _ear_count_set(s: int, d: int) -> frozenset[int]:
+    """Every number of ears a sub-polygon (s, d) can hold."""
+    if s <= 3:
+        return frozenset(_ear_counts(s, d))
+    counts: set[int] = set()
+    for j in range(2, s):
+        added, d_left, d_right = _split_ears(s, d, j)
+        rights = _ear_count_set(s - j + 1, d_right)
+        counts.update(added + a + b for a in _ear_count_set(j, d_left) for b in rights)
+    return frozenset(counts)
+
+
+def _eared_shapes(s: int, d: int, wanted: set[int]) -> Iterator[tuple[tuple[Pair, ...], int]]:
+    """(diagonals, ears) of the sub-polygon's triangulations that hold a
+    wanted number of the whole polygon's ears, in the order of
+    `_diagonal_tuples(s)`; no other tuple is built.
+
+    A sub-polygon has s vertices in its own positions and is cut off by
+    its closing side (0, s-1).  d is the number of its last sides, ending
+    at position s-1, that are not sides of the whole polygon; the whole
+    polygon itself has d = -1, as its closing side is a side.  It holds
+    the tips v with 1 <= v <= s-2-d whose chord (v-1, v+1) is one of its
+    diagonals or its closing side.  Splitting it at apex j adds a tip 1
+    when j = 2 and s-2-d >= 1 and, at the top level only, a tip 0 when
+    j = s-1; the left part has d = max(0, j+d-s+1) and the right part
+    min(d, s-1-j) + 1.  A 2-gon holds no ears, a 3-gon one when d <= 0.
+
+    Each left shape is taken in order with the right shapes that complete
+    it to a wanted count, also in order, so the output is the filtered
+    enumeration.  Cached right shapes are relabeled once per apex and
+    left count, and only those that complete some left shape.
+    """
+    wanted = wanted & _ear_count_set(s, d)
+    if not wanted:
+        return
+    if s <= _SHAPE_CACHE_MAX:
+        for shape, ears in zip(_cached_shapes(s), _ear_counts(s, d)):
+            if ears in wanted:
+                yield shape, ears
+        return
+    for j in range(2, s):
+        added, d_left, d_right = _split_ears(s, d, j)
+        r = s - j + 1
+        right_counts = _ear_count_set(r, d_right)
+        left_wanted = {w - added - b for w in wanted for b in right_counts}
+        extra, left_table, right_table = _split(s, j)
+        relabel_left = left_table.__getitem__
+        relabel_right = right_table.__getitem__
+        completions: dict[int, list[tuple[tuple[Pair, ...], int]]] = {}
+        for left, a in _eared_shapes(j, d_left, left_wanted):
+            head = extra + tuple(map(relabel_left, left))
+            if r > _SHAPE_CACHE_MAX:
+                right_wanted = {w - added - a for w in wanted}
+                for right, b in _eared_shapes(r, d_right, right_wanted):
+                    yield head + tuple(map(relabel_right, right)), added + a + b
+                continue
+            if a not in completions:
+                completions[a] = [
+                    (tuple(map(relabel_right, right)), added + a + b)
+                    for right, b in zip(_cached_shapes(r), _ear_counts(r, d_right))
+                    if added + a + b in wanted
+                ]
+            for right, ears in completions[a]:
+                yield head + right, ears
+
+
 @dataclass(frozen=True)
 class DualTree:
     """Dual tree of a triangulation: nodes are triangles, edges share a diagonal."""
@@ -445,8 +535,10 @@ def listing(n: int, ears: int | None = None) -> list[str]:
     """Text forms of the n-gon's triangulations with this many ears (all
     of them for None), in the order of `enumerate_triangulations`.
 
-    Ears are counted on the unsorted diagonal tuples and only the kept
-    ones are sorted and formatted; no Triangulation objects are built.
+    With an ear count only those triangulations are generated
+    (`_eared_shapes`), so the work follows the length of the listing, not
+    C(n-2); a count no triangulation has builds no tuple.  No
+    Triangulation objects are built.
     """
     if n < 3:
         raise ValueError(f"polygon needs at least 3 vertices, got n={n}")
@@ -456,10 +548,8 @@ def listing(n: int, ears: int | None = None) -> list[str]:
         raise ValueError("ears are undefined for n < 4")
     elif ears < 2:
         raise ValueError(f"every triangulation has >= 2 ears, got k={ears}")
-    elif ears > n // 2:
-        kept = ()  # no triangulation has more than n/2 ears: skip the enumeration
     else:
-        kept = (d for d in _diagonal_tuples(n) if _ear_count(n, d) == ears)
+        kept = (d for d, _ in _eared_shapes(n, -1, {ears}))
     return [_diagonals_text(n, sorted(d)) for d in kept]
 
 

@@ -29,7 +29,9 @@ and the 3-eared type oracle walks the dual tree from the branch node to
 each leaf, where the package reads the arcs of the internal triangle.
 The disjointness oracle scans every triangulation of the polygon for a
 shared diagonal by intersecting diagonal sets, where the package ANDs
-diagonal masks.
+diagonal masks.  The ear-filtered listing oracle enumerates every
+triangulation and keeps those with the right chord count, where the
+package generates only the ones with that many ears.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ from polytri.triangulation import (
     DualTree,
     Triangulation,
     _canonical_diagonals,
+    _diagonal_tuples,
+    _diagonals_text,
+    _ear_count,
     crosses,
     diagonal,
     enumerate_triangulations,
@@ -144,6 +149,16 @@ def listing_by_recursion(n: int, ears: int | None = None) -> list[str]:
         f"{n}:" + ",".join(f"{a}-{b}" for a, b in sorted(diags))
         for diags in diagonal_sets_by_recursion(tuple(range(n)))
         if ears is None or ear_count_by_degree(n, diags) == ears
+    ]
+
+
+def listing_by_filter(n: int, ears: int) -> list[str]:
+    """`triangulation.listing(n, ears)` as it was first written: all C(n-2)
+    diagonal tuples, each kept if its ear count is right."""
+    return [
+        _diagonals_text(n, sorted(diags))
+        for diags in _diagonal_tuples(n)
+        if _ear_count(n, diags) == ears
     ]
 
 

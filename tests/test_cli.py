@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -107,21 +108,51 @@ def test_enumerate_listing_above_max_ears_is_empty(capsys):
     assert capsys.readouterr().out == ""
 
 
+# Every ear count of n <= 11 (2 to n/2, and one or two above for n <= 7),
+# at the shape cache's bound and at two lower ones.  Below it these sizes
+# are streamed, and a left part is asked for several ear counts at once:
+# bound 5 catches cached shapes yielded grouped by count instead of in
+# order (at bound 3 every cached size has a single shape).
 @pytest.mark.parametrize(
-    "n, ears",
-    [(3, None)] + [(n, k) for n in range(4, 12) for k in [None, *sorted({2, 3, 4, n // 2})]],
+    "n, ears, bound",
+    [pytest.param(n, k, bound, id=f"{n}-{k}{suffix}")
+     for bound, suffix in [(11, ""), (3, "-bound3"), (5, "-bound5")]
+     for n in range(3, 12)
+     for k in ([None] if n == 3 else [None, *sorted({2, 3, 4, n // 2})])],
 )
-def test_enumerate_listing_matches_recursive_oracle(capsys, n, ears):
+def test_enumerate_listing_matches_recursive_oracle(capsys, monkeypatch, n, ears, bound):
+    monkeypatch.setattr(triangulation, "_SHAPE_CACHE_MAX", bound)
     filters = [] if ears is None else ["--ears", str(ears)]
     assert invoke(["enumerate", "--n", str(n), *filters]) == 0
     assert capsys.readouterr().out.splitlines() == listing_by_recursion(n, ears)
+
+
+# sha256 of `polytri enumerate --n 14 --ears k` stdout, written by the
+# listing that enumerated all C(12) triangulations and kept those with k ears
+N14_LISTING_SHA256 = {
+    2: "0d42c2eecc0154aff5db426b1bd429f2836ae3828a5c3054bf71067150a6e2df",
+    3: "dcba88b969aa28d450fec6a2143441f0f79ddbaa3d3c9f73a60f522b9e1cbced",
+    4: "b88370bad634b78ab5f57c3c1fe0b705d9348fb01ef30af86d8eb1b00633310a",
+    5: "72c9dbcf88d39fa775bf89ac0489416b470607a8c74cf9a646f3173c5a92622d",
+    6: "7af814ec0397ad5ec68d9baf7332f48a8e458d3f1bfbcca2ca76b24ca9909f32",
+    7: "2e40b7478ed5b17bc0e7b98f36d400d3be658b6daef11921bf45571a98144681",
+}
+
+
+@pytest.mark.parametrize("ears", sorted(N14_LISTING_SHA256))
+def test_enumerate_n14_ear_listing_is_pinned(capsys, ears):
+    assert invoke(["enumerate", "--n", "14", "--ears", str(ears)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert out.count(b"\n") == counting.hurtado_noy(14, ears)
+    assert hashlib.sha256(out).hexdigest() == N14_LISTING_SHA256[ears]
 
 
 def test_enumerate_ear_filter_above_max_ears_skips_enumeration(capsys, monkeypatch):
     def refuse(n):
         raise AssertionError("the listing enumerated for an empty ear filter")
 
-    monkeypatch.setattr(triangulation, "_diagonal_tuples", refuse)
+    for name in ("_diagonal_tuples", "_cached_shapes", "_streamed_shapes"):
+        monkeypatch.setattr(triangulation, name, refuse)
     assert invoke(["enumerate", "--n", "14", "--ears", "8"]) == 0
     assert capsys.readouterr().out == ""
     assert invoke(["enumerate", "--n", "14", "--ears", "8", "--format", "json"]) == 0
@@ -798,8 +829,13 @@ def test_range_ending_at_the_printable_bound_keeps_per_n_lines(capsys, default_i
      (["symmetry", "--n", f"5..{PRINTABLE_BOUND}", "--method", "both"],
       "closed forms exist only for --ears 2 or 3"),
      (["sequence", "--what", "hurtado-noy:1", "--n", f"4..{PRINTABLE_BOUND}"],
-      "every triangulation has >= 2 ears, got k=1")],
-    ids=["symmetry-closed", "symmetry-both", "hurtado-noy-1"],
+      "every triangulation has >= 2 ears, got k=1"),
+     (["sequence", "--what", "sym3", f"--n=-{HUGE}..6"],
+      f"range '-{HUGE}..6' starts below n = 0, where no count is defined"),
+     (["symmetry", "--n=-3..5", "--method", "orbit"],
+      "range '-3..5' starts below n = 0, where no count is defined")],
+    ids=["symmetry-closed", "symmetry-both", "hurtado-noy-1", "sequence-below-0",
+         "symmetry-below-0"],
 )
 def test_refusal_that_does_not_depend_on_n_is_made_once(capsys, default_int_digits,
                                                         argv, message):
@@ -809,6 +845,20 @@ def test_refusal_that_does_not_depend_on_n_is_made_once(capsys, default_int_digi
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"{cli.PROG}: error: {message}\n"
+
+
+def test_range_starting_at_0_and_single_negative_n_keep_per_n_lines(capsys):
+    assert invoke(["sequence", "--what", "sym3", "--n=-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "polytri: sequence: n=-3: 3-ear class formula requires n >= 6, got -3\n"
+    assert invoke(["sequence", "--what", "sym3", "--n", "0..6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "1\n"
+    assert captured.err == "".join(
+        f"polytri: sequence: n={n}: 3-ear class formula requires n >= 6, got {n}\n"
+        for n in range(6)
+    )
 
 
 def test_sequence_unknown_what(capsys):

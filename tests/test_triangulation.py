@@ -18,6 +18,7 @@ from helpers import (
     internal_by_definition,
     is_path,
     is_triangulation_pairwise,
+    listing_by_filter,
     path_from,
     random_triangulation,
     rotation_symmetric,
@@ -32,14 +33,17 @@ from polytri.disjoint import arrow, snake, three_ear_rep
 from polytri import triangulation
 from polytri.triangulation import (
     Triangulation,
+    _cached_shapes,
     _diagonal_tuples,
     _ear_chords,
     _ear_count,
+    _ear_counts,
     crosses,
     diagonal,
     enumerate_triangulations,
     is_diagonal,
     is_triangulation,
+    listing,
 )
 
 
@@ -167,6 +171,19 @@ def test_diagonal_tuples_do_not_depend_on_the_cache_bound(monkeypatch, n):
     # with nothing above a triangle cached, every size is streamed
     monkeypatch.setattr(triangulation, "_SHAPE_CACHE_MAX", 3)
     assert list(_diagonal_tuples(n)) == expected
+
+
+@pytest.mark.parametrize("n", range(4, 12))
+def test_cached_ear_counts_match_the_chord_count(n):
+    # the whole n-gon is the sub-polygon (n, -1)
+    assert _ear_counts(n, -1) == tuple(_ear_count(n, d) for d in _cached_shapes(n))
+
+
+@pytest.mark.parametrize("n", [12, 13])
+def test_ear_listing_matches_the_filter(n):
+    # above the shape cache bound, so the whole polygon is streamed
+    for ears in range(2, n // 2 + 2):
+        assert listing(n, ears) == listing_by_filter(n, ears)
 
 
 def test_enumeration_rejects_degenerate():
