@@ -181,7 +181,8 @@ def _diagonals_text(n: int, diagonals: Iterable[Pair]) -> str:
 
 
 # Polygons up to this many vertices have their triangulations built once
-# and kept (4,862 diagonal tuples at 11 vertices); larger ones are streamed.
+# and kept (4,862 diagonal tuples at 11 vertices); larger ones are
+# generated on every call.
 _SHAPE_CACHE_MAX = 11
 
 
@@ -216,38 +217,19 @@ def _diagonal_tuples(m: int) -> Iterable[tuple[Pair, ...]]:
     every one of the right sub-polygon i..m-1, 0.  A sub-polygon's tuples
     come in its own positions and are relabeled into the m-gon through the
     maps of `_split`.  The order is fixed by these rules and does not
-    depend on the cache bound.
+    depend on the cache bound.  Every ear count is wanted, so this is the
+    ear-aware recursion `_eared_shapes` with the counts dropped.
     """
     if m <= _SHAPE_CACHE_MAX:
         return _cached_shapes(m)
-    return _streamed_shapes(m)
+    return (shape for shape, _ in _eared_shapes(m, -1, _ear_count_set(m, -1)))
 
 
 @lru_cache(maxsize=None)
 def _cached_shapes(m: int) -> tuple[tuple[Pair, ...], ...]:
-    return tuple(_streamed_shapes(m))
-
-
-def _streamed_shapes(m: int) -> Iterator[tuple[Pair, ...]]:
     if m <= 3:
-        yield ()
-        return
-    for i in range(2, m):
-        extra, left_table, right_table = _split(m, i)
-        relabel_right = right_table.__getitem__
-        if m - i + 1 <= _SHAPE_CACHE_MAX:
-            # relabel the cached right shapes once, for every left shape
-            rights = [tuple(map(relabel_right, r)) for r in _cached_shapes(m - i + 1)]
-        else:
-            rights = None
-        for left in _diagonal_tuples(i):
-            head = extra + tuple(map(left_table.__getitem__, left))
-            if rights is not None:
-                for right in rights:
-                    yield head + right
-            else:
-                for right in _streamed_shapes(m - i + 1):
-                    yield head + tuple(map(relabel_right, right))
+        return ((),)
+    return tuple(shape for shape, _ in _split_shapes(m, -1, _ear_count_set(m, -1)))
 
 
 def _split_ears(s: int, d: int, j: int) -> tuple[int, int, int]:
@@ -301,19 +283,29 @@ def _eared_shapes(s: int, d: int, wanted: set[int]) -> Iterator[tuple[tuple[Pair
     j = s-1; the left part has d = max(0, j+d-s+1) and the right part
     min(d, s-1-j) + 1.  A 2-gon holds no ears, a 3-gon one when d <= 0.
 
+    Up to the cache bound the cached shapes are filtered by their counts;
+    above it they are generated by `_split_shapes`.  The iterator is
+    returned, not yielded from, so a deep recursion adds no generator
+    level per sub-polygon.
+    """
+    wanted = wanted & _ear_count_set(s, d)
+    if not wanted:
+        return iter(())
+    if s <= _SHAPE_CACHE_MAX:
+        shapes = zip(_cached_shapes(s), _ear_counts(s, d))
+        return ((shape, ears) for shape, ears in shapes if ears in wanted)
+    return _split_shapes(s, d, wanted)
+
+
+def _split_shapes(s: int, d: int, wanted: set[int]) -> Iterator[tuple[tuple[Pair, ...], int]]:
+    """`_eared_shapes(s, d, wanted)` by splitting at every apex, for
+    wanted counts the sub-polygon can hold; it also builds the cache.
+
     Each left shape is taken in order with the right shapes that complete
     it to a wanted count, also in order, so the output is the filtered
     enumeration.  Cached right shapes are relabeled once per apex and
     left count, and only those that complete some left shape.
     """
-    wanted = wanted & _ear_count_set(s, d)
-    if not wanted:
-        return
-    if s <= _SHAPE_CACHE_MAX:
-        for shape, ears in zip(_cached_shapes(s), _ear_counts(s, d)):
-            if ears in wanted:
-                yield shape, ears
-        return
     for j in range(2, s):
         added, d_left, d_right = _split_ears(s, d, j)
         r = s - j + 1
@@ -535,7 +527,7 @@ def listing(n: int, ears: int | None = None) -> list[str]:
     """Text forms of the n-gon's triangulations with this many ears (all
     of them for None), in the order of `enumerate_triangulations`.
 
-    With an ear count only those triangulations are generated
+    Only the triangulations with a wanted ear count are generated
     (`_eared_shapes`), so the work follows the length of the listing, not
     C(n-2); a count no triangulation has builds no tuple.  No
     Triangulation objects are built.
@@ -543,14 +535,14 @@ def listing(n: int, ears: int | None = None) -> list[str]:
     if n < 3:
         raise ValueError(f"polygon needs at least 3 vertices, got n={n}")
     if ears is None:
-        kept = _diagonal_tuples(n)
+        wanted = _ear_count_set(n, -1)
     elif n < 4:
         raise ValueError("ears are undefined for n < 4")
     elif ears < 2:
         raise ValueError(f"every triangulation has >= 2 ears, got k={ears}")
     else:
-        kept = (d for d, _ in _eared_shapes(n, -1, {ears}))
-    return [_diagonals_text(n, sorted(d)) for d in kept]
+        wanted = {ears}
+    return [_diagonals_text(n, sorted(d)) for d, _ in _eared_shapes(n, -1, wanted)]
 
 
 def enumerate_triangulations(n: int) -> Iterator[Triangulation]:

@@ -45,7 +45,6 @@ from polytri.triangulation import (
     DualTree,
     Triangulation,
     _canonical_diagonals,
-    _diagonal_tuples,
     _diagonals_text,
     _ear_count,
     crosses,
@@ -152,14 +151,16 @@ def listing_by_recursion(n: int, ears: int | None = None) -> list[str]:
     ]
 
 
-def listing_by_filter(n: int, ears: int) -> list[str]:
-    """`triangulation.listing(n, ears)` as it was first written: all C(n-2)
-    diagonal tuples, each kept if its ear count is right."""
-    return [
-        _diagonals_text(n, sorted(diags))
-        for diags in _diagonal_tuples(n)
-        if _ear_count(n, diags) == ears
-    ]
+def listings_by_filter(n: int) -> dict[int, list[str]]:
+    """`triangulation.listing(n, ears)` for every ear count, as it was
+    first written: all C(n-2) diagonal tuples, each kept under its ear
+    count.  The tuples come from the recursive oracle, so no ear-count
+    pruning of the package's enumeration can drop a tuple from both sides
+    of a comparison."""
+    by_ears: dict[int, list[str]] = {}
+    for diags in diagonal_sets_by_recursion(tuple(range(n))):
+        by_ears.setdefault(_ear_count(n, diags), []).append(_diagonals_text(n, sorted(diags)))
+    return by_ears
 
 
 def ears_by_definition(t: Triangulation) -> list[tuple[int, int, int]]:

@@ -109,8 +109,8 @@ def test_enumerate_listing_above_max_ears_is_empty(capsys):
 
 
 # Every ear count of n <= 11 (2 to n/2, and one or two above for n <= 7),
-# at the shape cache's bound and at two lower ones.  Below it these sizes
-# are streamed, and a left part is asked for several ear counts at once:
+# at the shape cache's bound and at two lower ones.  Above the bound a
+# size is split, and a left part is asked for several ear counts at once:
 # bound 5 catches cached shapes yielded grouped by count instead of in
 # order (at bound 3 every cached size has a single shape).
 @pytest.mark.parametrize(
@@ -147,11 +147,30 @@ def test_enumerate_n14_ear_listing_is_pinned(capsys, ears):
     assert hashlib.sha256(out).hexdigest() == N14_LISTING_SHA256[ears]
 
 
+# sha256 of the stdout of unfiltered listings above the shape cache bound,
+# written by the enumerator that kept its own split loop apart from the
+# ear-filtered listing's
+UNFILTERED_LISTING_SHA256 = {
+    "13": "a19bb69231d5c864e94e36d49bdbbbd056a42ccc241604c02b883c79138d3c28",
+    "14": "976af95ef3fe3474d50c2ddb40ca439ddd02276d9ecef712a38c1d9cbbdaa212",
+    "12-json": "6b569dbec05ed2c7b818bc81088f9a883978171fa54d47242cb52f5250ceaa2e",
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNFILTERED_LISTING_SHA256))
+def test_enumerate_unfiltered_listing_is_pinned(capsys, case):
+    n, _, fmt = case.partition("-")
+    formats = ["--format", fmt] if fmt else []
+    assert invoke(["enumerate", "--n", n, *formats]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == UNFILTERED_LISTING_SHA256[case]
+
+
 def test_enumerate_ear_filter_above_max_ears_skips_enumeration(capsys, monkeypatch):
     def refuse(n):
         raise AssertionError("the listing enumerated for an empty ear filter")
 
-    for name in ("_diagonal_tuples", "_cached_shapes", "_streamed_shapes"):
+    for name in ("_diagonal_tuples", "_cached_shapes", "_split_shapes"):
         monkeypatch.setattr(triangulation, name, refuse)
     assert invoke(["enumerate", "--n", "14", "--ears", "8"]) == 0
     assert capsys.readouterr().out == ""

@@ -18,7 +18,7 @@ from helpers import (
     internal_by_definition,
     is_path,
     is_triangulation_pairwise,
-    listing_by_filter,
+    listings_by_filter,
     path_from,
     random_triangulation,
     rotation_symmetric,
@@ -168,9 +168,28 @@ def test_diagonal_tuples_match_recursive_oracle(n):
 @pytest.mark.parametrize("n", range(4, 11))
 def test_diagonal_tuples_do_not_depend_on_the_cache_bound(monkeypatch, n):
     expected = list(_diagonal_tuples(n))
-    # with nothing above a triangle cached, every size is streamed
+    # with nothing above a triangle cached, every size is split
     monkeypatch.setattr(triangulation, "_SHAPE_CACHE_MAX", 3)
     assert list(_diagonal_tuples(n)) == expected
+
+
+@pytest.fixture
+def fresh_shape_caches():
+    caches = (triangulation._cached_shapes, triangulation._ear_counts, triangulation._ear_count_set)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+@pytest.mark.parametrize("bound", [3, 5, 11])
+def test_shape_cache_does_not_depend_on_the_bound(monkeypatch, fresh_shape_caches, bound):
+    # the cache is built by the ear-aware recursion, which reads the cache
+    # for the sub-polygons at or below the bound and splits those above it
+    monkeypatch.setattr(triangulation, "_SHAPE_CACHE_MAX", bound)
+    for m in range(3, 12):
+        assert _cached_shapes(m) == tuple(diagonal_sets_by_recursion(tuple(range(m))))
 
 
 @pytest.mark.parametrize("n", range(4, 12))
@@ -181,9 +200,10 @@ def test_cached_ear_counts_match_the_chord_count(n):
 
 @pytest.mark.parametrize("n", [12, 13])
 def test_ear_listing_matches_the_filter(n):
-    # above the shape cache bound, so the whole polygon is streamed
+    # above the shape cache bound, so the whole polygon is split
+    expected = listings_by_filter(n)
     for ears in range(2, n // 2 + 2):
-        assert listing(n, ears) == listing_by_filter(n, ears)
+        assert listing(n, ears) == expected.get(ears, [])
 
 
 def test_enumeration_rejects_degenerate():
