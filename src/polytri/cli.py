@@ -467,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run only this suite (repeatable)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--timing", action="store_true",
-                   help="report wall time and per-suite CPU time on stderr")
+                   help="report wall time and per-suite time on stderr")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("svg",

@@ -139,7 +139,9 @@ def _canonical_diagonals(n: int, diags: Iterable[Pair]) -> tuple[Pair, ...]:
     )
 
 
-@lru_cache(maxsize=4)  # loops count ears at one n, a few when verify suites interleave
+# A loop counts ears at one n; the bound stays small because a stream of
+# texts (the model workload) visits many n.
+@lru_cache(maxsize=4)
 def _ear_chords(n: int) -> frozenset[Pair]:
     """The n chords (v-1, v+1) of the n-gon, normalized: (v-1, v+1) for
     0 < v < n-1, and (1, n-1) and (0, n-2) for the tips 0 and n-1."""

@@ -12,17 +12,14 @@ failed: the published variant of the 3-eared disjointness formula (see
 polytri.disjoint.three_ear_disjoint_published) disagrees with the case
 analysis, witnessed already at n=6.
 
-Suites run concurrently (POLYTRI_THREADS, default: all cores) but their
-output is buffered per suite and emitted in a fixed order, so reports are
-byte-identical regardless of thread count.
+Suites run one after another on the calling thread, in the order asked
+for, and their lines are reported in that order.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import permutations, product
@@ -31,8 +28,6 @@ from typing import Callable, NamedTuple
 from polytri import compositions as comp
 from polytri import counting, disjoint
 from polytri.triangulation import enumerate_triangulations
-
-THREADS_ENV = "POLYTRI_THREADS"
 
 
 @dataclass(frozen=True)
@@ -345,7 +340,7 @@ class RunReport:
     max_n: int | None
     checks: tuple[Check, ...]
     wall_time: float
-    # (suite, CPU seconds of the thread that ran it), in report order
+    # (suite, elapsed seconds), in report order
     suite_times: tuple[tuple[str, float], ...] = ()
 
     @property
@@ -379,20 +374,9 @@ class RunReport:
 
 
 def thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return os.cpu_count() or 1
-    return max(1, value)
-
-
-def _run_timed(name: str, max_n: int | None) -> tuple[list[Check], float]:
-    # thread_time() counts only this thread's CPU time, not the time it
-    # waits for the interpreter lock while other suites run
-    start = time.thread_time()
-    checks = SUITES[name](max_n)
-    return checks, time.thread_time() - start
+    """Always 1: suites run on the calling thread.  Kept only because the
+    benchmark records this value with every result."""
+    return 1
 
 
 def run_suites(
@@ -400,10 +384,10 @@ def run_suites(
 ) -> RunReport:
     """Run the named suites (default: all) and return the buffered report.
 
-    A name given twice runs once, at its first position.  Suites execute
-    concurrently but results are assembled in the order given, so the
-    report does not depend on the thread count.  Each suite's CPU time is
-    recorded in suite_times.
+    A name given twice runs once, at its first position.  Suites run one
+    after another on the calling thread, in the order given; each is looked
+    up in SUITES when it runs, so a wrapper set there sees the call.  Each
+    suite's elapsed time is recorded in suite_times.
     """
     names = list(SUITES) if suites is None else list(dict.fromkeys(suites))
     for name in names:
@@ -414,14 +398,12 @@ def run_suites(
     if max_n is not None and max_n < 3:
         raise ValueError(f"max_n must be >= 3, got {max_n}")
     start = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=min(thread_count(), len(names))) as pool:
-        futures = {name: pool.submit(_run_timed, name, max_n) for name in names}
-        checks: list[Check] = []
-        suite_times = []
-        for name in names:
-            suite_checks, seconds = futures[name].result()
-            checks.extend(suite_checks)
-            suite_times.append((name, seconds))
+    checks: list[Check] = []
+    suite_times = []
+    for name in names:
+        suite_start = time.perf_counter()
+        checks.extend(SUITES[name](max_n))
+        suite_times.append((name, time.perf_counter() - suite_start))
     return RunReport(
         suites=tuple(names),
         max_n=max_n,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import threading
 from pathlib import Path
 
 import pytest
@@ -78,23 +79,29 @@ def test_exit_code_two_on_any_fail():
     assert "1 fail" in report.render_text()
 
 
-def test_results_independent_of_thread_count(monkeypatch):
-    monkeypatch.setenv(verify.THREADS_ENV, "1")
-    one = run_suites(max_n=7).render_text()
-    monkeypatch.setenv(verify.THREADS_ENV, "5")
-    five = run_suites(max_n=7).render_text()
-    assert one == five
+def test_results_identical_on_a_warm_cache_rerun():
+    # the second run finds the counting caches filled by the first
+    first = run_suites(max_n=7).render_text()
+    assert run_suites(max_n=7).render_text() == first
 
 
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv(verify.THREADS_ENV, "3")
-    assert verify.thread_count() == 3
-    monkeypatch.setenv(verify.THREADS_ENV, "0")
+def test_suites_run_on_the_calling_thread_through_the_registry(monkeypatch):
+    plain = run_suites(["core", "parallel"], max_n=6)
+    calls = []
+    suite = verify.SUITES["parallel"]
+
+    def wrapper(max_n):
+        calls.append((threading.get_ident(), max_n))
+        return suite(max_n)
+
+    # replaced as a tracer would, after the module was imported
+    monkeypatch.setitem(verify.SUITES, "parallel", wrapper)
+    report = run_suites(["core", "parallel"], max_n=6)
+    assert calls == [(threading.get_ident(), 6)]
+    assert report.render_text() == plain.render_text()
+    assert [name for name, _ in report.suite_times] == list(report.suites) == ["core", "parallel"]
+    assert sum(seconds for _, seconds in report.suite_times) <= report.wall_time
     assert verify.thread_count() == 1
-    monkeypatch.setenv(verify.THREADS_ENV, "soup")
-    assert verify.thread_count() >= 1
-    monkeypatch.delenv(verify.THREADS_ENV)
-    assert verify.thread_count() >= 1
 
 
 def test_json_rendering_round_trips():
