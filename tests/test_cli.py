@@ -558,6 +558,32 @@ def test_disjoint_bad_inline_text(capsys):
     assert invoke(["disjoint", "--t", "oops"]) == 1
 
 
+# --n with --t must name the text's own n; a different one is refused
+# before any size check, so a huge --n reads as the conflict it is.
+@pytest.mark.parametrize(
+    "argv",
+    [["svg", "--t", "5:0-2,0-3", "--n", "9"],
+     ["svg", "--t", "5:0-2,0-3", "--n", HUGE],
+     ["disjoint", "--t", "5:0-2,0-3", "--n", "9"],
+     ["disjoint", "--t", "5:0-2,0-3", "--n", "4", "--method", "formula"],
+     ["disjoint", "--t", "5:0-2,0-3", "--n", HUGE, "--method", "both"]],
+    ids=["svg", "svg-huge", "disjoint", "disjoint-formula", "disjoint-huge"],
+)
+def test_n_contradicting_the_inline_text_is_refused(capsys, argv):
+    assert invoke(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"polytri: error: --n {argv[4]} contradicts the 5-gon given by --t\n"
+
+
+@pytest.mark.parametrize("command", ["disjoint", "svg"])
+def test_n_matching_the_inline_text_is_accepted(capsys, command):
+    assert invoke([command, "--t", "6:0-2,2-4,0-4"]) == 0
+    alone = capsys.readouterr()
+    assert invoke([command, "--t", "6:0-2,2-4,0-4", "--n", "6"]) == 0
+    assert capsys.readouterr() == alone
+
+
 # -- verify ---------------------------------------------------------------------
 
 
@@ -906,6 +932,49 @@ def test_unknown_subcommand_exits_one(capsys):
 
 def test_help_exits_zero(capsys):
     assert invoke(["--help"]) == 0
+
+
+def run_captured(argv):
+    """(exit code, stdout, stderr) of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = invoke(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+# In this order through the one shared parser: a usage error, help, a
+# domain refusal, a count and a verify run.
+REUSE_SEQUENCE = [
+    (["enumerate", "--n", "x"], 1),
+    (["--help"], 0),
+    (["disjoint", "--snake", "--n", str(cli.BRUTE_CEILING + 1)], 1),
+    (["disjoint", "--t", "6:0-2,2-4,0-4", "--method", "both"], 0),
+    (["verify", "--suite", "parallel", "--max-n", "6"], 0),
+]
+
+
+def test_shared_parser_runs_as_a_fresh_one(monkeypatch):
+    shared = [run_captured(argv) for argv, _ in REUSE_SEQUENCE]
+    assert [code for code, _, _ in shared] == [code for _, code in REUSE_SEQUENCE]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [run_captured(argv) for argv, _ in REUSE_SEQUENCE]
+    assert shared == fresh
+
+
+def test_shared_parser_wraps_help_at_each_calls_width(monkeypatch):
+    cli.build_parser()
+    widths = {}
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        widths[columns] = run_captured(["disjoint", "--help"])
+        with monkeypatch.context() as fresh:
+            fresh.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+            assert run_captured(["disjoint", "--help"]) == widths[columns]
+    assert widths["40"] != widths["200"]
 
 
 # -- exit-code contract ---------------------------------------------------------
