@@ -701,6 +701,24 @@ def test_svg_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        # shaded ears and internal triangles under the edges
+        (["--snake", "--n", "11", "--highlight", "both"], "svg-snake-n-11-both.svg"),
+        # the smallest size, a zero stroke and a one-point font
+        (["--type", "2,3,4", "--n", "12", "--highlight", "ears", "--size", "60",
+          "--stroke-width", "0", "--font-size", "1"], "svg-type-2-3-4-n-12-ears-small.svg"),
+        # no diagonals; the triangle is not shaded as an ear
+        (["--t", "3:", "--highlight", "both"], "svg-triangle-both.svg"),
+    ],
+)
+def test_svg_matches_golden_bytes(capsys, argv, golden):
+    assert invoke(["svg", *argv]) == 0
+    expected = (GOLDEN_DIR / golden).read_bytes()
+    assert capsys.readouterr().out.encode() == expected
+
+
 def test_svg_unwritable_path(capsys):
     rc = invoke(["svg", "--arrow", "--n", "6", "--out", "/no-such-dir/x.svg"])
     assert rc == 1
