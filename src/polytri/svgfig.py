@@ -5,7 +5,10 @@ vertex 0 at the top and labels increasing counterclockwise, boundary and
 diagonals drawn solid, with optional shading of ears and internal
 triangles.  Output is deterministic: fixed attribute order and
 coordinates rounded to two decimals, so identical inputs yield identical
-bytes.
+bytes.  Each vertex's sine and cosine are computed once and its
+coordinates formatted once; the outline, the shaded triangles, the
+diagonals and the vertex dots all reuse those strings.  Nothing is kept
+between calls.
 """
 
 from __future__ import annotations
@@ -17,27 +20,6 @@ from polytri.triangulation import Triangulation
 EAR_FILL = "#f4c26b"
 INTERNAL_FILL = "#9fc5e8"
 HIGHLIGHTS = ("none", "ears", "internal", "both")
-
-
-def vertex_positions(n: int, cx: float, cy: float, r: float) -> list[tuple[float, float]]:
-    """Vertex i at angle 2*pi*i/n from the top, counterclockwise on screen.
-
-    SVG's y axis points down, so counterclockwise-as-viewed means
-    x = cx - r sin(theta), y = cy - r cos(theta).
-    """
-    out = []
-    for i in range(n):
-        theta = 2 * pi * i / n
-        out.append((cx - r * sin(theta), cy - r * cos(theta)))
-    return out
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
-
-
-def _poly_points(pts: list[tuple[float, float]]) -> str:
-    return " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
 
 
 def render_svg(
@@ -67,8 +49,20 @@ def render_svg(
     n = t.n
     cx = cy = size / 2.0
     radius = size * 0.40
-    pts = vertex_positions(n, cx, cy, radius)
-    label_pts = vertex_positions(n, cx, cy, radius * 1.13)
+    label_radius = radius * 1.13
+    # Vertex i sits at angle 2*pi*i/n from the top, counterclockwise on
+    # screen.  SVG's y axis points down, so that is x = cx - r sin(theta),
+    # y = cy - r cos(theta), for the polygon's radius and the labels'.
+    sines = []
+    cosines = []
+    for i in range(n):
+        theta = 2 * pi * i / n
+        sines.append(sin(theta))
+        cosines.append(cos(theta))
+    xs = [f"{cx - radius * s:.2f}" for s in sines]
+    ys = [f"{cy - radius * c:.2f}" for c in cosines]
+    points = [f"{x},{y}" for x, y in zip(xs, ys)]
+    width = f"{stroke_width:.2f}"
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -83,27 +77,24 @@ def render_svg(
         shaded += [(tri, EAR_FILL) for tri in t.ears()]
     if highlight in ("internal", "both"):
         shaded += [(tri, INTERNAL_FILL) for tri in t.internal_triangles()]
-    for tri, fill in sorted(shaded):
-        corner = [pts[v] for v in tri]
-        lines.append(f'  <polygon points="{_poly_points(corner)}" fill="{fill}"/>')
+    for (a, b, c), fill in sorted(shaded):
+        lines.append(f'  <polygon points="{points[a]} {points[b]} {points[c]}" fill="{fill}"/>')
 
     lines.append(
-        f'  <polygon points="{_poly_points(pts)}" fill="none" stroke="black" '
-        f'stroke-width="{_fmt(stroke_width)}"/>'
+        f'  <polygon points="{" ".join(points)}" fill="none" stroke="black" '
+        f'stroke-width="{width}"/>'
     )
-    for a, b in t.diagonals:
-        (x1, y1), (x2, y2) = pts[a], pts[b]
-        lines.append(
-            f'  <line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-            f'stroke="black" stroke-width="{_fmt(stroke_width)}"/>'
-        )
-    for i, (x, y) in enumerate(pts):
-        lines.append(f'  <circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="black"/>')
-    for i, (x, y) in enumerate(label_pts):
-        lines.append(
-            f'  <text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{font_size}" '
-            f'font-family="sans-serif" text-anchor="middle" '
-            f'dominant-baseline="central">{i}</text>'
-        )
+    lines += [
+        f'  <line x1="{xs[a]}" y1="{ys[a]}" x2="{xs[b]}" y2="{ys[b]}" '
+        f'stroke="black" stroke-width="{width}"/>'
+        for a, b in t.diagonals
+    ]
+    lines += [f'  <circle cx="{x}" cy="{y}" r="3" fill="black"/>' for x, y in zip(xs, ys)]
+    lines += [
+        f'  <text x="{cx - label_radius * s:.2f}" y="{cy - label_radius * c:.2f}" '
+        f'font-size="{font_size}" font-family="sans-serif" text-anchor="middle" '
+        f'dominant-baseline="central">{i}</text>'
+        for i, (s, c) in enumerate(zip(sines, cosines))
+    ]
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

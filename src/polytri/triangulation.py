@@ -102,19 +102,22 @@ def _canonical_diagonals(n: int, diags: Iterable[Pair]) -> tuple[Pair, ...]:
     An image is a start vertex u0 and a direction step = +1 or -1: position
     v of the image holds the original vertex (u0 + step*v) % n.  Its sorted
     diagonal tuple lists, for v = 0, 1, ..., the pairs (v, v+d) ascending
-    in d.  So the images compare position by position on a per-position
-    key: the offsets d < n-v of the diagonals at v, ascending, then an end
-    marker n.  The marker sorts above every offset, because "v has one
-    more diagonal" sorts before "move on to v+1".  The offset from u to a
-    neighbour w is (w-u) % n forward and (u-w) % n backward.
+    in d.  Give position v the key: every offset d of the diagonals at v,
+    ascending, then an end marker n.  The offset from u to a neighbour w is
+    (w-u) % n forward and (u-w) % n backward.  Two images that agree on
+    every key before v share every diagonal at those positions, so they
+    agree on the offsets of n-v or more at v (which point back there); the
+    offsets below n-v and the marker then compare exactly as the pairs at
+    v do, the marker above every offset because "v has one more diagonal"
+    sorts before "move on to v+1".  So the images' whole key sequences
+    compare lexicographically as their sorted diagonal tuples do, and equal
+    sequences give the same tuple.
 
-    At each position only the images with the least key survive, until
-    one is left; several survive all n positions only when the
-    triangulation is symmetric, and then they are the same image.  The
-    survivors at v share every diagonal at the positions below v, so they
-    agree on their offsets of n-v or more (which point back there), and
-    the whole sorted offset list with the marker compares exactly as the
-    key does: each image costs one tuple lookup per position.
+    An image's sequence is a rotation of the forward keys, or of the
+    reversed backward keys, so it is one list slice.  Only the images whose
+    first key is the least of all keys can be least, and `min` takes the
+    least of their sequences: one O(n) slice per such image.  Several tie
+    on the whole sequence only when the triangulation is symmetric.
     """
     fwd: list[list[int]] = [[] for _ in range(n)]
     bwd: list[list[int]] = [[] for _ in range(n)]
@@ -126,17 +129,16 @@ def _canonical_diagonals(n: int, diags: Iterable[Pair]) -> tuple[Pair, ...]:
         bwd[b].append(d)
     fwd_keys = [tuple(sorted(offs)) + (n,) for offs in fwd]
     bwd_keys = [tuple(sorted(offs)) + (n,) for offs in bwd]
-    images = [(fwd_keys, u0, 1) for u0 in range(n)] + [(bwd_keys, u0, -1) for u0 in range(n)]
-    for v in range(n):
-        if len(images) == 1:
-            break
-        at_v = [keys[(u0 + step * v) % n] for keys, u0, step in images]
-        least = min(at_v)
-        images = [image for image, key in zip(images, at_v) if key == least]
-    keys, u0, step = images[0]
-    return tuple(
-        (v, v + d) for v in range(n) for d in keys[(u0 + step * v) % n] if d < n - v
+    least = min(min(fwd_keys), min(bwd_keys))
+    # the image (u0, -1) reads bwd_keys[u0], bwd_keys[u0-1], ...: the
+    # rotation of the reversed list that starts at n-1-u0
+    keys = min(
+        ks[i:] + ks[:i]
+        for ks in (fwd_keys, bwd_keys[::-1])
+        for i in range(n)
+        if ks[i] == least
     )
+    return tuple((v, v + d) for v, key in enumerate(keys) for d in key if d < n - v)
 
 
 # A loop counts ears at one n; the bound stays small because a stream of

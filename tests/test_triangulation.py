@@ -449,8 +449,7 @@ def test_canonical_matches_sorting_oracle_on_shapes(n):
          "snake-11", "snake-301"],
 )
 def test_canonical_of_symmetric_triangulations(t, shift):
-    # several images tie for least here, so the pruning keeps more than one
-    # image through every position
+    # several images tie for least here: their whole key sequences are equal
     n = t.n
     if shift is None:  # the snake of odd n is fixed by the reflection v -> (n+3)/2 - v
         assert t.dihedral_images()[n + (n + 3) // 2] == t
@@ -460,6 +459,20 @@ def test_canonical_of_symmetric_triangulations(t, shift):
     assert sum(img.diagonals == canon for img in t.dihedral_images()) >= 2
     image = random_image(t, random.Random(n))
     assert t.canonical().diagonals == image.canonical().diagonals == canon
+
+
+def test_canonical_with_many_offset_two_keys():
+    # every odd vertex an ear tip, and the inner polygon on the even
+    # vertices fanned from 0: the 200 even vertices' keys all start with
+    # offset 2 and differ only further in
+    n = 400
+    rim = [(v, v + 2) for v in range(0, n - 2, 2)] + [(0, n - 2)]
+    fan = [(0, v) for v in range(4, n - 2, 2)]
+    t = Triangulation(n, tuple(sorted(rim + fan)))
+    assert t.ear_count() == n // 2
+    canon = t.canonical()
+    assert canon.diagonals == canonical_by_sorting(n, t.diagonals)
+    assert all(img.canonical() == canon for img in t.dihedral_images())
 
 
 # -- disjointness predicate ----------------------------------------------------
