@@ -347,9 +347,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 # A feasibility bound, like BRUTE_CEILING.  On a 2-core x86-64 machine
-# (Python 3.11), `svg --snake --highlight both` takes 0.12 s at n = 2,000,
-# 0.31 s at 20,000 (47 MB peak RSS) and 2.7 s at 200,000 (326 MB) in a
-# fresh process; at n = 10^10 building the shape runs out of memory.
+# (Python 3.11), `svg --snake --highlight both` takes 0.15 s at n = 2,000
+# and 0.29 s at 20,000 (48 MB peak RSS) in a fresh process (medians of
+# seven); building and rendering the 200,000-gon takes 1.5 s (330 MB); at
+# n = 10^10 building the shape runs out of memory.
 SVG_CEILING = 20000
 
 
