@@ -507,7 +507,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command and return its exit code; argparse's exit on
+    --help or a usage error becomes the returned code."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
     try:
         return args.func(args)
     except (ValueError, ArithmeticError) as exc:

@@ -37,7 +37,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator
 
-from polytri.triangulation import Pair, _diagonal_tuples, _ear_count
+from polytri.triangulation import Pair, _ear_count_set, _eared_shapes
 
 
 def _as_int(value: Fraction, what: str) -> int:
@@ -111,7 +111,7 @@ def ear_census(n: int, method: str = "formula") -> dict[int, int]:
     """Map k -> number of triangulations with k ears, k = 2..floor(n/2).
 
     method 'formula' evaluates the closed form per k; 'brute' streams the
-    full enumeration and tallies ear counts.
+    full enumeration and tallies the ear count it carries with each tuple.
     """
     if n < 4:
         raise ValueError(f"ear census needs n >= 4, got {n}")
@@ -120,8 +120,8 @@ def ear_census(n: int, method: str = "formula") -> dict[int, int]:
         return {k: hurtado_noy(n, k) for k in ks}
     if method == "brute":
         counts = dict.fromkeys(ks, 0)
-        for diags in _diagonal_tuples(n):
-            counts[_ear_count(n, diags)] += 1
+        for _, ears in _eared_shapes(n, -1, _ear_count_set(n, -1)):
+            counts[ears] += 1
         return counts
     raise ValueError(f"unknown method {method!r}")
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Iterable, Iterator
 
 Pair = tuple[int, int]
@@ -141,30 +142,6 @@ def _canonical_diagonals(n: int, diags: Iterable[Pair]) -> tuple[Pair, ...]:
     return tuple((v, v + d) for v, key in enumerate(keys) for d in key if d < n - v)
 
 
-# A loop counts ears at one n; the bound stays small because a stream of
-# texts (the model workload) visits many n.
-@lru_cache(maxsize=4)
-def _ear_chords(n: int) -> frozenset[Pair]:
-    """The n chords (v-1, v+1) of the n-gon, normalized: (v-1, v+1) for
-    0 < v < n-1, and (1, n-1) and (0, n-2) for the tips 0 and n-1."""
-    return frozenset(zip(range(n - 2), range(2, n))) | {(1, n - 1), (0, n - 2)}
-
-
-def _ear_count(n: int, diagonals: Iterable[Pair]) -> int:
-    """Ears of the triangulation with these normalized diagonals (n >= 4).
-
-    v is the tip of an ear iff the chord (v-1, v+1) is a diagonal, so the
-    count is the number of diagonals among the n ear chords.  At n = 4 the
-    chords are only the two diagonals, each the chord of two opposite tips,
-    and every triangulation has 2 ears.  Counting the vertices that no
-    diagonal touches needs no special case but made the listing
-    benchmark's wall time 11% longer (same runs as `_diagonals_text`).
-    """
-    if n == 4:
-        return 2
-    return len(_ear_chords(n).intersection(diagonals))
-
-
 # 'a-b' for every pair of labels of a polygon up to this size, which
 # covers every listing
 _TEXT_TABLE_MAX = 16
@@ -213,22 +190,6 @@ def _split(m: int, i: int) -> tuple[tuple[Pair, ...], dict[Pair, Pair], dict[Pai
     return extra, tables[0], tables[1]
 
 
-def _diagonal_tuples(m: int) -> Iterable[tuple[Pair, ...]]:
-    """Diagonal tuples, unsorted, of all triangulations of the m-gon.
-
-    The apex i of the triangle over the side (0, 1) runs ascending; for
-    each, every triangulation of the left sub-polygon 1..i is taken with
-    every one of the right sub-polygon i..m-1, 0.  A sub-polygon's tuples
-    come in its own positions and are relabeled into the m-gon through the
-    maps of `_split`.  The order is fixed by these rules and does not
-    depend on the cache bound.  Every ear count is wanted, so this is the
-    ear-aware recursion `_eared_shapes` with the counts dropped.
-    """
-    if m <= _SHAPE_CACHE_MAX:
-        return _cached_shapes(m)
-    return (shape for shape, _ in _eared_shapes(m, -1, _ear_count_set(m, -1)))
-
-
 @lru_cache(maxsize=None)
 def _cached_shapes(m: int) -> tuple[tuple[Pair, ...], ...]:
     if m <= 3:
@@ -259,23 +220,32 @@ def _ear_counts(s: int, d: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-@lru_cache(maxsize=None)
 def _ear_count_set(s: int, d: int) -> frozenset[int]:
-    """Every number of ears a sub-polygon (s, d) can hold."""
-    if s <= 3:
-        return frozenset(_ear_counts(s, d))
-    counts: set[int] = set()
-    for j in range(2, s):
-        added, d_left, d_right = _split_ears(s, d, j)
-        rights = _ear_count_set(s - j + 1, d_right)
-        counts.update(added + a + b for a in _ear_count_set(j, d_left) for b in rights)
-    return frozenset(counts)
+    """Every number of ears a sub-polygon (s, d) can hold (see
+    `_eared_shapes`).
+
+    Its tips are pairwise non-adjacent among s-1-d positions (1..s-2-d,
+    or all s around the whole polygon), so it holds at most
+    (s-1-d)//2; a part with d = 0 holds at least one and the whole
+    polygon at least two.  Every count between is reached.  d can reach
+    s, so the bound is clamped at 0.
+    """
+    most = max(0, (s - 1 - d) // 2)
+    return frozenset(range(min(max(0, 1 - d), most), most + 1))
 
 
 def _eared_shapes(s: int, d: int, wanted: set[int]) -> Iterator[tuple[tuple[Pair, ...], int]]:
     """(diagonals, ears) of the sub-polygon's triangulations that hold a
-    wanted number of the whole polygon's ears, in the order of
-    `_diagonal_tuples(s)`; no other tuple is built.
+    wanted number of the whole polygon's ears; no other tuple is built.
+    `_eared_shapes(n, -1, _ear_count_set(n, -1))` is the whole
+    enumeration of the n-gon.
+
+    The diagonals come unsorted, in position form, and in a fixed order:
+    the apex j of the triangle over the side (0, 1) runs ascending; for
+    each, every triangulation of the left sub-polygon 1..j is taken with
+    every one of the right sub-polygon j..s-1, 0, both in this order and
+    relabeled into the s-gon through the maps of `_split`.  The order
+    does not depend on the cache bound, and a filter only drops tuples.
 
     A sub-polygon has s vertices in its own positions and is cut off by
     its closing side (0, s-1).  d is the number of its last sides, ending
@@ -465,10 +435,12 @@ class Triangulation:
         return self._with_sides(0)
 
     def ear_count(self) -> int:
-        """Number of ears, without materializing the triangles (n >= 4)."""
+        """Number of ears, without materializing the triangles (n >= 4):
+        an ear's tip is the one vertex of the ear that no diagonal
+        touches, and every such vertex is a tip."""
         if self.n < 4:
             raise ValueError("ears are undefined for n < 4")
-        return _ear_count(self.n, self.diagonals)
+        return self.n - len(set(chain.from_iterable(self.diagonals)))
 
     def dual_tree(self) -> DualTree:
         """The triangle (i, j, k), i < j < k, sits over the arc (i, k) and
@@ -553,10 +525,10 @@ def enumerate_triangulations(n: int) -> Iterator[Triangulation]:
     """Yield every triangulation of the n-gon exactly once, in a fixed order.
 
     The order is defined by recursively choosing the apex of the triangle
-    over the side (0, 1), apex ascending (see `_diagonal_tuples`).  The
+    over the side (0, 1), apex ascending (see `_eared_shapes`).  The
     count is the Catalan number C(n-2).
     """
     if n < 3:
         raise ValueError(f"polygon needs at least 3 vertices, got n={n}")
-    for diags in _diagonal_tuples(n):
+    for diags, _ in _eared_shapes(n, -1, _ear_count_set(n, -1)):
         yield Triangulation(n, diags, validate=False)

@@ -5,10 +5,12 @@ Catalan oracle uses the Segner recurrence (the package uses the binomial
 closed form), the enumeration oracle is the labeled recursion that the
 package's cached position-form enumerator replaced, the ear oracles
 classify triangles by counting boundary sides directly or count the
-vertices no diagonal touches (the package intersects with the ear
-chords), the avoidance oracle is the memoized top-down recursion that the
-package's bottom-up DP replaced, and the triangulation test scans every
-pair of diagonals for a crossing.  The triangle oracle scans every apex
+vertices no diagonal touches (the package counts those vertices too, or
+carries each tuple's count through its enumeration), the reachable
+ear-count sets come from the recursion over every split that the
+package's closed interval replaced, the avoidance oracle is the memoized
+top-down recursion that the package's bottom-up DP replaced, and the
+triangulation test scans every pair of diagonals for a crossing.  The triangle oracle scans every apex
 over each chord, and the canonical-form oracle maps and sorts all 2n
 dihedral images; both are the routines the package's faster ones replaced.
 The orbit-count oracle counts distinct canonical diagonal tuples instead
@@ -30,8 +32,8 @@ each leaf, where the package reads the arcs of the internal triangle.
 The disjointness oracle scans every triangulation of the polygon for a
 shared diagonal by intersecting diagonal sets, where the package ANDs
 diagonal masks.  The ear-filtered listing oracle enumerates every
-triangulation and keeps those with the right chord count, where the
-package generates only the ones with that many ears.
+triangulation and keeps those with the right number of untouched
+vertices, where the package generates only the ones with that many ears.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from polytri.triangulation import (
     Triangulation,
     _canonical_diagonals,
     _diagonals_text,
-    _ear_count,
+    _split_ears,
     crosses,
     diagonal,
     enumerate_triangulations,
@@ -132,6 +134,21 @@ def ear_count_by_degree(n: int, diags) -> int:
     return n - len({v for pair in diags for v in pair})
 
 
+@lru_cache(maxsize=None)
+def ear_count_set_by_recursion(s: int, d: int) -> frozenset[int]:
+    """Every number of ears a sub-polygon (s, d) of
+    `triangulation._eared_shapes` can hold, as the union over every apex
+    of the sums of its two parts' sets."""
+    if s <= 3:
+        return frozenset({int(s == 3 and d <= 0)})
+    counts: set[int] = set()
+    for j in range(2, s):
+        added, d_left, d_right = _split_ears(s, d, j)
+        rights = ear_count_set_by_recursion(s - j + 1, d_right)
+        counts.update(added + a + b for a in ear_count_set_by_recursion(j, d_left) for b in rights)
+    return frozenset(counts)
+
+
 def ear_census_by_enumeration(n: int) -> Counter[int]:
     """{ear count: triangulations} of the n-gon over the recursive
     enumeration."""
@@ -159,7 +176,7 @@ def listings_by_filter(n: int) -> dict[int, list[str]]:
     of a comparison."""
     by_ears: dict[int, list[str]] = {}
     for diags in diagonal_sets_by_recursion(tuple(range(n))):
-        by_ears.setdefault(_ear_count(n, diags), []).append(_diagonals_text(n, sorted(diags)))
+        by_ears.setdefault(ear_count_by_degree(n, diags), []).append(_diagonals_text(n, sorted(diags)))
     return by_ears
 
 

@@ -58,11 +58,8 @@ HUGE = "10000000000"
 
 
 def invoke(argv):
-    """Run the CLI in-process, normalizing argparse's SystemExit."""
-    try:
-        return cli.run(argv)
-    except SystemExit as exc:
-        return exc.code
+    """Run the CLI in-process; a SystemExit escaping `run` fails the test."""
+    return cli.run(argv)
 
 
 # -- enumerate ------------------------------------------------------------------
@@ -170,7 +167,7 @@ def test_enumerate_ear_filter_above_max_ears_skips_enumeration(capsys, monkeypat
     def refuse(n):
         raise AssertionError("the listing enumerated for an empty ear filter")
 
-    for name in ("_diagonal_tuples", "_cached_shapes", "_split_shapes"):
+    for name in ("_cached_shapes", "_split_shapes"):
         monkeypatch.setattr(triangulation, name, refuse)
     assert invoke(["enumerate", "--n", "14", "--ears", "8"]) == 0
     assert capsys.readouterr().out == ""
@@ -952,6 +949,20 @@ def test_help_exits_zero(capsys):
     assert invoke(["--help"]) == 0
 
 
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["bogus"], 1), (["enumerate"], 1)])
+def test_run_returns_the_parsers_exit_code(argv, code):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert cli.run(argv) == code
+    # the same text argparse writes when it exits on its own
+    parser_out, parser_err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(parser_out), contextlib.redirect_stderr(parser_err):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+    assert exc.value.code == code
+    assert (out.getvalue(), err.getvalue()) == (parser_out.getvalue(), parser_err.getvalue())
+
+
 def run_captured(argv):
     """(exit code, stdout, stderr) of one in-process run."""
     out, err = io.StringIO(), io.StringIO()
@@ -1116,10 +1127,7 @@ def test_cli_flags_are_the_parsers_flags():
 def test_nothing_but_exit_0_or_1_escapes_run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.run(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = cli.run(argv)
     assert code in (0, 1), (argv, err.getvalue())
     if code == 1:
         assert REFUSAL.search(err.getvalue()), (argv, err.getvalue())

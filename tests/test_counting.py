@@ -16,6 +16,7 @@ from helpers import (
     segner_catalan,
 )
 
+from polytri import triangulation
 from polytri.compositions import count_classes
 from polytri.counting import (
     _class_census,
@@ -95,6 +96,15 @@ def test_ear_census_brute_matches_enumeration_oracle(n):
     tally = ear_census_by_enumeration(n)
     assert ear_census(n, "brute") == {k: tally[k] for k in range(2, max_ears(n) + 1)}
     assert set(tally) <= set(range(2, max_ears(n) + 1))
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_ear_census_brute_carries_counts_through_every_split(monkeypatch, n):
+    # with nothing above a triangle cached, every tuple's ear count is
+    # the one the split recursion carries, not a cached shape's
+    monkeypatch.setattr(triangulation, "_SHAPE_CACHE_MAX", 3)
+    tally = ear_census_by_enumeration(n)
+    assert ear_census(n, "brute") == {k: tally[k] for k in range(2, max_ears(n) + 1)}
 
 
 def test_ear_census_spec_examples():

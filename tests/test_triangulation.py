@@ -14,6 +14,7 @@ from helpers import (
     diagonal_sets_by_recursion,
     dual_tree_edges_by_shared_diagonal,
     ear_count_by_degree,
+    ear_count_set_by_recursion,
     ears_by_definition,
     internal_by_definition,
     is_path,
@@ -34,10 +35,9 @@ from polytri import triangulation
 from polytri.triangulation import (
     Triangulation,
     _cached_shapes,
-    _diagonal_tuples,
-    _ear_chords,
-    _ear_count,
+    _ear_count_set,
     _ear_counts,
+    _eared_shapes,
     crosses,
     diagonal,
     enumerate_triangulations,
@@ -159,23 +159,36 @@ def test_enumeration_counts_distinct_valid(n):
         assert is_triangulation(t.n, t.diagonals)
 
 
+def all_shapes(n: int) -> list[tuple[tuple[int, int], ...]]:
+    """The whole enumeration's diagonal tuples, in order."""
+    return [shape for shape, _ in _eared_shapes(n, -1, _ear_count_set(n, -1))]
+
+
 @pytest.mark.parametrize("n", range(3, 13))
 def test_diagonal_tuples_match_recursive_oracle(n):
     # the same tuples, diagonal order included, in the same order
-    assert list(_diagonal_tuples(n)) == list(diagonal_sets_by_recursion(tuple(range(n))))
+    assert all_shapes(n) == list(diagonal_sets_by_recursion(tuple(range(n))))
 
 
 @pytest.mark.parametrize("n", range(4, 11))
 def test_diagonal_tuples_do_not_depend_on_the_cache_bound(monkeypatch, n):
-    expected = list(_diagonal_tuples(n))
+    expected = all_shapes(n)
     # with nothing above a triangle cached, every size is split
     monkeypatch.setattr(triangulation, "_SHAPE_CACHE_MAX", 3)
-    assert list(_diagonal_tuples(n)) == expected
+    assert all_shapes(n) == expected
+
+
+def test_ear_count_sets_match_the_recursion():
+    # d reaches s, e.g. (2, 2) and (3, 3), where the set is {0}; only a
+    # whole polygon has d = -1, and a 2-gon is only ever a part
+    for s in range(2, 41):
+        for d in range(-1 if s > 2 else 0, s + 2):
+            assert _ear_count_set(s, d) == ear_count_set_by_recursion(s, d), (s, d)
 
 
 @pytest.fixture
 def fresh_shape_caches():
-    caches = (triangulation._cached_shapes, triangulation._ear_counts, triangulation._ear_count_set)
+    caches = (triangulation._cached_shapes, triangulation._ear_counts)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -195,7 +208,7 @@ def test_shape_cache_does_not_depend_on_the_bound(monkeypatch, fresh_shape_cache
 @pytest.mark.parametrize("n", range(4, 12))
 def test_cached_ear_counts_match_the_chord_count(n):
     # the whole n-gon is the sub-polygon (n, -1)
-    assert _ear_counts(n, -1) == tuple(_ear_count(n, d) for d in _cached_shapes(n))
+    assert _ear_counts(n, -1) == tuple(ear_count_by_degree(n, d) for d in _cached_shapes(n))
 
 
 @pytest.mark.parametrize("n", [12, 13])
@@ -277,20 +290,15 @@ def test_ears_match_boundary_sides_on_deep_triangulations(shape):
 
 @pytest.mark.parametrize("n", range(4, 12))
 def test_ear_count_matches_untouched_vertices(n):
+    # ear_count() counts the untouched vertices itself, so it is checked
+    # against the triangles with two boundary sides
     for diags in diagonal_sets_by_recursion(tuple(range(n))):
-        assert _ear_count(n, diags) == ear_count_by_degree(n, diags)
-
-
-@pytest.mark.parametrize("n", [*range(5, 12), 40])
-def test_ear_chords_are_n_distinct_diagonals(n):
-    chords = _ear_chords(n)
-    assert chords == {tuple(sorted(((v - 1) % n, (v + 1) % n))) for v in range(n)}
-    assert len(chords) == n
-    assert all(is_diagonal(n, a, b) for a, b in chords)
+        t = Triangulation(n, diags)
+        assert t.ear_count() == len(ears_by_definition(t))
 
 
 def test_square_has_two_ears_from_one_diagonal():
-    # both ear chords of the square are diagonals; each triangulation has one
+    # the one diagonal touches two vertices; the other two are the tips
     for t in all_triangulations(4):
         assert t.ear_count() == 2 == len(t.ears())
 
