@@ -22,7 +22,12 @@ when m is odd, none when m is even.  Burnside then gives the class count
 Inside the module a composition of m is its *bar mask* over m-1 bits: bit
 j is the bar at j+1 and letter j of the pointing string below (1 = U).
 Reversal reverses the bits and conjugation complements them (mask_images).
-Each public function checks its input once, at the boundary.
+Each public function checks its input once, at the boundary.  The bulk
+routines, enumerate_compositions and all_mask_images, run over every mask
+in counter order without a string per mask: the low 8 bits come from
+tables of 2^8 entries (the compositions of 9, the 8-bit reversals) and
+the high bits from the same routine one table narrower.  The tables stop
+at 8 bits, so memory stays bounded at any m.
 
 A 2-eared triangulation of the n-gon has a path-shaped dual tree; walking
 the path from one ear to the other, each of the n-4 middle triangles has
@@ -32,11 +37,13 @@ or U ("up") per middle triangle yields a *pointing string* of length n-4,
 and the positions of the U letters, read as a bar set, yield a composition
 of m = n-3.  The four compositions in a class correspond to the up-to-four
 oriented readings of one symmetry class of triangulations.  Strings are
-written and read back by one chord walk over the diagonals, not the tree.
+written and read back by one chord walk over the diagonals, not the tree;
+the walk starts at an ear tip, a vertex no diagonal touches.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Iterator
 
@@ -76,16 +83,79 @@ def mask_images(m: int, mask: int) -> tuple[int, int, int, int]:
     return mask, rev, mask ^ full, rev ^ full
 
 
+# -- bulk routines, from tables over the low bits -------------------------------
+
+_TABLE_BITS = 8  # the widest table has 2^8 entries, whatever m is
+
+
+@lru_cache(maxsize=None)
+def _composition_table(k: int) -> tuple[Composition, ...]:
+    """The compositions of k (k <= _TABLE_BITS + 1) in bar-mask order, by
+    doubling: mask 2h widens the first part of composition h of k-1, and
+    mask 2h+1 puts a bar at 1 in front of it."""
+    if k == 1:
+        return ((1,),)
+    return tuple(
+        comp for first, *rest in _composition_table(k - 1)
+        for comp in ((first + 1, *rest), (1, first, *rest))
+    )
+
+
+@lru_cache(maxsize=None)
+def _reversal_table(bits: int) -> tuple[int, ...]:
+    """The reversals over `bits` bits (bits <= _TABLE_BITS) of 0 .. 2^bits - 1
+    in order, by doubling: 2h reverses to the reversal of h one bit
+    narrower, and 2h+1 to that plus the top bit."""
+    if bits == 0:
+        return (0,)
+    top = 1 << (bits - 1)
+    return tuple(rev for h in _reversal_table(bits - 1) for rev in (h, h | top))
+
+
+def _reversals(bits: int) -> Iterator[int]:
+    """The reversal over `bits` bits of 0, 1, .., 2^bits - 1, in order: each
+    is the low bits' reversal from the table, shifted up, or'd with the high
+    bits' reversal, which comes from the same iterator one table narrower."""
+    if bits <= _TABLE_BITS:
+        yield from _reversal_table(bits)
+        return
+    shifted = [rev << (bits - _TABLE_BITS) for rev in _reversal_table(_TABLE_BITS)]
+    for rev_high in _reversals(bits - _TABLE_BITS):
+        yield from map(rev_high.__or__, shifted)
+
+
+def all_mask_images(m: int) -> Iterator[tuple[int, int, int, int]]:
+    """mask_images(m, mask) for every bar mask of m, in counter order.  Each
+    reversal joins the low 8 bits' reversal, from a table, with the high
+    bits' reversal, so memory stays bounded at any m."""
+    if m < 1:
+        raise ValueError(f"m must be positive, got {m}")
+    full = (1 << (m - 1)) - 1
+    for mask, rev in enumerate(_reversals(m - 1)):
+        yield mask, rev, mask ^ full, rev ^ full
+
+
 def enumerate_compositions(m: int) -> Iterator[Composition]:
     """All 2^(m-1) compositions of m, ordered by bar mask as a binary counter.
 
     Bit j of the counter (j = 0..m-2) switches the bar at position j+1, so
-    the run starts at (m,) and ends at (1,) * m.
+    the run starts at (m,) and ends at (1,) * m.  The low bars 1..8 come
+    from a table of the 256 compositions of 9, the high bars from the
+    compositions of m-8 (recursively), and each output joins the two at
+    the part that straddles them.  No table is wider than 2^8 entries, so
+    memory stays bounded at any m.
     """
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
-    for mask in range(1 << (m - 1)):
-        yield _composition(m, mask)
+    if m <= _TABLE_BITS + 1:
+        yield from _composition_table(m)
+        return
+    # (head, last part - 1): the low bars end one cell past where the high
+    # bars' first part starts
+    low = [(comp[:-1], comp[-1] - 1) for comp in _composition_table(_TABLE_BITS + 1)]
+    for first, *rest in enumerate_compositions(m - _TABLE_BITS):
+        for head, last in low:
+            yield (*head, last + first, *rest)
 
 
 def bar_set(comp: Composition) -> frozenset[int]:
@@ -146,7 +216,8 @@ def count_classes(m: int, method: str = "closed") -> int:
     method 'closed' evaluates 2^(m-3) + 2^floor((m-3)/2) exactly (requires
     m >= 2; at m = 1 the formula is not integral).  'burnside' averages the
     four fixed-point counts.  'direct' runs over the 2^(m-1) bar masks and
-    counts each orbit once, at its least member.
+    their images (all_mask_images) and counts each orbit once, at its
+    least member.
     """
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
@@ -162,7 +233,7 @@ def count_classes(m: int, method: str = "closed") -> int:
             raise ArithmeticError(f"Burnside sum {total} not divisible by 4 at m={m}")
         return total // 4
     if method == "direct":
-        return sum(mask == min(mask_images(m, mask)) for mask in range(1 << (m - 1)))
+        return sum(images[0] == min(images) for images in all_mask_images(m))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -234,19 +305,21 @@ def pointing_string(t: Triangulation) -> str:
     vertex triple is read first, and the "top" boundary arc is the one
     leaving its tip toward increasing labels.  A middle triangle whose
     single boundary side lies on the top arc points down (D), otherwise
-    up (U).  The chord walk of two_eared_from_pointing, inverted: from
-    (top, bottom) = (tip+1, tip-1), read D and advance top when
-    (top+1, bottom) is a diagonal, else read U and retreat bottom.
+    up (U).  The ear tips are the vertices no diagonal touches (the rule
+    of Triangulation.ear_count), and each tip's ear is the triple
+    (tip-1, tip, tip+1), so no triangle is built.  The chord walk of
+    two_eared_from_pointing, inverted: from (top, bottom) =
+    (tip+1, tip-1), read D and advance top when (top+1, bottom) is a
+    diagonal, else read U and retreat bottom.
     """
     n = t.n
     if n < 5:
         raise ValueError("pointing strings are defined for n >= 5")
-    ears = t.ears()
-    if len(ears) != 2:
-        raise ValueError(f"triangulation has {len(ears)} ears, need exactly 2")
-    ear = min(ears)
-    tip = next(v for v in ear if {(v - 1) % n, (v + 1) % n} <= set(ear))
     diags = set(t.diagonals)
+    tips = set(range(n)).difference(*diags)
+    if len(tips) != 2:
+        raise ValueError(f"triangulation has {len(tips)} ears, need exactly 2")
+    tip = min(tips, key=lambda v: sorted(((v - 1) % n, v, (v + 1) % n)))
     top, bottom = (tip + 1) % n, (tip - 1) % n
     letters = []
     for _ in range(n - 4):

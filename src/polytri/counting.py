@@ -35,9 +35,9 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from polytri.triangulation import Pair, _ear_count_set, _eared_shapes
+from polytri.triangulation import _ear_count_set, _eared_shapes
 
 
 def _as_int(value: Fraction, what: str) -> int:
@@ -164,25 +164,6 @@ def _least_rotation(quiddity: list[int]) -> tuple[int, ...]:
         [twice[i:i + n] for i in range(n) if twice[i] == 1]
         + [back[i:i + n] for i in range(n) if back[i] == 1]
     ))
-
-
-def quiddity_key(n: int, diagonals: Iterable[Pair]) -> tuple[int, ...]:
-    """Symmetry-class key of a triangulation: the least rotation of its
-    quiddity sequence or of the reversed sequence.
-
-    Entry v of the quiddity sequence is the number of triangles at vertex
-    v, 1 plus its diagonal count.  It determines the triangulation, and
-    the sequences of the 2n dihedral images are exactly the rotations of
-    the sequence and of its reversal, so two triangulations share a key
-    iff they lie in one symmetry class.  For n >= 4 the 1-entries are the
-    ear tips: key.count(1) is the ear count.  The orbit census builds the
-    same keys by ear insertion, without diagonals.
-    """
-    quiddity = [1] * n
-    for a, b in diagonals:
-        quiddity[a] += 1
-        quiddity[b] += 1
-    return _least_rotation(quiddity)
 
 
 def _glue_ears(quiddity: tuple[int, ...]) -> Iterator[list[int]]:

@@ -56,6 +56,7 @@ Identities implemented and cross-checked by the verify suites:
 
 from __future__ import annotations
 
+from math import prod
 from operator import mul
 from typing import Iterable
 
@@ -250,11 +251,10 @@ def disjoint_inclusion_exclusion(n: int) -> int:
 
     if n < 4:
         raise ValueError(f"inclusion-exclusion needs n >= 4, got {n}")
+    cat = catalan_list(n - 2).__getitem__
     total = 0
     for comp in enumerate_compositions(n - 2):
-        product = 1
-        for part in comp:
-            product *= catalan(part)
+        product = prod(map(cat, comp))
         total += -product if len(comp) % 2 == 0 else product
     return total
 
@@ -344,13 +344,6 @@ def three_ear_disjoint_published(n: int, ptype: Iterable[int]) -> int:
 
 
 # -- parallel diagonal classes --------------------------------------------------
-
-
-def parallel_residue(n: int, chord: Pair) -> int:
-    """Residue (a+b) mod n; chords of a regular n-gon are parallel iff
-    their residues agree."""
-    a, b = diagonal(n, *chord)
-    return (a + b) % n
 
 
 def diagonals_with_residue(n: int, residues: Iterable[int]) -> tuple[Pair, ...]:

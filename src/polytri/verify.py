@@ -82,8 +82,11 @@ def _agreed(**routes) -> str:
 
 def _tally(items, holds) -> tuple[int, int]:
     """(number of items, number of them for which holds(item) is true)."""
-    items = list(items)
-    return len(items), sum(1 for item in items if holds(item))
+    total = good = 0
+    for item in items:
+        total += 1
+        good += bool(holds(item))
+    return total, good
 
 
 # -- row bodies ----------------------------------------------------------------
@@ -122,9 +125,10 @@ def _involutions_commute(m: int, mask: int) -> bool:
 
 def _fixed_point_closed_forms(m: int) -> tuple[str, str]:
     filtered = [0, 0, 0]  # masks fixed by reversal, conjugation, conj_rev
-    for mask in range(1 << (m - 1)):
-        for op, image in enumerate(comp.mask_images(m, mask)[1:]):
-            filtered[op] += image == mask
+    for mask, rev, conj, conj_rev in comp.all_mask_images(m):
+        filtered[0] += rev == mask
+        filtered[1] += conj == mask
+        filtered[2] += conj_rev == mask
     closed_forms = tuple(comp.count_fixed(m, op) for op in ("reversal", "conjugation", "conj_rev"))
     return str(tuple(filtered)), str(closed_forms)
 
@@ -249,7 +253,7 @@ CHECKS: tuple[Row, ...] = (
         lambda m: _tally(range(1 << (m - 1)), partial(_involutions_commute, m))),
     Row("compositions", "class-orbit-sizes", 1, 12, 16, 1, "-", lambda m: (
         2 ** (m - 1),
-        sum(len(set(comp.mask_images(m, mask))) in (1, 2, 4) for mask in range(1 << (m - 1))))),
+        sum(len(set(images)) in (1, 2, 4) for images in comp.all_mask_images(m)))),
     Row("compositions", "class-count-methods", 2, 16, 20, 1, "-", lambda m: (
         str(comp.count_classes(m, "direct")),
         _agreed(closed=comp.count_classes(m, "closed"),

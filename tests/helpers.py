@@ -21,7 +21,10 @@ rotations and reversed rotations, not only those starting at a 1-entry.
 The composition oracles work on tuples and bar sets and share no code
 with the package's bar masks: compositions are built part by part,
 conjugation complements the set of partial sums, and a class is the set of
-the four tuples.  The pointing-string oracle walks the dual tree's path
+the four tuples.  The exception is the per-mask enumerator
+(`compositions_by_mask`), which reads each mask with the package's
+string-based `_composition`, where the package's bulk enumerator joins
+table entries.  The pointing-string oracle walks the dual tree's path
 from ear to ear and sorts each middle triangle's boundary side by arc,
 where the package walks chords; the path walk (`is_path`, `path_from`)
 lives here as functions of a DualTree, since only this oracle uses it.
@@ -34,6 +37,8 @@ shared diagonal by intersecting diagonal sets, where the package ANDs
 diagonal masks.  The ear-filtered listing oracle enumerates every
 triangulation and keeps those with the right number of untouched
 vertices, where the package generates only the ones with that many ears.
+The quiddity key and the parallel-class residue are kept here because
+only tests use them.
 """
 
 from __future__ import annotations
@@ -42,7 +47,8 @@ from collections import Counter
 from functools import lru_cache
 from itertools import accumulate
 
-from polytri.counting import quiddity_key
+from polytri.compositions import _composition
+from polytri.counting import _least_rotation
 from polytri.triangulation import (
     DualTree,
     Triangulation,
@@ -213,6 +219,25 @@ def orbit_count_by_canonical(n: int, ears: int | None = None) -> int:
     return len(seen)
 
 
+def quiddity_key(n: int, diagonals) -> tuple[int, ...]:
+    """Symmetry-class key of a triangulation: the least rotation of its
+    quiddity sequence or of the reversed sequence.
+
+    Entry v of the quiddity sequence is the number of triangles at vertex
+    v, 1 plus its diagonal count.  It determines the triangulation, and
+    the sequences of the 2n dihedral images are exactly the rotations of
+    the sequence and of its reversal, so two triangulations share a key
+    iff they lie in one symmetry class.  For n >= 4 the 1-entries are the
+    ear tips: key.count(1) is the ear count.  The package's orbit census
+    builds the same keys by ear insertion, without diagonals.
+    """
+    quiddity = [1] * n
+    for a, b in diagonals:
+        quiddity[a] += 1
+        quiddity[b] += 1
+    return _least_rotation(quiddity)
+
+
 def class_census_by_enumeration(n: int) -> Counter[int]:
     """{ear count: symmetry classes} of the n-gon, as the distinct
     quiddity keys of every triangulation, tallied by their 1-entries."""
@@ -234,6 +259,12 @@ def compositions_by_parts(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(
         (first, *rest) for first in range(1, m + 1) for rest in compositions_by_parts(m - first)
     )
+
+
+def compositions_by_mask(m: int) -> list[tuple[int, ...]]:
+    """Every composition of m in bar-mask counter order, one mask at a
+    time: the per-mask enumerator the package's table-driven one replaced."""
+    return [_composition(m, mask) for mask in range(2 ** (m - 1))]
 
 
 def bar_set_by_sums(comp: tuple[int, ...]) -> frozenset[int]:
@@ -398,6 +429,13 @@ def is_triangulation_pairwise(n: int, diagonals) -> bool:
         for i in range(len(diags))
         for j in range(i + 1, len(diags))
     )
+
+
+def parallel_residue(n: int, chord) -> int:
+    """Residue (a+b) mod n; chords of a regular n-gon are parallel iff
+    their residues agree."""
+    a, b = diagonal(n, *chord)
+    return (a + b) % n
 
 
 def all_diagonals(n: int) -> list[tuple[int, int]]:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -12,6 +14,7 @@ from helpers import (
     bar_mask_by_sums,
     bar_set_by_sums,
     composition_class_by_tuples,
+    compositions_by_mask,
     compositions_by_parts,
     conjugate_by_bars,
     count_classes_by_tuples,
@@ -21,6 +24,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polytri.compositions import (
+    all_mask_images,
     bar_set,
     composition_class,
     composition_from_bars,
@@ -54,6 +58,42 @@ def test_composition_count_and_distinct(m):
     assert len(comps) == 2 ** (m - 1)
     assert len(set(comps)) == len(comps)
     assert all(sum(c) == m for c in comps)
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_enumeration_matches_per_mask_oracle(m):
+    assert list(enumerate_compositions(m)) == compositions_by_mask(m)
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_all_mask_images_match_per_mask_images(m):
+    assert list(all_mask_images(m)) == [mask_images(m, x) for x in range(2 ** (m - 1))]
+
+
+def _first_traced(iterator):
+    """(first item, seconds, traced peak bytes) of next(iterator)."""
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        first = next(iterator)
+        elapsed = time.perf_counter() - start
+        return first, elapsed, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bulk_routines_are_bounded_at_large_m():
+    # the tables stop at 2^8 entries, so the first item at m = 60 costs
+    # what it costs at m = 9, not a table of 2^30 entries
+    full = (1 << 59) - 1
+    for iterator, expected in [
+        (enumerate_compositions(60), (60,)),
+        (all_mask_images(60), (0, 0, full, full)),
+    ]:
+        first, elapsed, peak = _first_traced(iterator)
+        assert first == expected
+        assert elapsed < 0.1
+        assert peak < 5 * 2**20
 
 
 def test_enumeration_endpoints():
@@ -247,6 +287,14 @@ def test_pointing_string_matches_dual_tree_oracle_on_images(n):
             assert pointing_string(img) == pointing_string_by_dual_tree(img)
 
 
+@pytest.mark.parametrize("n", range(5, 12))
+def test_pointing_string_matches_dual_tree_oracle_on_every_image(n):
+    for t in all_triangulations(n):
+        if t.ear_count() == 2:
+            for img in t.dihedral_images():
+                assert pointing_string(img) == pointing_string_by_dual_tree(img)
+
+
 def test_pointing_composition_round_trip():
     for m in range(2, 11):
         for comp in enumerate_compositions(m):
@@ -278,8 +326,8 @@ def test_two_eared_standard_forms_cover_all_classes(n):
 
 
 def test_pointing_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        pointing_string(Triangulation.parse("6:0-2,2-4,0-4"))  # 3 ears
+    with pytest.raises(ValueError, match="^triangulation has 3 ears, need exactly 2$"):
+        pointing_string(Triangulation.parse("6:0-2,2-4,0-4"))
     with pytest.raises(ValueError):
         pointing_string(Triangulation.parse("4:0-2"))  # n < 5
     with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from helpers import (
     ear_census_by_enumeration,
     least_dihedral_image,
     orbit_count_by_canonical,
+    quiddity_key,
     random_triangulation,
     rotation_symmetric,
     segner_catalan,
@@ -28,7 +29,6 @@ from polytri.counting import (
     ear_census,
     hurtado_noy,
     max_ears,
-    quiddity_key,
     symmetry_classes_2ear,
     symmetry_classes_3ear,
     symmetry_classes_orbit,

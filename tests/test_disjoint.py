@@ -12,6 +12,7 @@ from helpers import (
     all_triangulations,
     count_avoiding_recursive,
     count_disjoint_by_enumeration,
+    parallel_residue,
     random_triangulation,
     rotation_symmetric,
     three_ear_type_by_tree_walk,
@@ -31,7 +32,6 @@ from polytri.disjoint import (
     disjoint_series,
     disjoint_two_eared,
     fan_prefix_diagonals,
-    parallel_residue,
     signature_invariance_check,
     snake,
     three_ear_disjoint,
