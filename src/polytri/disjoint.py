@@ -45,8 +45,9 @@ Identities implemented and cross-checked by the verify suites:
 * More generally, the disjointness count depends only on the positions of
   the internal triangles (the internal signature), not on the rest of the
   triangulation.  signature_invariance_check(n) returns the brute-force
-  counts grouped by signature, each pair tested by one AND of two
-  diagonal masks (Triangulation.mask).
+  counts grouped by signature, every pair tested bit-parallel: each
+  diagonal's column bitset marks the triangulations holding it, and the
+  OR of t's columns marks every triangulation sharing a diagonal with t.
 * In a regular n-gon, diagonals (a, b) and (c, d) are parallel iff
   a+b = c+d (mod n).  The triangulations avoiding every diagonal parallel
   to one of the sides (0,1) or (0,2) -- residues 1 and 2 -- are exactly
@@ -371,17 +372,27 @@ def signature_invariance_check(n: int) -> dict[tuple[Triple, ...], list[int]]:
     """{internal signature: disjointness counts of its members} for the n-gon.
 
     The signature of t is t.internal_triangles(); the keys come sorted and
-    each list holds its members' counts in enumeration order.  A count
-    tests t's diagonal mask against every triangulation's, so it is brute
-    force over C(n-2)^2 pairs, independent of count_disjoint, and only
-    feasible for n <= 10.  The disjointness count depends only on the
-    signature iff every list is constant.
+    each list holds its members' counts in enumeration order.  The counts
+    come from column bitsets: bit i of holders[d] is set iff the i-th
+    triangulation holds diagonal d, so the OR of holders[d] over t's n-3
+    diagonals marks exactly the triangulations sharing a diagonal with t,
+    and t's count is the number of bits left clear.  Every one of the
+    C(n-2)^2 pairs is still decided by brute force, C(n-2) at a time, so
+    the check is independent of count_disjoint; it is only feasible for
+    n <= 10.  The disjointness count depends only on the signature iff
+    every list is constant.
     """
     if not 4 <= n <= 10:
         raise ValueError(f"pairwise signature check is feasible for 4 <= n <= 10, got {n}")
     ts = list(enumerate_triangulations(n))
-    masks = [t.mask for t in ts]
+    holders: dict[Pair, int] = {}
+    for i, t in enumerate(ts):
+        for d in t.diagonals:
+            holders[d] = holders.get(d, 0) | 1 << i
     groups: dict[tuple[Triple, ...], list[int]] = {}
-    for t, x in zip(ts, masks):
-        groups.setdefault(t.internal_triangles(), []).append(sum(not x & y for y in masks))
+    for t in ts:
+        sharing = 0
+        for d in t.diagonals:
+            sharing |= holders[d]
+        groups.setdefault(t.internal_triangles(), []).append(len(ts) - sharing.bit_count())
     return dict(sorted(groups.items()))

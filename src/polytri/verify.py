@@ -112,9 +112,17 @@ def _dihedral_action(n: int) -> tuple[str, str]:
     return "bijective+ear-preserving", "bijective+ear-preserving" if ok else "broken"
 
 
-def _canonical_is_orbit_constant(t) -> bool:
-    c = t.canonical()
-    return c.canonical() == c and all(img.canonical() == c for img in t.dihedral_images())
+def _canonical_orbit_constant(n: int) -> tuple[int, int]:
+    # every (t, image) pair is still compared, the image's canonical read from the table
+    ts = list(enumerate_triangulations(n))
+    canon = {t.diagonals: t.canonical() for t in ts}
+
+    def holds(t) -> bool:
+        c = canon[t.diagonals]
+        return c.canonical() == c and all(
+            canon.get(img.diagonals) == c for img in t.dihedral_images())
+
+    return _tally(ts, holds)
 
 
 def _involutions_commute(m: int, mask: int) -> bool:
@@ -137,9 +145,16 @@ def _two_eared(n: int):
     return (t for t in enumerate_triangulations(n) if t.ear_count() == 2)
 
 
-def _images_read_in_class(t) -> bool:
-    cls = comp.composition_class(comp.composition_of(t))
-    return all(comp.composition_of(img) in cls for img in t.dihedral_images())
+def _images_read_in_class(n: int) -> tuple[int, int]:
+    # every (t, image) pair is still compared, the image's reading taken from the table
+    ts = list(_two_eared(n))
+    reading = {t.diagonals: comp.composition_of(t) for t in ts}
+
+    def holds(t) -> bool:
+        cls = comp.composition_class(reading[t.diagonals])
+        return all(reading.get(img.diagonals) in cls for img in t.dihedral_images())
+
+    return _tally(ts, holds)
 
 
 def _two_ear_disjoint_catalan(n: int) -> tuple[int, int, str]:
@@ -241,8 +256,7 @@ CHECKS: tuple[Row, ...] = (
     Row("core", "dual-tree-structure", 4, 10, 10, 1, "-",
         lambda n: _tally(enumerate_triangulations(n), _dual_tree_matches)),
     Row("core", "dihedral-action", 4, 9, 10, 1, "-", _dihedral_action),
-    Row("core", "canonical-orbit-constant", 4, 9, 9, 1, "-",
-        lambda n: _tally(enumerate_triangulations(n), _canonical_is_orbit_constant)),
+    Row("core", "canonical-orbit-constant", 4, 9, 9, 1, "-", _canonical_orbit_constant),
     Row("core", "disjoint-symmetry", 4, 8, 8, 1, "-", lambda n: _tally(
         product(list(enumerate_triangulations(n)), repeat=2),
         lambda pair: pair[0].is_disjoint_from(pair[1]) == pair[1].is_disjoint_from(pair[0]))),
@@ -265,8 +279,7 @@ CHECKS: tuple[Row, ...] = (
         lambda s: comp.pointing_string(comp.two_eared_from_pointing(s)) == s)),
     Row("compositions", "two-ear-class-bijection", 5, 12, 14, 1, "m=n-3", lambda n: (
         comp.count_classes(n - 3, "direct"), counting.symmetry_classes_orbit(n, ears=2))),
-    Row("compositions", "image-readings-in-class", 5, 9, 10, 1, "-",
-        lambda n: _tally(_two_eared(n), _images_read_in_class)),
+    Row("compositions", "image-readings-in-class", 5, 9, 10, 1, "-", _images_read_in_class),
 
     Row("formulas", "ear-count-sum", 4, 30, 40, 1, "-", lambda n: (
         counting.catalan(n - 2),

@@ -38,7 +38,13 @@ diagonal masks.  The ear-filtered listing oracle enumerates every
 triangulation and keeps those with the right number of untouched
 vertices, where the package generates only the ones with that many ears.
 The quiddity key and the parallel-class residue are kept here because
-only tests use them.
+only tests use them.  The signature oracle ANDs the diagonal masks of every
+pair of triangulations, where the package ORs column bitsets, and the
+per-image predicates of the canonical and composition-reading verify rows
+canonicalise or read every dihedral image afresh, where the rows look each
+image up in a table built once per triangulation.  The dual-tree shape key
+is the AHU code of the unlabeled tree rooted at its center, which only the
+shape-invariance tests of the disjointness count use.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import accumulate
 
+from polytri import compositions as comp
 from polytri.compositions import _composition
 from polytri.counting import _least_rotation
 from polytri.triangulation import (
@@ -467,3 +474,78 @@ def rotation_symmetric(n: int, k: int, rng) -> Triangulation:
     for s in range(0, n, step):
         diags += [tuple(sorted(((a + s) % n, (b + s) % n))) for a, b in arc]
     return Triangulation(n, tuple(diags))
+
+
+def signature_groups_by_pairs(n: int) -> dict[tuple[tuple[int, int, int], ...], list[int]]:
+    """`disjoint.signature_invariance_check(n)` by one AND of two diagonal
+    masks per pair of triangulations: the scan the column bitsets replaced."""
+    ts = all_triangulations(n)
+    masks = [t.mask for t in ts]
+    groups: dict[tuple[tuple[int, int, int], ...], list[int]] = {}
+    for t, x in zip(ts, masks):
+        groups.setdefault(t.internal_triangles(), []).append(sum(not x & y for y in masks))
+    return dict(sorted(groups.items()))
+
+
+def canonical_orbit_constant_by_images(t: Triangulation) -> bool:
+    """The canonical-orbit-constant predicate, canonicalising every image
+    afresh: c = t.canonical() is its own canonical and every dihedral
+    image of t has canonical c."""
+    c = t.canonical()
+    return c.canonical() == c and all(img.canonical() == c for img in t.dihedral_images())
+
+
+def images_read_in_class_by_images(t: Triangulation) -> bool:
+    """The image-readings-in-class predicate, reading every image afresh:
+    the composition of each dihedral image of a 2-eared t lies in the
+    class of t's composition."""
+    cls = comp.composition_class(comp.composition_of(t))
+    return all(comp.composition_of(img) in cls for img in t.dihedral_images())
+
+
+def dual_tree_shape_key(t: Triangulation) -> str:
+    """The AHU code of t's dual tree as an unlabeled free tree (n >= 4):
+    leaves are peeled layer by layer down to the one or two centers, each
+    center's code is '(' + its children's codes, sorted, + ')', and the key
+    is the least code over the centers.  Two triangulations share a key iff
+    their dual trees are isomorphic."""
+    adj = t.dual_tree().adjacency
+    degree = {v: len(nbrs) for v, nbrs in adj.items()}
+    layer = [v for v, d in degree.items() if d == 1]
+    left = len(adj)
+    while left > 2:
+        left -= len(layer)
+        peeled = []
+        for v in layer:
+            for w in adj[v]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    peeled.append(w)
+        layer = peeled
+
+    def code(v, parent) -> str:
+        return "(" + "".join(sorted(code(w, v) for w in adj[v] if w != parent)) + ")"
+
+    return min(code(c, None) for c in layer)
+
+
+def swap_child_subtrees(t: Triangulation, tri: tuple[int, int, int]) -> Triangulation:
+    """t with the two sub-polygons below the triangle tri = (i, j, k) swapped.
+
+    The triangle sits over the arc i..k, with the parts on i..j and j..k
+    below it.  The new apex is i + k - j: the part on j..k moves down by
+    j - i to i..i+k-j, the part on i..j moves up by k - j, and everything
+    outside the arc stays.  In the dual tree the triangle keeps its parent
+    and swaps its two child subtrees, so the tree's shape is kept."""
+    i, j, k = tri
+    apex = i + k - j
+
+    def moved(a: int, b: int) -> tuple[int, int]:
+        if not (i <= a and b <= k) or (a, b) == (i, k):
+            return a, b
+        shift = -(j - i) if a >= j else k - j
+        return a + shift, b + shift
+
+    inner = {(a, b) for a, b in ((i, apex), (apex, k)) if b - a >= 2}
+    kept = {moved(a, b) for a, b in t.diagonals if (a, b) not in ((i, j), (j, k))}
+    return Triangulation(t.n, tuple(kept | inner))

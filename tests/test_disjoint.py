@@ -12,9 +12,12 @@ from helpers import (
     all_triangulations,
     count_avoiding_recursive,
     count_disjoint_by_enumeration,
+    dual_tree_shape_key,
     parallel_residue,
     random_triangulation,
     rotation_symmetric,
+    signature_groups_by_pairs,
+    swap_child_subtrees,
     three_ear_type_by_tree_walk,
 )
 from hypothesis import given, settings
@@ -423,6 +426,55 @@ def test_signature_scan_counts_match_count_disjoint_and_oracle(n):
     assert signature_invariance_check(n) == expected
 
 
+@pytest.mark.parametrize("n", range(4, 11))
+def test_signature_bitsets_equal_the_pairwise_scan(n):
+    """The column-bitset counts equal one mask AND per pair, with the same
+    keys in the same order and each list in enumeration order."""
+    got = signature_invariance_check(n)
+    expected = signature_groups_by_pairs(n)
+    assert got == expected
+    assert list(got) == list(expected)
+
+
 def test_signature_check_range_guard():
-    with pytest.raises(ValueError):
-        signature_invariance_check(11)
+    for n in (3, 11):
+        with pytest.raises(ValueError, match="feasible for 4 <= n <= 10"):
+            signature_invariance_check(n)
+
+
+# -- the count is a function of the dual tree's shape ----------------------------------
+
+
+# trees on n-2 nodes with no degree above 3 (OEIS A000672), n = 4..11
+TREE_SHAPES = {4: 1, 5: 1, 6: 2, 7: 2, 8: 4, 9: 6, 10: 11, 11: 18}
+
+
+@pytest.mark.parametrize("n", range(4, 12))
+def test_avoidance_count_is_constant_on_dual_tree_shapes(n):
+    """Every triangulation grouped by the AHU key of its unlabeled dual
+    tree, one group per tree shape: count_avoiding, which knows nothing of
+    the tree, gives one count per group."""
+    counts: dict[str, set[int]] = {}
+    for t in all_triangulations(n):
+        counts.setdefault(dual_tree_shape_key(t), set()).add(count_avoiding(n, t.diagonals))
+    assert len(counts) == TREE_SHAPES[n]
+    assert all(len(group) == 1 for group in counts.values()), counts
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_swapping_child_subtrees_keeps_the_count(seed):
+    """At n = 100, swapping the two parts below one triangle gives another
+    triangulation with the same dual-tree shape, and the same count."""
+    rng = random.Random(seed)
+    n = 100
+    t = random_triangulation(n, rng)
+    count = count_avoiding(n, t.diagonals)
+    key = dual_tree_shape_key(t)
+    swapped = 0
+    while swapped < 3:
+        u = swap_child_subtrees(t, rng.choice(t.triangles()))
+        if u == t:
+            continue
+        swapped += 1
+        assert dual_tree_shape_key(u) == key
+        assert count_avoiding(n, u.diagonals) == count == count_disjoint(u)

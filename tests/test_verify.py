@@ -8,8 +8,15 @@ import threading
 from pathlib import Path
 
 import pytest
+from helpers import (
+    all_triangulations,
+    canonical_orbit_constant_by_images,
+    images_read_in_class_by_images,
+)
 
-from polytri import verify
+from polytri import compositions, verify
+from polytri.disjoint import arrow, snake
+from polytri.triangulation import Triangulation
 from polytri.verify import Check, RunReport, run_suites
 
 LINE_RE = re.compile(
@@ -155,3 +162,78 @@ def test_signature_lines_match_the_full_report_golden():
     ]
     assert len(expected) == 7
     assert [c.line() for c in run_suites(["signature"]).checks] == expected
+
+
+# -- table rows against their per-image oracles ------------------------------------
+
+# check id -> (the triangulations it tallies at n, its per-image predicate)
+IMAGE_ORACLES = {
+    "canonical-orbit-constant": (all_triangulations, canonical_orbit_constant_by_images),
+    "image-readings-in-class": (
+        lambda n: [t for t in all_triangulations(n) if t.ear_count() == 2],
+        images_read_in_class_by_images,
+    ),
+}
+
+
+def _row(check_id: str) -> verify.Row:
+    (row,) = [row for row in verify.CHECKS if row.check_id == check_id]
+    return row
+
+
+def _oracle_tally(check_id: str, n: int) -> tuple[int, int]:
+    items, holds = IMAGE_ORACLES[check_id]
+    return verify._tally(items(n), holds)
+
+
+def _reported_tally(suite: str, check_id: str, n: int) -> tuple[str, int, int]:
+    """(status, total, good) of the row's line at n in the suite's report."""
+    (check,) = [c for c in run_suites([suite], max_n=n).checks
+                if c.check_id == check_id and c.n == str(n)]
+    return check.status, int(check.expected), int(check.got)
+
+
+@pytest.mark.parametrize("check_id, n", [
+    (check_id, n) for check_id in IMAGE_ORACLES
+    for n in range(_row(check_id).first, _row(check_id).ceiling + 1)
+])
+def test_table_rows_equal_their_per_image_oracles(check_id, n):
+    assert _row(check_id).body(n) == _oracle_tally(check_id, n)
+
+
+def test_canonical_row_fails_under_a_one_class_fault(monkeypatch):
+    """canonical() returns each member of the fan's class itself, which is
+    not its least image but for one member: the row must fail on exactly
+    the triangulations the per-image oracle rejects."""
+    n = 7
+    least = Triangulation.canonical
+    fan = least(arrow(n))
+
+    def faulty(self):
+        c = least(self)
+        return self if c == fan else c
+
+    monkeypatch.setattr(Triangulation, "canonical", faulty)
+    status, total, good = _reported_tally("core", "canonical-orbit-constant", n)
+    assert status == "FAIL" and 0 < good < total
+    assert (total, good) == _oracle_tally("canonical-orbit-constant", n)
+
+
+def test_image_row_fails_under_one_misread_reflection(monkeypatch):
+    """composition_of reads the snake's reflection as the fan's composition,
+    outside the snake's class: the row must fail on exactly the
+    triangulations the per-image oracle rejects."""
+    n = 8
+    reading = compositions.composition_of
+    mirror = snake(n).reflected()
+    wrong = reading(arrow(n))
+    assert mirror != snake(n)
+    assert wrong not in compositions.composition_class(reading(mirror))
+
+    def faulty(t):
+        return wrong if t.diagonals == mirror.diagonals else reading(t)
+
+    monkeypatch.setattr(compositions, "composition_of", faulty)
+    status, total, good = _reported_tally("compositions", "image-readings-in-class", n)
+    assert status == "FAIL" and 0 < good < total
+    assert (total, good) == _oracle_tally("image-readings-in-class", n)
