@@ -177,6 +177,8 @@ def _resolve_shape(
 
 # -- enumerate ------------------------------------------------------------------
 
+LISTING_CEILING = 14
+
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     n, k = args.n, args.ears
@@ -194,9 +196,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         else:
             print(count)
         return 0
-    if not 3 <= n <= 14:
+    if not 3 <= n <= LISTING_CEILING:
         raise ValueError(
-            f"full listings are supported for 3 <= n <= 14, got n={n} "
+            f"full listings are supported for 3 <= n <= {LISTING_CEILING}, got n={n} "
             "(use --count-only for larger n)"
         )
     lines = listing(n, k)

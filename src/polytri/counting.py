@@ -37,7 +37,12 @@ from functools import lru_cache
 from math import comb
 from typing import Iterator
 
-from polytri.triangulation import _ear_count_set, _eared_shapes
+from polytri.triangulation import (
+    _ear_count_set,
+    _eared_shapes,
+    _least_rotation,
+    _refuse_past_ceiling,
+)
 
 
 def _as_int(value: Fraction, what: str) -> int:
@@ -119,6 +124,7 @@ def ear_census(n: int, method: str = "formula") -> dict[int, int]:
     if method == "formula":
         return {k: hurtado_noy(n, k) for k in ks}
     if method == "brute":
+        _refuse_past_ceiling(n)
         counts = dict.fromkeys(ks, 0)
         for _, ears in _eared_shapes(n, -1, _ear_count_set(n, -1)):
             counts[ears] += 1
@@ -151,21 +157,6 @@ def symmetry_classes_3ear(n: int) -> int:
     return _as_int(value, f"3-ear class formula at n={n}")
 
 
-def _least_rotation(quiddity: list[int]) -> tuple[int, ...]:
-    """The least rotation of a quiddity sequence or of its reversal.
-
-    The least rotation starts at a 1-entry, so only the rotations starting
-    at the 1-entries of the sequence and of its reversal are compared.
-    """
-    n = len(quiddity)
-    twice = quiddity + quiddity
-    back = twice[::-1]  # the reversed sequence, twice
-    return tuple(min(
-        [twice[i:i + n] for i in range(n) if twice[i] == 1]
-        + [back[i:i + n] for i in range(n) if back[i] == 1]
-    ))
-
-
 def _glue_ears(quiddity: tuple[int, ...]) -> Iterator[list[int]]:
     """The quiddity sequences of the triangulations made by gluing one ear
     onto each side of the given one, side i -> i+1 in turn (the last side
@@ -191,7 +182,7 @@ def _class_keys(n: int) -> frozenset[tuple[int, ...]]:
     if n == 3:
         return frozenset({(1, 1, 1)})
     return frozenset(
-        _least_rotation(child)
+        tuple(_least_rotation(child, child[::-1], 1))
         for parent in _class_keys(n - 1)
         for child in _glue_ears(parent)
     )

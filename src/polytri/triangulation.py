@@ -27,8 +27,9 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TypeVar
 
+T = TypeVar("T")
 Pair = tuple[int, int]
 Triple = tuple[int, int, int]
 
@@ -97,6 +98,23 @@ def is_triangulation(n: int, diagonals: Iterable[Pair]) -> bool:
     return True
 
 
+def _least_rotation(fwd: list[T], rev: list[T], least: T) -> list[T]:
+    """The least rotation of the cyclic sequence fwd or of rev, its
+    reversal as read by the caller; `least` is the least entry of both.
+
+    A least rotation starts at a least entry, so only the rotations that
+    start there are compared, one O(n) slice each.  `min` runs over a
+    generator, so one candidate is held at a time.
+    """
+    n = len(fwd)
+    return min(
+        seq[i:i + n]
+        for seq in (fwd + fwd, rev + rev)
+        for i in range(n)
+        if seq[i] == least
+    )
+
+
 def _canonical_diagonals(n: int, diags: Iterable[Pair]) -> tuple[Pair, ...]:
     """Lexicographically least sorted diagonal tuple over the 2n dihedral images.
 
@@ -115,10 +133,11 @@ def _canonical_diagonals(n: int, diags: Iterable[Pair]) -> tuple[Pair, ...]:
     sequences give the same tuple.
 
     An image's sequence is a rotation of the forward keys, or of the
-    reversed backward keys, so it is one list slice.  Only the images whose
-    first key is the least of all keys can be least, and `min` takes the
-    least of their sequences: one O(n) slice per such image.  Several tie
-    on the whole sequence only when the triangulation is symmetric.
+    reversed backward keys, so `_least_rotation` picks the least one, the
+    same routine that picks the orbit census's quiddity keys.  The two
+    lists hold different keys, so the least key is taken over both.
+    Several images tie on the whole sequence only when the triangulation
+    is symmetric.
     """
     fwd: list[list[int]] = [[] for _ in range(n)]
     bwd: list[list[int]] = [[] for _ in range(n)]
@@ -130,15 +149,9 @@ def _canonical_diagonals(n: int, diags: Iterable[Pair]) -> tuple[Pair, ...]:
         bwd[b].append(d)
     fwd_keys = [tuple(sorted(offs)) + (n,) for offs in fwd]
     bwd_keys = [tuple(sorted(offs)) + (n,) for offs in bwd]
-    least = min(min(fwd_keys), min(bwd_keys))
     # the image (u0, -1) reads bwd_keys[u0], bwd_keys[u0-1], ...: the
     # rotation of the reversed list that starts at n-1-u0
-    keys = min(
-        ks[i:] + ks[:i]
-        for ks in (fwd_keys, bwd_keys[::-1])
-        for i in range(n)
-        if ks[i] == least
-    )
+    keys = _least_rotation(fwd_keys, bwd_keys[::-1], min(min(fwd_keys), min(bwd_keys)))
     return tuple((v, v + d) for v, key in enumerate(keys) for d in key if d < n - v)
 
 
@@ -159,6 +172,21 @@ def _diagonals_text(n: int, diagonals: Iterable[Pair]) -> str:
     """
     pair_text = _PAIR_TEXTS.__getitem__ if n <= _TEXT_TABLE_MAX else "%d-%d".__mod__
     return f"{n}:" + ",".join(map(pair_text, diagonals))
+
+
+# The largest polygon `enumerate_triangulations`, `listing` and
+# `ear_census(n, "brute")` accept.  `_split` keeps relabel tables of
+# about n^3/6 entries for good once an n-gon is split, and the
+# generators nest once per vertex: the first triangulation of the
+# 100-gon takes about 0.2 s and 42 MB, of the 400-gon 1.7 GB.
+ENUMERATION_CEILING = 100
+
+
+def _refuse_past_ceiling(n: int) -> None:
+    if n > ENUMERATION_CEILING:
+        raise ValueError(
+            f"enumeration is supported for n <= {ENUMERATION_CEILING}, got n={n}"
+        )
 
 
 # Polygons up to this many vertices have their triangulations built once
@@ -510,6 +538,7 @@ def listing(n: int, ears: int | None = None) -> list[str]:
     """
     if n < 3:
         raise ValueError(f"polygon needs at least 3 vertices, got n={n}")
+    _refuse_past_ceiling(n)
     if ears is None:
         wanted = _ear_count_set(n, -1)
     elif n < 4:
@@ -530,5 +559,6 @@ def enumerate_triangulations(n: int) -> Iterator[Triangulation]:
     """
     if n < 3:
         raise ValueError(f"polygon needs at least 3 vertices, got n={n}")
+    _refuse_past_ceiling(n)
     for diags, _ in _eared_shapes(n, -1, _ear_count_set(n, -1)):
         yield Triangulation(n, diags, validate=False)

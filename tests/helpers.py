@@ -38,7 +38,9 @@ diagonal masks.  The ear-filtered listing oracle enumerates every
 triangulation and keeps those with the right number of untouched
 vertices, where the package generates only the ones with that many ears.
 The quiddity key and the parallel-class residue are kept here because
-only tests use them.  The signature oracle ANDs the diagonal masks of every
+only tests use them.  The class total by Burnside's lemma counts the
+triangulations each dihedral map fixes, in closed form, where the
+package counts distinct class keys.  The signature oracle ANDs the diagonal masks of every
 pair of triangulations, where the package ORs column bitsets, and the
 per-image predicates of the canonical and composition-reading verify rows
 canonicalise or read every dihedral image afresh, where the rows look each
@@ -55,12 +57,12 @@ from itertools import accumulate
 
 from polytri import compositions as comp
 from polytri.compositions import _composition
-from polytri.counting import _least_rotation
 from polytri.triangulation import (
     DualTree,
     Triangulation,
     _canonical_diagonals,
     _diagonals_text,
+    _least_rotation,
     _split_ears,
     crosses,
     diagonal,
@@ -242,7 +244,7 @@ def quiddity_key(n: int, diagonals) -> tuple[int, ...]:
     for a, b in diagonals:
         quiddity[a] += 1
         quiddity[b] += 1
-    return _least_rotation(quiddity)
+    return tuple(_least_rotation(quiddity, quiddity[::-1], 1))
 
 
 def class_census_by_enumeration(n: int) -> Counter[int]:
@@ -250,6 +252,24 @@ def class_census_by_enumeration(n: int) -> Counter[int]:
     quiddity keys of every triangulation, tallied by their 1-entries."""
     keys = {quiddity_key(n, diags) for diags in diagonal_sets_by_recursion(tuple(range(n)))}
     return Counter(key.count(1) for key in keys)
+
+
+def class_total_by_burnside(n: int) -> int:
+    """Symmetry classes of all the n-gon's triangulations, by Burnside's
+    lemma: the average over the 2n dihedral maps of the triangulations
+    each fixes.  The identity fixes C(n-2); the n reflections fix
+    n C(floor(n/2)-1) together; the half turn fixes the (n/2) C(n/2-1)
+    centrally symmetric ones; the two third turns fix (n/3) C(n/3-1)
+    each, those with a central triangle.  No other rotation fixes one."""
+    c = segner_catalan
+    fixed = c(n - 2) + n * c(n // 2 - 1)
+    if n % 2 == 0:
+        fixed += n // 2 * c(n // 2 - 1)
+    if n % 3 == 0:
+        fixed += 2 * n // 3 * c(n // 3 - 1)
+    total, rest = divmod(fixed, 2 * n)
+    assert rest == 0, f"Burnside count at n={n} is not an integer"
+    return total
 
 
 def least_dihedral_image(seq) -> tuple[int, ...]:

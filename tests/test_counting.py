@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 from helpers import (
     class_census_by_enumeration,
+    class_total_by_burnside,
     ear_census_by_enumeration,
     least_dihedral_image,
     orbit_count_by_canonical,
@@ -34,7 +35,7 @@ from polytri.counting import (
     symmetry_classes_orbit,
 )
 from polytri.disjoint import arrow, snake
-from polytri.triangulation import enumerate_triangulations
+from polytri.triangulation import _least_rotation, enumerate_triangulations
 
 # frozen prefix, derived from the Segner recurrence (see helpers.py)
 CATALAN_PREFIX = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012]
@@ -182,6 +183,18 @@ def test_orbit_census_matches_canonical_oracle(n):
             assert symmetry_classes_orbit(n, ears=ears) == orbit_count_by_canonical(n, ears), ears
 
 
+@pytest.mark.parametrize("n", range(3, 15))
+def test_class_total_matches_burnside(n):
+    assert symmetry_classes_orbit(n) == class_total_by_burnside(n)
+
+
+def test_burnside_oracle_spec_values():
+    # OEIS A000207, the triangulations of the n-gon up to rotation and reflection
+    assert [class_total_by_burnside(n) for n in range(3, 17)] == [
+        1, 1, 1, 3, 4, 12, 27, 82, 228, 733, 2282, 7528, 24834, 83898,
+    ]
+
+
 @pytest.mark.parametrize("n", range(3, 13))
 def test_class_census_matches_enumeration_oracle(n):
     assert _class_census(n) == class_census_by_enumeration(n)
@@ -225,6 +238,15 @@ def test_quiddity_key_separates_classes_exhaustive(n):
         assert n < 4 or key.count(1) == t.ear_count()
         pairs.add((key, t.canonical().diagonals))
     assert len(pairs) == len({key for key, _ in pairs}) == len({c for _, c in pairs})
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_least_rotation_matches_every_rotation(seed):
+    # few distinct entries, so several rotations tie on their first ones
+    rng = random.Random(seed)
+    seq = [rng.randint(1, 3) for _ in range(rng.randint(1, 30))]
+    got = _least_rotation(seq, seq[::-1], min(seq))
+    assert tuple(got) == least_dihedral_image(seq)
 
 
 @pytest.mark.parametrize("n", [15, 40, 101])

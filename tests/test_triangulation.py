@@ -3,7 +3,11 @@ dihedral action, text format."""
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from functools import lru_cache
 
 import pytest
@@ -31,8 +35,11 @@ from hypothesis import strategies as st
 
 from polytri.compositions import two_eared_from_pointing
 from polytri.disjoint import arrow, snake, three_ear_rep
+import polytri
 from polytri import triangulation
+from polytri.counting import ear_census
 from polytri.triangulation import (
+    ENUMERATION_CEILING,
     Triangulation,
     _cached_shapes,
     _ear_count_set,
@@ -222,6 +229,46 @@ def test_ear_listing_matches_the_filter(n):
 def test_enumeration_rejects_degenerate():
     with pytest.raises(ValueError):
         list(enumerate_triangulations(2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: next(enumerate_triangulations(n)),
+    listing,
+    lambda n: ear_census(n, "brute"),
+], ids=["enumerate_triangulations", "listing", "ear_census-brute"])
+def test_enumeration_refuses_past_the_ceiling(call):
+    with pytest.raises(ValueError, match=f"n <= {ENUMERATION_CEILING}, got n="):
+        call(ENUMERATION_CEILING + 1)
+
+
+def test_ear_census_formula_has_no_enumeration_ceiling():
+    assert sum(ear_census(ENUMERATION_CEILING + 1).values()) == segner_catalan(
+        ENUMERATION_CEILING - 1
+    )
+
+
+AS_LIMIT = 150 * 2**20  # bytes of address space for the child below
+
+
+def test_first_triangulation_at_the_ceiling_fits_in_memory():
+    # in a child process: the relabel tables `_split` caches for the
+    # ceiling (about 42 MB) would otherwise stay for the whole session
+    code = textwrap.dedent(f"""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, ({AS_LIMIT}, {AS_LIMIT}))
+        from polytri.triangulation import ENUMERATION_CEILING, enumerate_triangulations
+        t = next(enumerate_triangulations(ENUMERATION_CEILING))
+        assert t.n == ENUMERATION_CEILING and len(t.diagonals) == t.n - 3
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(polytri.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()[-500:]
 
 
 # -- triangles, ears, internal triangles -------------------------------------
