@@ -26,7 +26,9 @@ Coxeter, 1973): a dihedral image is a rotation or reversal of that
 n-tuple, and the ears are its 1-entries.  Gluing an ear onto a side
 inserts a 1 into the sequence and adds 1 to both neighbours, so the
 census builds the keys at n from one key per class at n-1, never
-enumerating the triangulations themselves.
+enumerating the triangulations themselves.  A key is the least rotation
+of the sequence or of its reversal, picked by the same routine
+(`triangulation._least_rotation`) that picks `Triangulation.canonical()`.
 """
 
 from __future__ import annotations
@@ -178,6 +180,8 @@ def _class_keys(n: int) -> frozenset[tuple[int, ...]]:
     Every n-gon triangulation is an (n-1)-gon one with an ear glued onto a
     side, and a dihedral image of the parent gives an image of each child,
     so the children of one key per class at n-1 reach every class at n.
+    Each child is keyed by `_least_rotation`, the routine behind
+    `canonical()`; a least rotation starts at a 1, an ear tip.
     """
     if n == 3:
         return frozenset({(1, 1, 1)})
