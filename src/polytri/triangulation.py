@@ -99,13 +99,9 @@ def is_triangulation(n: int, diagonals: Iterable[Pair]) -> bool:
 
 
 def _least_rotation(fwd: list[T], rev: list[T], least: T) -> list[T]:
-    """The least rotation of the cyclic sequence fwd or of rev, its
-    reversal as read by the caller; `least` is the least entry of both.
-
-    A least rotation starts at a least entry, so only the rotations that
-    start there are compared, one O(n) slice each.  `min` runs over a
-    generator, so one candidate is held at a time.
-    """
+    """The least rotation of the cyclic sequence fwd or of its reversal
+    rev; `least` is the least entry of both.  Only the rotations that
+    start at it are compared, over a generator, one O(n) slice at a time."""
     n = len(fwd)
     return min(
         seq[i:i + n]

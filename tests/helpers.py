@@ -40,11 +40,12 @@ vertices, where the package generates only the ones with that many ears.
 The quiddity key and the parallel-class residue are kept here because
 only tests use them.  The class total by Burnside's lemma counts the
 triangulations each dihedral map fixes, in closed form, where the
-package counts distinct class keys.  The signature oracle ANDs the diagonal masks of every
-pair of triangulations, where the package ORs column bitsets, and the
-per-image predicates of the canonical and composition-reading verify rows
-canonicalise or read every dihedral image afresh, where the rows look each
-image up in a table built once per triangulation.  The dual-tree shape key
+package counts distinct class keys.  The signature oracle ANDs the
+diagonal masks of every pair of triangulations, where the package ORs
+column bitsets, and the per-image predicates of the canonical and
+composition-reading verify rows canonicalise or read every dihedral
+image afresh, where the rows look each image up in a table built once
+per triangulation.  The dual-tree shape key
 is the AHU code of the unlabeled tree rooted at its center, which only the
 shape-invariance tests of the disjointness count use.
 """
