@@ -39,12 +39,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterator
 
-from polytri.triangulation import (
-    _ear_count_set,
-    _eared_shapes,
-    _least_rotation,
-    _refuse_past_ceiling,
-)
+from polytri.triangulation import _least_rotation, _shapes
 
 
 def _as_int(value: Fraction, what: str) -> int:
@@ -53,7 +48,6 @@ def _as_int(value: Fraction, what: str) -> int:
     return int(value)
 
 
-@lru_cache(maxsize=None)
 def catalan(k: int) -> int:
     """Catalan number C(k) = binom(2k, k) / (k+1)."""
     if k < 0:
@@ -126,9 +120,8 @@ def ear_census(n: int, method: str = "formula") -> dict[int, int]:
     if method == "formula":
         return {k: hurtado_noy(n, k) for k in ks}
     if method == "brute":
-        _refuse_past_ceiling(n)
         counts = dict.fromkeys(ks, 0)
-        for _, ears in _eared_shapes(n, -1, _ear_count_set(n, -1)):
+        for _, ears in _shapes(n):
             counts[ears] += 1
         return counts
     raise ValueError(f"unknown method {method!r}")

@@ -171,18 +171,11 @@ def _diagonals_text(n: int, diagonals: Iterable[Pair]) -> str:
 
 
 # The largest polygon `enumerate_triangulations`, `listing` and
-# `ear_census(n, "brute")` accept.  `_split` keeps relabel tables of
-# about n^3/6 entries for good once an n-gon is split, and the
-# generators nest once per vertex: the first triangulation of the
-# 100-gon takes about 0.2 s and 42 MB, of the 400-gon 1.7 GB.
+# `ear_census(n, "brute")` accept.  It bounds the peak memory of the
+# nested generators: they nest once per vertex, and each holds the
+# relabel tables of its current split, about n^3/6 entries in all, so
+# the first triangulation of the 100-gon takes about 0.2 s and 42 MB.
 ENUMERATION_CEILING = 100
-
-
-def _refuse_past_ceiling(n: int) -> None:
-    if n > ENUMERATION_CEILING:
-        raise ValueError(
-            f"enumeration is supported for n <= {ENUMERATION_CEILING}, got n={n}"
-        )
 
 
 # Polygons up to this many vertices have their triangulations built once
@@ -191,7 +184,6 @@ def _refuse_past_ceiling(n: int) -> None:
 _SHAPE_CACHE_MAX = 11
 
 
-@lru_cache(maxsize=None)
 def _split(m: int, i: int) -> tuple[tuple[Pair, ...], dict[Pair, Pair], dict[Pair, Pair]]:
     """The triangle (0, 1, i) of the m-gon, in position form.
 
@@ -199,7 +191,8 @@ def _split(m: int, i: int) -> tuple[tuple[Pair, ...], dict[Pair, Pair], dict[Pai
     off, the maps from a sub-polygon's own diagonals to the m-gon's: the
     left i-gon on positions 1..i (its position p is the m-gon's p+1) and
     the right (m-i+1)-gon on positions i..m-1, 0 (its p is i+p, and its
-    last position is 0).
+    last position is 0).  The maps are built anew on every call and
+    kept by nothing but the caller.
     """
     extra = ((1, i),) if i > 2 else ()
     if i < m - 1:
@@ -261,8 +254,8 @@ def _ear_count_set(s: int, d: int) -> frozenset[int]:
 def _eared_shapes(s: int, d: int, wanted: set[int]) -> Iterator[tuple[tuple[Pair, ...], int]]:
     """(diagonals, ears) of the sub-polygon's triangulations that hold a
     wanted number of the whole polygon's ears; no other tuple is built.
-    `_eared_shapes(n, -1, _ear_count_set(n, -1))` is the whole
-    enumeration of the n-gon.
+    `_shapes` checks n and the ear count and calls it for the whole
+    polygon.
 
     The diagonals come unsorted, in position form, and in a fixed order:
     the apex j of the triangle over the side (0, 1) runs ascending; for
@@ -282,7 +275,8 @@ def _eared_shapes(s: int, d: int, wanted: set[int]) -> Iterator[tuple[tuple[Pair
     min(d, s-1-j) + 1.  A 2-gon holds no ears, a 3-gon one when d <= 0.
 
     Up to the cache bound the cached shapes are filtered by their counts;
-    above it they are generated by `_split_shapes`.  The iterator is
+    above it they are generated by `_split_shapes`, whose relabel maps
+    live only while it works on their apex.  The iterator is
     returned, not yielded from, so a deep recursion adds no generator
     level per sub-polygon.
     """
@@ -523,6 +517,28 @@ class Triangulation:
         return not self.mask & other.mask
 
 
+def _shapes(n: int, ears: int | None = None) -> Iterator[tuple[tuple[Pair, ...], int]]:
+    """(diagonals, ears) of the n-gon's triangulations with this many ears
+    (all of them for None), in the order of `_eared_shapes`.  The one
+    entry to the enumeration: it checks n and the ear count at the call,
+    before any tuple is built."""
+    if n < 3:
+        raise ValueError(f"polygon needs at least 3 vertices, got n={n}")
+    if n > ENUMERATION_CEILING:
+        raise ValueError(
+            f"enumeration is supported for n <= {ENUMERATION_CEILING}, got n={n}"
+        )
+    if ears is None:
+        wanted = _ear_count_set(n, -1)
+    elif n < 4:
+        raise ValueError("ears are undefined for n < 4")
+    elif ears < 2:
+        raise ValueError(f"every triangulation has >= 2 ears, got k={ears}")
+    else:
+        wanted = {ears}
+    return _eared_shapes(n, -1, wanted)
+
+
 def listing(n: int, ears: int | None = None) -> list[str]:
     """Text forms of the n-gon's triangulations with this many ears (all
     of them for None), in the order of `enumerate_triangulations`.
@@ -532,29 +548,16 @@ def listing(n: int, ears: int | None = None) -> list[str]:
     C(n-2); a count no triangulation has builds no tuple.  No
     Triangulation objects are built.
     """
-    if n < 3:
-        raise ValueError(f"polygon needs at least 3 vertices, got n={n}")
-    _refuse_past_ceiling(n)
-    if ears is None:
-        wanted = _ear_count_set(n, -1)
-    elif n < 4:
-        raise ValueError("ears are undefined for n < 4")
-    elif ears < 2:
-        raise ValueError(f"every triangulation has >= 2 ears, got k={ears}")
-    else:
-        wanted = {ears}
-    return [_diagonals_text(n, sorted(d)) for d, _ in _eared_shapes(n, -1, wanted)]
+    return [_diagonals_text(n, sorted(d)) for d, _ in _shapes(n, ears)]
 
 
 def enumerate_triangulations(n: int) -> Iterator[Triangulation]:
-    """Yield every triangulation of the n-gon exactly once, in a fixed order.
+    """An iterator over every triangulation of the n-gon, each exactly
+    once, in a fixed order.  A bad n raises at the call, not at the first
+    `next()`.
 
     The order is defined by recursively choosing the apex of the triangle
     over the side (0, 1), apex ascending (see `_eared_shapes`).  The
     count is the Catalan number C(n-2).
     """
-    if n < 3:
-        raise ValueError(f"polygon needs at least 3 vertices, got n={n}")
-    _refuse_past_ceiling(n)
-    for diags, _ in _eared_shapes(n, -1, _ear_count_set(n, -1)):
-        yield Triangulation(n, diags, validate=False)
+    return (Triangulation(n, diags, validate=False) for diags, _ in _shapes(n))

@@ -3,11 +3,13 @@ dihedral action, text format."""
 
 from __future__ import annotations
 
+import gc
 import os
 import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -40,6 +42,7 @@ from polytri import triangulation
 from polytri.counting import ear_census
 from polytri.triangulation import (
     ENUMERATION_CEILING,
+    _SHAPE_CACHE_MAX,
     Triangulation,
     _cached_shapes,
     _ear_count_set,
@@ -228,11 +231,11 @@ def test_ear_listing_matches_the_filter(n):
 
 def test_enumeration_rejects_degenerate():
     with pytest.raises(ValueError):
-        list(enumerate_triangulations(2))
+        enumerate_triangulations(2)
 
 
 @pytest.mark.parametrize("call", [
-    lambda n: next(enumerate_triangulations(n)),
+    enumerate_triangulations,
     listing,
     lambda n: ear_census(n, "brute"),
 ], ids=["enumerate_triangulations", "listing", "ear_census-brute"])
@@ -251,8 +254,8 @@ AS_LIMIT = 150 * 2**20  # bytes of address space for the child below
 
 
 def test_first_triangulation_at_the_ceiling_fits_in_memory():
-    # in a child process: the relabel tables `_split` caches for the
-    # ceiling (about 42 MB) would otherwise stay for the whole session
+    # in a child process, so the address-space limit bounds the peak of
+    # the nested generators (about 42 MB) and nothing else in the session
     code = textwrap.dedent(f"""
         import resource
         resource.setrlimit(resource.RLIMIT_AS, ({AS_LIMIT}, {AS_LIMIT}))
@@ -269,6 +272,23 @@ def test_first_triangulation_at_the_ceiling_fits_in_memory():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr.decode()[-500:]
+
+
+def test_enumeration_at_the_ceiling_leaves_nothing_behind():
+    # the shape cache is warm, so what stays traced is what the
+    # enumeration kept for good (23.6 MB of relabel tables when `_split`
+    # was cached)
+    listing(_SHAPE_CACHE_MAX)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        next(enumerate_triangulations(ENUMERATION_CEILING))
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 2 * 2**20, grown
 
 
 # -- triangles, ears, internal triangles -------------------------------------
