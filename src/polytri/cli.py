@@ -55,10 +55,9 @@ def parse_range(text: str) -> range:
     if b > a and a < 0:
         raise ValueError(f"range {text!r} starts below n = 0, where no count is defined")
     bound = _printable_bound()
-    if b > a and 0 < bound < b:
+    if b > a and b > bound:
         raise ValueError(
-            f"range {text!r} ends past n = {bound}, above which counts are too long "
-            f"to print (over {sys.get_int_max_str_digits()} decimal digits)"
+            f"range {text!r} ends past n = {bound}, above which counts are {_past_bound()}"
         )
     return range(a, b + 1)
 
@@ -81,8 +80,7 @@ def _printable(value: int) -> int:
 
 
 def _printable_bound() -> int:
-    """The largest n whose nonzero counts may be short enough to print, or
-    0 when Python prints integers of any length.
+    """The largest n whose nonzero counts may be short enough to print.
 
     Every nonzero count the CLI prints at size n is at least 2^(n/2 - 2).
     The Catalan numbers C(n), C(n-2), C(n-3) and C(n-4) (a term of every
@@ -91,19 +89,25 @@ def _printable_bound() -> int:
     (n/k) 2^(n-2k) binom(n-4, 2k-4) C(k-2) at least 2^(n-k-2) for
     2 <= k <= n/2.  As 10/3 > log2(10), a power of two with an exponent
     above limit*10/3 has more than `limit` decimal digits, so the bound is
-    the largest n with n//2 - 2 <= limit*10//3.
+    the largest n with n//2 - 2 <= limit*10//3.  With no digit limit (0),
+    the bound of Python's default limit of 4300 digits, n = 28,671, holds.
     """
+    limit = sys.get_int_max_str_digits() or 4300
+    return 2 * (limit * 10 // 3 + 2) + 1
+
+
+def _past_bound() -> str:
+    """Why a count past `_printable_bound` is refused."""
     limit = sys.get_int_max_str_digits()
-    return 2 * (limit * 10 // 3 + 2) + 1 if limit else 0
+    return (f"too long to print (over {limit} decimal digits)" if limit
+            else f"not computed (n = {_printable_bound()} is the bound kept with no digit limit)")
 
 
 def _refuse_too_long(n: int) -> None:
     """Refuse, before computing it, a nonzero count at size n that has too
     many digits to print (n above `_printable_bound`)."""
-    bound = _printable_bound()
-    if 0 < bound < n:
-        limit = sys.get_int_max_str_digits()
-        raise ValueError(f"value too long to print (over {limit} decimal digits)")
+    if n > _printable_bound():
+        raise ValueError(f"value {_past_bound()}")
 
 
 def _hurtado_noy(n: int, k: int) -> int:

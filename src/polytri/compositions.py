@@ -305,22 +305,21 @@ def pointing_string(t: Triangulation) -> str:
     vertex triple is read first, and the "top" boundary arc is the one
     leaving its tip toward increasing labels.  A middle triangle whose
     single boundary side lies on the top arc points down (D), otherwise
-    up (U).  The ear tips are the vertices no diagonal touches (the rule
-    of Triangulation.ear_count), and each tip's ear is the triple
-    (tip-1, tip, tip+1), so no triangle is built.  The chord walk of
-    two_eared_from_pointing, inverted: from (top, bottom) =
-    (tip+1, tip-1), read D and advance top when (top+1, bottom) is a
-    diagonal, else read U and retreat bottom.
+    up (U).  The ear tips come from Triangulation.ear_tips, and each
+    tip's ear is the triple (tip-1, tip, tip+1), so no triangle is
+    built.  The chord walk of two_eared_from_pointing, inverted: from
+    (top, bottom) = (tip+1, tip-1), read D and advance top when
+    (top+1, bottom) is a diagonal, else read U and retreat bottom.
     """
     n = t.n
     if n < 5:
         raise ValueError("pointing strings are defined for n >= 5")
-    diags = set(t.diagonals)
-    tips = set(range(n)).difference(*diags)
+    tips = t.ear_tips()
     if len(tips) != 2:
         raise ValueError(f"triangulation has {len(tips)} ears, need exactly 2")
     tip = min(tips, key=lambda v: sorted(((v - 1) % n, v, (v + 1) % n)))
     top, bottom = (tip + 1) % n, (tip - 1) % n
+    diags = set(t.diagonals)
     letters = []
     for _ in range(n - 4):
         step = (top + 1) % n

@@ -37,9 +37,9 @@ Identities implemented and cross-checked by the verify suites:
       sum_{i=0}^{n-4-q} C(i) C(n-4-i)  +  sum_{j=p}^{p+q-1} C(j) C(n-4-j)
 
   disjoint partners, equivalently 2 C(n-3) - S(p-1) - S(q-1) - S(r-1)
-  with S(k) = catalan_partial_convolution(n, k); in particular the count
-  depends only on the multiset {p, q, r}.  A published variant of the
-  closed form sums to p, q, r instead of p-1, q-1, r-1; it disagrees with
+  (three_ear_closed_form, S(k) = catalan_partial_convolution(n, k)), so
+  the count depends only on the multiset {p, q, r}.  A published variant
+  of the closed form sums to p, q, r instead of p-1, q-1, r-1; it disagrees with
   the case analysis (already at n=6, type (1,1,1): 1 versus 4) and is kept
   only so the verify suite can report the discrepancy as an erratum.
 * More generally, the disjointness count depends only on the positions of
@@ -106,10 +106,7 @@ def snake(n: int) -> Triangulation:
             chain.append(lo)
             lo += 1
         take_high = not take_high
-    diags = tuple(
-        (a, b) if a < b else (b, a) for a, b in zip(chain, chain[1:])
-    )
-    return Triangulation(n, diags, validate=False)
+    return Triangulation(n, tuple(zip(chain, chain[1:])))
 
 
 def three_ear_rep(n: int, ptype: Iterable[int]) -> Triangulation:
@@ -123,8 +120,7 @@ def three_ear_rep(n: int, ptype: Iterable[int]) -> Triangulation:
     diags = [(0, j) for j in range(2, p + 2)]
     diags += [(p + 1, j) for j in range(p + 3, p + q + 3)]
     diags += [(p + q + 2, j) for j in range(p + q + 4, n)]
-    diags.append((0, p + q + 2))
-    return Triangulation(n, tuple(sorted(set(diags))))
+    return Triangulation(n, (*diags, (0, p + q + 2)))
 
 
 def check_type(n: int, ptype: Iterable[int]) -> tuple[int, int, int]:
@@ -320,8 +316,7 @@ def three_ear_disjoint(n: int, ptype: Iterable[int]) -> int:
 
         sum_{i=0}^{n-4-q} C(i) C(n-4-i)  +  sum_{j=p}^{p+q-1} C(j) C(n-4-j)
 
-    which is symmetric in (p, q, r): it equals
-    2 C(n-3) - S(p-1) - S(q-1) - S(r-1).
+    which is symmetric in (p, q, r): it equals three_ear_closed_form.
     """
     p, q, r = check_type(n, ptype)
     case1 = _catalan_convolution(n - 4, 0, n - 3 - q)
@@ -329,19 +324,20 @@ def three_ear_disjoint(n: int, ptype: Iterable[int]) -> int:
     return case1 + case2
 
 
-def three_ear_disjoint_published(n: int, ptype: Iterable[int]) -> int:
-    """Published closed-form variant with summation limits p, q, r.
+def three_ear_closed_form(n: int, branches: Iterable[int]) -> int:
+    """2 C(n-3) - S(p-1) - S(q-1) - S(r-1), S(k) = catalan_partial_convolution(n, k),
+    over branch sizes >= 0: the closed form of the 3-ear case sum, where
+    an empty branch adds the empty sum S(-1) = 0."""
+    return 2 * catalan(n - 3) - sum(catalan_partial_convolution(n, x - 1) for x in branches)
 
-    Evaluates 2 C(n-3) - S(p) - S(q) - S(r) with
-    S(k) = sum_{i=0}^{k} C(i) C(n-4-i).  The limits are off by one: the
-    case analysis gives 2 C(n-3) - S(p-1) - S(q-1) - S(r-1), and already
-    at n=6, type (1,1,1), this variant yields 1 where the true count is 4.
-    Kept so the verify suite can report the discrepancy as an erratum.
-    """
+
+def three_ear_disjoint_published(n: int, ptype: Iterable[int]) -> int:
+    """Published closed-form variant: three_ear_closed_form with every
+    limit one higher, 2 C(n-3) - S(p) - S(q) - S(r).  Already at n=6,
+    type (1,1,1), it yields 1 where the true count is 4; kept so the
+    verify suite can report the discrepancy as an erratum."""
     p, q, r = check_type(n, ptype)
-    return 2 * catalan(n - 3) - sum(
-        catalan_partial_convolution(n, x) for x in (p, q, r)
-    )
+    return three_ear_closed_form(n, (p + 1, q + 1, r + 1))
 
 
 # -- parallel diagonal classes --------------------------------------------------

@@ -38,12 +38,15 @@ def diagonal(n: int, a: int, b: int) -> Pair:
     """Normalize {a, b} to a pair (a, b) with a < b, validated for the n-gon."""
     if n < 3:
         raise ValueError(f"polygon needs at least 3 vertices, got n={n}")
+    if not (isinstance(a, int) and isinstance(b, int)):
+        raise ValueError(f"vertices must be ints, got ({a!r}, {b!r})")
     if not (0 <= a < n and 0 <= b < n):
         raise ValueError(f"vertex out of range for n={n}: ({a}, {b})")
     if a > b:
         a, b = b, a
     if a == b or b - a < 2 or (a, b) == (0, n - 1):
-        raise ValueError(f"({a}, {b}) is not a diagonal of the {n}-gon")
+        what = "a vertex" if a == b else "a side"
+        raise ValueError(f"({a}, {b}) is {what} of the {n}-gon, not a diagonal")
     return (a, b)
 
 
@@ -70,31 +73,44 @@ def crosses(d1: Pair, d2: Pair) -> bool:
     return (a < c < b) != (a < d < b)
 
 
-def is_triangulation(n: int, diagonals: Iterable[Pair]) -> bool:
-    """True iff the set of pairs is a triangulation of the n-gon.
-
-    Returns False (never raises) on malformed input: wrong cardinality,
-    duplicates, non-diagonals, or a crossing pair.  Runs in O(n log n):
-    seen as intervals a..b, two diagonals that do not cross are nested or
-    overlap at most in an endpoint, which one pass over them sorted by
-    (a, -b) checks with a stack of enclosing right ends.
+def _checked(n: int, diagonals: Iterable[Pair]) -> tuple[Pair, ...]:
+    """The diagonals of a triangulation of the n-gon, each pair ordered
+    a < b, sorted; otherwise a ValueError naming the fault.  One
+    O(n log n) pass: seen as intervals a..b, two diagonals that do not
+    cross are nested or share at most an endpoint, which a scan sorted by
+    (a, -b) checks with a stack of the diagonals enclosing the current one.
     """
     if n < 3:
-        return False
+        raise ValueError(f"polygon needs at least 3 vertices, got n={n}")
+    diags = []
+    for pair in diagonals:
+        try:
+            a, b = pair
+        except (TypeError, ValueError):
+            raise ValueError(f"not a pair of vertices: {pair!r}") from None
+        diags.append(diagonal(n, a, b))
+    if len(diags) != n - 3:
+        raise ValueError(f"a triangulation of the {n}-gon has {n - 3} diagonals, got {len(diags)}")
+    diags.sort(key=lambda d: (d[0], -d[1]))
+    enclosing: list[Pair] = []
+    for d in diags:
+        while enclosing and enclosing[-1][1] <= d[0]:
+            enclosing.pop()
+        # the enclosing (c, e) equals d, or has c < a < e < b and crosses it
+        if enclosing and (enclosing[-1] == d or d[1] > enclosing[-1][1]):
+            fault = "duplicate" if enclosing[-1] == d else "crossing"
+            raise ValueError(f"{fault} diagonals {enclosing[-1]} and {d}")
+        enclosing.append(d)
+    return tuple(sorted(diags))
+
+
+def is_triangulation(n: int, diagonals: Iterable[Pair]) -> bool:
+    """True iff the pairs, in either orientation, form a triangulation of
+    the n-gon: `_checked` without the raise, so it never raises."""
     try:
-        diags = sorted((diagonal(n, a, b) for a, b in diagonals),
-                       key=lambda d: (d[0], -d[1]))
+        _checked(n, diagonals)
     except (ValueError, TypeError):
         return False
-    if len(diags) != n - 3 or len(set(diags)) != n - 3:
-        return False
-    ends: list[int] = []  # right ends of the diagonals enclosing the current one
-    for a, b in diags:
-        while ends and ends[-1] <= a:
-            ends.pop()
-        if ends and b > ends[-1]:
-            return False  # the enclosing (c, e) has c < a < e < b: they cross
-        ends.append(b)
     return True
 
 
@@ -351,18 +367,15 @@ class DualTree:
 
 @dataclass(frozen=True, order=True)
 class Triangulation:
-    """A triangulation of the convex n-gon, stored as sorted diagonal pairs."""
+    """A triangulation of the convex n-gon, stored as sorted pairs (a, b), a < b."""
 
     n: int
     diagonals: tuple[Pair, ...]
     validate: InitVar[bool] = True
 
     def __post_init__(self, validate: bool) -> None:
-        object.__setattr__(self, "diagonals", tuple(sorted(self.diagonals)))
-        if validate and not is_triangulation(self.n, self.diagonals):
-            raise ValueError(
-                f"not a triangulation of the {self.n}-gon: {list(self.diagonals)}"
-            )
+        diags = _checked(self.n, self.diagonals) if validate else tuple(sorted(self.diagonals))
+        object.__setattr__(self, "diagonals", diags)
 
     # -- text format ------------------------------------------------------
 
@@ -377,20 +390,16 @@ class Triangulation:
         except ValueError:
             raise ValueError(f"bad polygon size in {text!r}") from None
         diags = []
-        if body:
-            for chunk in body.split(","):
-                a, sep, b = chunk.partition("-")
-                if not sep:
-                    raise ValueError(f"bad diagonal {chunk!r} in {text!r}")
-                try:
-                    lo, hi = int(a), int(b)
-                except ValueError:
-                    raise ValueError(f"bad diagonal {chunk!r} in {text!r}") from None
+        for chunk in body.split(",") if body else ():
+            try:
+                lo, hi = map(int, chunk.split("-"))
                 if lo >= hi:
-                    raise ValueError(f"diagonal {chunk!r} must be 'a-b' with a < b")
-                diags.append(diagonal(n, lo, hi))
-        if len(set(diags)) != len(diags):
-            raise ValueError(f"duplicate diagonal in {text!r}")
+                    raise ValueError
+            except ValueError:
+                raise ValueError(
+                    f"bad diagonal {chunk!r} in {text!r}; expected 'a-b' with ints a < b"
+                ) from None
+            diags.append((lo, hi))
         return cls(n, tuple(diags))
 
     def __str__(self) -> str:
@@ -427,38 +436,37 @@ class Triangulation:
         pair of i's neighbours above i, taken in ascending order (the sides
         to i+1 and, for i = 0, to n-1 count as neighbours).  Emitted for i
         ascending they are already sorted.  O(n), computed once per object
-        and cached, since ears, internal triangles and the dual tree all
-        start from it.
+        and cached, since internal triangles and the dual tree both start
+        from it.
         """
         return self._triangles
 
-    def _with_sides(self, sides: int) -> tuple[Triple, ...]:
-        """The triangles with this many polygon sides.  Of a triangle
+    def ear_tips(self) -> tuple[int, ...]:
+        """The vertices no diagonal touches, ascending (n >= 4).  An ear's
+        tip is its one such vertex, and every such vertex is a tip."""
+        if self.n < 4:
+            raise ValueError("ears are undefined for n < 4")
+        return tuple(sorted(set(range(self.n)) - set(chain.from_iterable(self.diagonals))))
+
+    def ears(self) -> tuple[Triple, ...]:
+        """Triangles sharing exactly two sides with the polygon (n >= 4),
+        sorted: the triangle (v-1, v, v+1) at each ear tip v."""
+        n = self.n
+        return tuple(sorted(tuple(sorted(((v - 1) % n, v, (v + 1) % n))) for v in self.ear_tips()))
+
+    def internal_triangles(self) -> tuple[Triple, ...]:
+        """Triangles sharing no side with the polygon.  Of a triangle
         (i, j, k), i < j < k, the sides can only be (i, j), (j, k) and,
         closing the polygon, (i, k) = (0, n-1)."""
         last = self.n - 1
         return tuple(
             (i, j, k) for i, j, k in self.triangles()
-            if (j - i == 1) + (k - j == 1) + (i == 0 and k == last) == sides
+            if j - i > 1 and k - j > 1 and (i, k) != (0, last)
         )
 
-    def ears(self) -> tuple[Triple, ...]:
-        """Triangles sharing exactly two sides with the polygon (n >= 4)."""
-        if self.n < 4:
-            raise ValueError("ears are undefined for n < 4")
-        return self._with_sides(2)
-
-    def internal_triangles(self) -> tuple[Triple, ...]:
-        """Triangles sharing no side with the polygon."""
-        return self._with_sides(0)
-
     def ear_count(self) -> int:
-        """Number of ears, without materializing the triangles (n >= 4):
-        an ear's tip is the one vertex of the ear that no diagonal
-        touches, and every such vertex is a tip."""
-        if self.n < 4:
-            raise ValueError("ears are undefined for n < 4")
-        return self.n - len(set(chain.from_iterable(self.diagonals)))
+        """Number of ears (n >= 4): the number of ear tips."""
+        return len(self.ear_tips())
 
     def dual_tree(self) -> DualTree:
         """The triangle (i, j, k), i < j < k, sits over the arc (i, k) and

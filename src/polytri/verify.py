@@ -198,20 +198,12 @@ def _types(n: int):
             yield (p, q, n - 3 - p - q)
 
 
-def _three_ear_closed(n: int, branches) -> int:
-    """2 C(n-3) - S(p-1) - S(q-1) - S(r-1), the closed form of the 3-ear
-    case sum; an empty branch (size 0) contributes the empty sum S(-1)."""
-    return 2 * counting.catalan(n - 3) - sum(
-        counting.catalan_partial_convolution(n, x - 1) for x in branches
-    )
-
-
 def _three_ear_case_sum(n: int, ptype) -> bool:
     value = disjoint.three_ear_disjoint(n, ptype)
     brute = disjoint.count_disjoint(disjoint.three_ear_rep(n, ptype))
     perms = set(permutations(ptype))
     symmetric = all(disjoint.three_ear_disjoint(n, perm) == value for perm in perms)
-    return value == brute == _three_ear_closed(n, ptype) and symmetric
+    return value == brute == disjoint.three_ear_closed_form(n, ptype) and symmetric
 
 
 def _published_variant(window: range) -> list[tuple]:
@@ -307,7 +299,8 @@ CHECKS: tuple[Row, ...] = (
         lambda n: _tally(_types(n), partial(_three_ear_case_sum, n))),
     Row("disjoint-3ear", "degenerate-branch-catalan", 5, 15, 15, 1, "r=0", lambda n: _tally(
         range(1, n - 3),
-        lambda p: _three_ear_closed(n, (p, n - 3 - p, 0)) == counting.catalan(n - 3))),
+        lambda p: disjoint.three_ear_closed_form(n, (p, n - 3 - p, 0))
+        == counting.catalan(n - 3))),
     Row("disjoint-3ear", "three-ear-published-variant", 6, 12, 12, 1, None,
         _published_variant, scan=True),
 

@@ -200,6 +200,23 @@ def ears_by_definition(t: Triangulation) -> list[tuple[int, int, int]]:
     return [tri for tri in triangles_by_apex_scan(t) if boundary_sides(t.n, tri) == 2]
 
 
+def ears_by_side_count(t: Triangulation) -> tuple[tuple[int, int, int], ...]:
+    """The triangles with two polygon sides, read from t.triangles(): of a
+    triangle (i, j, k), i < j < k, the sides can only be (i, j), (j, k)
+    and, closing the polygon, (i, k) = (0, n-1)."""
+    last = t.n - 1
+    return tuple(
+        (i, j, k) for i, j, k in t.triangles()
+        if (j - i == 1) + (k - j == 1) + (i == 0 and k == last) == 2
+    )
+
+
+def ear_tip(n: int, ear: tuple[int, int, int]) -> int:
+    """The vertex of an ear whose two polygon neighbours are both in it."""
+    (tip,) = (v for v in ear if {(v - 1) % n, (v + 1) % n} <= set(ear))
+    return tip
+
+
 def internal_by_definition(t: Triangulation) -> list[tuple[int, int, int]]:
     return [tri for tri in triangles_by_apex_scan(t) if boundary_sides(t.n, tri) == 0]
 

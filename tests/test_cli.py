@@ -6,8 +6,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
+import textwrap
 import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -17,6 +20,7 @@ from helpers import listing_by_recursion
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polytri
 from polytri import cli, compositions, counting, disjoint, triangulation, verify
 from polytri.counting import catalan, symmetry_classes_2ear
 from polytri.verify import Check, RunReport
@@ -1046,6 +1050,42 @@ def test_exit_code_contract(capsys, default_int_digits, argv, code):
     assert "Traceback" not in captured.err
     if code == 1:
         assert REFUSAL.search(captured.err), captured.err
+
+
+# Huge sizes with Python's digit limit off, where no count is too long to
+# print: the CLI still refuses them up front at the default limit's bound.
+NO_DIGIT_LIMIT_CASES = {
+    "enumerate": ["enumerate", "--count-only", "--n", HUGE],
+    "sequence": ["sequence", "--what", "catalan", "--n", f"1..{HUGE}"],
+    "disjoint": ["disjoint", "--snake", "--n", HUGE, "--method", "formula"],
+}
+
+AS_LIMIT = 150 * 2**20  # bytes of address space for the child below
+
+
+@pytest.mark.parametrize("argv", NO_DIGIT_LIMIT_CASES.values(), ids=NO_DIGIT_LIMIT_CASES)
+def test_huge_n_is_refused_with_no_digit_limit(argv):
+    # in a child process, so the digit limit is off from the start and the
+    # address-space limit turns a shape built for 10^10 vertices into a
+    # MemoryError instead of exhausting the machine
+    code = textwrap.dedent(f"""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, ({AS_LIMIT}, {AS_LIMIT}))
+        from polytri import cli
+        sys.exit(cli.run({argv!r}))
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(polytri.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONINTMAXSTRDIGITS="0")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=20
+    )
+    assert proc.returncode == 1, proc.stderr[-500:]
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("polytri: error: ")
+    assert f"n = {PRINTABLE_BOUND}" in proc.stderr
+    assert "over 0 decimal digits" not in proc.stderr
 
 
 def subcommand_parsers():

@@ -37,6 +37,7 @@ from polytri.disjoint import (
     fan_prefix_diagonals,
     signature_invariance_check,
     snake,
+    three_ear_closed_form,
     three_ear_disjoint,
     three_ear_disjoint_published,
     three_ear_rep,
@@ -350,7 +351,7 @@ def test_three_ear_formula_symmetric_closed_form(n):
         closed = 2 * catalan(n - 3) - sum(
             catalan_partial_convolution(n, x - 1) for x in (p, q, r)
         )
-        assert three_ear_disjoint(n, ptype) == closed
+        assert three_ear_disjoint(n, ptype) == closed == three_ear_closed_form(n, ptype)
         for perm in permutations(ptype):
             assert three_ear_disjoint(n, perm) == closed
 
@@ -365,7 +366,21 @@ def test_degenerate_branch_reduces_to_two_ear_count(n):
             + catalan_partial_convolution(n, q - 1)
             + catalan_partial_convolution(n, -1)
         )
-        assert value == catalan(n - 3)
+        assert value == catalan(n - 3) == three_ear_closed_form(n, (p, q, 0))
+
+
+@pytest.mark.parametrize("n", range(6, 30))
+def test_published_variant_sums_to_p_q_r(n):
+    for ptype in _types(n):
+        published = 2 * catalan(n - 3) - sum(
+            catalan_partial_convolution(n, x) for x in ptype
+        )
+        assert three_ear_disjoint_published(n, ptype) == published
+
+
+def test_closed_form_refuses_a_negative_branch():
+    with pytest.raises(ValueError):
+        three_ear_closed_form(8, (-1, 4, 2))
 
 
 def test_published_variant_disagrees_with_oracle():

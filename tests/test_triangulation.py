@@ -21,7 +21,9 @@ from helpers import (
     dual_tree_edges_by_shared_diagonal,
     ear_count_by_degree,
     ear_count_set_by_recursion,
+    ear_tip,
     ears_by_definition,
+    ears_by_side_count,
     internal_by_definition,
     is_path,
     is_triangulation_pairwise,
@@ -346,6 +348,26 @@ def test_ears_match_definition_and_offset(n):
         assert t.ear_count() == len(ears)
 
 
+def assert_ears_match_side_count(t):
+    ears = ears_by_side_count(t)
+    assert t.ears() == ears
+    assert t.ear_tips() == tuple(sorted(ear_tip(t.n, ear) for ear in ears))
+    assert t.ear_count() == len(ears)
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_ears_and_tips_match_side_count_exhaustive(n):
+    for t in all_triangulations(n):
+        assert_ears_match_side_count(t)
+
+
+@pytest.mark.parametrize("n", [40, 101])
+@pytest.mark.parametrize("shape", [arrow, snake, lambda n: three_ear_rep(n, (5, 11, n - 19))])
+def test_ears_and_tips_match_side_count_on_every_image(shape, n):
+    for t in shape(n).dihedral_images():
+        assert_ears_match_side_count(t)
+
+
 @pytest.mark.parametrize("shape", [arrow, snake])
 def test_ears_match_boundary_sides_on_deep_triangulations(shape):
     # the fan at 1 has the ear (0, 1, n-1) on the closing side (0, n-1)
@@ -589,22 +611,32 @@ def test_parse_accepts_unsorted_input():
     assert Triangulation.parse("6:0-4,0-2,2-4") == Triangulation.parse("6:0-2,2-4,0-4")
 
 
+# one instance of each fault the constructor names: its pairs, its text
+# and a pattern of the message
+CONSTRUCTOR_FAULTS = [
+    (((0, 2), (2, 4), (0, 7)), "6:0-2,2-4,0-7", "out of range"),
+    (((0, 1), (2, 4), (0, 4)), "6:0-1,2-4,0-4", "side"),
+    (((0, 5), (2, 4), (0, 4)), "6:0-5,2-4,0-4", "side"),  # the closing side
+    (((0, 2), (2, 4)), "6:0-2,2-4", "has 3 diagonals, got 2"),
+    (((0, 2), (2, 4), (0, 4), (1, 3)), "6:0-2,2-4,0-4,1-3", "has 3 diagonals, got 4"),
+    (((0, 2), (0, 2), (2, 4)), "6:0-2,0-2,2-4", "duplicate"),
+    (((0, 2), (1, 3), (0, 4)), "6:0-2,1-3,0-4", "cross"),
+    (((0, 2), (2, 4), (0, 4.0)), "6:0-2,2-4,0-4.0", "ints"),
+]
+
+
 def test_parse_rejections():
     bad = [
-        "6:0-2,2-4",  # wrong count
-        "6:0-2,2-4,0-4,1-3",  # wrong count
-        "6:0-2,0-2,2-4",  # duplicate
-        "6:0-1,2-4,0-4",  # side
-        "6:0-5,2-4,0-4",  # wrap side
-        "6:0-2,1-3,0-4",  # crossing
         "6:0-2,2-4,4-0",  # pair not a < b
-        "6:0-2,2-4,0-7",  # out of range
         "6;0-2",  # no colon
         "x:0-2",  # bad n
         "6:0+2,2-4,0-4",  # bad pair separator
     ]
     for text in bad:
         with pytest.raises(ValueError):
+            Triangulation.parse(text)
+    for _, text, fault in CONSTRUCTOR_FAULTS:
+        with pytest.raises(ValueError, match=fault):
             Triangulation.parse(text)
 
 
@@ -627,3 +659,13 @@ def test_constructor_validates_by_default():
     # normalization sorts the diagonals
     t = Triangulation(6, ((0, 4), (0, 2), (2, 4)))
     assert t.diagonals == ((0, 2), (0, 4), (2, 4))
+    # and orders each pair, so the stored pairs are the ones checked
+    reversed_pair = Triangulation(6, ((4, 0), (0, 2), (2, 4)))
+    assert reversed_pair == t
+    assert str(reversed_pair) == "6:0-2,0-4,2-4"
+    for diags, _, fault in CONSTRUCTOR_FAULTS:
+        with pytest.raises(ValueError, match=fault):
+            Triangulation(6, diags)
+    for entry in (None, (0, 2, 4), ("0", 4)):
+        with pytest.raises(ValueError, match="pair|ints"):
+            Triangulation(6, ((0, 2), (2, 4), entry))
