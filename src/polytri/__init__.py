@@ -10,10 +10,8 @@ exact; rational prefactors are checked to produce integers.
 from polytri.triangulation import (
     DualTree,
     Triangulation,
-    crosses,
     diagonal,
     enumerate_triangulations,
-    is_diagonal,
     is_triangulation,
 )
 
@@ -22,10 +20,8 @@ __version__ = "0.1.0"
 __all__ = [
     "DualTree",
     "Triangulation",
-    "crosses",
     "diagonal",
     "enumerate_triangulations",
-    "is_diagonal",
     "is_triangulation",
     "__version__",
 ]

@@ -6,12 +6,15 @@ Exit codes: 0 success, 1 usage or domain error, 2 verification failure
 both`).  Stdout is byte-deterministic for identical invocations; the
 optional --timing lines go to stderr.
 
-Each refusal is raised as a ValueError.  `symmetry` and `sequence`
-refuse a value at its n with one `polytri: <command>: n=<n>:` line; a
-refusal that does not depend on n is made once, before any n is
-computed: an orbit range that starts past ORBIT_CEILING, closed forms
-with `--ears all`, `hurtado-noy:k` with k < 2, and a range of more than
-one n that starts below 0.
+Each refusal is raised as a ValueError.  The sizes each route answers
+for are the rows of DOMAINS, and every size refusal goes through
+`_refuse` (one n) or `_refuse_range` (a range of more than one n that
+starts past the route's ceiling, refused as a whole).  `symmetry` and
+`sequence` refuse any other n at its own `polytri: <command>: n=<n>:`
+line.  A refusal that does not depend on n is made once, before
+any n is computed: closed forms with `--ears all`, `hurtado-noy:k` with
+k < 2, and a range of more than one n that starts below 0 or ends past
+the printable bound.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from polytri import compositions as comp
 from polytri import counting, disjoint, svgfig, verify
@@ -35,6 +38,62 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: D102 - argparse hook
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+class Domain(NamedTuple):
+    """The largest n a route answers for, and the words that refuse a larger
+    n (formatted with the ceiling, n and, for printed counts, why)."""
+
+    ceiling: int | None  # None: `_printable_bound()`, which follows the digit limit
+    words: str
+
+    def top(self) -> int:
+        return _printable_bound() if self.ceiling is None else self.ceiling
+
+    def refusal(self, n: int) -> str:
+        return self.words.format(ceiling=self.top(), n=n, past=_past_bound())
+
+
+# Every size limit of the CLI, keyed by the route that would run; each
+# ceiling is set by the route's cost there, in a fresh process on a 2-core
+# x86-64 machine (Python 3.11).
+DOMAINS: dict[str, Domain] = {
+    # `enumerate` without --count-only: C(n-2) lines, 208,012 at n = 14,
+    # in 1.2 s and 64 MB (medians of three)
+    "listing": Domain(14, "full listings are supported for 3 <= n <= {ceiling}, "
+                      "got n={n} (use --count-only for larger n)"),
+    # the ear-insertion census of `symmetry --method orbit|both`: each
+    # level costs about 3.8 times the one before, 0.8 s at n = 15 and
+    # 3.1 s and 45 MB at n = 16 (medians of three)
+    "orbit": Domain(16, "orbit counting is feasible for n <= {ceiling}"),
+    # count_disjoint, what `disjoint --method brute|both` runs, is O(n^2)
+    # big-integer work.  At n = 2000 `disjoint --method both` takes
+    # 4.5-6.2 s for the snake and the fan and 2.2-3.6 s for type
+    # (600, 700, 697) over three runs each, at 19 MB peak RSS.
+    "count_disjoint": Domain(2000, "disjointness counts by the O(n^2) tree knapsack are "
+                             "feasible for n <= {ceiling}, got n={n} (use --method formula)"),
+    # `svg --snake --highlight both` takes 0.15 s at n = 2,000 and 0.29 s at
+    # 20,000 (48 MB peak RSS, medians of seven), and 1.5 s (330 MB) at
+    # 200,000; at n = 10^10 building the shape runs out of memory.
+    "svg": Domain(20000, "svg figures are feasible for n <= {ceiling}, got n={n}"),
+    # every nonzero count the CLI prints, refused before it is computed (see
+    # `_printable_bound`)
+    "printed": Domain(None, "value {past}"),
+}
+
+
+def _refuse(route: str, n: int) -> None:
+    """Refuse n, before anything is computed, if it is past the route's ceiling."""
+    if n > DOMAINS[route].top():
+        raise ValueError(DOMAINS[route].refusal(n))
+
+
+def _refuse_range(route: str, ns: range, text: str) -> None:
+    """Refuse a range of more than one n as a whole when it starts past the
+    route's ceiling: every n of it would only add the same refusal line."""
+    domain = DOMAINS[route]
+    if len(ns) > 1 and ns[0] > domain.top():
+        raise ValueError(f"range {text!r} starts past n = {domain.top()}; {domain.refusal(ns[0])}")
 
 
 def parse_range(text: str) -> range:
@@ -74,8 +133,7 @@ def _printable(value: int) -> int:
     try:
         str(value)
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise ValueError(f"value too long to print (over {limit} decimal digits)") from None
+        raise ValueError(f"value {_past_bound()}") from None
     return value
 
 
@@ -103,30 +161,27 @@ def _past_bound() -> str:
             else f"not computed (n = {_printable_bound()} is the bound kept with no digit limit)")
 
 
-def _refuse_too_long(n: int) -> None:
-    """Refuse, before computing it, a nonzero count at size n that has too
-    many digits to print (n above `_printable_bound`)."""
-    if n > _printable_bound():
-        raise ValueError(f"value {_past_bound()}")
-
-
 def _hurtado_noy(n: int, k: int) -> int:
     """counting.hurtado_noy(n, k), refused up front when too long; a zero
     (k > n/2) prints at any n."""
     if 2 <= k <= n // 2:
-        _refuse_too_long(n)
+        _refuse("printed", n)
     return counting.hurtado_noy(n, k)
 
 
 def _rows(command: str, ns: range, columns: dict, **fixed: str) -> Iterator[dict]:
-    """{"n": n, **fixed, name: fn(n), ...} for each n of ns, over the
-    columns {name: fn}.  A value refused at its n prints one
-    `polytri: <command>: n=<n>: <reason>` line and stays None in its row."""
+    """{"n": n, **fixed, name: count(n), ...} for each n of ns, over the
+    columns {name: (route, count)}; the route's domain refuses an n before
+    the count runs (None: the count refuses on its own).  A value refused
+    at its n prints one `polytri: <command>: n=<n>: <reason>` line and
+    stays None in its row."""
     for n in ns:
         row: dict = {"n": n, **fixed}
-        for name, fn in columns.items():
+        for name, (route, count) in columns.items():
             try:
-                row[name] = _printable(fn(n))
+                if route is not None:
+                    _refuse(route, n)
+                row[name] = _printable(count(n))
             except (ValueError, ArithmeticError) as exc:
                 print(f"{PROG}: {command}: n={n}: {exc}", file=sys.stderr)
                 row[name] = None
@@ -141,22 +196,14 @@ def _add_shape_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n", type=int, help="polygon size for --arrow/--snake/--type")
 
 
-def _resolve_shape(
-    args: argparse.Namespace, check_n: Callable[[int], None] | None = None
-) -> tuple[Triangulation, str]:
+def _resolve_shape(args: argparse.Namespace, *routes: str) -> tuple[Triangulation, str]:
     """The shape the flags name.  --n given with --t must be the text's n.
-    check_n, when given, is called with the polygon size once every flag
-    is valid and before the shape is built."""
-    picked = [
-        name
-        for name, given in (
-            ("t", args.t is not None),
-            ("arrow", args.arrow),
-            ("snake", args.snake),
-            ("type", args.type is not None),
-        )
-        if given
-    ]
+    Once every flag is valid, and before the shape is built (which at a
+    huge n fails for memory), the polygon size is refused unless each
+    route answers for it."""
+    given = {"t": args.t is not None, "arrow": args.arrow, "snake": args.snake,
+             "type": args.type is not None}
+    picked = [name for name, on in given.items() if on]
     if len(picked) != 1:
         raise ValueError("give exactly one of --t, --arrow, --snake, --type")
     kind = picked[0]
@@ -164,24 +211,22 @@ def _resolve_shape(
         t = Triangulation.parse(args.t)
         if args.n is not None and args.n != t.n:
             raise ValueError(f"--n {args.n} contradicts the {t.n}-gon given by --t")
-        if check_n is not None:
-            check_n(t.n)
-        return t, "inline"
-    if args.n is None:
+        n = t.n
+    elif args.n is None:
         raise ValueError(f"--{kind} requires --n")
-    ptype = disjoint.check_type(args.n, _parse_type(args.type)) if kind == "type" else None
-    if check_n is not None:
-        check_n(args.n)
-    if kind == "arrow":
-        return disjoint.arrow(args.n), "arrow"
-    if kind == "snake":
-        return disjoint.snake(args.n), "snake"
-    return disjoint.three_ear_rep(args.n, ptype), "type"
+    else:
+        n = args.n
+        ptype = disjoint.check_type(n, _parse_type(args.type)) if kind == "type" else None
+    for route in routes:
+        _refuse(route, n)
+    if kind == "t":
+        return t, "inline"
+    if kind == "type":
+        return disjoint.three_ear_rep(n, ptype), "type"
+    return (disjoint.arrow if kind == "arrow" else disjoint.snake)(n), kind
 
 
 # -- enumerate ------------------------------------------------------------------
-
-LISTING_CEILING = 14
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -190,7 +235,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         if k is None:
             if n < 3:
                 raise ValueError(f"polygons need n >= 3, got {n}")
-            _refuse_too_long(n)
+            _refuse("printed", n)
             count = counting.catalan(n - 2)
         else:
             count = _hurtado_noy(n, k)
@@ -200,11 +245,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         else:
             print(count)
         return 0
-    if not 3 <= n <= LISTING_CEILING:
-        raise ValueError(
-            f"full listings are supported for 3 <= n <= {LISTING_CEILING}, got n={n} "
-            "(use --count-only for larger n)"
-        )
+    _refuse("listing", n)
     lines = listing(n, k)
     if args.format == "json":
         print(json.dumps({"n": n, "ears": k, "triangulations": lines}))
@@ -215,28 +256,17 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 # -- symmetry -------------------------------------------------------------------
 
-ORBIT_CEILING = 16
-
 
 def cmd_symmetry(args: argparse.Namespace) -> int:
     ns = parse_range(args.n)
     ears = None if args.ears == "all" else int(args.ears)
     methods = ["closed", "orbit"] if args.method == "both" else [args.method]
-    if "orbit" in methods and len(ns) > 1 and ns[0] > ORBIT_CEILING:
-        # every n of the range would only add the same refusal line
-        raise ValueError(
-            f"range {args.n!r} starts past n = {ORBIT_CEILING}; "
-            f"orbit counting is feasible for n <= {ORBIT_CEILING}"
-        )
+    if "orbit" in methods:
+        _refuse_range("orbit", ns, args.n)
     if "closed" in methods and ears is None:
         raise ValueError("closed forms exist only for --ears 2 or 3")
-
-    def orbit(n: int) -> int:
-        if n > ORBIT_CEILING:
-            raise ValueError(f"orbit counting is feasible for n <= {ORBIT_CEILING}")
-        return counting.symmetry_classes_orbit(n, ears=ears)
-
-    columns = {m: orbit if m == "orbit" else _sequence_fn(f"sym{ears}") for m in methods}
+    orbit = ("orbit", lambda n: counting.symmetry_classes_orbit(n, ears=ears))
+    columns = {m: orbit if m == "orbit" else _sequence_column(f"sym{ears}") for m in methods}
     rows: list[dict] = []
     status = 0
     for row in _rows("symmetry", ns, columns, ears=args.ears):
@@ -287,27 +317,13 @@ def _formula_count(t: Triangulation) -> tuple[int, str | None]:
     )
 
 
-# count_disjoint is O(n^2) big-integer work.  At n = 2000 on a 2-core
-# x86-64 machine, `disjoint --method both` takes 4.5-6.2 s for the snake
-# and the fan and 2.2-3.6 s for type (600, 700, 697) over three runs each,
-# at 19 MB peak RSS.
-BRUTE_CEILING = 2000
-
-
 def cmd_disjoint(args: argparse.Namespace) -> int:
-    def check_n(n: int) -> None:
-        # before an n-gon shape is built, which at a huge n fails for memory
-        if args.method in ("brute", "both") and n > BRUTE_CEILING:
-            raise ValueError(
-                f"brute-force disjointness counts are feasible for n <= {BRUTE_CEILING}, "
-                f"got n={n} (use --method formula)"
-            )
-        _refuse_too_long(n)
-
-    t, shape = _resolve_shape(args, check_n)
+    brute = args.method in ("brute", "both")
+    routes = ["count_disjoint", "printed"] if brute else ["printed"]
+    t, shape = _resolve_shape(args, *routes)
     result: dict = {"n": t.n, "triangulation": str(t), "shape": shape, "method": args.method}
     note = None
-    if args.method in ("brute", "both"):
+    if brute:
         result["brute"] = _printable(disjoint.count_disjoint(t))
     if args.method in ("formula", "both"):
         result["formula"], note = _formula_count(t)
@@ -352,21 +368,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # -- svg ------------------------------------------------------------------------
 
 
-# A feasibility bound, like BRUTE_CEILING.  On a 2-core x86-64 machine
-# (Python 3.11), `svg --snake --highlight both` takes 0.15 s at n = 2,000
-# and 0.29 s at 20,000 (48 MB peak RSS) in a fresh process (medians of
-# seven); building and rendering the 200,000-gon takes 1.5 s (330 MB); at
-# n = 10^10 building the shape runs out of memory.
-SVG_CEILING = 20000
-
-
 def cmd_svg(args: argparse.Namespace) -> int:
-    def check_n(n: int) -> None:
-        # before an n-gon shape is built, which at a huge n fails for memory
-        if n > SVG_CEILING:
-            raise ValueError(f"svg figures are feasible for n <= {SVG_CEILING}, got n={n}")
-
-    t, _ = _resolve_shape(args, check_n)
+    t, _ = _resolve_shape(args, "svg")
     text = svgfig.render_svg(
         t,
         highlight=args.highlight,
@@ -400,7 +403,7 @@ SEQUENCES: dict[str, Callable[[int], int]] = {
 }
 
 
-def _sequence_fn(what: str) -> Callable[[int], int]:
+def _sequence_column(what: str) -> tuple[str | None, Callable[[int], int]]:
     if what.startswith("hurtado-noy:"):
         try:
             k = int(what.split(":", 1)[1])
@@ -408,22 +411,17 @@ def _sequence_fn(what: str) -> Callable[[int], int]:
             raise ValueError(f"bad ear count in {what!r}") from None
         if k < 2:
             raise ValueError(f"every triangulation has >= 2 ears, got k={k}")
-        return lambda n: _hurtado_noy(n, k)
+        return None, lambda n: _hurtado_noy(n, k)
     if what not in SEQUENCES:
         raise ValueError(
             f"unknown sequence {what!r}; choose from {', '.join(SEQUENCE_WHATS)}"
         )
-
-    def value(n: int) -> int:
-        _refuse_too_long(n)
-        return SEQUENCES[what](n)
-
-    return value
+    return "printed", SEQUENCES[what]
 
 
 def cmd_sequence(args: argparse.Namespace) -> int:
-    fn = _sequence_fn(args.what)
-    rows = list(_rows("sequence", parse_range(args.n), {"value": fn}))
+    column = _sequence_column(args.what)
+    rows = list(_rows("sequence", parse_range(args.n), {"value": column}))
     kept = [row for row in rows if row["value"] is not None]
     if args.format == "json":
         print(json.dumps({"what": args.what, "rows": kept}))

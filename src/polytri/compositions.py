@@ -53,7 +53,6 @@ Composition = tuple[int, ...]
 
 _OPS = ("reversal", "conjugation", "conj_rev")
 
-_TO_LETTERS = str.maketrans("01", "DU")
 _TO_BITS = str.maketrans("DU", "01")
 
 
@@ -158,33 +157,6 @@ def enumerate_compositions(m: int) -> Iterator[Composition]:
             yield (*head, last + first, *rest)
 
 
-def bar_set(comp: Composition) -> frozenset[int]:
-    """Proper partial sums of the composition, a subset of {1..m-1}."""
-    m, mask = _mask(comp)
-    return frozenset(j for j, bit in enumerate(_bits(m, mask), 1) if bit == "1")
-
-
-def composition_from_bars(m: int, bars: Iterable[int]) -> Composition:
-    """Inverse of bar_set for compositions of m."""
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
-    cuts = sorted(set(bars), key=lambda b: (type(b).__name__, b))  # mixed types sort too
-    if any(not isinstance(b, int) or not 1 <= b <= m - 1 for b in cuts):
-        raise ValueError(f"bars must lie in 1..{m - 1}: {cuts}")
-    return _composition(m, sum(1 << (b - 1) for b in cuts))
-
-
-def reverse(comp: Composition) -> Composition:
-    m, mask = _mask(comp)
-    return _composition(m, mask_images(m, mask)[1])
-
-
-def conjugate(comp: Composition) -> Composition:
-    """Complement the bar set inside {1..m-1}."""
-    m, mask = _mask(comp)
-    return _composition(m, mask_images(m, mask)[2])
-
-
 def composition_class(comp: Composition) -> frozenset[Composition]:
     """Orbit of the composition under {id, reversal, conjugation, conj_rev}."""
     m, mask = _mask(comp)
@@ -237,19 +209,7 @@ def count_classes(m: int, method: str = "closed") -> int:
     raise ValueError(f"unknown method {method!r}")
 
 
-# -- text formats ---------------------------------------------------------
-
-
-def format_composition(comp: Composition) -> str:
-    return "+".join(map(str, _composition(*_mask(comp))))
-
-
-def parse_composition(text: str) -> Composition:
-    try:
-        parts = tuple(int(p) for p in text.strip().split("+"))
-    except ValueError:
-        raise ValueError(f"bad composition text {text!r}") from None
-    return _composition(*_mask(parts))
+# -- pointing strings and 2-eared triangulations ----------------------------
 
 
 def _check_pointing(dirs: str) -> str:
@@ -258,21 +218,10 @@ def _check_pointing(dirs: str) -> str:
     return dirs
 
 
-# -- pointing strings and 2-eared triangulations ----------------------------
-
-
 def composition_from_pointing(dirs: str) -> Composition:
     """Composition of m = len(dirs)+1 whose bars sit at the U positions."""
     dirs = _check_pointing(dirs)
     return _composition(len(dirs) + 1, int(dirs[::-1].translate(_TO_BITS), 2))
-
-
-def pointing_from_composition(comp: Composition) -> str:
-    """Inverse of composition_from_pointing; the string has length m-1."""
-    m, mask = _mask(comp)
-    if m < 2:
-        raise ValueError("pointing strings need a composition of m >= 2")
-    return _bits(m, mask).translate(_TO_LETTERS)
 
 
 def two_eared_from_pointing(dirs: str) -> Triangulation:
@@ -295,7 +244,7 @@ def two_eared_from_pointing(dirs: str) -> Triangulation:
         else:
             b -= 1
         diags.append((a, b))
-    return Triangulation(n, tuple(sorted(diags)), validate=False)
+    return Triangulation._trusted(n, diags)
 
 
 def pointing_string(t: Triangulation) -> str:

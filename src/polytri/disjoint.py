@@ -83,7 +83,7 @@ def arrow(n: int) -> Triangulation:
     """The fan at vertex 1: diagonals (1, 3), (1, 4), ..., (1, n-1)."""
     if n < 4:
         raise ValueError(f"fan triangulations need n >= 4, got {n}")
-    return Triangulation(n, tuple((1, b) for b in range(3, n)), validate=False)
+    return Triangulation._trusted(n, [(1, b) for b in range(3, n)])
 
 
 def snake(n: int) -> Triangulation:

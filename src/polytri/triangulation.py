@@ -24,7 +24,7 @@ Orbits of this action are called symmetry classes.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Iterable, Iterator, TypeVar
@@ -48,29 +48,6 @@ def diagonal(n: int, a: int, b: int) -> Pair:
         what = "a vertex" if a == b else "a side"
         raise ValueError(f"({a}, {b}) is {what} of the {n}-gon, not a diagonal")
     return (a, b)
-
-
-def is_diagonal(n: int, a: int, b: int) -> bool:
-    try:
-        diagonal(n, a, b)
-    except ValueError:
-        return False
-    return True
-
-
-def crosses(d1: Pair, d2: Pair) -> bool:
-    """True iff two normalized diagonals cross in the open interior.
-
-    Diagonals that share an endpoint do not cross.  Both arguments must be
-    normalized pairs (a, b) with a < b of the same polygon.
-    """
-    a, b = d1
-    c, d = d2
-    if not (a < b and c < d):
-        raise ValueError(f"diagonals must be normalized pairs: {d1}, {d2}")
-    if len({a, b, c, d}) < 4:
-        return False
-    return (a < c < b) != (a < d < b)
 
 
 def _checked(n: int, diagonals: Iterable[Pair]) -> tuple[Pair, ...]:
@@ -371,11 +348,18 @@ class Triangulation:
 
     n: int
     diagonals: tuple[Pair, ...]
-    validate: InitVar[bool] = True
 
-    def __post_init__(self, validate: bool) -> None:
-        diags = _checked(self.n, self.diagonals) if validate else tuple(sorted(self.diagonals))
-        object.__setattr__(self, "diagonals", diags)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "diagonals", _checked(self.n, self.diagonals))
+
+    @classmethod
+    def _trusted(cls, n: int, pairs: Iterable[Pair]) -> "Triangulation":
+        """The triangulation of pairs the package built itself, each
+        already ordered a < b: stored sorted, with no check."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "n", n)
+        object.__setattr__(t, "diagonals", tuple(sorted(pairs)))
+        return t
 
     # -- text format ------------------------------------------------------
 
@@ -441,12 +425,18 @@ class Triangulation:
         """
         return self._triangles
 
-    def ear_tips(self) -> tuple[int, ...]:
-        """The vertices no diagonal touches, ascending (n >= 4).  An ear's
-        tip is its one such vertex, and every such vertex is a tip."""
+    @cached_property
+    def _ear_tips(self) -> tuple[int, ...]:
         if self.n < 4:
             raise ValueError("ears are undefined for n < 4")
         return tuple(sorted(set(range(self.n)) - set(chain.from_iterable(self.diagonals))))
+
+    def ear_tips(self) -> tuple[int, ...]:
+        """The vertices no diagonal touches, ascending (n >= 4).  An ear's
+        tip is its one such vertex, and every such vertex is a tip.
+        Computed once per object and cached, as `ears()`, `ear_count()`
+        and the pointing string all read it; n < 4 raises on every call."""
+        return self._ear_tips
 
     def ears(self) -> tuple[Triple, ...]:
         """Triangles sharing exactly two sides with the polygon (n >= 4),
@@ -495,7 +485,7 @@ class Triangulation:
         for a, b in self.diagonals:
             x, y = (s + step * a) % n, (s + step * b) % n
             pairs.append((x, y) if x < y else (y, x))
-        return Triangulation(n, tuple(pairs), validate=False)
+        return Triangulation._trusted(n, pairs)
 
     def rotated(self, s: int) -> "Triangulation":
         """Image under the rotation v -> v+s (mod n)."""
@@ -512,9 +502,7 @@ class Triangulation:
 
     def canonical(self) -> "Triangulation":
         """Least dihedral image; constant on symmetry classes."""
-        return Triangulation(
-            self.n, _canonical_diagonals(self.n, self.diagonals), validate=False
-        )
+        return Triangulation._trusted(self.n, _canonical_diagonals(self.n, self.diagonals))
 
     # -- disjointness ------------------------------------------------------
 
@@ -568,4 +556,4 @@ def enumerate_triangulations(n: int) -> Iterator[Triangulation]:
     over the side (0, 1), apex ascending (see `_eared_shapes`).  The
     count is the Catalan number C(n-2).
     """
-    return (Triangulation(n, diags, validate=False) for diags, _ in _shapes(n))
+    return (Triangulation._trusted(n, diags) for diags, _ in _shapes(n))

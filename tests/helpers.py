@@ -37,7 +37,9 @@ shared diagonal by intersecting diagonal sets, where the package ANDs
 diagonal masks.  The ear-filtered listing oracle enumerates every
 triangulation and keeps those with the right number of untouched
 vertices, where the package generates only the ones with that many ears.
-The quiddity key and the parallel-class residue are kept here because
+The quiddity key, the parallel-class residue, the pairwise crossing
+test, `is_diagonal` and, for compositions, the inverse of the bar set, the
+'2+5+1' text form and the map to a pointing string are kept here because
 only tests use them.  The class total by Burnside's lemma counts the
 triangulations each dihedral map fixes, in closed form, where the
 package counts distinct class keys.  The signature oracle ANDs the
@@ -65,7 +67,6 @@ from polytri.triangulation import (
     _diagonals_text,
     _least_rotation,
     _split_ears,
-    crosses,
     diagonal,
     enumerate_triangulations,
 )
@@ -322,13 +323,50 @@ def bar_mask_by_sums(comp: tuple[int, ...]) -> int:
     return sum(1 << (b - 1) for b in bar_set_by_sums(comp))
 
 
+def composition_from_bars(m: int, bars) -> tuple[int, ...]:
+    """The composition of m whose bar set is bars: the gaps between
+    consecutive cut points 0, the bars ascending, m."""
+    if m < 1:
+        raise ValueError(f"m must be positive, got {m}")
+    cuts = sorted(set(bars), key=lambda b: (type(b).__name__, b))  # mixed types sort too
+    if any(not isinstance(b, int) or not 1 <= b <= m - 1 for b in cuts):
+        raise ValueError(f"bars must lie in 1..{m - 1}: {cuts}")
+    points = [0, *cuts, m]
+    return tuple(b - a for a, b in zip(points, points[1:]))
+
+
 def conjugate_by_bars(comp: tuple[int, ...]) -> tuple[int, ...]:
     """The composition of m whose bar set is the complement of comp's in
-    {1..m-1}, read back as the gaps between consecutive cut points."""
+    {1..m-1}."""
     m = sum(comp)
+    return composition_from_bars(m, set(range(1, m)) - bar_set_by_sums(comp))
+
+
+def format_composition(comp: tuple[int, ...]) -> str:
+    """The text form '2+5+1' of a composition."""
+    return "+".join(map(str, comp))
+
+
+def parse_composition(text: str) -> tuple[int, ...]:
+    """The composition of the text form '2+5+1'; a ValueError for a part
+    that is not a positive int."""
+    try:
+        parts = tuple(int(p) for p in text.strip().split("+"))
+    except ValueError:
+        raise ValueError(f"bad composition text {text!r}") from None
+    if any(p < 1 for p in parts):
+        raise ValueError(f"composition parts must be positive integers: {parts!r}")
+    return parts
+
+
+def pointing_from_composition(comp: tuple[int, ...]) -> str:
+    """The pointing string of length m-1 with a U at each bar and a D at
+    each vacant slot: the inverse of compositions.composition_from_pointing."""
+    m = sum(comp)
+    if m < 2:
+        raise ValueError("pointing strings need a composition of m >= 2")
     bars = bar_set_by_sums(comp)
-    points = [0] + [i for i in range(1, m) if i not in bars] + [m]
-    return tuple(b - a for a, b in zip(points, points[1:]))
+    return "".join("U" if j in bars else "D" for j in range(1, m))
 
 
 def composition_class_by_tuples(comp: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
@@ -457,6 +495,30 @@ def count_avoiding_recursive(n: int, forbidden) -> int:
         return total
 
     return arc(0, n - 1)
+
+
+def is_diagonal(n: int, a: int, b: int) -> bool:
+    """True iff {a, b} is a diagonal of the n-gon: `diagonal` without the raise."""
+    try:
+        diagonal(n, a, b)
+    except ValueError:
+        return False
+    return True
+
+
+def crosses(d1, d2) -> bool:
+    """True iff two normalized diagonals cross in the open interior.
+
+    Diagonals that share an endpoint do not cross.  Both arguments must be
+    normalized pairs (a, b) with a < b of the same polygon.
+    """
+    a, b = d1
+    c, d = d2
+    if not (a < b and c < d):
+        raise ValueError(f"diagonals must be normalized pairs: {d1}, {d2}")
+    if len({a, b, c, d}) < 4:
+        return False
+    return (a < c < b) != (a < d < b)
 
 
 def is_triangulation_pairwise(n: int, diagonals) -> bool:

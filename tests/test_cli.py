@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polytri
-from polytri import cli, compositions, counting, disjoint, triangulation, verify
+from polytri import cli, compositions, counting, disjoint, svgfig, triangulation, verify
 from polytri.counting import catalan, symmetry_classes_2ear
 from polytri.verify import Check, RunReport
 
@@ -59,6 +59,11 @@ def assert_single_value_too_long(captured):
 
 # a size whose counts would take gigabytes to hold, far past any digit limit
 HUGE = "10000000000"
+
+# the ceilings of three rows of the CLI's domain table
+ORBIT_CEILING = cli.DOMAINS["orbit"].ceiling
+COUNT_DISJOINT_CEILING = cli.DOMAINS["count_disjoint"].ceiling
+SVG_CEILING = cli.DOMAINS["svg"].ceiling
 
 
 def invoke(argv):
@@ -205,9 +210,9 @@ def test_refusal_bound_is_below_every_count():
     sys.set_int_max_str_digits(640)
     try:
         n = 2 * (640 * 10 // 3 + 3)
-        cli._refuse_too_long(n - 1)
+        cli._refuse("printed", n - 1)
         with pytest.raises(ValueError, match="value too long to print"):
-            cli._refuse_too_long(n)
+            cli._refuse("printed", n)
     finally:
         sys.set_int_max_str_digits(old)
     floor = 10 ** 640
@@ -308,27 +313,27 @@ def test_symmetry_closed_refuses_huge_n_up_front(capsys, default_int_digits, ear
 
 
 def test_symmetry_orbit_infeasible_beyond_ceiling(capsys):
-    assert invoke(["symmetry", "--n", str(cli.ORBIT_CEILING + 1), "--ears", "2"]) == 1
-    assert f"orbit counting is feasible for n <= {cli.ORBIT_CEILING}" in capsys.readouterr().err
+    assert invoke(["symmetry", "--n", str(ORBIT_CEILING + 1), "--ears", "2"]) == 1
+    assert f"orbit counting is feasible for n <= {ORBIT_CEILING}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("method", ["orbit", "both"])
 def test_symmetry_orbit_range_past_the_ceiling_is_refused_whole(capsys, default_int_digits,
                                                                 method):
-    span = f"{cli.ORBIT_CEILING + 1}..{PRINTABLE_BOUND}"
+    span = f"{ORBIT_CEILING + 1}..{PRINTABLE_BOUND}"
     start = time.perf_counter()
     assert invoke(["symmetry", "--n", span, "--method", method]) == 1
     assert time.perf_counter() - start < 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        f"polytri: error: range {span!r} starts past n = {cli.ORBIT_CEILING}; "
-        f"orbit counting is feasible for n <= {cli.ORBIT_CEILING}"
+        f"polytri: error: range {span!r} starts past n = {ORBIT_CEILING}; "
+        f"orbit counting is feasible for n <= {ORBIT_CEILING}"
     ]
 
 
 def test_symmetry_range_straddling_the_orbit_ceiling_keeps_per_n_lines(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "ORBIT_CEILING", 7)
+    monkeypatch.setitem(cli.DOMAINS, "orbit", cli.DOMAINS["orbit"]._replace(ceiling=7))
     assert invoke(["symmetry", "--n", "6..9", "--ears", "2", "--method", "both"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "6 2 2\n7 3 3\n"
@@ -338,7 +343,7 @@ def test_symmetry_range_straddling_the_orbit_ceiling_keeps_per_n_lines(capsys, m
 
 
 def test_symmetry_mismatch_and_refusal_lines_keep_n_order(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "ORBIT_CEILING", 6)
+    monkeypatch.setitem(cli.DOMAINS, "orbit", cli.DOMAINS["orbit"]._replace(ceiling=6))
     monkeypatch.setattr(cli.counting, "symmetry_classes_orbit", lambda n, ears=None: 999)
     assert invoke(["symmetry", "--n", "5..7", "--ears", "2", "--method", "both"]) == 2
     captured = capsys.readouterr()
@@ -443,12 +448,12 @@ def test_disjoint_mismatch_exits_two(capsys, monkeypatch):
 
 
 def _no_dp(*args):
-    raise AssertionError("the brute-force count ran above BRUTE_CEILING")
+    raise AssertionError("count_disjoint ran above its ceiling")
 
 
-# the least polygon size the brute-force count refuses, and a 3-eared type
+# the least polygon size count_disjoint refuses, and a 3-eared type
 # (three branches summing to n - 3) of that size
-ABOVE_CEILING = cli.BRUTE_CEILING + 1
+ABOVE_CEILING = COUNT_DISJOINT_CEILING + 1
 _THIRD = (ABOVE_CEILING - 3) // 3
 TYPE_ABOVE_CEILING = f"{_THIRD},{_THIRD},{ABOVE_CEILING - 3 - 2 * _THIRD}"
 
@@ -466,13 +471,15 @@ def test_disjoint_brute_refuses_above_ceiling(capsys, monkeypatch, shape, method
     assert invoke(["disjoint", *shape, "--method", method]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("polytri: error:")
-    assert f"n <= {cli.BRUTE_CEILING}" in captured.err
+    assert captured.err == (
+        "polytri: error: disjointness counts by the O(n^2) tree knapsack are feasible "
+        f"for n <= {COUNT_DISJOINT_CEILING}, got n={ABOVE_CEILING} (use --method formula)\n"
+    )
 
 
 def test_brute_ceiling_covers_benchmark_sizes():
     # the disjoint benchmark workload runs --method both up to n = 200
-    assert cli.BRUTE_CEILING >= 200
+    assert COUNT_DISJOINT_CEILING >= 200
 
 
 def test_disjoint_formula_answers_above_ceiling(capsys):
@@ -510,7 +517,7 @@ def test_single_value_too_long_to_print(capsys, default_int_digits, argv):
 )
 def test_disjoint_counts_too_long_to_print(capsys, monkeypatch, default_int_digits,
                                            route, argv):
-    # count_disjoint stops at BRUTE_CEILING, far below the limit, so each
+    # count_disjoint stops at its ceiling, far below the limit, so each
     # route is made to return a count past the limit; the unpatched 3-eared
     # route is the disjoint-type case of test_single_value_too_long_to_print
     monkeypatch.setattr(cli.disjoint, route, lambda *args: 10 ** INT_DIGITS)
@@ -550,7 +557,7 @@ def test_disjoint_brute_at_huge_n_points_to_the_formula(capsys, default_int_digi
     assert invoke(["disjoint", "--snake", "--n", HUGE, *method]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"feasible for n <= {cli.BRUTE_CEILING}" in captured.err
+    assert f"feasible for n <= {COUNT_DISJOINT_CEILING}" in captured.err
     assert "(use --method formula)" in captured.err
 
 
@@ -736,30 +743,30 @@ def test_svg_deep_triangulation(shape, capsys):
 
 
 def test_svg_renders_at_the_ceiling(capsys):
-    assert invoke(["svg", "--snake", "--n", str(cli.SVG_CEILING)]) == 0
-    assert capsys.readouterr().out.count("<line ") == cli.SVG_CEILING - 3
+    assert invoke(["svg", "--snake", "--n", str(SVG_CEILING)]) == 0
+    assert capsys.readouterr().out.count("<line ") == SVG_CEILING - 3
 
 
 def fan_text(n):
     return f"{n}:" + ",".join(f"0-{b}" for b in range(2, n - 1))
 
 
-@pytest.mark.parametrize("n", [cli.SVG_CEILING + 1, int(HUGE)])
+@pytest.mark.parametrize("n", [SVG_CEILING + 1, int(HUGE)])
 @pytest.mark.parametrize("shape", ["snake", "t"])
 def test_svg_refuses_n_above_the_ceiling(capsys, n, shape):
     if shape == "snake":
         argv = ["svg", "--snake", "--n", str(n)]
     else:
         # a huge n cannot come with all its diagonals: the text is refused as invalid
-        argv = ["svg", "--t", fan_text(n) if n == cli.SVG_CEILING + 1 else f"{n}:0-2"]
+        argv = ["svg", "--t", fan_text(n) if n == SVG_CEILING + 1 else f"{n}:0-2"]
     assert invoke(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("polytri: error: ")
     assert "Traceback" not in captured.err
-    if n == cli.SVG_CEILING + 1:
+    if n == SVG_CEILING + 1:
         assert captured.err == (
-            f"polytri: error: svg figures are feasible for n <= {cli.SVG_CEILING}, got n={n}\n"
+            f"polytri: error: svg figures are feasible for n <= {SVG_CEILING}, got n={n}\n"
         )
 
 
@@ -984,7 +991,7 @@ def test_parser_is_built_once_per_process():
 REUSE_SEQUENCE = [
     (["enumerate", "--n", "x"], 1),
     (["--help"], 0),
-    (["disjoint", "--snake", "--n", str(cli.BRUTE_CEILING + 1)], 1),
+    (["disjoint", "--snake", "--n", str(COUNT_DISJOINT_CEILING + 1)], 1),
     (["disjoint", "--t", "6:0-2,2-4,0-4", "--method", "both"], 0),
     (["verify", "--suite", "parallel", "--max-n", "6"], 0),
 ]
@@ -1022,17 +1029,17 @@ CONTRACT_CASES = {
     "enumerate-ceiling": (["enumerate", "--n", "15"], 1),
     "enumerate-huge": (["enumerate", "--n", HUGE, "--count-only"], 1),
     "enumerate-malformed": (["enumerate", "--n", "x"], 1),
-    "symmetry-ceiling": (["symmetry", "--n", str(cli.ORBIT_CEILING + 1)], 1),
+    "symmetry-ceiling": (["symmetry", "--n", str(ORBIT_CEILING + 1)], 1),
     "symmetry-huge": (["symmetry", "--n", HUGE, "--method", "closed", "--ears", "2"], 1),
     "symmetry-malformed": (["symmetry", "--n", "1..x"], 1),
-    "disjoint-ceiling": (["disjoint", "--snake", "--n", str(cli.BRUTE_CEILING + 1)], 1),
+    "disjoint-ceiling": (["disjoint", "--snake", "--n", str(COUNT_DISJOINT_CEILING + 1)], 1),
     "disjoint-huge": (["disjoint", "--arrow", "--n", HUGE, "--method", "formula"], 1),
     "disjoint-malformed": (["disjoint", "--type", "1,x,1", "--n", "7"], 1),
     # the rows of verify cap --max-n at their own feasibility ceilings
     "verify-ceiling": (["verify", "--suite", "parallel", "--max-n", "13"], 0),
     "verify-huge": (["verify", "--suite", "parallel", "--max-n", HUGE], 0),
     "verify-malformed": (["verify", "--max-n", "2"], 1),
-    "svg-ceiling": (["svg", "--snake", "--n", str(cli.SVG_CEILING + 1)], 1),
+    "svg-ceiling": (["svg", "--snake", "--n", str(SVG_CEILING + 1)], 1),
     "svg-huge": (["svg", "--type", f"1,1,{int(HUGE) - 5}", "--n", HUGE], 1),
     "svg-malformed": (["svg", "--t", "6:0-2,2-x"], 1),
     "sequence-ceiling": (["sequence", "--what", "sym2", "--n", str(PRINTABLE_BOUND + 1)], 1),
@@ -1086,6 +1093,40 @@ def test_huge_n_is_refused_with_no_digit_limit(argv):
     assert proc.stderr.startswith("polytri: error: ")
     assert f"n = {PRINTABLE_BOUND}" in proc.stderr
     assert "over 0 decimal digits" not in proc.stderr
+
+
+# Per row of the domain table: the argv that asks its route for a size n,
+# and the module and name of the function the route would compute with.
+ROUTE_CASES = {
+    "listing": (lambda n: ["enumerate", "--n", str(n)], (cli, "listing")),
+    "orbit": (lambda n: ["symmetry", "--n", str(n), "--method", "orbit"],
+              (counting, "symmetry_classes_orbit")),
+    "count_disjoint": (lambda n: ["disjoint", "--snake", "--n", str(n)],
+                       (disjoint, "count_disjoint")),
+    "svg": (lambda n: ["svg", "--snake", "--n", str(n)], (svgfig, "render_svg")),
+    "printed": (lambda n: ["enumerate", "--count-only", "--n", str(n)], (counting, "catalan")),
+}
+
+
+def test_route_cases_cover_the_domain_table():
+    assert set(ROUTE_CASES) == set(cli.DOMAINS)
+
+
+@pytest.mark.parametrize("route", sorted(ROUTE_CASES))
+def test_every_route_refuses_one_past_its_ceiling(capsys, monkeypatch, default_int_digits,
+                                                  route):
+    argv_at, (module, name) = ROUTE_CASES[route]
+
+    def ran(*args, **kwargs):
+        raise AssertionError(f"{name} ran past the {route} ceiling")
+
+    monkeypatch.setattr(module, name, ran)
+    start = time.perf_counter()
+    assert invoke(argv_at(cli.DOMAINS[route].top() + 1)) == 1
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and REFUSAL.match(captured.err), captured.err
 
 
 def subcommand_parsers():

@@ -17,6 +17,7 @@ from helpers import (
     all_diagonals,
     boundary_sides,
     canonical_by_sorting,
+    crosses,
     diagonal_sets_by_recursion,
     dual_tree_edges_by_shared_diagonal,
     ear_count_by_degree,
@@ -25,6 +26,7 @@ from helpers import (
     ears_by_definition,
     ears_by_side_count,
     internal_by_definition,
+    is_diagonal,
     is_path,
     is_triangulation_pairwise,
     listings_by_filter,
@@ -50,10 +52,8 @@ from polytri.triangulation import (
     _ear_count_set,
     _ear_counts,
     _eared_shapes,
-    crosses,
     diagonal,
     enumerate_triangulations,
-    is_diagonal,
     is_triangulation,
     listing,
 )
@@ -352,6 +352,7 @@ def assert_ears_match_side_count(t):
     ears = ears_by_side_count(t)
     assert t.ears() == ears
     assert t.ear_tips() == tuple(sorted(ear_tip(t.n, ear) for ear in ears))
+    assert t.ear_tips() is t.ear_tips()  # computed once per object
     assert t.ear_count() == len(ears)
 
 
@@ -394,6 +395,9 @@ def test_square_has_two_ears_from_one_diagonal():
 
 def test_ears_undefined_for_triangle():
     t = Triangulation(3, ())
+    for _ in range(2):  # a refusal is not cached
+        with pytest.raises(ValueError, match="ears are undefined for n < 4"):
+            t.ear_tips()
     with pytest.raises(ValueError):
         t.ears()
     with pytest.raises(ValueError):
@@ -588,7 +592,7 @@ def test_disjoint_symmetric(n):
 
 @pytest.mark.parametrize("n", range(4, 13))
 def test_diagonal_masks_are_distinct_single_bits(n):
-    masks = [Triangulation(n, (d,), validate=False).mask for d in all_diagonals(n)]
+    masks = [Triangulation._trusted(n, (d,)).mask for d in all_diagonals(n)]
     assert all(m > 0 and m & (m - 1) == 0 for m in masks)
     assert len(set(masks)) == len(masks)
 
@@ -669,3 +673,12 @@ def test_constructor_validates_by_default():
     for entry in (None, (0, 2, 4), ("0", 4)):
         with pytest.raises(ValueError, match="pair|ints"):
             Triangulation(6, ((0, 2), (2, 4), entry))
+
+
+def test_constructor_has_no_unchecked_path():
+    # the pairs of a public Triangulation are always checked and normalized
+    with pytest.raises(TypeError):
+        Triangulation(6, ((4, 0), (0, 2), (2, 4)), validate=False)
+    t = Triangulation(6, ((4, 0), (0, 2), (2, 4)))
+    assert t.diagonals == ((0, 2), (0, 4), (2, 4))
+    assert str(t) == "6:0-2,0-4,2-4"
