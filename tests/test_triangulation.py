@@ -18,6 +18,7 @@ from helpers import (
     boundary_sides,
     canonical_by_sorting,
     crosses,
+    decoded,
     diagonal_sets_by_recursion,
     dual_tree_edges_by_shared_diagonal,
     ear_count_by_degree,
@@ -43,9 +44,10 @@ from polytri.compositions import two_eared_from_pointing
 from polytri.disjoint import arrow, snake, three_ear_rep
 import polytri
 from polytri import triangulation
-from polytri.counting import ear_census
+from polytri.counting import ear_census, hurtado_noy
 from polytri.triangulation import (
     ENUMERATION_CEILING,
+    _CODE_BASE,
     _SHAPE_CACHE_MAX,
     Triangulation,
     _cached_shapes,
@@ -172,8 +174,8 @@ def test_enumeration_counts_distinct_valid(n):
 
 
 def all_shapes(n: int) -> list[tuple[tuple[int, int], ...]]:
-    """The whole enumeration's diagonal tuples, in order."""
-    return [shape for shape, _ in _eared_shapes(n, -1, _ear_count_set(n, -1))]
+    """The whole enumeration's diagonal tuples, decoded, in order."""
+    return [decoded(shape) for shape, _ in _eared_shapes(n, -1, _ear_count_set(n, -1))]
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -214,13 +216,30 @@ def test_shape_cache_does_not_depend_on_the_bound(monkeypatch, fresh_shape_cache
     # for the sub-polygons at or below the bound and splits those above it
     monkeypatch.setattr(triangulation, "_SHAPE_CACHE_MAX", bound)
     for m in range(3, 12):
-        assert _cached_shapes(m) == tuple(diagonal_sets_by_recursion(tuple(range(m))))
+        assert tuple(map(decoded, _cached_shapes(m))) == tuple(diagonal_sets_by_recursion(tuple(range(m))))
 
 
 @pytest.mark.parametrize("n", range(4, 12))
 def test_cached_ear_counts_match_the_chord_count(n):
     # the whole n-gon is the sub-polygon (n, -1)
-    assert _ear_counts(n, -1) == tuple(ear_count_by_degree(n, d) for d in _cached_shapes(n))
+    assert _ear_counts(n, -1) == tuple(ear_count_by_degree(n, decoded(d)) for d in _cached_shapes(n))
+
+
+@pytest.mark.parametrize("n", range(3, 12))
+def test_listing_matches_the_text_of_the_enumeration(n):
+    # the listing's code texts and the decoded objects' str, line for line
+    ts = list(enumerate_triangulations(n))
+    assert listing(n) == [str(t) for t in ts]
+    for ears in range(2, n // 2 + 2) if n >= 4 else ():
+        assert listing(n, ears) == [str(t) for t in ts if t.ear_count() == ears]
+
+
+def test_codes_stand_for_one_pair_up_to_the_ceiling():
+    # a code a * _CODE_BASE + b decodes to one pair only while b < _CODE_BASE
+    assert _CODE_BASE > ENUMERATION_CEILING
+    t = next(enumerate_triangulations(ENUMERATION_CEILING))
+    # the checked constructor sorts, so this also holds the stored order
+    assert Triangulation(t.n, t.diagonals) == t
 
 
 @pytest.mark.parametrize("n", [12, 13])
@@ -257,7 +276,7 @@ AS_LIMIT = 150 * 2**20  # bytes of address space for the child below
 
 def test_first_triangulation_at_the_ceiling_fits_in_memory():
     # in a child process, so the address-space limit bounds the peak of
-    # the nested generators (about 42 MB) and nothing else in the session
+    # the nested generators (about 33 MB) and nothing else in the session
     code = textwrap.dedent(f"""
         import resource
         resource.setrlimit(resource.RLIMIT_AS, ({AS_LIMIT}, {AS_LIMIT}))
@@ -398,8 +417,8 @@ def test_ears_undefined_for_triangle():
     for _ in range(2):  # a refusal is not cached
         with pytest.raises(ValueError, match="ears are undefined for n < 4"):
             t.ear_tips()
-    with pytest.raises(ValueError):
-        t.ears()
+        with pytest.raises(ValueError, match="ears are undefined for n < 4"):
+            t.ears()
     with pytest.raises(ValueError):
         t.ear_count()
     assert t.internal_triangles() == ()
@@ -649,6 +668,14 @@ def test_text_on_both_sides_of_the_stored_table(n):
     t = arrow(n)
     assert str(t) == f"{n}:" + ",".join(f"1-{b}" for b in range(3, n))
     assert Triangulation.parse(str(t)) == t
+
+
+@pytest.mark.parametrize("n", [16, 17])
+def test_listing_text_on_both_sides_of_the_stored_table(n):
+    # the most-eared listing is short: 264 lines at n = 16, 7,293 at 17
+    lines = listing(n, n // 2)
+    assert len(set(lines)) == len(lines) == hurtado_noy(n, n // 2)
+    assert all(str(Triangulation.parse(line)) == line for line in lines)
 
 
 def test_parse_triangle():
