@@ -390,9 +390,6 @@ def cmd_svg(args: argparse.Namespace) -> int:
 
 # -- sequence -------------------------------------------------------------------
 
-SEQUENCE_WHATS = ("catalan", "hurtado-noy:k", "sym2", "sym3", "disj2", "classes-compositions")
-
-
 # name -> count at n; `symmetry --method closed` reads sym2 and sym3 here too
 SEQUENCES: dict[str, Callable[[int], int]] = {
     "catalan": counting.catalan,
@@ -401,6 +398,10 @@ SEQUENCES: dict[str, Callable[[int], int]] = {
     "disj2": disjoint.disjoint_two_eared,
     "classes-compositions": lambda m: comp.count_classes(m, "closed"),
 }
+
+# every name `sequence --what` takes: the ones above and the count of
+# triangulations with k ears
+SEQUENCE_WHATS = (*SEQUENCES, "hurtado-noy:k")
 
 
 def _sequence_column(what: str) -> tuple[str | None, Callable[[int], int]]:

@@ -196,7 +196,8 @@ def symmetry_classes_orbit(n: int, ears: int | None = None) -> int:
     The census builds the class keys level by level by ear insertion,
     from the triangle up to n, and tallies them by ear count.  Each level
     is cached, so the counts for every ear count of one n, and of every
-    smaller n, cost one build.  About 1 s at n = 15 and 4 s at n = 16.
+    smaller n, cost one build; its cost at the ceiling is in the `orbit`
+    row of `cli.DOMAINS`.
     """
     if n < 3:
         raise ValueError(f"polygon needs at least 3 vertices, got n={n}")

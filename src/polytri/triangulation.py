@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
-from typing import Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
 Pair = tuple[int, int]
@@ -144,26 +144,6 @@ def _canonical_diagonals(n: int, diags: Iterable[Pair]) -> tuple[Pair, ...]:
     return tuple((v, v + d) for v, key in enumerate(keys) for d in key if d < n - v)
 
 
-# The enumerator holds a diagonal (a, b), a < b, as the one int
-# a * _CODE_BASE + b.  The base is above every n the enumeration accepts,
-# so codes sort as their pairs do; it is the same for every n, because the
-# cached sub-polygon shapes are shared by every n.
-_CODE_BASE = 128
-
-# 'a-b' for every diagonal code of a polygon up to this size, which
-# covers every listing.  Looking each code's text up is what makes long
-# listings fast: formatting every code with '%d-%d' and divmod instead
-# made the listing benchmark's wall time 2.1 times as long (0.915 s
-# against 0.435 s, medians of ten seeds, 2-core x86-64, Python 3.11).
-# Above it `listing` formats each code, so no table grows with n.
-_TEXT_TABLE_MAX = 16
-_PAIR_TEXTS = {a * _CODE_BASE + b: f"{a}-{b}" for b in range(_TEXT_TABLE_MAX) for a in range(b)}
-
-
-def _code_text(code: int) -> str:
-    return "%d-%d" % divmod(code, _CODE_BASE)
-
-
 # The largest polygon `enumerate_triangulations`, `listing` and
 # `ear_census(n, "brute")` accept.  It bounds the peak memory of the
 # nested generators: they nest once per vertex, and each holds the
@@ -172,6 +152,26 @@ def _code_text(code: int) -> str:
 # (peak RSS of a fresh process, medians of five, 2-core x86-64, Python
 # 3.11).
 ENUMERATION_CEILING = 100
+
+# The enumerator holds a diagonal (a, b), a < b, as the one int
+# a * _CODE_BASE + b.  The base is above every n the enumeration accepts,
+# so each code stands for one pair and codes sort as their pairs do; it
+# is the same for every n, because the cached sub-polygon shapes are
+# shared by every n.
+_CODE_BASE = ENUMERATION_CEILING + 1
+
+
+def _decoder(n: int, form: Callable[[int, int], T]) -> Callable[[int], T]:
+    """The lookup from each diagonal code of the n-gon to form(a, b).
+
+    It reads a list indexed by code (faster than a dict), built at the
+    call and kept by nothing but the caller, so no table outlives its n.
+    """
+    table: list[T | None] = [None] * (n * _CODE_BASE)
+    for b in range(2, n):
+        for a in range(b - 1):
+            table[a * _CODE_BASE + b] = form(a, b)
+    return table.__getitem__
 
 
 # Polygons up to this many vertices have their triangulations built once
@@ -562,9 +562,8 @@ def listing(n: int, ears: int | None = None) -> list[str]:
     sorted diagonal codes, in the 'n:a-b,c-d,...' form of `str`.
     """
     shapes = _shapes(n, ears)
-    head = f"{n}:"
-    code_text = _PAIR_TEXTS.__getitem__ if n <= _TEXT_TABLE_MAX else _code_text
-    return [head + ",".join(map(code_text, sorted(codes))) for codes, _ in shapes]
+    head, text = f"{n}:", _decoder(n, "{}-{}".format)
+    return [head + ",".join(map(text, sorted(codes))) for codes, _ in shapes]
 
 
 def enumerate_triangulations(n: int) -> Iterator[Triangulation]:
@@ -577,10 +576,5 @@ def enumerate_triangulations(n: int) -> Iterator[Triangulation]:
     count is the Catalan number C(n-2).
     """
     shapes = _shapes(n)
-    # code -> pair for this n; a list indexed by code looks up faster than a dict
-    pair: list[Pair | None] = [None] * (n * _CODE_BASE)
-    for b in range(2, n):
-        for a in range(b - 1):
-            pair[a * _CODE_BASE + b] = (a, b)
-    decode, build = pair.__getitem__, Triangulation._trusted
-    return (build(n, map(decode, sorted(codes))) for codes, _ in shapes)
+    pair, build = _decoder(n, lambda a, b: (a, b)), Triangulation._trusted
+    return (build(n, map(pair, sorted(codes))) for codes, _ in shapes)

@@ -936,6 +936,15 @@ def test_sequence_unknown_what(capsys):
     assert "unknown sequence" in capsys.readouterr().err
 
 
+def test_sequence_help_names_every_sequence():
+    parser = subcommand_parsers()["sequence"]
+    (what,) = [a for a in parser._actions if "--what" in a.option_strings]
+    names = what.help.removeprefix("one of: ").split(", ")
+    for name in names:
+        cli._sequence_column(name.replace(":k", ":3"))
+    assert set(cli.SEQUENCES) <= set(names)
+
+
 # -- shared plumbing ------------------------------------------------------------
 
 

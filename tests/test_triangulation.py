@@ -51,6 +51,7 @@ from polytri.triangulation import (
     _SHAPE_CACHE_MAX,
     Triangulation,
     _cached_shapes,
+    _decoder,
     _ear_count_set,
     _ear_counts,
     _eared_shapes,
@@ -240,6 +241,15 @@ def test_codes_stand_for_one_pair_up_to_the_ceiling():
     t = next(enumerate_triangulations(ENUMERATION_CEILING))
     # the checked constructor sorts, so this also holds the stored order
     assert Triangulation(t.n, t.diagonals) == t
+
+
+@pytest.mark.parametrize("n", [4, 14, 17, ENUMERATION_CEILING])
+def test_decoder_reads_every_diagonal(n):
+    pair, text = _decoder(n, lambda a, b: (a, b)), _decoder(n, "{}-{}".format)
+    for a, b in all_diagonals(n):
+        code = a * _CODE_BASE + b
+        assert pair(code) == decoded((code,))[0] == (a, b)
+        assert text(code) == f"{a}-{b}"
 
 
 @pytest.mark.parametrize("n", [12, 13])
@@ -664,14 +674,14 @@ def test_parse_rejections():
 
 
 @pytest.mark.parametrize("n", [16, 17, 40])
-def test_text_on_both_sides_of_the_stored_table(n):
+def test_fan_text_round_trips(n):
     t = arrow(n)
     assert str(t) == f"{n}:" + ",".join(f"1-{b}" for b in range(3, n))
     assert Triangulation.parse(str(t)) == t
 
 
 @pytest.mark.parametrize("n", [16, 17])
-def test_listing_text_on_both_sides_of_the_stored_table(n):
+def test_most_eared_listing_round_trips(n):
     # the most-eared listing is short: 264 lines at n = 16, 7,293 at 17
     lines = listing(n, n // 2)
     assert len(set(lines)) == len(lines) == hurtado_noy(n, n // 2)
