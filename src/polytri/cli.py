@@ -64,7 +64,7 @@ DOMAINS: dict[str, Domain] = {
                       "got n={n} (use --count-only for larger n)"),
     # the ear-insertion census of `symmetry --method orbit|both`: each
     # level costs about 3.8 times the one before, 0.8 s at n = 15 and
-    # 3.1 s and 45 MB at n = 16 (medians of three)
+    # 3 s (2.4-4.1 s over nine runs) and 31 MB at n = 16
     "orbit": Domain(16, "orbit counting is feasible for n <= {ceiling}"),
     # count_disjoint, what `disjoint --method brute|both` runs, is O(n^2)
     # big-integer work.  At n = 2000 `disjoint --method both` takes
@@ -234,7 +234,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.count_only:
         if k is None:
             if n < 3:
-                raise ValueError(f"polygons need n >= 3, got {n}")
+                raise ValueError(f"polygon needs at least 3 vertices, got n={n}")
             _refuse("printed", n)
             count = counting.catalan(n - 2)
         else:

@@ -47,6 +47,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Iterator
 
+from polytri.counting import symmetry_classes_2ear
 from polytri.triangulation import Triangulation
 
 Composition = tuple[int, ...]
@@ -185,20 +186,18 @@ def count_fixed(m: int, op: str) -> int:
 def count_classes(m: int, method: str = "closed") -> int:
     """Number of composition classes of m.
 
-    method 'closed' evaluates 2^(m-3) + 2^floor((m-3)/2) exactly (requires
-    m >= 2; at m = 1 the formula is not integral).  'burnside' averages the
-    four fixed-point counts.  'direct' runs over the 2^(m-1) bar masks and
-    their images (all_mask_images) and counts each orbit once, at its
-    least member.
+    method 'closed' is the 2-eared class formula at n = m + 3, 2^(m-3) +
+    2^floor((m-3)/2) (requires m >= 2; at m = 1 it is not integral).
+    'burnside' averages the four fixed-point counts.  'direct' runs over
+    the 2^(m-1) bar masks and their images (all_mask_images) and counts
+    each orbit once, at its least member.
     """
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
     if method == "closed":
         if m < 2:
             raise ValueError("closed form for class counts requires m >= 2")
-        if m == 2:
-            return 1  # 2^-1 + 2^-1
-        return (1 << (m - 3)) + (1 << ((m - 3) // 2))
+        return symmetry_classes_2ear(m + 3)
     if method == "burnside":
         total = (1 << (m - 1)) + sum(count_fixed(m, op) for op in _OPS)
         if total % 4:

@@ -37,7 +37,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from polytri.triangulation import _least_rotation, _shapes
 
@@ -130,14 +130,15 @@ def ear_census(n: int, method: str = "formula") -> dict[int, int]:
 def symmetry_classes_2ear(n: int) -> int:
     """Closed-form count of symmetry classes of 2-eared triangulations.
 
-    2^(n-6) + 2^(floor(n/2)-3), valid for n >= 5.  At n = 4 the expression
-    evaluates to 3/4; the true class count there is 1 (see the orbit
-    method).
+    2^(n-6) + 2^(floor(n/2)-3) for n >= 5, as half of 2^(n-5) + 2^(floor(n/2)-2).
+    At n = 4 it is 3/4; the true class count there is 1 (see the orbit method).
     """
     if n < 5:
         raise ValueError(f"2-ear class formula requires n >= 5, got {n}")
-    value = Fraction(2) ** (n - 6) + Fraction(2) ** (n // 2 - 3)
-    return _as_int(value, f"2-ear class formula at n={n}")
+    twice = (1 << (n - 5)) + (1 << (n // 2 - 2))
+    if twice & 1:
+        raise ArithmeticError(f"2-ear class formula at n={n} is not an integer: {twice}/2")
+    return twice >> 1
 
 
 def symmetry_classes_3ear(n: int) -> int:
@@ -152,7 +153,7 @@ def symmetry_classes_3ear(n: int) -> int:
     return _as_int(value, f"3-ear class formula at n={n}")
 
 
-def _glue_ears(quiddity: tuple[int, ...]) -> Iterator[list[int]]:
+def _glue_ears(quiddity: Sequence[int]) -> Iterator[list[int]]:
     """The quiddity sequences of the triangulations made by gluing one ear
     onto each side of the given one, side i -> i+1 in turn (the last side
     closes back to 0): the new ear tip is a 1 between the side's ends, and
@@ -166,25 +167,27 @@ def _glue_ears(quiddity: tuple[int, ...]) -> Iterator[list[int]]:
         yield child
 
 
-@lru_cache(maxsize=None)
-def _class_keys(n: int) -> frozenset[tuple[int, ...]]:
-    """The quiddity keys of the n-gon's symmetry classes (n >= 3).
+@lru_cache(maxsize=1)
+def _class_keys(n: int) -> frozenset[bytes]:
+    """The quiddity keys of the n-gon's symmetry classes (n >= 3), as bytes.
 
     Every n-gon triangulation is an (n-1)-gon one with an ear glued onto a
     side, and a dihedral image of the parent gives an image of each child,
     so the children of one key per class at n-1 reach every class at n.
     Each child is keyed by `_least_rotation`, the routine behind
-    `canonical()`; a least rotation starts at a 1, an ear tip.
+    `canonical()`; a least rotation starts at a 1, an ear tip.  An entry is
+    at most n-2, so bytes hold any n <= 257.
     """
     if n == 3:
-        return frozenset({(1, 1, 1)})
+        return frozenset({bytes((1, 1, 1))})
     return frozenset(
-        tuple(_least_rotation(child, child[::-1], 1))
+        bytes(_least_rotation(child, child[::-1], 1))
         for parent in _class_keys(n - 1)
         for child in _glue_ears(parent)
     )
 
 
+@lru_cache(maxsize=None)
 def _class_census(n: int) -> Counter[int]:
     # {ear count: number of symmetry classes}
     return Counter(key.count(1) for key in _class_keys(n))
@@ -193,11 +196,9 @@ def _class_census(n: int) -> Counter[int]:
 def symmetry_classes_orbit(n: int, ears: int | None = None) -> int:
     """Number of dihedral symmetry classes, optionally filtered by ear count.
 
-    The census builds the class keys level by level by ear insertion,
-    from the triangle up to n, and tallies them by ear count.  Each level
-    is cached, so the counts for every ear count of one n, and of every
-    smaller n, cost one build; its cost at the ceiling is in the `orbit`
-    row of `cli.DOMAINS`.
+    The census builds the class keys by ear insertion from the triangle up
+    to n, caching each n's tally by ear count and the last level's keys: a
+    rising run of n costs one build (its cost: `orbit` row of `cli.DOMAINS`).
     """
     if n < 3:
         raise ValueError(f"polygon needs at least 3 vertices, got n={n}")

@@ -61,6 +61,7 @@ from math import prod
 from operator import mul
 from typing import Iterable
 
+from polytri.compositions import enumerate_compositions
 from polytri.counting import (
     _catalan_convolution,
     catalan,
@@ -244,8 +245,6 @@ def disjoint_two_eared(n: int) -> int:
 def disjoint_inclusion_exclusion(n: int) -> int:
     """Evaluate sum over compositions (a_1..a_i) of n-2 of
     (-1)^(i+1) C(a_1)...C(a_i); equals catalan(n-3)."""
-    from polytri.compositions import enumerate_compositions
-
     if n < 4:
         raise ValueError(f"inclusion-exclusion needs n >= 4, got {n}")
     cat = catalan_list(n - 2).__getitem__

@@ -231,6 +231,16 @@ def test_enumerate_listing_capped(capsys):
     assert "3 <= n <= 14" in capsys.readouterr().err
 
 
+def test_enumerate_refuses_n_below_3_in_one_wording(capsys):
+    errs = []
+    for count_only in ([], ["--count-only"]):
+        assert invoke(["enumerate", "--n", "2", *count_only]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errs.append(captured.err)
+    assert errs == [f"{cli.PROG}: error: polygon needs at least 3 vertices, got n=2\n"] * 2
+
+
 def test_enumerate_json(capsys):
     assert invoke(["enumerate", "--n", "4", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -122,7 +122,7 @@ def test_json_rendering_round_trips():
     assert set(first) == {"status", "id", "n", "params", "expected", "got"}
 
 
-def test_suites_run_in_registry_order_regardless_of_request_order():
+def test_suites_run_in_requested_order():
     report = run_suites(["parallel", "core"], max_n=6)
     # Requested order is honored as given (callers pick the order)...
     assert report.suites == ("parallel", "core")
