@@ -4,7 +4,7 @@ Counting and structure of triangulations of a labeled convex n-gon:
 ears and internal triangles, dihedral symmetry classes, the composition
 correspondence for 2-eared triangulations, and counts of triangulations
 disjoint from (sharing no diagonal with) a given one.  All arithmetic is
-exact; rational prefactors are checked to produce integers.
+in exact integers; a rational prefactor becomes an exact division.
 """
 
 from polytri.triangulation import (

@@ -47,7 +47,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Iterator
 
-from polytri.counting import symmetry_classes_2ear
+from polytri.counting import _exact_quotient, symmetry_classes_2ear
 from polytri.triangulation import Triangulation
 
 Composition = tuple[int, ...]
@@ -200,9 +200,7 @@ def count_classes(m: int, method: str = "closed") -> int:
         return symmetry_classes_2ear(m + 3)
     if method == "burnside":
         total = (1 << (m - 1)) + sum(count_fixed(m, op) for op in _OPS)
-        if total % 4:
-            raise ArithmeticError(f"Burnside sum {total} not divisible by 4 at m={m}")
-        return total // 4
+        return _exact_quotient(total, 4, f"Burnside class count at m={m}")
     if method == "direct":
         return sum(images[0] == min(images) for images in all_mask_images(m))
     raise ValueError(f"unknown method {method!r}")

@@ -1,9 +1,9 @@
 """Exact counting formulas for triangulations, ears, and symmetry classes.
 
-All counts are exact integers.  Formulas with rational prefactors are
-evaluated in exact rational arithmetic and asserted integral before being
-returned; a non-integral value raises ArithmeticError rather than being
-silently rounded.
+All counts are exact integers.  A formula with a rational prefactor is
+evaluated as an integer numerator over a fixed denominator, and the
+division is checked exact before the quotient is returned; a nonzero
+remainder raises ArithmeticError rather than being silently rounded.
 
 The key closed forms:
 
@@ -34,7 +34,6 @@ of the sequence or of its reversal, picked by the same routine
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import Iterator, Sequence
@@ -42,10 +41,14 @@ from typing import Iterator, Sequence
 from polytri.triangulation import _least_rotation, _shapes
 
 
-def _as_int(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise ArithmeticError(f"{what} is not an integer: {value}")
-    return int(value)
+def _exact_quotient(numerator: int, denominator: int, what: str) -> int:
+    """numerator / denominator, which must divide exactly; `what` names the
+    formula and n.  The message leaves the numerator out: at large n it has
+    more digits than Python will print."""
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise ArithmeticError(f"{what} is not an integer")
+    return quotient
 
 
 def catalan(k: int) -> int:
@@ -94,18 +97,17 @@ def max_ears(n: int) -> int:
 def hurtado_noy(n: int, k: int) -> int:
     """Number of triangulations of the n-gon with exactly k ears.
 
-    Evaluates (n/k) 2^(n-2k) binom(n-4, 2k-4) C(k-2) in exact rational
-    arithmetic.  Zero whenever 2k-4 > n-4, i.e. for k > n/2.
+    Evaluates (n/k) 2^(n-2k) binom(n-4, 2k-4) C(k-2) as the integer
+    n 2^(n-2k) binom(n-4, 2k-4) C(k-2) divided exactly by k.  Zero whenever
+    2k-4 > n-4, i.e. for k > n/2.
     """
-    if n < 4:
-        raise ValueError(f"ear counts need n >= 4, got {n}")
+    top = max_ears(n)  # refuses n < 4 before k is looked at
     if k < 2:
         raise ValueError(f"every triangulation has >= 2 ears, got k={k}")
-    binomial = comb(n - 4, 2 * k - 4)  # comb() is 0 when 2k-4 > n-4
-    if binomial == 0:
+    if k > top:
         return 0
-    value = Fraction(n, k) * Fraction(2) ** (n - 2 * k) * binomial * catalan(k - 2)
-    return _as_int(value, f"ear count formula at n={n}, k={k}")
+    numerator = (n * comb(n - 4, 2 * k - 4) * catalan(k - 2)) << (n - 2 * k)
+    return _exact_quotient(numerator, k, f"ear count formula at n={n}, k={k}")
 
 
 def ear_census(n: int, method: str = "formula") -> dict[int, int]:
@@ -114,8 +116,6 @@ def ear_census(n: int, method: str = "formula") -> dict[int, int]:
     method 'formula' evaluates the closed form per k; 'brute' streams the
     full enumeration and tallies the ear count it carries with each tuple.
     """
-    if n < 4:
-        raise ValueError(f"ear census needs n >= 4, got {n}")
     ks = range(2, max_ears(n) + 1)
     if method == "formula":
         return {k: hurtado_noy(n, k) for k in ks}
@@ -136,21 +136,20 @@ def symmetry_classes_2ear(n: int) -> int:
     if n < 5:
         raise ValueError(f"2-ear class formula requires n >= 5, got {n}")
     twice = (1 << (n - 5)) + (1 << (n // 2 - 2))
-    if twice & 1:
-        raise ArithmeticError(f"2-ear class formula at n={n} is not an integer: {twice}/2")
-    return twice >> 1
+    return _exact_quotient(twice, 2, f"2-ear class formula at n={n}")
 
 
 def symmetry_classes_3ear(n: int) -> int:
     """Closed-form count of symmetry classes of 3-eared triangulations (n >= 6)."""
     if n < 6:
         raise ValueError(f"3-ear class formula requires n >= 6, got {n}")
-    value = Fraction(1, 3) * Fraction(2) ** (n - 8) * (n - 4) * (n - 5)
+    # 48 times the module docstring's formula, term by term
+    times48 = ((n - 4) * (n - 5)) << (n - 4)
     if n % 2 == 0:
-        value += Fraction(2) ** (n // 2 - 4)
+        times48 += 3 << (n // 2)
     if n % 3 == 0:
-        value += Fraction(1, 3) * Fraction(2) ** (n // 3 - 2)
-    return _as_int(value, f"3-ear class formula at n={n}")
+        times48 += 1 << (n // 3 + 2)
+    return _exact_quotient(times48, 48, f"3-ear class formula at n={n}")
 
 
 def _glue_ears(quiddity: Sequence[int]) -> Iterator[list[int]]:

@@ -49,14 +49,19 @@ composition-reading verify rows canonicalise or read every dihedral
 image afresh, where the rows look each image up in a table built once
 per triangulation.  The dual-tree shape key
 is the AHU code of the unlabeled tree rooted at its center, which only the
-shape-invariance tests of the disjointness count use.
+shape-invariance tests of the disjointness count use.  The Hurtado-Noy
+count and the 3-ear class formula are evaluated here in exact rational
+arithmetic (`fractions`), term by term as written, where the package
+divides an integer numerator by a fixed denominator.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from math import comb
 
 from polytri import compositions as comp
 from polytri.compositions import _composition
@@ -296,6 +301,29 @@ def class_total_by_burnside(n: int) -> int:
     total, rest = divmod(fixed, 2 * n)
     assert rest == 0, f"Burnside count at n={n} is not an integer"
     return total
+
+
+def hurtado_noy_by_fractions(n: int, k: int) -> int:
+    """(n/k) 2^(n-2k) binom(n-4, 2k-4) C(k-2) in rational arithmetic,
+    asserted integral; 0 for k > n/2, where the binomial vanishes."""
+    binomial = comb(n - 4, 2 * k - 4)
+    if binomial == 0:
+        return 0
+    value = Fraction(n, k) * Fraction(2) ** (n - 2 * k) * binomial * segner_catalan(k - 2)
+    assert value.denominator == 1, f"ear count formula at n={n}, k={k} is not an integer"
+    return int(value)
+
+
+def three_ear_classes_by_fractions(n: int) -> int:
+    """(1/3) 2^(n-8) (n-4)(n-5) + [2|n] 2^(n/2-4) + [3|n] (1/3) 2^(n/3-2)
+    in rational arithmetic, asserted integral (n >= 6)."""
+    value = Fraction(1, 3) * Fraction(2) ** (n - 8) * (n - 4) * (n - 5)
+    if n % 2 == 0:
+        value += Fraction(2) ** (n // 2 - 4)
+    if n % 3 == 0:
+        value += Fraction(1, 3) * Fraction(2) ** (n // 3 - 2)
+    assert value.denominator == 1, f"3-ear class formula at n={n} is not an integer"
+    return int(value)
 
 
 def least_dihedral_image(seq) -> tuple[int, ...]:

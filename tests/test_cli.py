@@ -837,6 +837,50 @@ def test_sequence_json(capsys):
     assert [r["value"] for r in payload["rows"]] == [1, 2, 3, 6]
 
 
+@pytest.mark.parametrize(
+    "what, ns, golden",
+    [("sym3", "6..400", "sequence-sym3-n-6..400.txt"),
+     ("hurtado-noy:3", "4..400", "sequence-hurtado-noy-3-n-4..400.txt")],
+)
+def test_sequence_closed_forms_match_golden_bytes(capsys, what, ns, golden):
+    assert invoke(["sequence", "--what", what, "--n", ns]) == 0
+    expected = (GOLDEN_DIR / golden).read_bytes()
+    assert capsys.readouterr().out.encode() == expected
+
+
+def _not_integral(n, k=None):
+    """A count whose exact division leaves a remainder, with a numerator
+    far past Python's default digit limit."""
+    where = f"n={n}" if k is None else f"n={n}, k={k}"
+    return counting._exact_quotient((1 << 20000) * n + 1, 2, f"broken formula at {where}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sequence", "--what", "sym3", "--n", "9"],
+     ["symmetry", "--n", "9", "--ears", "3", "--method", "closed"]],
+    ids=["sequence", "symmetry"],
+)
+def test_non_integral_count_is_refused_at_its_n(capsys, monkeypatch, default_int_digits, argv):
+    monkeypatch.setitem(cli.SEQUENCES, "sym3", _not_integral)
+    assert invoke(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"{cli.PROG}: {argv[0]}: n=9: broken formula at n=9 is not an integer\n"
+    )
+
+
+def test_non_integral_ear_count_is_refused(capsys, monkeypatch, default_int_digits):
+    monkeypatch.setattr(cli.counting, "hurtado_noy", _not_integral)
+    assert invoke(["enumerate", "--count-only", "--n", "9", "--ears", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"{cli.PROG}: error: broken formula at n=9, k=3 is not an integer\n"
+    )
+
+
 def test_sequence_domain_errors_per_row(capsys):
     assert invoke(["sequence", "--what", "sym3", "--n", "5..7"]) == 1
     captured = capsys.readouterr()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import random
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -12,12 +13,14 @@ from helpers import (
     class_census_by_enumeration,
     class_total_by_burnside,
     ear_census_by_enumeration,
+    hurtado_noy_by_fractions,
     least_dihedral_image,
     orbit_count_by_canonical,
     quiddity_key,
     random_triangulation,
     rotation_symmetric,
     segner_catalan,
+    three_ear_classes_by_fractions,
 )
 
 from polytri import triangulation
@@ -25,6 +28,7 @@ from polytri.compositions import count_classes
 from polytri.counting import (
     _class_census,
     _class_keys,
+    _exact_quotient,
     _glue_ears,
     catalan,
     catalan_list,
@@ -83,6 +87,30 @@ def test_hurtado_noy_spec_values():
         hurtado_noy(6, 1)
     with pytest.raises(ValueError):
         hurtado_noy(3, 2)
+    with pytest.raises(ValueError, match=r"^ear counts need n >= 4, got 3$"):
+        hurtado_noy(3, 1)  # n is checked before k
+
+
+def test_hurtado_noy_equals_rational_oracle_to_300():
+    for n in range(4, 301):
+        for k in range(2, max_ears(n) + 3):
+            assert hurtado_noy(n, k) == hurtado_noy_by_fractions(n, k), (n, k)
+
+
+def test_exact_quotient_divides_or_names_the_formula():
+    assert _exact_quotient(1 << 200, 1 << 100, "x") == 1 << 100
+    with pytest.raises(ArithmeticError, match=r"^sample formula at n=7 is not an integer$"):
+        _exact_quotient(15, 4, "sample formula at n=7")
+
+
+def test_exact_quotient_message_leaves_out_a_numerator_too_long_to_print():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # Python's default
+    try:
+        with pytest.raises(ArithmeticError, match=r"^huge formula is not an integer$"):
+            _exact_quotient((1 << 20000) + 1, 2, "huge formula")
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 @pytest.mark.parametrize("n", range(4, 13))
@@ -123,7 +151,7 @@ def test_hurtado_noy_sum_is_catalan_to_30():
 
 
 def test_census_rejects():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^ear counts need n >= 4, got 3$"):
         ear_census(3)
     with pytest.raises(ValueError):
         ear_census(6, "magic")
@@ -160,6 +188,11 @@ def test_three_ear_classes_spec_values():
     assert symmetry_classes_3ear(9) == 14
     with pytest.raises(ValueError):
         symmetry_classes_3ear(5)
+
+
+def test_three_ear_classes_equal_rational_oracle_to_300():
+    for n in range(6, 301):
+        assert symmetry_classes_3ear(n) == three_ear_classes_by_fractions(n), n
 
 
 @pytest.mark.parametrize("n", range(6, 13))
