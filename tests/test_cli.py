@@ -40,8 +40,17 @@ def default_int_digits():
     sys.set_int_max_str_digits(old)
 
 
+@pytest.fixture
+def int_digits():
+    """sys.set_int_max_str_digits, with the old limit put back after the test."""
+    old = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(old)
+
+
 def assert_too_long_reported(err, command, ns):
-    """err names each n in ns as too long to print, and nothing else."""
+    """err names each n (or span 'a..b') in ns as too long to print, and
+    nothing else."""
     assert err.splitlines() == [
         f"{cli.PROG}: {command}: n={n}: value too long to print "
         f"(over {INT_DIGITS} decimal digits)"
@@ -226,6 +235,25 @@ def test_refusal_bound_is_below_every_count():
     assert all(count >= floor for count in counts)
 
 
+@pytest.mark.parametrize("limit", [640, 4300])
+def test_printable_agrees_with_str_at_the_digit_limit(int_digits, limit):
+    int_digits(limit)
+    for value in (10 ** limit - 1, -(10 ** limit - 1), 10 ** limit, -(10 ** limit)):
+        try:
+            str(value)
+            written = True
+        except ValueError:
+            written = False
+        assert written is (abs(value) < 10 ** limit)
+        if written:
+            assert cli._printable(value) == value
+        else:
+            with pytest.raises(cli._TooLarge, match="value too long to print"):
+                cli._printable(value)
+    int_digits(0)
+    assert cli._printable(10 ** limit) == 10 ** limit
+
+
 def test_enumerate_listing_capped(capsys):
     assert invoke(["enumerate", "--n", "15"]) == 1
     assert "3 <= n <= 14" in capsys.readouterr().err
@@ -332,23 +360,33 @@ def test_symmetry_orbit_range_past_the_ceiling_is_refused_whole(capsys, default_
                                                                 method):
     span = f"{ORBIT_CEILING + 1}..{PRINTABLE_BOUND}"
     start = time.perf_counter()
-    assert invoke(["symmetry", "--n", span, "--method", method]) == 1
+    assert invoke(["symmetry", "--n", span, "--ears", "2", "--method", method]) == 1
     assert time.perf_counter() - start < 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        f"polytri: error: range {span!r} starts past n = {ORBIT_CEILING}; "
-        f"orbit counting is feasible for n <= {ORBIT_CEILING}"
+        f"polytri: symmetry: n={span}: orbit counting is feasible for n <= {ORBIT_CEILING}"
     ]
 
 
-def test_symmetry_range_straddling_the_orbit_ceiling_keeps_per_n_lines(capsys, monkeypatch):
+def test_symmetry_range_straddling_the_orbit_ceiling_ends_at_one_line(capsys, monkeypatch):
     monkeypatch.setitem(cli.DOMAINS, "orbit", cli.DOMAINS["orbit"]._replace(ceiling=7))
     assert invoke(["symmetry", "--n", "6..9", "--ears", "2", "--method", "both"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "6 2 2\n7 3 3\n"
     assert captured.err.splitlines() == [
-        f"polytri: symmetry: n={n}: orbit counting is feasible for n <= 7" for n in (8, 9)
+        "polytri: symmetry: n=8..9: orbit counting is feasible for n <= 7"
+    ]
+
+
+def test_symmetry_json_ends_at_the_first_refused_row(capsys, monkeypatch):
+    monkeypatch.setitem(cli.DOMAINS, "orbit", cli.DOMAINS["orbit"]._replace(ceiling=7))
+    argv = ["symmetry", "--n", "6..9", "--ears", "2", "--method", "both", "--format", "json"]
+    assert invoke(argv) == 1
+    assert json.loads(capsys.readouterr().out) == [
+        {"n": 6, "ears": "2", "closed": 2, "orbit": 2},
+        {"n": 7, "ears": "2", "closed": 3, "orbit": 3},
+        {"n": 8, "ears": "2", "closed": symmetry_classes_2ear(8), "orbit": None},
     ]
 
 
@@ -379,12 +417,13 @@ def test_symmetry_reports_values_too_long_to_print(capsys, default_int_digits, f
             "--format", fmt]
     assert invoke(argv) == 1
     captured = capsys.readouterr()
-    assert_too_long_reported(captured.err, "symmetry", range(14291, 14301))
+    assert_too_long_reported(captured.err, "symmetry", ["14291..14300"])
     value = symmetry_classes_2ear(14290)
     if fmt == "json":
-        rows = json.loads(captured.out)
-        assert rows[0] == {"n": 14290, "ears": "2", "closed": value}
-        assert [r["closed"] for r in rows[1:]] == [None] * 10
+        assert json.loads(captured.out) == [
+            {"n": 14290, "ears": "2", "closed": value},
+            {"n": 14291, "ears": "2", "closed": None},
+        ]
     elif fmt == "csv":
         assert captured.out == f"n,closed\n14290,{value}\n"
     else:
@@ -896,7 +935,7 @@ def test_sequence_reports_values_too_long_to_print(capsys, default_int_digits, f
     argv = ["sequence", "--what", "catalan", "--n", "7150..7160", "--format", fmt]
     assert invoke(argv) == 1
     captured = capsys.readouterr()
-    assert_too_long_reported(captured.err, "sequence", ns[3:])
+    assert_too_long_reported(captured.err, "sequence", ["7153..7160"])
     if fmt == "json":
         rows = json.loads(captured.out)["rows"]
         assert rows == [{"n": n, "value": catalan(n)} for n in printable]
@@ -938,12 +977,59 @@ def test_range_past_the_printable_bound_is_refused_whole(capsys, default_int_dig
     )
 
 
-def test_range_ending_at_the_printable_bound_keeps_per_n_lines(capsys, default_int_digits):
-    ns = [PRINTABLE_BOUND - 1, PRINTABLE_BOUND]
-    assert invoke(["sequence", "--what", "catalan", "--n", f"{ns[0]}..{ns[1]}"]) == 1
+def test_range_ending_at_the_printable_bound_ends_at_one_line(capsys, default_int_digits):
+    span = f"{PRINTABLE_BOUND - 1}..{PRINTABLE_BOUND}"
+    assert invoke(["sequence", "--what", "catalan", "--n", span]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert_too_long_reported(captured.err, "sequence", ns)
+    assert_too_long_reported(captured.err, "sequence", [span])
+
+
+@pytest.mark.parametrize("name, argv, ns", [
+    ("catalan", ["sequence", "--what", "catalan"], range(1, 3001)),
+    ("sym2", ["symmetry", "--ears", "2", "--method", "closed"], range(5, 3001)),
+], ids=["sequence", "symmetry"])
+def test_no_n_past_the_first_size_refusal_is_computed(capsys, monkeypatch, int_digits,
+                                                      name, argv, ns):
+    int_digits(640)
+    count = cli.SEQUENCES[name]
+    first = next(n for n in ns if count(n) >= 10 ** 640)
+    seen = []
+    monkeypatch.setitem(cli.SEQUENCES, name, lambda n: seen.append(n) or count(n))
+    assert invoke([*argv, "--n", f"{ns[0]}..{ns[-1]}"]) == 1
+    assert seen == list(range(ns[0], first + 1))
+    assert capsys.readouterr().err == (
+        f"polytri: {argv[0]}: n={first}..{ns[-1]}: value too long to print "
+        f"(over 640 decimal digits)\n"
+    )
+
+
+# every count printed over a range: each `sequence --what`, with four k for
+# hurtado-noy:k; `symmetry --method closed` prints sym2 and sym3
+RANGE_COUNTS = [*(w for w in cli.SEQUENCE_WHATS if not w.endswith(":k")),
+                *(f"hurtado-noy:{k}" for k in (2, 3, 50, 500))]
+
+
+@pytest.mark.parametrize("what", RANGE_COUNTS)
+def test_every_count_printed_over_a_range_is_nondecreasing(what):
+    """A value too long to print at n is then too long at every larger n,
+    which lets a range end at its first size refusal.  Checked on each
+    count's domain up to n = 1,100:
+
+    - catalan and disj2 (C(n-3)): C(k+1)/C(k) = 2(2k+1)/(k+2) >= 1;
+    - sym2, sym3 and classes-compositions are led by a growing power of 2:
+      2^(n-6), (n-4)(n-5) 2^(n-4)/48 and 2^(m-3);
+    - hurtado-noy:k is 0 below n = 2k, and for n >= 2k
+      H(n+1, k)/H(n, k) = 2(n+1)(n-3)/(n(n-2k+1)) > 1.
+    """
+    _, count = cli._sequence_column(what)
+    values = {}
+    for n in range(1101):
+        with contextlib.suppress(ValueError):
+            values[n] = count(n)
+    domain = sorted(values)
+    assert domain == list(range(domain[0], 1101))
+    assert all(values[n] <= values[n + 1] for n in domain[:-1])
 
 
 @pytest.mark.parametrize(
