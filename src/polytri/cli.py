@@ -59,9 +59,11 @@ DOMAINS: dict[str, Domain] = {
     # in 0.9 s and 64 MB (medians of three)
     "listing": Domain(14, "full listings are supported for 3 <= n <= {ceiling}, "
                       "got n={n} (use --count-only for larger n)"),
-    # the ear-insertion census of `symmetry --method orbit|both`: each
-    # level costs about 3.8 times the one before, 0.8 s at n = 15 and
-    # 3 s (2.4-4.1 s over nine runs) and 31 MB at n = 16
+    # the ear-insertion census of `symmetry --method orbit|both`: with
+    # --ears all each level costs about 3.8 times the one before, 0.8 s at
+    # n = 15 and 3 s (2.4-4.1 s over nine runs) and 31 MB at n = 16.
+    # --ears k caps the census at k ears (a glued ear adds at most one), so
+    # n = 16 takes 0.2 s and 17 MB for --ears 2, 0.6 s and 18 MB for --ears 3
     "orbit": Domain(16, "orbit counting is feasible for n <= {ceiling}"),
     # count_disjoint, what `disjoint --method brute|both` runs, is O(n^2)
     # big-integer work.  At n = 2000 `disjoint --method both` takes

@@ -887,6 +887,27 @@ def test_sequence_closed_forms_match_golden_bytes(capsys, what, ns, golden):
     assert capsys.readouterr().out.encode() == expected
 
 
+@pytest.mark.parametrize(
+    "ears, ns, golden",
+    [("2", "5..16", "symmetry-ears-2-n-5..16-both.txt"),
+     ("3", "6..16", "symmetry-ears-3-n-6..16-both.txt")],
+)
+def test_symmetry_by_ear_count_matches_golden_bytes(capsys, ears, ns, golden):
+    # the orbit column up to the orbit ceiling, from the census capped at `ears`
+    assert invoke(["symmetry", "--n", ns, "--ears", ears, "--method", "both"]) == 0
+    expected = (GOLDEN_DIR / golden).read_bytes()
+    assert capsys.readouterr().out.encode() == expected
+
+
+def test_symmetry_all_ears_after_a_capped_run_matches_golden(capsys):
+    # an --ears all run reuses no level of an --ears 3 run's census
+    assert invoke(["symmetry", "--n", "4..13", "--ears", "3"]) == 0
+    capsys.readouterr()
+    assert invoke(["symmetry", "--n", "4..13", "--format", "csv"]) == 0
+    expected = (GOLDEN_DIR / "symmetry-n-4..16.csv").read_text().splitlines()[:11]
+    assert capsys.readouterr().out.splitlines() == expected
+
+
 def _not_integral(n, k=None):
     """A count whose exact division leaves a remainder, with a numerator
     far past Python's default digit limit."""

@@ -232,12 +232,12 @@ def test_burnside_oracle_spec_values():
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_class_census_matches_enumeration_oracle(n):
-    assert _class_census(n) == class_census_by_enumeration(n)
+    assert _class_census(n, None) == class_census_by_enumeration(n)
 
 
 @pytest.mark.parametrize("n", range(3, 10))
 def test_glue_ears_glues_one_ear_onto_every_side(n):
-    for key in _class_keys(n):
+    for key in _class_keys(n, None):
         expected = []
         for v in range(n):
             r = key[v + 1:] + key[:v + 1]  # ends at v, so side (v, v+1) closes it
@@ -247,10 +247,11 @@ def test_glue_ears_glues_one_ear_onto_every_side(n):
 
 @pytest.mark.parametrize("n", range(5, 14))
 def test_class_keys_have_no_orphan_child(n):
-    # removing any ear of a class at n+1 lands in a class at n
-    parents = _class_keys(n)
+    # removing any ear of a class at n+1 lands in a class at n with as many
+    # ears or one fewer: the lemma behind the census's ear cap
+    parents = _class_keys(n, None)
     assert len(parents) == symmetry_classes_orbit(n)
-    for key in _class_keys(n + 1):
+    for key in _class_keys(n + 1, None):
         assert tuple(key) == least_dihedral_image(key)
         for i, q in enumerate(key):
             if q != 1:
@@ -259,6 +260,31 @@ def test_class_keys_have_no_orphan_child(n):
             parent[0] -= 1
             parent[-1] -= 1
             assert bytes(least_dihedral_image(parent)) in parents, (key, i)
+            assert key.count(1) - 1 <= parent.count(1) <= key.count(1), (key, i)
+
+
+@pytest.mark.parametrize("n", range(4, 14))
+def test_capped_census_matches_the_full_one(n):
+    full = _class_census(n, None)
+    for most in range(2, max_ears(n) + 2):
+        capped = Counter({k: c for k, c in full.items() if k <= most})
+        assert _class_census(n, most) == capped, most
+
+
+def test_orbit_census_builds_each_level_once_per_cap():
+    # a rising run of n costs one build per cap, and an uncapped run after
+    # capped ones reuses none of their levels
+    _class_keys.cache_clear()
+    _class_census.cache_clear()
+    ns = range(4, 15)
+    got = {}
+    for ears in (2, 3, None):
+        before = _class_keys.cache_info().misses
+        got[ears] = [symmetry_classes_orbit(n, ears=ears) for n in ns]
+        assert _class_keys.cache_info().misses - before == len(range(3, 15)), ears
+    assert got[2] == [1] + [symmetry_classes_2ear(n) for n in ns[1:]]
+    assert got[3] == [0, 0] + [symmetry_classes_3ear(n) for n in ns[2:]]
+    assert got[None] == [class_total_by_burnside(n) for n in ns]
 
 
 def test_orbit_census_keeps_one_level_of_keys():
