@@ -364,6 +364,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"wall-time: {report.wall_time:.2f}s", file=sys.stderr)
         for name, seconds in report.suite_times:
             print(f"suite-time: {name} {seconds:.2f}s", file=sys.stderr)
+        for check_id, seconds in report.row_times:
+            print(f"row-time: {check_id} {seconds:.3f}s", file=sys.stderr)
     return report.exit_code
 
 
@@ -490,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run only this suite (repeatable)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--timing", action="store_true",
-                   help="report wall time and per-suite time on stderr")
+                   help="report wall time and per-suite and per-check times on stderr")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("svg",

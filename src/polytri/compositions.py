@@ -188,9 +188,13 @@ def count_classes(m: int, method: str = "closed") -> int:
 
     method 'closed' is the 2-eared class formula at n = m + 3, 2^(m-3) +
     2^floor((m-3)/2) (requires m >= 2; at m = 1 it is not integral).
-    'burnside' averages the four fixed-point counts.  'direct' runs over
-    the 2^(m-1) bar masks and their images (all_mask_images) and counts
-    each orbit once, at its least member.
+    'burnside' averages the four fixed-point counts.  'direct' counts
+    each orbit once, at its least member, scanning half the bar masks:
+    conjugation complements all m-1 bits, so of a mask and its conjugate
+    exactly one has the top bit m-2 set, and that one is the larger, never
+    the least.  A mask with the top bit clear is below its conjugate, so
+    it is least iff it is at most its reversal and the reversal's
+    conjugate (at m = 1 the one mask, 0, is least).
     """
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
@@ -202,7 +206,10 @@ def count_classes(m: int, method: str = "closed") -> int:
         total = (1 << (m - 1)) + sum(count_fixed(m, op) for op in _OPS)
         return _exact_quotient(total, 4, f"Burnside class count at m={m}")
     if method == "direct":
-        return sum(images[0] == min(images) for images in all_mask_images(m))
+        full = (1 << (m - 1)) - 1
+        masks = range(1 << (m - 2) if m > 1 else 1)
+        return sum(mask <= rev and mask <= rev ^ full
+                   for mask, rev in zip(masks, _reversals(m - 1)))
     raise ValueError(f"unknown method {method!r}")
 
 

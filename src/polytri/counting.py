@@ -29,10 +29,12 @@ census builds the keys at n from one key per class at n-1, never
 enumerating the triangulations themselves.  A key is the least rotation
 of the sequence or of its reversal, picked by the same routine
 (`triangulation._least_rotation`) that picks `Triangulation.canonical()`.
-A glued child has as many ears as its parent or one more, so a census
-asked for k ears keeps only the classes with at most k ears at every
-level: at n = 16 it takes 0.2 s for k = 2 and 0.6 s for k = 3, against
-about 3 s for every class.
+A glued child has as many ears as its parent or one more, one more
+exactly when neither end of its side is an ear tip, so a census asked for
+k ears builds only the classes with at most k ears at every level: a
+parent that already has k ears is glued only onto its sides with a tip at
+an end.  At n = 16 it takes 0.2 s for k = 2 and 0.6 s for k = 3, against
+about 3 s for every class (fresh processes).
 """
 
 from __future__ import annotations
@@ -156,13 +158,17 @@ def symmetry_classes_3ear(n: int) -> int:
     return _exact_quotient(times48, 48, f"3-ear class formula at n={n}")
 
 
-def _glue_ears(quiddity: Sequence[int]) -> Iterator[list[int]]:
+def _glue_ears(quiddity: Sequence[int], tip_sides: bool = False) -> Iterator[list[int]]:
     """The quiddity sequences of the triangulations made by gluing one ear
     onto each side of the given one, side i -> i+1 in turn (the last side
     closes back to 0): the new ear tip is a 1 between the side's ends, and
-    each end gains one triangle."""
+    each end gains one triangle.  With tip_sides, only the sides with an
+    ear tip (a 1) at either end are glued, in the same order: gluing onto
+    any other side adds an ear and turns no tip into a non-tip."""
     m = len(quiddity)
     for i in range(m):
+        if tip_sides and quiddity[i] != 1 and quiddity[(i + 1) % m] != 1:
+            continue
         child = list(quiddity)
         child.insert(i + 1, 1)
         child[i] += 1
@@ -180,20 +186,22 @@ def _class_keys(n: int, most: int | None) -> frozenset[bytes]:
     so the children of one key per class at n-1 reach every class at n.
     Gluing adds one ear tip and turns at most one end of the side into a
     non-tip (two adjacent tips occur only in the triangle), so a child has
-    as many ears as its parent or one more: a class with at most `most`
-    ears has a parent class with at most `most` ears, and a child above
-    the cap is dropped before it is keyed.  The triangle stays the base.
-    Each child is keyed by `_least_rotation`, the routine behind
-    `canonical()`; a least rotation starts at a 1, an ear tip.  An entry is
-    at most n-2, so bytes hold any n <= 257.
+    as many ears as its parent or one more, one more exactly when neither
+    end of the side is a tip: a class with at most `most` ears has a
+    parent class with at most `most` ears, and a parent that already has
+    `most` is glued only onto its sides with a tip at an end, so no child
+    above the cap is built.  The triangle stays the base; its children
+    have two ears, so a `most` below 2 keeps the 2-eared classes, and the
+    census counts none below 2.  Each child is keyed by `_least_rotation`,
+    the routine behind `canonical()`; a least rotation starts at a 1, an
+    ear tip.  An entry is at most n-2, so bytes hold any n <= 257.
     """
     if n == 3:
         return frozenset({bytes((1, 1, 1))})
     return frozenset(
         bytes(_least_rotation(child, child[::-1], 1))
         for parent in _class_keys(n - 1, most)
-        for child in _glue_ears(parent)
-        if most is None or child.count(1) <= most
+        for child in _glue_ears(parent, most is not None and parent.count(1) >= most)
     )
 
 

@@ -566,15 +566,17 @@ def listing(n: int, ears: int | None = None) -> list[str]:
     return [head + ",".join(map(text, sorted(codes))) for codes, _ in shapes]
 
 
-def enumerate_triangulations(n: int) -> Iterator[Triangulation]:
-    """An iterator over every triangulation of the n-gon, each exactly
-    once, in a fixed order.  A bad n raises at the call, not at the first
-    `next()`.
+def enumerate_triangulations(n: int, ears: int | None = None) -> Iterator[Triangulation]:
+    """An iterator over the n-gon's triangulations with this many ears
+    (every one for None), each exactly once, in a fixed order.  A bad n
+    or ear count raises the `ValueError` of `listing` at the call, not at
+    the first `next()`.
 
     The order is defined by recursively choosing the apex of the triangle
-    over the side (0, 1), apex ascending (see `_eared_shapes`).  The
-    count is the Catalan number C(n-2).
+    over the side (0, 1), apex ascending (see `_eared_shapes`); an ear
+    count only drops triangulations from it, and none with another count
+    is built.  The full count is the Catalan number C(n-2).
     """
-    shapes = _shapes(n)
+    shapes = _shapes(n, ears)
     pair, build = _decoder(n, lambda a, b: (a, b)), Triangulation._trusted
     return (build(n, map(pair, sorted(codes))) for codes, _ in shapes)

@@ -141,13 +141,9 @@ def _fixed_point_closed_forms(m: int) -> tuple[str, str]:
     return str(tuple(filtered)), str(closed_forms)
 
 
-def _two_eared(n: int):
-    return (t for t in enumerate_triangulations(n) if t.ear_count() == 2)
-
-
 def _images_read_in_class(n: int) -> tuple[int, int]:
     # every (t, image) pair is still compared, the image's reading taken from the table
-    ts = list(_two_eared(n))
+    ts = list(enumerate_triangulations(n, ears=2))
     reading = {t.diagonals: comp.composition_of(t) for t in ts}
 
     def holds(t) -> bool:
@@ -159,7 +155,8 @@ def _images_read_in_class(n: int) -> tuple[int, int]:
 
 def _two_ear_disjoint_catalan(n: int) -> tuple[int, int, str]:
     expected = disjoint.disjoint_two_eared(n)
-    total, good = _tally(_two_eared(n), lambda t: disjoint.count_disjoint(t) == expected)
+    total, good = _tally(enumerate_triangulations(n, ears=2),
+                         lambda t: disjoint.count_disjoint(t) == expected)
     return total, good, f"count=C({n - 3})={expected}"
 
 
@@ -323,23 +320,27 @@ def _line(row: Row, n: int) -> tuple:
     return None, n, params, expected, got
 
 
-def _run_suite(suite: str, max_n: int | None) -> list[Check]:
-    """The checks of one suite's rows, each over its window capped by max_n."""
+def _run_suite(suite: str, max_n: int | None) -> list[tuple[str, float, list[Check]]]:
+    """(check id, elapsed seconds, checks) of each of one suite's rows, in
+    table order, each row run over its window capped by max_n."""
     out = []
     for row in CHECKS:
         if row.suite != suite:
             continue
+        start = time.perf_counter()
         top = min(row.ceiling, row.default if max_n is None else max_n)
         window = range(row.first, top + 1, row.step)
         lines = row.body(window) if row.scan else [_line(row, n) for n in window]
+        checks = []
         for status, n, params, expected, got in lines:
             if status is None:
                 status = "PASS" if expected == got else "FAIL"
-            out.append(Check(status, row.check_id, str(n), params, str(expected), str(got)))
+            checks.append(Check(status, row.check_id, str(n), params, str(expected), str(got)))
+        out.append((row.check_id, time.perf_counter() - start, checks))
     return out
 
 
-SUITES: dict[str, Callable[[int | None], list[Check]]] = {
+SUITES: dict[str, Callable[[int | None], list[tuple[str, float, list[Check]]]]] = {
     name: partial(_run_suite, name) for name in dict.fromkeys(row.suite for row in CHECKS)
 }
 
@@ -352,6 +353,8 @@ class RunReport:
     wall_time: float
     # (suite, elapsed seconds), in report order
     suite_times: tuple[tuple[str, float], ...] = ()
+    # (check id, elapsed seconds) per row, in report order
+    row_times: tuple[tuple[str, float], ...] = ()
 
     @property
     def counts(self) -> dict[str, int]:
@@ -397,7 +400,8 @@ def run_suites(
     A name given twice runs once, at its first position.  Suites run one
     after another on the calling thread, in the order given; each is looked
     up in SUITES when it runs, so a wrapper set there sees the call.  Each
-    suite's elapsed time is recorded in suite_times.
+    suite's elapsed time is recorded in suite_times, and each row's in
+    row_times.
     """
     names = list(SUITES) if suites is None else list(dict.fromkeys(suites))
     for name in names:
@@ -410,14 +414,19 @@ def run_suites(
     start = time.perf_counter()
     checks: list[Check] = []
     suite_times = []
+    row_times = []
     for name in names:
         suite_start = time.perf_counter()
-        checks.extend(SUITES[name](max_n))
+        rows = SUITES[name](max_n)
         suite_times.append((name, time.perf_counter() - suite_start))
+        for check_id, seconds, row_checks in rows:
+            checks.extend(row_checks)
+            row_times.append((check_id, seconds))
     return RunReport(
         suites=tuple(names),
         max_n=max_n,
         checks=tuple(checks),
         wall_time=time.perf_counter() - start,
         suite_times=tuple(suite_times),
+        row_times=tuple(row_times),
     )

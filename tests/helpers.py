@@ -47,7 +47,10 @@ diagonal masks of every pair of triangulations, where the package ORs
 column bitsets, and the per-image predicates of the canonical and
 composition-reading verify rows canonicalise or read every dihedral
 image afresh, where the rows look each image up in a table built once
-per triangulation.  The dual-tree shape key
+per triangulation.  The mask-image class count keeps every bar mask whose
+four images it builds (`comp.all_mask_images`) have it as their least,
+where the package scans only the masks below their conjugate and builds
+no images.  The dual-tree shape key
 is the AHU code of the unlabeled tree rooted at its center, which only the
 shape-invariance tests of the disjointness count use.  The Hurtado-Noy
 count and the 3-ear class formula are evaluated here in exact rational
@@ -414,6 +417,12 @@ def count_classes_by_tuples(m: int) -> int:
     """Composition classes of m, as the number of distinct least members
     of the orbits formed from composition tuples."""
     return len({min(composition_class_by_tuples(c)) for c in compositions_by_parts(m)})
+
+
+def count_classes_by_mask_images(m: int) -> int:
+    """Composition classes of m, as the number of bar masks that are the
+    least of their four images, over all 2^(m-1) masks."""
+    return sum(images[0] == min(images) for images in comp.all_mask_images(m))
 
 
 def is_path(tree: DualTree) -> bool:

@@ -696,8 +696,9 @@ def test_verify_timing_lists_suite_times_without_touching_stdout(capsys):
     assert lines[0].startswith("wall-time: ")
     assert [line.split()[:2] for line in lines[1:]] == [
         ["suite-time:", name] for name in verify.SUITES
-    ]
-    assert len(lines) == 8 and all(line.endswith("s") for line in lines)
+    ] + [["row-time:", row.check_id] for row in verify.CHECKS]
+    assert len(lines) == 8 + len(verify.CHECKS)
+    assert all(line.endswith("s") for line in lines)
 
 
 def test_verify_rejects_tiny_max_n(capsys):

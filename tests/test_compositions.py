@@ -18,6 +18,7 @@ from helpers import (
     compositions_by_mask,
     compositions_by_parts,
     conjugate_by_bars,
+    count_classes_by_mask_images,
     count_classes_by_tuples,
     format_composition,
     parse_composition,
@@ -203,6 +204,12 @@ def test_count_classes_methods_agree(m):
 @pytest.mark.parametrize("m", range(1, 15))
 def test_count_classes_direct_matches_tuple_oracle(m):
     assert count_classes(m, "direct") == count_classes_by_tuples(m)
+
+
+@pytest.mark.parametrize("m", range(1, 21))
+def test_count_classes_direct_matches_mask_image_oracle(m):
+    # the half scan against the least-of-four-images count over every mask
+    assert count_classes(m, "direct") == count_classes_by_mask_images(m)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 17, 64, 201])

@@ -264,6 +264,17 @@ def test_class_keys_have_no_orphan_child(n):
 
 
 @pytest.mark.parametrize("n", range(4, 14))
+def test_tip_side_glue_makes_the_capped_children(n):
+    # a parent at the cap glued onto its tip sides only: the unpruned
+    # children within the cap, in order
+    for most in range(2, max_ears(n) + 2):
+        for parent in _class_keys(n - 1, most):
+            pruned = list(_glue_ears(parent, parent.count(1) >= most))
+            kept = [child for child in _glue_ears(parent) if child.count(1) <= most]
+            assert pruned == kept, (most, parent)
+
+
+@pytest.mark.parametrize("n", range(4, 14))
 def test_capped_census_matches_the_full_one(n):
     full = _class_census(n, None)
     for most in range(2, max_ears(n) + 2):

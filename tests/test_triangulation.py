@@ -6,6 +6,7 @@ from __future__ import annotations
 import gc
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -233,6 +234,7 @@ def test_listing_matches_the_text_of_the_enumeration(n):
     assert listing(n) == [str(t) for t in ts]
     for ears in range(2, n // 2 + 2) if n >= 4 else ():
         assert listing(n, ears) == [str(t) for t in ts if t.ear_count() == ears]
+        assert [str(t) for t in enumerate_triangulations(n, ears)] == listing(n, ears)
 
 
 def test_codes_stand_for_one_pair_up_to_the_ceiling():
@@ -258,6 +260,23 @@ def test_ear_listing_matches_the_filter(n):
     expected = listings_by_filter(n)
     for ears in range(2, n // 2 + 2):
         assert listing(n, ears) == expected.get(ears, [])
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_eared_enumeration_matches_the_filter(n):
+    # the full enumeration filtered by ear_count() is the oracle, order included
+    ts = list(enumerate_triangulations(n))
+    for ears in range(2, n // 2 + 2):
+        got = list(enumerate_triangulations(n, ears=ears))
+        assert got == [t for t in ts if t.ear_count() == ears], ears
+
+
+@pytest.mark.parametrize("n, ears", [(6, 0), (6, 1), (3, 2)])
+def test_eared_enumeration_refuses_at_the_call_as_listing_does(n, ears):
+    with pytest.raises(ValueError) as refused:
+        listing(n, ears)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+        enumerate_triangulations(n, ears=ears)  # no next(): the call itself raises
 
 
 def test_enumeration_rejects_degenerate():

@@ -108,6 +108,11 @@ def test_suites_run_on_the_calling_thread_through_the_registry(monkeypatch):
     assert report.render_text() == plain.render_text()
     assert [name for name, _ in report.suite_times] == list(report.suites) == ["core", "parallel"]
     assert sum(seconds for _, seconds in report.suite_times) <= report.wall_time
+    # the wrapped suite still times its rows, in table order
+    assert [check_id for check_id, _ in report.row_times] == [
+        row.check_id for row in verify.CHECKS if row.suite in ("core", "parallel")
+    ]
+    assert sum(seconds for _, seconds in report.row_times) <= report.wall_time
     assert verify.thread_count() == 1
 
 
