@@ -30,6 +30,9 @@ PROG = "polytri"
 
 
 class _Parser(argparse.ArgumentParser):
+    # the top-level parser's command parsers, by command word (see `_parse_args`)
+    commands: dict[str, argparse.ArgumentParser]
+
     # argparse exits with 2 on usage errors; the exit-code contract
     # reserves 2 for verification failures, so remap to 1.
     def error(self, message: str):  # noqa: D102 - argparse hook
@@ -323,7 +326,7 @@ def cmd_disjoint(args: argparse.Namespace) -> int:
     brute = args.method in ("brute", "both")
     routes = ["count_disjoint", "printed"] if brute else ["printed"]
     t, shape = _resolve_shape(args, *routes)
-    result: dict = {"n": t.n, "triangulation": str(t), "shape": shape, "method": args.method}
+    result: dict = {"shape": shape, "method": args.method}
     note = None
     if brute:
         result["brute"] = _printable(disjoint.count_disjoint(t))
@@ -340,7 +343,8 @@ def cmd_disjoint(args: argparse.Namespace) -> int:
     if args.format == "json":
         if note:
             result["note"] = note
-        print(json.dumps(result))
+        # the text form is built only here, the one output that prints it
+        print(json.dumps({"n": t.n, "triangulation": str(t), **result}))
         return status
     if args.method == "both":
         print(f"{result['brute']} {result['formula']}")
@@ -447,6 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built on the first call and shared by every
     later `run` in the process.  A rebuild (about 1.3 ms on a 2-core
     x86-64 machine, Python 3.11) costs more than a small `disjoint` count.
+    The command parsers, the choices of the subparsers action, are kept
+    as the returned parser's `commands`, which `_parse_args` dispatches on.
 
     The tree must capture nothing that changes between calls.  What it
     holds is read once, here: the `cmd_*` handlers and the verify suite
@@ -461,6 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND",
                               parser_class=_Parser)
+    parser.commands = sub.choices
 
     p = sub.add_parser("enumerate",
                        help="list or count triangulations of the n-gon")
@@ -515,11 +522,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The namespace of argv.  When argv[0] names a command, only that
+    command's parser reads the rest, once: the whole tree would hand it
+    the same strings after a walk of its own.  Anything else goes through
+    the whole tree: no command, an unknown one, a leading option, and
+    strings the command's parser leaves over, for which the tree writes
+    its own "unrecognized arguments" error."""
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def run(argv: list[str] | None = None) -> int:
-    """Run one command and return its exit code; argparse's exit on
-    --help or a usage error becomes the returned code."""
+    """Run one command and return its exit code (argv: sys.argv[1:] for
+    None); argparse's exit on --help or a usage error becomes the
+    returned code.  Exit codes, usage errors and help text are those of
+    a parse by the whole tree (see `_parse_args`)."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return exc.code
     try:

@@ -52,33 +52,60 @@ def diagonal(n: int, a: int, b: int) -> Pair:
 
 def _checked(n: int, diagonals: Iterable[Pair]) -> tuple[Pair, ...]:
     """The diagonals of a triangulation of the n-gon, each pair ordered
-    a < b, sorted; otherwise a ValueError naming the fault.  One
-    O(n log n) pass: seen as intervals a..b, two diagonals that do not
-    cross are nested or share at most an endpoint, which a scan sorted by
-    (a, -b) checks with a stack of the diagonals enclosing the current one.
+    a < b, sorted; otherwise a ValueError naming the fault.
+
+    One pass over the pairs, which tests each one's range inline and
+    calls `diagonal` only for a pair that fails the test (so the fault
+    keeps its wording), then a refusal of the wrong count, before any
+    list as long as n is built.  Seen as intervals a..b, two diagonals
+    that do not cross are nested or share at most an endpoint.  The
+    pairs are bucketed by their lower end a, and the buckets are scanned
+    in order of a, each in descending order of b, with a stack of the
+    diagonals enclosing the current one; each bucket is then emitted
+    ascending, so the result comes out sorted.
     """
     if n < 3:
         raise ValueError(f"polygon needs at least 3 vertices, got n={n}")
-    diags = []
+    lows: list[int] = []
+    highs: list[int] = []
     for pair in diagonals:
         try:
             a, b = pair
         except (TypeError, ValueError):
             raise ValueError(f"not a pair of vertices: {pair!r}") from None
-        diags.append(diagonal(n, a, b))
-    if len(diags) != n - 3:
-        raise ValueError(f"a triangulation of the {n}-gon has {n - 3} diagonals, got {len(diags)}")
-    diags.sort(key=lambda d: (d[0], -d[1]))
-    enclosing: list[Pair] = []
-    for d in diags:
-        while enclosing and enclosing[-1][1] <= d[0]:
+        if (type(a) is int and type(b) is int and 0 <= a < n and 0 <= b < n
+                and 1 < abs(a - b) < n - 1):
+            if a > b:
+                a, b = b, a
+        else:
+            a, b = diagonal(n, a, b)
+        lows.append(a)
+        highs.append(b)
+    size = len(lows) + 3
+    if size != n:
+        raise ValueError(f"a triangulation of the {n}-gon has {n - 3} diagonals, got {len(lows)}")
+    above: list[list[int]] = [[] for _ in range(size)]
+    for a, b in zip(lows, highs):
+        above[a].append(b)
+    enclosing: list[Pair] = [(-1, size)]  # a sentinel that encloses every diagonal
+    out: list[Pair] = []
+    for a, ends in enumerate(above):
+        if not ends:
+            continue
+        top = enclosing[-1]
+        while top[1] <= a:
             enclosing.pop()
-        # the enclosing (c, e) equals d, or has c < a < e < b and crosses it
-        if enclosing and (enclosing[-1] == d or d[1] > enclosing[-1][1]):
-            fault = "duplicate" if enclosing[-1] == d else "crossing"
-            raise ValueError(f"{fault} diagonals {enclosing[-1]} and {d}")
-        enclosing.append(d)
-    return tuple(sorted(diags))
+            top = enclosing[-1]
+        ends.sort(reverse=True)
+        for b in ends:
+            # the enclosing (c, e) has c < a < e < b and crosses (a, b), or equals it
+            if top[1] <= b and (top[1] < b or top[0] == a):
+                fault = "crossing" if top[1] < b else "duplicate"
+                raise ValueError(f"{fault} diagonals {top} and {(a, b)}")
+            top = (a, b)
+            enclosing.append(top)
+        out += enclosing[-1:-1 - len(ends):-1]
+    return tuple(out)
 
 
 def is_triangulation(n: int, diagonals: Iterable[Pair]) -> bool:
@@ -385,8 +412,11 @@ class Triangulation:
             raise ValueError(f"bad polygon size in {text!r}") from None
         diags = []
         for chunk in body.split(",") if body else ():
+            # a second '-' stays in hi: int() refuses it there, or reads it
+            # as the sign of an hi below lo, which has none
+            lo, _, hi = chunk.partition("-")
             try:
-                lo, hi = map(int, chunk.split("-"))
+                lo, hi = int(lo), int(hi)
                 if lo >= hi:
                     raise ValueError
             except ValueError:

@@ -10,7 +10,11 @@ carries each tuple's count through its enumeration), the reachable
 ear-count sets come from the recursion over every split that the
 package's closed interval replaced, the avoidance oracle is the memoized
 top-down recursion that the package's bottom-up DP replaced, and the
-triangulation test scans every pair of diagonals for a crossing.  The triangle oracle scans every apex
+triangulation test scans every pair of diagonals for a crossing.  The
+constructor's check (`checked_by_sorting`) is the one the package's
+one-pass check replaced: each pair through `diagonal`, then a sort by
+(a, -b), a stack scan and a second sort, where the package tests each
+pair's range inline and scans pairs bucketed by their lower end.  The triangle oracle scans every apex
 over each chord, and the canonical-form oracle maps and sorts all 2n
 dihedral images; both are the routines the package's faster ones replaced.
 The orbit-count oracle counts distinct canonical diagonal tuples instead
@@ -563,6 +567,36 @@ def crosses(d1, d2) -> bool:
     if len({a, b, c, d}) < 4:
         return False
     return (a < c < b) != (a < d < b)
+
+
+def checked_by_sorting(n: int, diagonals) -> tuple[tuple[int, int], ...]:
+    """`triangulation._checked` by sorting: the diagonals of a triangulation
+    of the n-gon, each pair ordered a < b, sorted; otherwise a ValueError
+    naming the fault.  Every pair goes through `diagonal`; then the count
+    is checked, and a scan sorted by (a, -b), with a stack of the
+    diagonals enclosing the current one, finds a duplicate or a crossing."""
+    if n < 3:
+        raise ValueError(f"polygon needs at least 3 vertices, got n={n}")
+    diags = []
+    for pair in diagonals:
+        try:
+            a, b = pair
+        except (TypeError, ValueError):
+            raise ValueError(f"not a pair of vertices: {pair!r}") from None
+        diags.append(diagonal(n, a, b))
+    if len(diags) != n - 3:
+        raise ValueError(f"a triangulation of the {n}-gon has {n - 3} diagonals, got {len(diags)}")
+    diags.sort(key=lambda d: (d[0], -d[1]))
+    enclosing: list[tuple[int, int]] = []
+    for d in diags:
+        while enclosing and enclosing[-1][1] <= d[0]:
+            enclosing.pop()
+        # the enclosing (c, e) equals d, or has c < a < e < b and crosses it
+        if enclosing and (enclosing[-1] == d or d[1] > enclosing[-1][1]):
+            fault = "duplicate" if enclosing[-1] == d else "crossing"
+            raise ValueError(f"{fault} diagonals {enclosing[-1]} and {d}")
+        enclosing.append(d)
+    return tuple(sorted(diags))
 
 
 def is_triangulation_pairwise(n: int, diagonals) -> bool:

@@ -484,10 +484,17 @@ def test_disjoint_shape_flags_need_n(capsys):
 def test_disjoint_json(capsys):
     assert invoke(["disjoint", "--type", "1,1,1", "--n", "6", "--method", "both",
                    "--format", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    payload = json.loads(out)
     assert payload["brute"] == payload["formula"] == 4
     assert payload["shape"] == "type"
     assert payload["note"].startswith("note:")
+    # n and the text form lead the keys, whichever method ran
+    assert list(payload) == ["n", "triangulation", "shape", "method", "brute", "formula", "note"]
+    assert out.startswith('{"n": 6, "triangulation": "6:0-2,0-4,2-4", "shape": "type", ')
+    assert invoke(["disjoint", "--t", "6:2-4,0-4,0-2", "--format", "json"]) == 0
+    assert capsys.readouterr().out == ('{"n": 6, "triangulation": "6:0-2,0-4,2-4", '
+                                       '"shape": "inline", "method": "brute", "brute": 4}\n')
 
 
 def test_disjoint_mismatch_exits_two(capsys, monkeypatch):
@@ -1186,6 +1193,58 @@ def test_shared_parser_wraps_help_at_each_calls_width(monkeypatch):
             fresh.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
             assert run_captured(["disjoint", "--help"]) == widths[columns]
     assert widths["40"] != widths["200"]
+
+
+# argv lists `run` dispatches to one command's parser, and argv lists it
+# hands to the whole tree: each must exit, print and refuse as the tree does
+DISPATCH_CASES = {
+    "enumerate": ["enumerate", "--n", "5"],
+    "symmetry": ["symmetry", "--n", "5..7", "--ears", "2", "--method", "both"],
+    "disjoint": ["disjoint", "--t", "6:0-2,2-4,0-4", "--method", "both", "--format", "json"],
+    "verify": ["verify", "--suite", "parallel", "--max-n", "6"],
+    "svg": ["svg", "--t", "3:", "--highlight", "both"],
+    "sequence": ["sequence", "--what", "catalan", "--n", "1..5", "--format", "oeis"],
+    **{f"{command}-help": [command, "--help"]
+       for command in ("enumerate", "symmetry", "disjoint", "verify", "svg", "sequence")},
+    "missing-required": ["enumerate"],
+    "missing-required-after-flags": ["sequence", "--n", "5"],
+    "bad-choice": ["enumerate", "--n", "5", "--format", "yaml"],
+    "unknown-flag": ["disjoint", "--bogus"],
+    "unknown-flag-after-a-valid-call": ["enumerate", "--n", "5", "--bogus", "1"],
+    "stray-positional": ["sequence", "--what", "sym2", "--n", "5", "extra"],
+    "abbreviated": ["enumerate", "--n", "6", "--count", "--form", "json"],
+    "abbreviated-help": ["disjoint", "--he"],
+    "equals-form": ["enumerate", "--n=6", "--ears=3"],
+    "no-command": [],
+    "unknown-command": ["frobnicate"],
+    "leading-option": ["--n", "5", "enumerate"],
+    "help-alone": ["--help"],
+}
+
+
+@pytest.mark.parametrize("argv", DISPATCH_CASES.values(), ids=DISPATCH_CASES)
+def test_dispatch_runs_as_the_whole_tree(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    dispatched = run_captured(argv)
+    monkeypatch.setattr(cli, "_parse_args",
+                        lambda argv: cli.build_parser.__wrapped__().parse_args(argv))
+    assert dispatched == run_captured(argv)
+
+
+def test_dispatched_namespace_is_the_whole_trees():
+    for argv in [DISPATCH_CASES[command] for command in cli.build_parser().commands]:
+        whole = cli.build_parser.__wrapped__().parse_args(argv)
+        assert vars(cli._parse_args(argv)) == vars(whole)
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["disjoint", "--bogus"], "disjoint-bogus.stderr"),
+    (["enumerate"], "enumerate-no-n.stderr"),
+])
+def test_usage_errors_match_their_golden_copies(monkeypatch, argv, golden):
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = (GOLDEN_DIR / golden).read_text()
+    assert run_captured(argv) == (1, "", expected)
 
 
 # -- exit-code contract ---------------------------------------------------------

@@ -18,6 +18,7 @@ from helpers import (
     all_diagonals,
     boundary_sides,
     canonical_by_sorting,
+    checked_by_sorting,
     crosses,
     decoded,
     diagonal_sets_by_recursion,
@@ -52,6 +53,7 @@ from polytri.triangulation import (
     _SHAPE_CACHE_MAX,
     Triangulation,
     _cached_shapes,
+    _checked,
     _decoder,
     _ear_count_set,
     _ear_counts,
@@ -157,6 +159,99 @@ def test_is_triangulation_matches_pairwise_scan_one_diagonal_moved(n, rng):
     assert is_triangulation(n, diags)
     diags[rng.randrange(n - 3)] = rng.choice(all_diagonals(n))
     assert is_triangulation(n, diags) == is_triangulation_pairwise(n, diags)
+
+
+# the word of each fault `_checked` names
+FAULT = re.compile(r"not a pair|must be ints|out of range|a vertex of|a side of|"
+                   r"diagonals, got|duplicate|crossing|at least 3 vertices")
+
+
+def mangled_pairs(n: int, rng: random.Random) -> list:
+    """The diagonals of a random triangulation of the n-gon, shuffled, with
+    about half of them reversed and up to three faults put in: a duplicate,
+    another diagonal (which often crosses one), a side or a vertex, an
+    out-of-range vertex, a non-int entry, an entry that is not a pair, or
+    one diagonal taken out."""
+    pairs = [(b, a) if rng.random() < 0.5 else (a, b)
+             for a, b in random_triangulation(n, rng).diagonals]
+    rng.shuffle(pairs)
+    v = rng.randrange(n)
+    faults = [
+        lambda: rng.choice(pairs or [(0, 2)]),
+        lambda: rng.choice(all_diagonals(n) or [(0, 2)]),
+        lambda: rng.choice([(v, (v + 1) % n), (0, n - 1), (v, v)]),
+        lambda: rng.choice([(-1, v), (v, n), (n + 5, v), (v, 10**20)]),
+        lambda: rng.choice([(1.0, v), (v, "2"), (None, v), (True, v), (v, False)]),
+        lambda: rng.choice([None, 5, (1,), (1, 2, 3), "ab"]),
+    ]
+    for _ in range(rng.randrange(4)):
+        i = rng.randrange(len(pairs) + 1)
+        kind = rng.randrange(len(faults) + 1)
+        if kind < len(faults):
+            pairs.insert(i, faults[kind]())
+        else:
+            del pairs[i:i + 1]
+    return pairs
+
+
+def checked_outcome(check, n, pairs):
+    """What check(n, pairs) gives: (the tuple, None), or the error type
+    and the fault word."""
+    try:
+        return check(n, pairs), None
+    except Exception as exc:  # the two checks must fail alike, whatever the type
+        fault = FAULT.search(str(exc))
+        return type(exc), fault and fault.group()
+
+
+def test_one_pass_check_matches_the_sorting_oracle():
+    rng = random.Random(20261020)
+    outcomes = set()
+    for case in range(3000):
+        n = rng.choice([3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 40]) if case % 50 else rng.choice([2, 1])
+        pairs = mangled_pairs(max(n, 3), rng)
+        got = checked_outcome(_checked, n, pairs)
+        assert got == checked_outcome(checked_by_sorting, n, pairs), (n, pairs)
+        outcomes.add(got[1] or "accepted")
+    # every fault was met, and some lists were accepted
+    assert outcomes == {"accepted", "not a pair", "must be ints", "out of range", "a vertex of",
+                        "a side of", "diagonals, got", "duplicate", "crossing",
+                        "at least 3 vertices"}
+
+
+HUGE_N = 10**10
+
+HUGE_N_CALLS = {
+    "parse": f"Triangulation.parse('{HUGE_N}:0-2')",
+    "constructor": f"Triangulation({HUGE_N}, [(0, 2)])",
+    "is_triangulation": f"is_triangulation({HUGE_N}, [(0, 2)])",
+}
+
+
+@pytest.mark.parametrize("call", HUGE_N_CALLS.values(), ids=HUGE_N_CALLS)
+def test_validation_refuses_a_huge_n_before_any_work_of_size_n(call):
+    # in a child process, so that a list as long as n (about 80 GB of
+    # pointers) runs into the address-space limit, not the machine's memory
+    code = textwrap.dedent(f"""
+        import resource, tracemalloc
+        resource.setrlimit(resource.RLIMIT_AS, ({AS_LIMIT}, {AS_LIMIT}))
+        from polytri.triangulation import Triangulation, is_triangulation
+        tracemalloc.start()
+        try:
+            print({call})
+        except ValueError as exc:
+            print(exc)
+        print(tracemalloc.get_traced_memory()[1])
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(polytri.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    answer, peak = proc.stdout.splitlines()
+    assert answer in ("False", f"a triangulation of the {HUGE_N}-gon has {HUGE_N - 3} "
+                               "diagonals, got 1")
+    assert int(peak) < 64 * 2**10, peak
 
 
 # -- enumeration --------------------------------------------------------------
@@ -300,7 +395,7 @@ def test_ear_census_formula_has_no_enumeration_ceiling():
     )
 
 
-AS_LIMIT = 150 * 2**20  # bytes of address space for the child below
+AS_LIMIT = 150 * 2**20  # bytes of address space for each memory-capped child
 
 
 def test_first_triangulation_at_the_ceiling_fits_in_memory():
@@ -683,6 +778,8 @@ def test_parse_rejections():
         "6;0-2",  # no colon
         "x:0-2",  # bad n
         "6:0+2,2-4,0-4",  # bad pair separator
+        "6:0-2-4,2-4,0-4",  # three vertices in one pair
+        "6:0--4,2-4,0-4",  # a second '-', read as a sign
     ]
     for text in bad:
         with pytest.raises(ValueError):
