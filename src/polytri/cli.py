@@ -59,7 +59,7 @@ class Domain(NamedTuple):
 # x86-64 machine (Python 3.11).
 DOMAINS: dict[str, Domain] = {
     # `enumerate` without --count-only: C(n-2) lines, 208,012 at n = 14,
-    # in 0.9 s and 64 MB (medians of three)
+    # in 0.7 s and 63 MB (medians of eight)
     "listing": Domain(14, "full listings are supported for 3 <= n <= {ceiling}, "
                       "got n={n} (use --count-only for larger n)"),
     # the ear-insertion census of `symmetry --method orbit|both`: with

@@ -73,11 +73,20 @@ def catalan_list(upto: int) -> list[int]:
     return out
 
 
-def _catalan_convolution(total: int, lo: int, hi: int) -> int:
+def _catalan_convolution(cat: list[int], lo: int, hi: int) -> int:
     """sum_{i=lo}^{hi-1} C(i) C(total-i), a run of terms of the Catalan
-    self-convolution; empty (0) when hi <= lo."""
-    cat = catalan_list(total)
+    self-convolution, from cat = catalan_list(total); empty (0) when
+    hi <= lo.  A caller with several runs builds the list once."""
+    total = len(cat) - 1
     return sum(cat[i] * cat[total - i] for i in range(lo, hi))
+
+
+def _check_partial(n: int, k: int) -> None:
+    """Refuse a k outside -1 <= k <= n-4 for S(n, k)."""
+    if k < -1:
+        raise ValueError(f"k must be >= -1, got {k}")
+    if k > n - 4:
+        raise ValueError(f"k={k} exceeds n-4={n - 4}")
 
 
 def catalan_partial_convolution(n: int, k: int) -> int:
@@ -86,11 +95,8 @@ def catalan_partial_convolution(n: int, k: int) -> int:
     Defined for -1 <= k <= n-4; the empty sum S(n, -1) is 0 and the full
     sum S(n, n-4) equals C(n-3).
     """
-    if k < -1:
-        raise ValueError(f"k must be >= -1, got {k}")
-    if k > n - 4:
-        raise ValueError(f"k={k} exceeds n-4={n - 4}")
-    return _catalan_convolution(n - 4, 0, k + 1)
+    _check_partial(n, k)
+    return _catalan_convolution(catalan_list(n - 4), 0, k + 1)
 
 
 def max_ears(n: int) -> int:

@@ -62,12 +62,7 @@ from operator import mul
 from typing import Iterable
 
 from polytri.compositions import enumerate_compositions
-from polytri.counting import (
-    _catalan_convolution,
-    catalan,
-    catalan_list,
-    catalan_partial_convolution,
-)
+from polytri.counting import _catalan_convolution, _check_partial, catalan, catalan_list
 from polytri.triangulation import (
     Pair,
     Triple,
@@ -304,7 +299,7 @@ def avoid_fan_formula(n: int, m: int) -> int:
         raise ValueError(f"need n >= 4, got {n}")
     if not 0 <= m <= n - 3:
         raise ValueError(f"need 0 <= m <= n-3, got m={m}")
-    return _catalan_convolution(n - 3, 0, n - 2 - m)
+    return _catalan_convolution(catalan_list(n - 3), 0, n - 2 - m)
 
 
 def three_ear_disjoint(n: int, ptype: Iterable[int]) -> int:
@@ -318,16 +313,21 @@ def three_ear_disjoint(n: int, ptype: Iterable[int]) -> int:
     which is symmetric in (p, q, r): it equals three_ear_closed_form.
     """
     p, q, r = check_type(n, ptype)
-    case1 = _catalan_convolution(n - 4, 0, n - 3 - q)
-    case2 = _catalan_convolution(n - 4, p, p + q)
-    return case1 + case2
+    cat = catalan_list(n - 4)
+    return _catalan_convolution(cat, 0, n - 3 - q) + _catalan_convolution(cat, p, p + q)
 
 
 def three_ear_closed_form(n: int, branches: Iterable[int]) -> int:
     """2 C(n-3) - S(p-1) - S(q-1) - S(r-1), S(k) = catalan_partial_convolution(n, k),
     over branch sizes >= 0: the closed form of the 3-ear case sum, where
-    an empty branch adds the empty sum S(-1) = 0."""
-    return 2 * catalan(n - 3) - sum(catalan_partial_convolution(n, x - 1) for x in branches)
+    an empty branch adds the empty sum S(-1) = 0.  Every branch is
+    checked as S checks its k before the one Catalan list is built."""
+    whole = 2 * catalan(n - 3)
+    branches = tuple(branches)
+    for x in branches:
+        _check_partial(n, x - 1)
+    cat = catalan_list(n - 4)
+    return whole - sum(_catalan_convolution(cat, 0, x) for x in branches)
 
 
 def three_ear_disjoint_published(n: int, ptype: Iterable[int]) -> int:

@@ -172,12 +172,13 @@ def _canonical_diagonals(n: int, diags: Iterable[Pair]) -> tuple[Pair, ...]:
 
 
 # The largest polygon `enumerate_triangulations`, `listing` and
-# `ear_census(n, "brute")` accept.  It bounds the peak memory of the
-# nested generators: they nest once per vertex, and each holds the
-# relabel tables of its current split, about n^3/6 entries in all, so
-# the first triangulation of the 100-gon takes about 0.2 s and 33 MB
-# (peak RSS of a fresh process, medians of five, 2-core x86-64, Python
-# 3.11).
+# `ear_census(n, "brute")` accept.  It bounds the depth of the nested
+# generators: they nest once per vertex above the cache bound, each
+# holding the labels of its sub-polygon and of its current parts (about
+# n^2 ints in all) and a relabel map of at most 44 entries per cached
+# part.  The first triangulation of the 100-gon takes about 0.03 s and
+# 18 MB, of which the interpreter and the import are 17 MB (peak RSS of
+# a fresh process, medians of five, 2-core x86-64, Python 3.11).
 ENUMERATION_CEILING = 100
 
 # The enumerator holds a diagonal (a, b), a < b, as the one int
@@ -207,36 +208,45 @@ def _decoder(n: int, form: Callable[[int, int], T]) -> Callable[[int], T]:
 _SHAPE_CACHE_MAX = 11
 
 
-def _split(m: int, i: int) -> tuple[tuple[int, ...], dict[int, int], dict[int, int]]:
-    """The triangle (0, 1, i) of the m-gon, in position form, as diagonal
-    codes (see `_CODE_BASE`).
+def _code(a: int, b: int) -> int:
+    """The code of the diagonal between the vertices labelled a and b."""
+    return a * _CODE_BASE + b if a < b else b * _CODE_BASE + a
 
-    Returns the triangle's diagonals and, for the two sub-polygons it cuts
-    off, the maps from a sub-polygon's own diagonal codes to the m-gon's:
-    the left i-gon on positions 1..i (its position p is the m-gon's p+1)
-    and the right (m-i+1)-gon on positions i..m-1, 0 (its p is i+p, and
-    its last position is 0, so a diagonal to it turns round).  The maps
-    are built anew on every call and kept by nothing but the caller.
+
+def _split(
+    verts: tuple[int, ...], i: int
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The triangle (verts[0], verts[1], verts[i]) of the sub-polygon
+    whose vertices, in order, carry the labels `verts`.
+
+    Returns the triangle's diagonals as codes of their labels (see
+    `_CODE_BASE`) and the labels of the two sub-polygons it cuts off: the
+    left i-gon verts[1:i+1] and the right one verts[i:] + verts[:1],
+    whose last vertex is verts[0].
     """
-    base = _CODE_BASE
-    extra = (base + i,) if i > 2 else ()
-    if i < m - 1:
-        extra += (i,)  # (0, i)
-    tables = []
-    for verts in (range(1, i + 1), [*range(i, m), 0]):
-        size = len(verts)
-        tables.append({
-            p * base + q: min(verts[p], verts[q]) * base + max(verts[p], verts[q])
-            for q in range(2, size) for p in range(q - 1) if (p, q) != (0, size - 1)
-        })
-    return extra, tables[0], tables[1]
+    extra = (_code(verts[1], verts[i]),) if i > 2 else ()
+    if i < len(verts) - 1:
+        extra += (_code(verts[0], verts[i]),)
+    return extra, verts[1:i + 1], verts[i:] + verts[:1]
+
+
+def _relabel(verts: tuple[int, ...]) -> Callable[[int], int]:
+    """The map from a cached shape's own diagonal codes to the codes of
+    the labels `verts` (see `_eared_shapes`): one entry per diagonal, 44
+    at the cache bound, built anew on every call and kept by nothing but
+    the caller."""
+    size = len(verts)
+    return {
+        p * _CODE_BASE + q: _code(verts[p], verts[q])
+        for q in range(2, size) for p in range(q - 1) if (p, q) != (0, size - 1)
+    }.__getitem__
 
 
 @lru_cache(maxsize=None)
 def _cached_shapes(m: int) -> tuple[tuple[int, ...], ...]:
     if m <= 3:
         return ((),)
-    return tuple(shape for shape, _ in _split_shapes(m, -1, _ear_count_set(m, -1)))
+    return tuple(shape for shape, _ in _split_shapes(tuple(range(m)), -1, _ear_count_set(m, -1)))
 
 
 def _split_ears(s: int, d: int, j: int) -> tuple[int, int, int]:
@@ -276,79 +286,90 @@ def _ear_count_set(s: int, d: int) -> frozenset[int]:
     return frozenset(range(min(max(0, 1 - d), most), most + 1))
 
 
-def _eared_shapes(s: int, d: int, wanted: set[int]) -> Iterator[tuple[tuple[int, ...], int]]:
-    """(diagonals, ears) of the sub-polygon's triangulations that hold a
-    wanted number of the whole polygon's ears; no other tuple is built.
-    `_shapes` checks n and the ear count and calls it for the whole
-    polygon.
+def _eared_shapes(
+    verts: tuple[int, ...], d: int, wanted: set[int]
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(diagonals, ears) of the triangulations of the sub-polygon whose
+    vertices, in order, carry the labels `verts` in the whole polygon,
+    those that hold a wanted number of the whole polygon's ears; no other
+    tuple is built.  `_shapes` checks n and the ear count and calls it
+    for the whole polygon, labelled 0..n-1.
 
-    Each triangulation is a tuple of diagonal codes: the diagonal (a, b),
-    a < b, of the sub-polygon's own positions is the int
-    a * _CODE_BASE + b, so sorting the codes sorts the pairs.  The codes
-    come unsorted: the triangle's own diagonals, then the left part's,
-    then the right part's.  The triangulations come in a fixed order: the
-    apex j of the triangle over the side (0, 1) runs ascending; for each,
-    every triangulation of the left sub-polygon 1..j is taken with every
-    one of the right sub-polygon j..s-1, 0, both in this order and
-    relabeled into the s-gon through the maps of `_split`.  The order
-    does not depend on the cache bound, and a filter only drops tuples.
+    Each triangulation is a tuple of diagonal codes: the diagonal between
+    the vertices labelled a < b is the int a * _CODE_BASE + b, so sorting
+    the codes sorts the pairs.  The codes come unsorted: the triangle's
+    own diagonals, then the left part's, then the right part's.  The
+    triangulations come in a fixed order: the apex verts[j] of the
+    triangle over the side (verts[0], verts[1]) runs ascending in j; for
+    each, every triangulation of the left sub-polygon verts[1..j] is
+    taken with every one of the right sub-polygon verts[j..s-1], verts[0]
+    (see `_split`), both in this order.  The order does not depend on the
+    cache bound, and a filter only drops tuples.
 
-    A sub-polygon has s vertices in its own positions and is cut off by
-    its closing side (0, s-1).  d is the number of its last sides, ending
-    at position s-1, that are not sides of the whole polygon; the whole
-    polygon itself has d = -1, as its closing side is a side.  It holds
-    the tips v with 1 <= v <= s-2-d whose chord (v-1, v+1) is one of its
-    diagonals or its closing side.  Splitting it at apex j adds a tip 1
-    when j = 2 and s-2-d >= 1 and, at the top level only, a tip 0 when
-    j = s-1; the left part has d = max(0, j+d-s+1) and the right part
-    min(d, s-1-j) + 1.  A 2-gon holds no ears, a 3-gon one when d <= 0.
+    A sub-polygon of s vertices, in its own positions 0..s-1, is cut off
+    by its closing side (0, s-1).  d is the number of its last sides,
+    ending at position s-1, that are not sides of the whole polygon; the
+    whole polygon itself has d = -1, as its closing side is a side.  It
+    holds the tips v with 1 <= v <= s-2-d whose chord (v-1, v+1) is one
+    of its diagonals or its closing side.  Splitting it at apex j adds a
+    tip 1 when j = 2 and s-2-d >= 1 and, at the top level only, a tip 0
+    when j = s-1; the left part has d = max(0, j+d-s+1) and the right
+    part min(d, s-1-j) + 1.  A 2-gon holds no ears, a 3-gon one when
+    d <= 0.
 
-    Up to the cache bound the cached shapes are filtered by their counts;
-    above it they are generated by `_split_shapes`, whose relabel maps
-    live only while it works on their apex.  The iterator is
-    returned, not yielded from, so a deep recursion adds no generator
-    level per sub-polygon.
+    Up to the cache bound the cached shapes, in their own positions, are
+    filtered by their counts and relabeled once each through `_relabel`
+    (not at all when the labels are the own positions, as they are for a
+    whole polygon: a cyclic run of labels from 0 to s-1 is 0..s-1).
+    Above it `_split_shapes` builds every tuple in the labels `verts`,
+    so no tuple is relabeled twice.  The iterator is returned, not
+    yielded from, so a deep recursion adds no generator level per
+    sub-polygon.
     """
+    s = len(verts)
     wanted = wanted & _ear_count_set(s, d)
     if not wanted:
         return iter(())
-    if s <= _SHAPE_CACHE_MAX:
-        shapes = zip(_cached_shapes(s), _ear_counts(s, d))
+    if s > _SHAPE_CACHE_MAX:
+        return _split_shapes(verts, d, wanted)
+    shapes = zip(_cached_shapes(s), _ear_counts(s, d))
+    if verts[0] == 0 and verts[-1] == s - 1:
         return ((shape, ears) for shape, ears in shapes if ears in wanted)
-    return _split_shapes(s, d, wanted)
+    relabel = _relabel(verts)
+    return ((tuple(map(relabel, shape)), ears) for shape, ears in shapes if ears in wanted)
 
 
-def _split_shapes(s: int, d: int, wanted: set[int]) -> Iterator[tuple[tuple[int, ...], int]]:
-    """`_eared_shapes(s, d, wanted)` by splitting at every apex, for
+def _split_shapes(
+    verts: tuple[int, ...], d: int, wanted: set[int]
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """`_eared_shapes(verts, d, wanted)` by splitting at every apex, for
     wanted counts the sub-polygon can hold; it also builds the cache.
 
     Each left shape is taken in order with the right shapes that complete
     it to a wanted count, also in order, so the output is the filtered
-    enumeration.  Cached right shapes are relabeled once per apex and
-    left count, and only those that complete some left shape.
+    enumeration.  Both parts yield codes of their labels, so a tuple is
+    only joined here, never relabeled.  A cached right part's shapes are
+    relabeled and kept once per apex and left count, and only those
+    that complete some left shape.
     """
+    s = len(verts)
     for j in range(2, s):
         added, d_left, d_right = _split_ears(s, d, j)
         r = s - j + 1
         right_counts = _ear_count_set(r, d_right)
         left_wanted = {w - added - b for w in wanted for b in right_counts}
-        extra, left_table, right_table = _split(s, j)
-        relabel_left = left_table.__getitem__
-        relabel_right = right_table.__getitem__
+        extra, left_verts, right_verts = _split(verts, j)
         completions: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-        for left, a in _eared_shapes(j, d_left, left_wanted):
-            head = extra + tuple(map(relabel_left, left))
+        for left, a in _eared_shapes(left_verts, d_left, left_wanted):
+            head = extra + left
             if r > _SHAPE_CACHE_MAX:
                 right_wanted = {w - added - a for w in wanted}
-                for right, b in _eared_shapes(r, d_right, right_wanted):
-                    yield head + tuple(map(relabel_right, right)), added + a + b
+                for right, b in _eared_shapes(right_verts, d_right, right_wanted):
+                    yield head + right, added + a + b
                 continue
             if a not in completions:
-                completions[a] = [
-                    (tuple(map(relabel_right, right)), added + a + b)
-                    for right, b in zip(_cached_shapes(r), _ear_counts(r, d_right))
-                    if added + a + b in wanted
-                ]
+                rights = _eared_shapes(right_verts, d_right, {w - added - a for w in wanted})
+                completions[a] = [(right, added + a + b) for right, b in rights]
             for right, ears in completions[a]:
                 yield head + right, ears
 
@@ -578,7 +599,7 @@ def _shapes(n: int, ears: int | None = None) -> Iterator[tuple[tuple[int, ...], 
         raise ValueError(f"every triangulation has >= 2 ears, got k={ears}")
     else:
         wanted = {ears}
-    return _eared_shapes(n, -1, wanted)
+    return _eared_shapes(tuple(range(n)), -1, wanted)
 
 
 def listing(n: int, ears: int | None = None) -> list[str]:

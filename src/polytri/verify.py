@@ -103,11 +103,11 @@ def _dual_tree_matches(t) -> bool:
 
 def _dihedral_action(n: int) -> tuple[str, str]:
     ts = set(enumerate_triangulations(n))
+    images = [(t, t.rotated(1), t.reflected()) for t in ts]
     ok = (
-        {t.rotated(1) for t in ts} == ts
-        and {t.reflected() for t in ts} == ts
-        and all(img.ear_count() == t.ear_count()
-                for t in ts for img in (t.rotated(1), t.reflected()))
+        {rot for _, rot, _ in images} == ts
+        and {ref for _, _, ref in images} == ts
+        and all(rot.ear_count() == t.ear_count() == ref.ear_count() for t, rot, ref in images)
     )
     return "bijective+ear-preserving", "bijective+ear-preserving" if ok else "broken"
 

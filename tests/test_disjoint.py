@@ -23,7 +23,8 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polytri.counting import catalan, catalan_partial_convolution
+from polytri import counting, disjoint
+from polytri.counting import catalan, catalan_list, catalan_partial_convolution
 from polytri.disjoint import (
     arrow,
     avoid_fan_formula,
@@ -381,6 +382,33 @@ def test_published_variant_sums_to_p_q_r(n):
 def test_closed_form_refuses_a_negative_branch():
     with pytest.raises(ValueError):
         three_ear_closed_form(8, (-1, 4, 2))
+
+
+def test_closed_form_refuses_a_branch_past_the_polygon():
+    # S(n, k) needs k <= n-4: a branch of n-2 triangles is refused
+    with pytest.raises(ValueError, match="exceeds"):
+        three_ear_closed_form(8, (1, 7, 0))
+
+
+@pytest.mark.parametrize("n", [6, 9, 14, 40])
+def test_three_ear_formulas_build_one_catalan_list(monkeypatch, n):
+    # the case sum's two runs and the closed form's three partial sums
+    # each read one list of the call, not one list per run
+    calls = []
+
+    def counted(upto):
+        calls.append(upto)
+        return catalan_list(upto)
+
+    monkeypatch.setattr(counting, "catalan_list", counted)
+    monkeypatch.setattr(disjoint, "catalan_list", counted)
+    for ptype in list(_types(n))[:: max(1, n // 3)]:
+        t = three_ear_rep(n, ptype)
+        expected = count_disjoint(t)
+        for formula in (three_ear_disjoint, three_ear_closed_form):
+            calls.clear()
+            assert formula(n, ptype) == expected, (formula.__name__, ptype)
+            assert calls == [n - 4], (formula.__name__, ptype)
 
 
 def test_published_variant_disagrees_with_oracle():

@@ -272,13 +272,24 @@ def test_enumeration_counts_distinct_valid(n):
 
 def all_shapes(n: int) -> list[tuple[tuple[int, int], ...]]:
     """The whole enumeration's diagonal tuples, decoded, in order."""
-    return [decoded(shape) for shape, _ in _eared_shapes(n, -1, _ear_count_set(n, -1))]
+    shapes = _eared_shapes(tuple(range(n)), -1, _ear_count_set(n, -1))
+    return [decoded(shape) for shape, _ in shapes]
 
 
-@pytest.mark.parametrize("n", range(3, 13))
+@pytest.mark.parametrize("n", range(3, 14))
 def test_diagonal_tuples_match_recursive_oracle(n):
-    # the same tuples, diagonal order included, in the same order
+    # the same tuples, diagonal order included, in the same order; at 13
+    # vertices the parts at apex 2 and apex 12 lie above the cache bound
+    # and are split in the labels of the whole polygon
     assert all_shapes(n) == list(diagonal_sets_by_recursion(tuple(range(n))))
+
+
+@pytest.mark.parametrize("bound", [5, 8])
+def test_diagonal_tuples_through_nested_uncached_parts_match_the_oracle(monkeypatch, bound):
+    # parts above a lowered bound nest several levels deep, each handing
+    # the labels of its own parts down
+    monkeypatch.setattr(triangulation, "_SHAPE_CACHE_MAX", bound)
+    assert all_shapes(12) == list(diagonal_sets_by_recursion(tuple(range(12))))
 
 
 @pytest.mark.parametrize("n", range(4, 11))
@@ -330,6 +341,11 @@ def test_listing_matches_the_text_of_the_enumeration(n):
     for ears in range(2, n // 2 + 2) if n >= 4 else ():
         assert listing(n, ears) == [str(t) for t in ts if t.ear_count() == ears]
         assert [str(t) for t in enumerate_triangulations(n, ears)] == listing(n, ears)
+
+
+@pytest.mark.parametrize("ears", range(2, 8))
+def test_listing_above_the_cache_bound_matches_the_enumeration(ears):
+    assert [str(t) for t in enumerate_triangulations(13, ears=ears)] == listing(13, ears)
 
 
 def test_codes_stand_for_one_pair_up_to_the_ceiling():
