@@ -3,8 +3,13 @@ identity verification, sequence emission and SVG figures.
 
 Exit codes: 0 success, 1 usage or domain error, 2 verification failure
 (a FAIL line from `verify`, or a cross-check mismatch under `--method
-both`).  Stdout is byte-deterministic for identical invocations; the
-optional --timing lines go to stderr.
+both`).  A failed write to stdout exits 1: with no message when the
+reader closed early (a broken pipe), with one `cannot write output`
+line for any other fault, such as a full device (see `run`).  Stdout is
+byte-deterministic for identical invocations; the optional --timing
+lines go to stderr.  The range commands, `symmetry` and `sequence`,
+print each row as it is counted, so a range ends at its first failed
+write; only `--format json` holds its rows until the end.
 
 Each refusal is raised as a ValueError.  The sizes each route answers
 for are the rows of DOMAINS.  A size refusal (`_TooLarge`) holds for
@@ -19,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Callable, Iterator, NamedTuple
 
@@ -79,7 +85,9 @@ DOMAINS: dict[str, Domain] = {
     # 200,000; at n = 10^10 building the shape runs out of memory.
     "svg": Domain(20000, "svg figures are feasible for n <= {ceiling}, got n={n}"),
     # every nonzero count the CLI prints, refused before it is computed (see
-    # `_printable_bound`)
+    # `_printable_bound`).  The one size rule kept outside this table is
+    # `_hurtado_noy`'s: a zero count (k > n/2) prints at any n, so it
+    # applies this row itself, and only when 2 <= k <= n/2
     "printed": Domain(None, "value {past}"),
 }
 
@@ -272,7 +280,11 @@ def cmd_symmetry(args: argparse.Namespace) -> int:
         raise ValueError("closed forms exist only for --ears 2 or 3")
     orbit = ("orbit", lambda n: counting.symmetry_classes_orbit(n, ears=ears))
     columns = {m: orbit if m == "orbit" else _sequence_column(f"sym{ears}") for m in methods}
-    rows: list[dict] = []
+    rows: list[dict] = []  # kept for --format json only
+    bare = args.format == "text" and len(ns) == 1 and len(methods) == 1
+    sep = "," if args.format == "csv" else " "
+    if args.format == "csv":
+        print("n," + ",".join(methods))
     status = 0
     for row in _rows("symmetry", ns, columns, ears=args.ears):
         if None in row.values():
@@ -285,19 +297,13 @@ def cmd_symmetry(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             status = 2
-        rows.append(row)
-    printable = [r for r in rows if None not in r.values()]
+        if args.format == "json":
+            rows.append(row)
+        elif None not in row.values():
+            counts = [row[m] for m in methods]
+            print(*(counts if bare else [row["n"], *counts]), sep=sep)
     if args.format == "json":
         print(json.dumps(rows))
-    elif args.format == "csv":
-        print("n," + ",".join(methods))
-        for r in printable:
-            print(",".join(str(x) for x in [r["n"], *(r[m] for m in methods)]))
-    elif len(rows) == 1 and len(methods) == 1 and printable:
-        print(printable[0][methods[0]])
-    else:
-        for r in printable:
-            print(" ".join(str(x) for x in [r["n"], *(r[m] for m in methods)]))
     return status
 
 
@@ -430,17 +436,20 @@ def _sequence_column(what: str) -> tuple[str | None, Callable[[int], int]]:
 
 def cmd_sequence(args: argparse.Namespace) -> int:
     column = _sequence_column(args.what)
-    rows = list(_rows("sequence", parse_range(args.n), {"value": column}))
-    kept = [row for row in rows if row["value"] is not None]
+    kept: list[dict] = []  # kept for --format json only
+    status = 0
+    for row in _rows("sequence", parse_range(args.n), {"value": column}):
+        if row["value"] is None:
+            status = 1
+        elif args.format == "json":
+            kept.append(row)
+        elif args.format == "oeis":
+            print(f"{row['n']} {row['value']}")
+        else:
+            print(row["value"])
     if args.format == "json":
         print(json.dumps({"what": args.what, "rows": kept}))
-    elif args.format == "oeis":
-        for row in kept:
-            print(f"{row['n']} {row['value']}")
-    else:
-        for row in kept:
-            print(row["value"])
-    return 0 if len(kept) == len(rows) else 1
+    return status
 
 
 # -- parser ---------------------------------------------------------------------
@@ -543,15 +552,39 @@ def run(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code (argv: sys.argv[1:] for
     None); argparse's exit on --help or a usage error becomes the
     returned code.  Exit codes, usage errors and help text are those of
-    a parse by the whole tree (see `_parse_args`)."""
+    a parse by the whole tree (see `_parse_args`).
+
+    Stdout is flushed here, so a failed write to it surfaces here even
+    when only the last buffered bytes fail: it ends the command with
+    exit 1, silently for a reader that closed early (a broken pipe) and
+    with one line for any other fault, such as a full device.  Stdout's
+    file descriptor is then pointed at os.devnull, so the bytes left in
+    the buffer go there and the interpreter's final flush prints no
+    traceback; a stdout with no descriptor (a StringIO) is left as it
+    is.  No command raises any other OSError: `svg --out` turns its own
+    into a refusal."""
     try:
-        args = _parse_args(sys.argv[1:] if argv is None else argv)
-    except SystemExit as exc:
-        return exc.code
-    try:
-        return args.func(args)
-    except (ValueError, ArithmeticError) as exc:
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
+        try:
+            args = _parse_args(sys.argv[1:] if argv is None else argv)
+            code = args.func(args)
+        except SystemExit as exc:
+            code = exc.code
+        except (ValueError, ArithmeticError) as exc:
+            print(f"{PROG}: error: {exc}", file=sys.stderr)
+            code = 1
+        sys.stdout.flush()
+        return code
+    except OSError as exc:
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):
+            pass  # no file descriptor to drop
+        else:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):
+            print(f"{PROG}: error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

@@ -175,10 +175,11 @@ def _canonical_diagonals(n: int, diags: Iterable[Pair]) -> tuple[Pair, ...]:
 # `ear_census(n, "brute")` accept.  It bounds the depth of the nested
 # generators: they nest once per vertex above the cache bound, each
 # holding the labels of its sub-polygon and of its current parts (about
-# n^2 ints in all) and a relabel map of at most 44 entries per cached
-# part.  The first triangulation of the 100-gon takes about 0.03 s and
-# 18 MB, of which the interpreter and the import are 17 MB (peak RSS of
-# a fresh process, medians of five, 2-core x86-64, Python 3.11).
+# n^2 ints in all) and, per cached part, a `_decoder` table of at most
+# 11 * 101 slots.  The first triangulation of the 100-gon takes about
+# 0.03 s and 18 MB, of which the interpreter and the import are 17 MB
+# (peak RSS of a fresh process, medians of five, 2-core x86-64,
+# Python 3.11).
 ENUMERATION_CEILING = 100
 
 # The enumerator holds a diagonal (a, b), a < b, as the one int
@@ -228,18 +229,6 @@ def _split(
     if i < len(verts) - 1:
         extra += (_code(verts[0], verts[i]),)
     return extra, verts[1:i + 1], verts[i:] + verts[:1]
-
-
-def _relabel(verts: tuple[int, ...]) -> Callable[[int], int]:
-    """The map from a cached shape's own diagonal codes to the codes of
-    the labels `verts` (see `_eared_shapes`): one entry per diagonal, 44
-    at the cache bound, built anew on every call and kept by nothing but
-    the caller."""
-    size = len(verts)
-    return {
-        p * _CODE_BASE + q: _code(verts[p], verts[q])
-        for q in range(2, size) for p in range(q - 1) if (p, q) != (0, size - 1)
-    }.__getitem__
 
 
 @lru_cache(maxsize=None)
@@ -318,9 +307,11 @@ def _eared_shapes(
     d <= 0.
 
     Up to the cache bound the cached shapes, in their own positions, are
-    filtered by their counts and relabeled once each through `_relabel`
-    (not at all when the labels are the own positions, as they are for a
-    whole polygon: a cyclic run of labels from 0 to s-1 is 0..s-1).
+    filtered by their counts and relabeled once each through a `_decoder`
+    table from each own code (p, q) to the code of (verts[p], verts[q]),
+    the same routine that builds the listing's text and pair tables; no
+    table is built when the labels are the own positions, as they are for
+    a whole polygon (a cyclic run of labels from 0 to s-1 is 0..s-1).
     Above it `_split_shapes` builds every tuple in the labels `verts`,
     so no tuple is relabeled twice.  The iterator is returned, not
     yielded from, so a deep recursion adds no generator level per
@@ -335,7 +326,7 @@ def _eared_shapes(
     shapes = zip(_cached_shapes(s), _ear_counts(s, d))
     if verts[0] == 0 and verts[-1] == s - 1:
         return ((shape, ears) for shape, ears in shapes if ears in wanted)
-    relabel = _relabel(verts)
+    relabel = _decoder(s, lambda p, q: _code(verts[p], verts[q]))
     return ((tuple(map(relabel, shape)), ears) for shape, ears in shapes if ears in wanted)
 
 

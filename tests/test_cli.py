@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -895,6 +896,33 @@ def test_sequence_closed_forms_match_golden_bytes(capsys, what, ns, golden):
     assert capsys.readouterr().out.encode() == expected
 
 
+
+# Ranges printed row by row, pinned as the whole-list printing wrote them:
+# golden file -> (argv, exit code, golden copy of stderr or None)
+RANGE_GOLDENS = {
+    "sequence-catalan-n-1..400.txt": (["sequence", "--what", "catalan", "--n", "1..400"], 0, None),
+    "sequence-disj2-n-4..400.txt": (["sequence", "--what", "disj2", "--n", "4..400"], 0, None),
+    "sequence-sym2-n-1..60.oeis": (
+        ["sequence", "--what", "sym2", "--n", "1..60", "--format", "oeis"], 1,
+        "sequence-sym2-n-1..60.oeis.stderr"),
+    "sequence-hurtado-noy-3-n-1..60.json": (
+        ["sequence", "--what", "hurtado-noy:3", "--n", "1..60", "--format", "json"], 1, None),
+    # crosses the n < 6 refusals and ends at the orbit ceiling with n=17..18
+    "symmetry-ears-3-n-3..18-both.json": (
+        ["symmetry", "--n", "3..18", "--ears", "3", "--method", "both", "--format", "json"], 1,
+        "symmetry-ears-3-n-3..18-both.json.stderr"),
+}
+
+
+@pytest.mark.parametrize("golden", RANGE_GOLDENS)
+def test_range_output_matches_golden_bytes(capsys, golden):
+    argv, code, err_golden = RANGE_GOLDENS[golden]
+    assert invoke(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out.encode() == (GOLDEN_DIR / golden).read_bytes()
+    if err_golden is not None:
+        assert captured.err.encode() == (GOLDEN_DIR / err_golden).read_bytes()
+
 @pytest.mark.parametrize(
     "ears, ns, golden",
     [("2", "5..16", "symmetry-ears-2-n-5..16-both.txt"),
@@ -1032,6 +1060,142 @@ def test_no_n_past_the_first_size_refusal_is_computed(capsys, monkeypatch, int_d
         f"(over 640 decimal digits)\n"
     )
 
+
+
+# Ranges over one count of `cli.SEQUENCES` (`symmetry --method closed`
+# reads sym3 there), one case per output format, each argv ending in its range
+ROW_FORMATS = {
+    "plain": (["sequence", "--what", "catalan", "--n", "1..12"], "catalan"),
+    "oeis": (["sequence", "--what", "catalan", "--format", "oeis", "--n", "1..12"], "catalan"),
+    "text": (["symmetry", "--method", "closed", "--ears", "3", "--n", "6..16"], "sym3"),
+    "csv": (["symmetry", "--method", "closed", "--ears", "3", "--format", "csv",
+             "--n", "6..16"], "sym3"),
+}
+
+
+@pytest.mark.parametrize("fmt", ROW_FORMATS)
+def test_each_row_is_printed_before_the_next_n_is_counted(monkeypatch, fmt):
+    argv, name = ROW_FORMATS[fmt]
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    count, printed = cli.SEQUENCES[name], []
+    monkeypatch.setitem(cli.SEQUENCES, name, lambda n: printed.append(out.getvalue()) or count(n))
+    assert cli.run(argv) == 0
+    lines = out.getvalue().splitlines(keepends=True)
+    header = 1 if fmt == "csv" else 0  # the CSV header goes first
+    assert len(printed) == len(lines) - header == len(cli.parse_range(argv[-1]))
+    assert printed == ["".join(lines[:header + i]) for i in range(len(printed))]
+
+
+@pytest.mark.parametrize("argv, name, expected", [
+    (["sequence", "--what", "catalan", "--n", "1..12", "--format", "json"], "catalan",
+     {"what": "catalan", "rows": [{"n": n, "value": catalan(n)} for n in range(1, 13)]}),
+    (["symmetry", "--method", "closed", "--ears", "3", "--n", "6..16", "--format", "json"],
+     "sym3",
+     [{"n": n, "ears": "3", "closed": counting.symmetry_classes_3ear(n)} for n in range(6, 17)]),
+], ids=["sequence", "symmetry"])
+def test_json_range_is_printed_whole_at_the_end(monkeypatch, argv, name, expected):
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    count, printed = cli.SEQUENCES[name], []
+    monkeypatch.setitem(cli.SEQUENCES, name, lambda n: printed.append(out.getvalue()) or count(n))
+    assert cli.run(argv) == 0
+    assert set(printed) == {""}
+    assert out.getvalue() == json.dumps(expected) + "\n"
+
+
+class _FailingStdout(io.StringIO):
+    """A stdout with no file descriptor whose every write fails with `error`."""
+
+    def __init__(self, error):
+        super().__init__()
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+
+CLOSED_PIPE = BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+FULL_DEVICE = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("fmt", ROW_FORMATS)
+def test_no_n_past_the_first_failed_write_is_computed(capsys, monkeypatch, fmt):
+    argv, name = ROW_FORMATS[fmt]
+    count, seen = cli.SEQUENCES[name], []
+    monkeypatch.setitem(cli.SEQUENCES, name, lambda n: seen.append(n) or count(n))
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(CLOSED_PIPE))
+    assert cli.run(argv) == 1
+    first = cli.parse_range(argv[-1])[0]
+    assert seen == ([] if fmt == "csv" else [first])  # the CSV header is the first write
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("error, err", [
+    (CLOSED_PIPE, ""),
+    (FULL_DEVICE, f"polytri: error: cannot write output: {os.strerror(errno.ENOSPC)}\n"),
+], ids=["closed-pipe", "full-device"])
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--n", "6"],
+    ["enumerate", "--n", "6", "--count-only"],
+    ["disjoint", "--snake", "--n", "9"],
+    ["svg", "--snake", "--n", "6"],
+    ["verify", "--suite", "parallel", "--max-n", "5"],
+], ids=["listing", "count", "disjoint", "svg", "verify"])
+def test_failed_write_exits_1_with_at_most_one_line(capsys, monkeypatch, error, err, argv):
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(error))
+    assert cli.run(argv) == 1
+    assert capsys.readouterr().err == err
+
+
+# Each command writes more than a pipe holds, or writes once at its end.
+# A short output stays in the buffer until the last flush, whose failure
+# the interpreter would report again at exit unless stdout is dropped.
+FAILED_WRITE_ARGVS = {
+    "sequence": ["sequence", "--what", "catalan", "--n", "1..3000"],
+    "symmetry": ["symmetry", "--n", "6..3000", "--method", "closed", "--ears", "3"],
+    "enumerate": ["enumerate", "--n", "13", "--format", "json"],
+    "verify": ["verify", "--max-n", "6"],
+    "short": ["sequence", "--what", "catalan", "--n", "1..10"],
+}
+
+
+def run_polytri_into(stdout, argv, buffering):
+    """The `python -m polytri` child writing into the file descriptor
+    stdout: (exit code, stderr).  A buffered stdout fails at a flush, an
+    unbuffered one (PYTHONUNBUFFERED) at the write itself."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(polytri.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("PYTHONUNBUFFERED", None)
+    if buffering == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.run([sys.executable, "-m", "polytri", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", FAILED_WRITE_ARGVS.values(), ids=FAILED_WRITE_ARGVS)
+def test_process_writing_into_a_closed_pipe_exits_1_silently(argv, buffering):
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the child starts
+    try:
+        code, err = run_polytri_into(write, argv, buffering)
+    finally:
+        os.close(write)
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+    assert (code, err) == (1, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", FAILED_WRITE_ARGVS.values(), ids=FAILED_WRITE_ARGVS)
+def test_process_writing_into_a_full_device_exits_1_with_one_line(argv, buffering):
+    with open("/dev/full", "wb") as full:
+        code, err = run_polytri_into(full, argv, buffering)
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+    assert (code, err) == (1, f"polytri: error: cannot write output: {os.strerror(errno.ENOSPC)}\n")
 
 # every count printed over a range: each `sequence --what`, with four k for
 # hurtado-noy:k; `symmetry --method closed` prints sym2 and sym3
