@@ -5,7 +5,9 @@ Exit codes: 0 success, 1 usage or domain error, 2 verification failure
 (a FAIL line from `verify`, or a cross-check mismatch under `--method
 both`).  A failed write to stdout exits 1: with no message when the
 reader closed early (a broken pipe), with one `cannot write output`
-line for any other fault, such as a full device (see `run`).  Stdout is
+line for any other fault, such as a full device; help text is output
+like any other.  A failed write to stderr exits 1 too, after every
+byte written to stdout before it is flushed (see `run`).  Stdout is
 byte-deterministic for identical invocations; the optional --timing
 lines go to stderr.  The range commands, `symmetry` and `sequence`,
 print each row as it is counted, so a range ends at its first failed
@@ -45,6 +47,12 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+    # argparse swallows a failed write of help or usage; let it end the
+    # command like any other failed write (see `run`)
+    def _print_message(self, message: str, file=None) -> None:
+        if message:
+            (file or sys.stderr).write(message)
+
 
 class Domain(NamedTuple):
     """The largest n a route answers for, and the words that refuse a larger
@@ -52,12 +60,6 @@ class Domain(NamedTuple):
 
     ceiling: int | None  # None: `_printable_bound()`, which follows the digit limit
     words: str
-
-    def top(self) -> int:
-        return _printable_bound() if self.ceiling is None else self.ceiling
-
-    def refusal(self, n: int) -> str:
-        return self.words.format(ceiling=self.top(), n=n, past=_past_bound())
 
 
 # Every size limit of the CLI, keyed by the route that would run; each
@@ -76,7 +78,7 @@ DOMAINS: dict[str, Domain] = {
     "orbit": Domain(16, "orbit counting is feasible for n <= {ceiling}"),
     # count_disjoint, what `disjoint --method brute|both` runs, is O(n^2)
     # big-integer work.  At n = 2000 `disjoint --method both` takes
-    # 4.5-6.2 s for the snake and the fan and 2.2-3.6 s for type
+    # 3.3-4.5 s for the snake and the fan and 1.8-2.4 s for type
     # (600, 700, 697) over three runs each, at 19 MB peak RSS.
     "count_disjoint": Domain(2000, "disjointness counts by the O(n^2) tree knapsack are "
                              "feasible for n <= {ceiling}, got n={n} (use --method formula)"),
@@ -98,8 +100,11 @@ class _TooLarge(ValueError):
 
 def _refuse(route: str, n: int) -> None:
     """Refuse n, before anything is computed, if it is past the route's ceiling."""
-    if n > DOMAINS[route].top():
-        raise _TooLarge(DOMAINS[route].refusal(n))
+    ceiling, words = DOMAINS[route]
+    if ceiling is None:
+        ceiling = _printable_bound()
+    if n > ceiling:
+        raise _TooLarge(words.format(ceiling=ceiling, n=n, past=_past_bound()))
 
 
 def parse_range(text: str) -> range:
@@ -557,12 +562,14 @@ def run(argv: list[str] | None = None) -> int:
     Stdout is flushed here, so a failed write to it surfaces here even
     when only the last buffered bytes fail: it ends the command with
     exit 1, silently for a reader that closed early (a broken pipe) and
-    with one line for any other fault, such as a full device.  Stdout's
-    file descriptor is then pointed at os.devnull, so the bytes left in
-    the buffer go there and the interpreter's final flush prints no
-    traceback; a stdout with no descriptor (a StringIO) is left as it
-    is.  No command raises any other OSError: `svg --out` turns its own
-    into a refusal."""
+    with one line for any other fault, such as a full device.  A failed
+    write to stderr also exits 1, and stdout is flushed first, so every
+    byte written to it before the failure goes out.  A stream whose
+    flush still fails has its file descriptor pointed at os.devnull, so
+    the bytes left in its buffer go there and the interpreter's final
+    flush cannot fail; a stream with no descriptor (a StringIO) is left
+    as it is.  No command raises any other OSError: `svg --out` turns
+    its own into a refusal."""
     try:
         try:
             args = _parse_args(sys.argv[1:] if argv is None else argv)
@@ -576,16 +583,28 @@ def run(argv: list[str] | None = None) -> int:
         return code
     except OSError as exc:
         try:
-            fd = sys.stdout.fileno()
-        except (OSError, ValueError):
-            pass  # no file descriptor to drop
-        else:
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, fd)
-            os.close(devnull)
-        if not isinstance(exc, BrokenPipeError):
-            print(f"{PROG}: error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+            sys.stdout.flush()
+        except OSError:
+            _drop(sys.stdout)
+        try:
+            if not isinstance(exc, BrokenPipeError):
+                print(f"{PROG}: error: cannot write output: {exc.strerror or exc}",
+                      file=sys.stderr)
+            sys.stderr.flush()
+        except OSError:
+            _drop(sys.stderr)
         return 1
+
+
+def _drop(stream) -> None:
+    """Point a failed stream's file descriptor, if it has one, at os.devnull."""
+    try:
+        fd = stream.fileno()
+    except (OSError, ValueError):
+        return  # no file descriptor to drop
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def main() -> None:

@@ -54,8 +54,6 @@ Composition = tuple[int, ...]
 
 _OPS = ("reversal", "conjugation", "conj_rev")
 
-_TO_BITS = str.maketrans("DU", "01")
-
 
 def _mask(comp: Iterable[int]) -> tuple[int, int]:
     """(m, bar mask) of a composition: the one check of its parts."""
@@ -225,7 +223,7 @@ def _check_pointing(dirs: str) -> str:
 def composition_from_pointing(dirs: str) -> Composition:
     """Composition of m = len(dirs)+1 whose bars sit at the U positions."""
     dirs = _check_pointing(dirs)
-    return _composition(len(dirs) + 1, int(dirs[::-1].translate(_TO_BITS), 2))
+    return tuple(len(run) + 1 for run in dirs.split("U"))
 
 
 def two_eared_from_pointing(dirs: str) -> Triangulation:

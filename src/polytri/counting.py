@@ -39,7 +39,6 @@ about 3 s for every class (fresh processes).
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from math import comb
 from typing import Iterator, Sequence
@@ -211,24 +210,19 @@ def _class_keys(n: int, most: int | None) -> frozenset[bytes]:
     )
 
 
-@lru_cache(maxsize=None)
-def _class_census(n: int, most: int | None) -> Counter[int]:
-    # {ear count: number of symmetry classes}, for ear counts up to `most`
-    return Counter(key.count(1) for key in _class_keys(n, most))
-
-
 def symmetry_classes_orbit(n: int, ears: int | None = None) -> int:
     """Number of dihedral symmetry classes, optionally filtered by ear count.
 
     The census builds the class keys by ear insertion from the triangle up
-    to n, caching each n's tally and the last level's keys, per cap: a
-    rising run of n costs one build (its cost: `orbit` row of `cli.DOMAINS`).
-    An ear filter caps the census at `ears`, so only the classes with at
-    most that many ears are built; None builds every class.
+    to n and keeps only the last level's keys: a rising run of n at one
+    cap costs one build (its cost: `orbit` row of `cli.DOMAINS`).  An ear
+    filter caps the census at `ears`, so only the classes with at most
+    that many ears are built, and counts the keys with `ears` ear tips
+    (1-entries); None builds and counts every class.
     """
     if n < 3:
         raise ValueError(f"polygon needs at least 3 vertices, got n={n}")
     if ears is not None and n < 4:
         raise ValueError("ear filter requires n >= 4")
-    census = _class_census(n, ears)
-    return sum(census.values()) if ears is None else census[ears]
+    keys = _class_keys(n, ears)
+    return len(keys) if ears is None else sum(key.count(1) == ears for key in keys)

@@ -269,7 +269,7 @@ def disjoint_series(limit: int) -> list[int]:
                     out[i + j] += fi * g[j]
         return out
 
-    s = [catalan(i + 1) for i in range(size)]
+    s = catalan_list(size)[1:]
     total = [0] * size
     power = s[:]  # s^(i+1), truncated
     for i in range(size):

@@ -352,17 +352,14 @@ def _split_shapes(
         extra, left_verts, right_verts = _split(verts, j)
         completions: dict[int, list[tuple[tuple[int, ...], int]]] = {}
         for left, a in _eared_shapes(left_verts, d_left, left_wanted):
-            head = extra + left
-            if r > _SHAPE_CACHE_MAX:
-                right_wanted = {w - added - a for w in wanted}
-                for right, b in _eared_shapes(right_verts, d_right, right_wanted):
-                    yield head + right, added + a + b
-                continue
-            if a not in completions:
-                rights = _eared_shapes(right_verts, d_right, {w - added - a for w in wanted})
-                completions[a] = [(right, added + a + b) for right, b in rights]
-            for right, ears in completions[a]:
-                yield head + right, ears
+            head, base = extra + left, added + a
+            rights = completions.get(a)
+            if rights is None:
+                rights = _eared_shapes(right_verts, d_right, {w - base for w in wanted})
+                if r <= _SHAPE_CACHE_MAX:
+                    rights = completions[a] = list(rights)
+            for right, b in rights:
+                yield head + right, base + b
 
 
 @dataclass(frozen=True)

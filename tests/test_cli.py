@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import errno
+import functools
 import hashlib
 import io
 import json
@@ -1151,27 +1152,35 @@ def test_failed_write_exits_1_with_at_most_one_line(capsys, monkeypatch, error, 
 # Each command writes more than a pipe holds, or writes once at its end.
 # A short output stays in the buffer until the last flush, whose failure
 # the interpreter would report again at exit unless stdout is dropped.
+# Help text is written by argparse, which would swallow the failure.
 FAILED_WRITE_ARGVS = {
     "sequence": ["sequence", "--what", "catalan", "--n", "1..3000"],
     "symmetry": ["symmetry", "--n", "6..3000", "--method", "closed", "--ears", "3"],
     "enumerate": ["enumerate", "--n", "13", "--format", "json"],
     "verify": ["verify", "--max-n", "6"],
     "short": ["sequence", "--what", "catalan", "--n", "1..10"],
+    "help": ["--help"],
+    "command-help": ["enumerate", "--help"],
 }
 
 
-def run_polytri_into(stdout, argv, buffering):
-    """The `python -m polytri` child writing into the file descriptor
-    stdout: (exit code, stderr).  A buffered stdout fails at a flush, an
-    unbuffered one (PYTHONUNBUFFERED) at the write itself."""
+def polytri_process(argv, buffering, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
+    """The finished `python -m polytri` child, its streams given as file
+    descriptors or subprocess.PIPE.  A buffered stream fails at a flush,
+    an unbuffered one (PYTHONUNBUFFERED) at the write itself."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(polytri.__file__)))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
     env.pop("PYTHONUNBUFFERED", None)
     if buffering == "unbuffered":
         env["PYTHONUNBUFFERED"] = "1"
-    proc = subprocess.run([sys.executable, "-m", "polytri", *argv], stdout=stdout,
-                          stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, "-m", "polytri", *argv], stdout=stdout,
+                          stderr=stderr, text=True, env=env, timeout=60)
+
+
+def run_polytri_into(stdout, argv, buffering):
+    """The child writing into the file descriptor stdout: (exit code, stderr)."""
+    proc = polytri_process(argv, buffering, stdout=stdout)
     return proc.returncode, proc.stderr
 
 
@@ -1196,6 +1205,53 @@ def test_process_writing_into_a_full_device_exits_1_with_one_line(argv, bufferin
         code, err = run_polytri_into(full, argv, buffering)
     assert "Traceback" not in err and "Exception ignored" not in err, err
     assert (code, err) == (1, f"polytri: error: cannot write output: {os.strerror(errno.ENOSPC)}\n")
+
+
+# Commands that write to stderr, and whether their whole stdout comes
+# before their first stderr line: `verify --timing` times the report after
+# printing it, `symmetry` refuses n = 17 past the orbit ceiling after
+# printing 5..16, and `sequence` refuses n = 1 before it prints any row.
+FAILED_STDERR_ARGVS = {
+    "verify-timing": (["verify", "--max-n", "3", "--timing"], True),
+    "symmetry-past-ceiling": (["symmetry", "--n", "5..17", "--ears", "2"], True),
+    "sequence-refused-first": (["sequence", "--what", "sym2", "--n", "1..8"], False),
+    "usage-error": (["bogus"], False),
+}
+
+
+@functools.cache
+def _stdout_with_working_stderr(argv):
+    proc = polytri_process(argv, "buffered")
+    assert proc.stderr, argv  # each case does write to stderr
+    return proc.stdout
+
+
+def _closed_pipe_fd():
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the child starts
+    return write
+
+
+def _full_device_fd():
+    return os.open("/dev/full", os.O_WRONLY)
+
+
+@pytest.mark.parametrize("sink", [
+    _closed_pipe_fd,
+    pytest.param(_full_device_fd, marks=pytest.mark.skipif(
+        not os.path.exists("/dev/full"), reason="no /dev/full on this system")),
+], ids=["closed-pipe", "full-device"])
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, kept", FAILED_STDERR_ARGVS.values(), ids=FAILED_STDERR_ARGVS)
+def test_process_failing_stderr_keeps_stdout_and_exits_1(argv, kept, buffering, sink):
+    fd = sink()
+    try:
+        proc = polytri_process(argv, buffering, stderr=fd)
+    finally:
+        os.close(fd)
+    expected = _stdout_with_working_stderr(tuple(argv)) if kept else ""
+    assert "Traceback" not in proc.stdout and "Exception ignored" not in proc.stdout
+    assert (proc.returncode, proc.stdout) == (1, expected)
 
 # every count printed over a range: each `sequence --what`, with four k for
 # hurtado-noy:k; `symmetry --method closed` prints sym2 and sym3
@@ -1516,7 +1572,7 @@ def test_every_route_refuses_one_past_its_ceiling(capsys, monkeypatch, default_i
 
     monkeypatch.setattr(module, name, ran)
     start = time.perf_counter()
-    assert invoke(argv_at(cli.DOMAINS[route].top() + 1)) == 1
+    assert invoke(argv_at((cli.DOMAINS[route].ceiling or cli._printable_bound()) + 1)) == 1
     assert time.perf_counter() - start < 1
     captured = capsys.readouterr()
     assert captured.out == ""

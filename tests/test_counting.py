@@ -26,7 +26,6 @@ from helpers import (
 from polytri import triangulation
 from polytri.compositions import count_classes
 from polytri.counting import (
-    _class_census,
     _class_keys,
     _exact_quotient,
     _glue_ears,
@@ -230,9 +229,14 @@ def test_burnside_oracle_spec_values():
     ]
 
 
+def _census(n: int, most: int | None) -> Counter[int]:
+    # {ear count: number of symmetry classes} of the keys capped at `most`
+    return Counter(key.count(1) for key in _class_keys(n, most))
+
+
 @pytest.mark.parametrize("n", range(3, 13))
 def test_class_census_matches_enumeration_oracle(n):
-    assert _class_census(n, None) == class_census_by_enumeration(n)
+    assert _census(n, None) == class_census_by_enumeration(n)
 
 
 @pytest.mark.parametrize("n", range(3, 10))
@@ -276,17 +280,16 @@ def test_tip_side_glue_makes_the_capped_children(n):
 
 @pytest.mark.parametrize("n", range(4, 14))
 def test_capped_census_matches_the_full_one(n):
-    full = _class_census(n, None)
+    full = _census(n, None)
     for most in range(2, max_ears(n) + 2):
         capped = Counter({k: c for k, c in full.items() if k <= most})
-        assert _class_census(n, most) == capped, most
+        assert _census(n, most) == capped, most
 
 
 def test_orbit_census_builds_each_level_once_per_cap():
     # a rising run of n costs one build per cap, and an uncapped run after
     # capped ones reuses none of their levels
     _class_keys.cache_clear()
-    _class_census.cache_clear()
     ns = range(4, 15)
     got = {}
     for ears in (2, 3, None):
@@ -298,11 +301,18 @@ def test_orbit_census_builds_each_level_once_per_cap():
     assert got[None] == [class_total_by_burnside(n) for n in ns]
 
 
+def test_orbit_census_answers_falling_and_mixed_cap_calls():
+    # each call after the first drops the kept level, so each rebuilds
+    expected = {2: symmetry_classes_2ear, 3: symmetry_classes_3ear,
+                None: class_total_by_burnside}
+    for n, ears in [(14, 3), (9, 2), (12, None), (6, 3), (16, 2)]:
+        assert symmetry_classes_orbit(n, ears=ears) == expected[ears](n), (n, ears)
+
+
 def test_orbit_census_keeps_one_level_of_keys():
-    # a rising census keeps each n's tally and the last level's keys
+    # a census keeps only the last level's keys
     # (2.3 MB stayed traced at n = 14 when every level's keys were kept)
     _class_keys.cache_clear()
-    _class_census.cache_clear()
     gc.collect()
     tracemalloc.start()
     try:
