@@ -320,6 +320,9 @@ def _formula_count(t: Triangulation) -> tuple[int, str | None]:
     if k == 2:
         return _printable(disjoint.disjoint_two_eared(t.n)), None
     if k == 3:
+        # the case sum's i = 0 term is C(n-4), so a count whose floor is too
+        # long to print is refused before either sum is taken
+        _printable(counting.catalan(t.n - 4))
         ptype = disjoint.three_ear_type(t)
         value = _printable(disjoint.three_ear_disjoint(t.n, ptype))
         published = _printable(disjoint.three_ear_disjoint_published(t.n, ptype))

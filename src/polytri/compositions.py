@@ -26,8 +26,9 @@ Each public function checks its input once, at the boundary.  The bulk
 routines, enumerate_compositions and all_mask_images, run over every mask
 in counter order without a string per mask: the low 8 bits come from
 tables of 2^8 entries (the compositions of 9, the 8-bit reversals) and
-the high bits from the same routine one table narrower.  The tables stop
-at 8 bits, so memory stays bounded at any m.
+the high bits from the same routine one table narrower.  Each table is
+filled once, mask by mask, by the per-mask routines (_composition,
+mask_images).  The tables stop at 8 bits, so memory stays bounded at any m.
 
 A 2-eared triangulation of the n-gon has a path-shaped dual tree; walking
 the path from one ear to the other, each of the n-4 middle triangles has
@@ -88,26 +89,14 @@ _TABLE_BITS = 8  # the widest table has 2^8 entries, whatever m is
 
 @lru_cache(maxsize=None)
 def _composition_table(k: int) -> tuple[Composition, ...]:
-    """The compositions of k (k <= _TABLE_BITS + 1) in bar-mask order, by
-    doubling: mask 2h widens the first part of composition h of k-1, and
-    mask 2h+1 puts a bar at 1 in front of it."""
-    if k == 1:
-        return ((1,),)
-    return tuple(
-        comp for first, *rest in _composition_table(k - 1)
-        for comp in ((first + 1, *rest), (1, first, *rest))
-    )
+    """The compositions of k (k <= _TABLE_BITS + 1) in bar-mask order."""
+    return tuple(_composition(k, mask) for mask in range(1 << (k - 1)))
 
 
 @lru_cache(maxsize=None)
 def _reversal_table(bits: int) -> tuple[int, ...]:
-    """The reversals over `bits` bits (bits <= _TABLE_BITS) of 0 .. 2^bits - 1
-    in order, by doubling: 2h reverses to the reversal of h one bit
-    narrower, and 2h+1 to that plus the top bit."""
-    if bits == 0:
-        return (0,)
-    top = 1 << (bits - 1)
-    return tuple(rev for h in _reversal_table(bits - 1) for rev in (h, h | top))
+    """The reversals over `bits` bits (bits <= _TABLE_BITS) of 0 .. 2^bits - 1."""
+    return tuple(mask_images(bits + 1, mask)[1] for mask in range(1 << bits))
 
 
 def _reversals(bits: int) -> Iterator[int]:

@@ -36,6 +36,8 @@ Triple = tuple[int, int, int]
 
 def diagonal(n: int, a: int, b: int) -> Pair:
     """Normalize {a, b} to a pair (a, b) with a < b, validated for the n-gon."""
+    if not isinstance(n, int):
+        raise ValueError(f"polygon size must be an int, got {n!r}")
     if n < 3:
         raise ValueError(f"polygon needs at least 3 vertices, got n={n}")
     if not (isinstance(a, int) and isinstance(b, int)):
@@ -64,6 +66,8 @@ def _checked(n: int, diagonals: Iterable[Pair]) -> tuple[Pair, ...]:
     diagonals enclosing the current one; each bucket is then emitted
     ascending, so the result comes out sorted.
     """
+    if not isinstance(n, int):
+        raise ValueError(f"polygon size must be an int, got {n!r}")
     if n < 3:
         raise ValueError(f"polygon needs at least 3 vertices, got n={n}")
     lows: list[int] = []

@@ -28,7 +28,10 @@ conjugation complements the set of partial sums, and a class is the set of
 the four tuples.  The exception is the per-mask enumerator
 (`compositions_by_mask`), which reads each mask with the package's
 string-based `_composition`, where the package's bulk enumerator joins
-table entries.  The pointing-string oracle walks the dual tree's path
+table entries.  The tables are filled by `_composition` and
+`mask_images` too, so up to m = 9 that oracle meets the same routine; the
+independent check of the tables is `compositions_by_parts` sorted by
+`bar_mask_by_sums`, with each tuple reversed for the reversals.  The pointing-string oracle walks the dual tree's path
 from ear to ear and sorts each middle triangle's boundary side by arc,
 where the package walks chords; the path walk (`is_path`, `path_from`)
 lives here as functions of a DualTree, since only this oracle uses it.
@@ -351,7 +354,8 @@ def compositions_by_parts(m: int) -> tuple[tuple[int, ...], ...]:
 
 def compositions_by_mask(m: int) -> list[tuple[int, ...]]:
     """Every composition of m in bar-mask counter order, one mask at a
-    time: the per-mask enumerator the package's table-driven one replaced."""
+    time through the package's `_composition`, which also fills the 8-bit
+    tables: independent of the table joins only."""
     return [_composition(m, mask) for mask in range(2 ** (m - 1))]
 
 

@@ -583,6 +583,19 @@ def test_disjoint_counts_too_long_to_print(capsys, monkeypatch, default_int_digi
     assert_single_value_too_long(capsys.readouterr())
 
 
+def test_three_ear_formula_is_refused_before_either_sum(capsys, monkeypatch,
+                                                        default_int_digits):
+    # every 3-eared count is at least C(n-4), which is too long to print here
+    def summed(*args):
+        raise AssertionError("a count too long to print was summed")
+
+    for route in ("three_ear_disjoint", "three_ear_disjoint_published"):
+        monkeypatch.setattr(cli.disjoint, route, summed)
+    argv = ["disjoint", "--type", "9556,9556,9556", "--n", "28671", "--method", "formula"]
+    assert invoke(argv) == 1
+    assert_single_value_too_long(capsys.readouterr())
+
+
 @pytest.mark.parametrize(
     "shape",
     [["--snake"], ["--arrow"], ["--type", f"1,1,{int(HUGE) - 5}"]],
@@ -844,6 +857,11 @@ def test_svg_rejects_bad_font_size_and_stroke_width(capsys, flag, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("polytri: error: ")
+
+
+def test_svg_refuses_a_size_below_60(capsys):
+    assert invoke(["svg", "--snake", "--n", "5", "--size", "10"]) == 1
+    assert capsys.readouterr() == ("", "polytri: error: size must be at least 60, got 10\n")
 
 
 def test_svg_bad_highlight_flag(capsys):

@@ -29,6 +29,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polytri.compositions import (
+    _reversals,
     all_mask_images,
     composition_class,
     composition_from_pointing,
@@ -61,6 +62,19 @@ def test_composition_count_and_distinct(m):
 @pytest.mark.parametrize("m", range(1, 17))
 def test_enumeration_matches_per_mask_oracle(m):
     assert list(enumerate_compositions(m)) == compositions_by_mask(m)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_enumeration_matches_part_by_part_oracle(m):
+    # the tables are filled by _composition, so only this oracle shares
+    # nothing with them
+    assert list(enumerate_compositions(m)) == sorted(compositions_by_parts(m), key=bar_mask_by_sums)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_reversals_match_reversed_part_tuples(m):
+    by_mask = sorted(compositions_by_parts(m), key=bar_mask_by_sums)
+    assert list(_reversals(m - 1)) == [bar_mask_by_sums(c[::-1]) for c in by_mask]
 
 
 @pytest.mark.parametrize("m", range(1, 17))
@@ -126,6 +140,16 @@ def test_invalid_inputs():
             composition_from_bars(4, bars)
     with pytest.raises(ValueError):
         count_fixed(3, "transpose")
+
+
+@pytest.mark.parametrize("refused", [
+    lambda: list(all_mask_images(0)),
+    lambda: count_fixed(0, "reversal"),
+], ids=["all-mask-images", "count-fixed"])
+def test_bulk_and_fixed_counts_refuse_m_below_one(refused):
+    with pytest.raises(ValueError) as info:
+        refused()
+    assert str(info.value) == "m must be positive, got 0"
 
 
 # -- the involutions -----------------------------------------------------------

@@ -156,6 +156,11 @@ def test_census_rejects():
         ear_census(6, "magic")
 
 
+def test_orbit_census_refuses_fewer_than_three_vertices():
+    with pytest.raises(ValueError, match=r"^polygon needs at least 3 vertices, got n=2$"):
+        symmetry_classes_orbit(2)
+
+
 # -- symmetry class counts ---------------------------------------------------------
 
 

@@ -379,6 +379,19 @@ def test_published_variant_sums_to_p_q_r(n):
         assert three_ear_disjoint_published(n, ptype) == published
 
 
+@pytest.mark.parametrize("refused, message", [
+    (lambda: disjoint_inclusion_exclusion(3), "inclusion-exclusion needs n >= 4, got 3"),
+    (lambda: disjoint_series(-1), "limit must be >= 0, got -1"),
+    (lambda: avoid_fan_formula(3, 0), "need n >= 4, got 3"),
+    (lambda: avoid_fan_formula(6, 4), "need 0 <= m <= n-3, got m=4"),
+    (lambda: count_avoiding_parallel(3, [1]), "need n >= 4, got 3"),
+], ids=["inclusion-exclusion", "series", "fan-n", "fan-m", "parallel"])
+def test_refusals_name_the_fault(refused, message):
+    with pytest.raises(ValueError) as info:
+        refused()
+    assert str(info.value) == message
+
+
 def test_closed_form_refuses_a_negative_branch():
     with pytest.raises(ValueError):
         three_ear_closed_form(8, (-1, 4, 2))

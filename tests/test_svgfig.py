@@ -37,6 +37,16 @@ def shape(name, n):
     return random_triangulation(n, random.Random(n))
 
 
+@pytest.mark.parametrize("option, message", [
+    ({"highlight": "wings"}, "highlight must be one of none, ears, internal, both, got 'wings'"),
+    ({"size": 10}, "size must be at least 60, got 10"),
+], ids=["highlight", "size"])
+def test_render_refuses_a_bad_option(option, message):
+    with pytest.raises(ValueError) as info:
+        render_svg(arrow(5), **option)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("name, n", sorted(RENDER_SHA256))
 def test_render_bytes_are_pinned(name, n):
     t = shape(name, n)

@@ -105,6 +105,26 @@ def test_diagonal_normalizes_and_validates():
     assert is_diagonal(6, 0, 2)
 
 
+@pytest.mark.parametrize("n", [4.0, "6", None, 6.5])
+def test_an_n_that_is_not_an_int_is_a_named_fault(n):
+    message = f"polygon size must be an int, got {n!r}"
+    for refused in (lambda: Triangulation(n, [(0, 2)]), lambda: diagonal(n, 0, 2)):
+        with pytest.raises(ValueError) as info:
+            refused()
+        assert str(info.value) == message
+    assert not is_triangulation(n, [(0, 2)])
+
+
+@pytest.mark.parametrize("refused, message", [
+    (lambda: diagonal(2, 0, 1), "polygon needs at least 3 vertices, got n=2"),
+    (lambda: Triangulation(3, []).dual_tree(), "dual tree requires n >= 4"),
+], ids=["diagonal", "dual-tree"])
+def test_small_polygon_refusals(refused, message):
+    with pytest.raises(ValueError) as info:
+        refused()
+    assert str(info.value) == message
+
+
 def test_crosses_basic():
     assert crosses((0, 2), (1, 3))  # the two square diagonals
     assert not crosses((0, 2), (2, 4))  # shared endpoint

@@ -14,7 +14,7 @@ from helpers import (
     images_read_in_class_by_images,
 )
 
-from polytri import compositions, verify
+from polytri import cli, compositions, disjoint, verify
 from polytri.disjoint import arrow, snake
 from polytri.triangulation import Triangulation
 from polytri.verify import Check, RunReport, run_suites
@@ -242,3 +242,34 @@ def test_image_row_fails_under_one_misread_reflection(monkeypatch):
     status, total, good = _reported_tally("compositions", "image-readings-in-class", n)
     assert status == "FAIL" and 0 < good < total
     assert (total, good) == _oracle_tally("image-readings-in-class", n)
+
+
+def _off_by_one_when(fault):
+    """A fault that adds 1 to what a function returns when `fault(*args)`
+    holds, so only the rows fed those arguments disagree."""
+    def patch(original):
+        return lambda *args: original(*args) + bool(fault(*args))
+    return patch
+
+
+@pytest.mark.parametrize("function, patch, argv, line", [
+    # parallel-two-residues reports each route's value when they disagree
+    ("count_avoiding_parallel", _off_by_one_when(lambda n, residues: n == 5),
+     ["--suite", "parallel", "--max-n", "5"],
+     "FAIL  parallel-two-residues  n=5 params=residues={1,2} expected=2 got=avoid=3,snake=2"),
+    # the fan-avoidance row names the first apex whose count is off
+    ("count_avoiding", _off_by_one_when(lambda n, forbidden: tuple(forbidden) == ((1, 3),)),
+     ["--suite", "disjoint-3ear", "--max-n", "4"],
+     "FAIL  fan-avoidance-formula  n=4 params=m=0..1 expected=all-apexes-match "
+     "got=m=1,apex=1,expected=1,got=2"),
+    # a published variant that agrees everywhere is a failure, not a pass
+    ("three_ear_disjoint_published", lambda original: disjoint.three_ear_disjoint,
+     ["--suite", "disjoint-3ear", "--max-n", "6"],
+     "FAIL  three-ear-published-variant  n=6..6 params=- expected=discrepancy got=none-found"),
+], ids=["agreed", "fan-witness", "published-none-found"])
+def test_failure_reports_name_the_disagreement(capsys, monkeypatch, function, patch, argv, line):
+    monkeypatch.setattr(disjoint, function, patch(getattr(disjoint, function)))
+    assert cli.run(["verify", *argv]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert [x for x in lines if x.startswith("FAIL")] == [line]
+    assert lines[-1].endswith(" 1 fail, 0 erratum")
