@@ -32,7 +32,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from polytri import compositions as comp
 from polytri import counting, disjoint, svgfig, verify
-from polytri.triangulation import Triangulation, listing
+from polytri.triangulation import Triangulation, _check_ears, _check_size, listing
 
 PROG = "polytri"
 
@@ -177,7 +177,7 @@ def _past_bound() -> str:
 def _hurtado_noy(n: int, k: int) -> int:
     """counting.hurtado_noy(n, k), refused up front when too long; a zero
     (k > n/2) prints at any n."""
-    if 2 <= k <= n // 2:
+    if 2 <= k <= counting.max_ears(n):
         _refuse("printed", n)
     return counting.hurtado_noy(n, k)
 
@@ -253,8 +253,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     n, k = args.n, args.ears
     if args.count_only:
         if k is None:
-            if n < 3:
-                raise ValueError(f"polygon needs at least 3 vertices, got n={n}")
+            _check_size(n)
             _refuse("printed", n)
             count = counting.catalan(n - 2)
         else:
@@ -432,8 +431,7 @@ def _sequence_column(what: str) -> tuple[str | None, Callable[[int], int]]:
             k = int(what.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"bad ear count in {what!r}") from None
-        if k < 2:
-            raise ValueError(f"every triangulation has >= 2 ears, got k={k}")
+        _check_ears(k)
         return None, lambda n: _hurtado_noy(n, k)
     if what not in SEQUENCES:
         raise ValueError(

@@ -43,7 +43,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterator, Sequence
 
-from polytri.triangulation import _least_rotation, _shapes
+from polytri.triangulation import _check_ears, _check_size, _least_rotation, _shapes
 
 
 def _exact_quotient(numerator: int, denominator: int, what: str) -> int:
@@ -113,8 +113,7 @@ def hurtado_noy(n: int, k: int) -> int:
     2k-4 > n-4, i.e. for k > n/2.
     """
     top = max_ears(n)  # refuses n < 4 before k is looked at
-    if k < 2:
-        raise ValueError(f"every triangulation has >= 2 ears, got k={k}")
+    _check_ears(k)
     if k > top:
         return 0
     numerator = (n * comb(n - 4, 2 * k - 4) * catalan(k - 2)) << (n - 2 * k)
@@ -195,11 +194,10 @@ def _class_keys(n: int, most: int | None) -> frozenset[bytes]:
     end of the side is a tip: a class with at most `most` ears has a
     parent class with at most `most` ears, and a parent that already has
     `most` is glued only onto its sides with a tip at an end, so no child
-    above the cap is built.  The triangle stays the base; its children
-    have two ears, so a `most` below 2 keeps the 2-eared classes, and the
-    census counts none below 2.  Each child is keyed by `_least_rotation`,
-    the routine behind `canonical()`; a least rotation starts at a 1, an
-    ear tip.  An entry is at most n-2, so bytes hold any n <= 257.
+    above the cap is built.  The triangle stays the base.  Each child is
+    keyed by `_least_rotation`, the routine behind `canonical()`; a least
+    rotation starts at a 1, an ear tip.  An entry is at most n-2, so bytes
+    hold any n <= 257.
     """
     if n == 3:
         return frozenset({bytes((1, 1, 1))})
@@ -218,11 +216,14 @@ def symmetry_classes_orbit(n: int, ears: int | None = None) -> int:
     cap costs one build (its cost: `orbit` row of `cli.DOMAINS`).  An ear
     filter caps the census at `ears`, so only the classes with at most
     that many ears are built, and counts the keys with `ears` ear tips
-    (1-entries); None builds and counts every class.
+    (1-entries); None builds and counts every class.  It refuses an n
+    that is not an int of at least 3 and, with an ear filter, an n below
+    4 or an ear count below 2, each with the words its siblings use.
     """
-    if n < 3:
-        raise ValueError(f"polygon needs at least 3 vertices, got n={n}")
-    if ears is not None and n < 4:
-        raise ValueError("ear filter requires n >= 4")
+    _check_size(n)
+    if ears is not None:
+        if n < 4:
+            raise ValueError("ear filter requires n >= 4")
+        _check_ears(ears)
     keys = _class_keys(n, ears)
     return len(keys) if ears is None else sum(key.count(1) == ears for key in keys)

@@ -67,6 +67,7 @@ from polytri.triangulation import (
     Pair,
     Triple,
     Triangulation,
+    _check_size,
     diagonal,
     enumerate_triangulations,
 )
@@ -162,8 +163,7 @@ def count_avoiding(n: int, forbidden: Iterable[Pair]) -> int:
     prefixes.  For the diagonals of one triangulation, count_disjoint is
     O(n^2) and gives the same number; this DP is its oracle.
     """
-    if n < 3:
-        raise ValueError(f"polygon needs at least 3 vertices, got n={n}")
+    _check_size(n)
     forb = frozenset(diagonal(n, a, b) for a, b in forbidden)
     col: list[list[int]] = [[] for _ in range(n)]
     for i in range(n - 2, -1, -1):
@@ -320,10 +320,13 @@ def three_ear_disjoint(n: int, ptype: Iterable[int]) -> int:
 def three_ear_closed_form(n: int, branches: Iterable[int]) -> int:
     """2 C(n-3) - S(p-1) - S(q-1) - S(r-1), S(k) = catalan_partial_convolution(n, k),
     over branch sizes >= 0: the closed form of the 3-ear case sum, where
-    an empty branch adds the empty sum S(-1) = 0.  Every branch is
-    checked as S checks its k before the one Catalan list is built."""
-    whole = 2 * catalan(n - 3)
+    an empty branch adds the empty sum S(-1) = 0.  A count of branches
+    other than three is refused, and every branch is checked as S checks
+    its k, before the one Catalan list is built."""
     branches = tuple(branches)
+    if len(branches) != 3:
+        raise ValueError(f"a 3-eared triangulation has 3 branches, got {len(branches)}")
+    whole = 2 * catalan(n - 3)
     for x in branches:
         _check_partial(n, x - 1)
     cat = catalan_list(n - 4)

@@ -34,12 +34,23 @@ Pair = tuple[int, int]
 Triple = tuple[int, int, int]
 
 
-def diagonal(n: int, a: int, b: int) -> Pair:
-    """Normalize {a, b} to a pair (a, b) with a < b, validated for the n-gon."""
+def _check_size(n: int) -> None:
+    """Refuse a polygon size n that is not an int of at least 3."""
     if not isinstance(n, int):
         raise ValueError(f"polygon size must be an int, got {n!r}")
     if n < 3:
         raise ValueError(f"polygon needs at least 3 vertices, got n={n}")
+
+
+def _check_ears(k: int) -> None:
+    """Refuse an ear count k below 2, which no triangulation has."""
+    if k < 2:
+        raise ValueError(f"every triangulation has >= 2 ears, got k={k}")
+
+
+def diagonal(n: int, a: int, b: int) -> Pair:
+    """Normalize {a, b} to a pair (a, b) with a < b, validated for the n-gon."""
+    _check_size(n)
     if not (isinstance(a, int) and isinstance(b, int)):
         raise ValueError(f"vertices must be ints, got ({a!r}, {b!r})")
     if not (0 <= a < n and 0 <= b < n):
@@ -66,10 +77,7 @@ def _checked(n: int, diagonals: Iterable[Pair]) -> tuple[Pair, ...]:
     diagonals enclosing the current one; each bucket is then emitted
     ascending, so the result comes out sorted.
     """
-    if not isinstance(n, int):
-        raise ValueError(f"polygon size must be an int, got {n!r}")
-    if n < 3:
-        raise ValueError(f"polygon needs at least 3 vertices, got n={n}")
+    _check_size(n)
     lows: list[int] = []
     highs: list[int] = []
     for pair in diagonals:
@@ -577,8 +585,7 @@ def _shapes(n: int, ears: int | None = None) -> Iterator[tuple[tuple[int, ...], 
     ears (all of them for None), in the order of `_eared_shapes`.  The one
     entry to the enumeration: it checks n and the ear count at the call,
     before any tuple is built."""
-    if n < 3:
-        raise ValueError(f"polygon needs at least 3 vertices, got n={n}")
+    _check_size(n)
     if n > ENUMERATION_CEILING:
         raise ValueError(
             f"enumeration is supported for n <= {ENUMERATION_CEILING}, got n={n}"
@@ -587,9 +594,8 @@ def _shapes(n: int, ears: int | None = None) -> Iterator[tuple[tuple[int, ...], 
         wanted = _ear_count_set(n, -1)
     elif n < 4:
         raise ValueError("ears are undefined for n < 4")
-    elif ears < 2:
-        raise ValueError(f"every triangulation has >= 2 ears, got k={ears}")
     else:
+        _check_ears(ears)
         wanted = {ears}
     return _eared_shapes(tuple(range(n)), -1, wanted)
 

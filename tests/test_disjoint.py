@@ -403,6 +403,18 @@ def test_closed_form_refuses_a_branch_past_the_polygon():
         three_ear_closed_form(8, (1, 7, 0))
 
 
+@pytest.mark.parametrize("branches", [(), (1, 1), (1, 1, 1, 1)], ids=len)
+def test_closed_form_refuses_other_than_three_branches(monkeypatch, branches):
+    # refused before the Catalan list is built
+    def unreached(upto):
+        raise AssertionError("catalan_list called")
+
+    monkeypatch.setattr(disjoint, "catalan_list", unreached)
+    with pytest.raises(ValueError) as info:
+        three_ear_closed_form(6, branches)
+    assert str(info.value) == f"a 3-eared triangulation has 3 branches, got {len(branches)}"
+
+
 @pytest.mark.parametrize("n", [6, 9, 14, 40])
 def test_three_ear_formulas_build_one_catalan_list(monkeypatch, n):
     # the case sum's two runs and the closed form's three partial sums

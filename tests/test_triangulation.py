@@ -43,10 +43,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polytri.compositions import two_eared_from_pointing
-from polytri.disjoint import arrow, snake, three_ear_rep
+from polytri.disjoint import arrow, count_avoiding, snake, three_ear_rep
 import polytri
-from polytri import triangulation
-from polytri.counting import ear_census, hurtado_noy
+from polytri import cli, triangulation
+from polytri.counting import ear_census, hurtado_noy, symmetry_classes_orbit
 from polytri.triangulation import (
     ENUMERATION_CEILING,
     _CODE_BASE,
@@ -122,6 +122,50 @@ def test_an_n_that_is_not_an_int_is_a_named_fault(n):
 def test_small_polygon_refusals(refused, message):
     with pytest.raises(ValueError) as info:
         refused()
+    assert str(info.value) == message
+
+
+# every entry that takes a polygon size; each refuses a bad one with the same words
+SIZE_ENTRIES = {
+    "diagonal": lambda n: diagonal(n, 0, 2),
+    "Triangulation": lambda n: Triangulation(n, ()),
+    "listing": listing,
+    "enumerate_triangulations": enumerate_triangulations,
+    "count_avoiding": lambda n: count_avoiding(n, []),
+    "symmetry_classes_orbit": symmetry_classes_orbit,
+}
+
+
+@pytest.mark.parametrize("entry", SIZE_ENTRIES)
+@pytest.mark.parametrize("n", [2, 5.0, 5.5, "6"])
+def test_every_entry_refuses_a_bad_polygon_size_with_the_same_words(entry, n):
+    message = (f"polygon needs at least 3 vertices, got n={n}" if isinstance(n, int)
+               else f"polygon size must be an int, got {n!r}")
+    with pytest.raises(ValueError) as info:
+        SIZE_ENTRIES[entry](n)
+    assert str(info.value) == message
+    assert is_triangulation(n, ()) is False
+
+
+# every entry that takes an ear count; each refuses one below 2 with the same words
+EAR_ENTRIES = {
+    "listing": lambda k: listing(6, k),
+    "enumerate_triangulations": lambda k: enumerate_triangulations(6, k),
+    "hurtado_noy": lambda k: hurtado_noy(6, k),
+    "symmetry_classes_orbit": lambda k: symmetry_classes_orbit(6, k),
+}
+
+
+@pytest.mark.parametrize("entry", [*EAR_ENTRIES, "polytri sequence"])
+@pytest.mark.parametrize("k", [1, 0, -3])
+def test_every_entry_refuses_fewer_than_two_ears_with_the_same_words(capsys, entry, k):
+    message = f"every triangulation has >= 2 ears, got k={k}"
+    if entry == "polytri sequence":
+        assert cli.run(["sequence", "--what", f"hurtado-noy:{k}", "--n", "6"]) == 1
+        assert capsys.readouterr() == ("", f"{cli.PROG}: error: {message}\n")
+        return
+    with pytest.raises(ValueError) as info:
+        EAR_ENTRIES[entry](k)
     assert str(info.value) == message
 
 
