@@ -514,7 +514,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run only this suite (repeatable)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--timing", action="store_true",
-                   help="report wall time and per-suite and per-check times on stderr")
+                   help="report wall time and per-suite and per-check times on stderr; "
+                   "rows run in worker processes when more than one CPU is usable, "
+                   "and a suite's time is the sum of its rows' times")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("svg",

@@ -43,7 +43,13 @@ from functools import lru_cache
 from math import comb
 from typing import Iterator, Sequence
 
-from polytri.triangulation import _check_ears, _check_size, _least_rotation, _shapes
+from polytri.triangulation import (
+    _check_ears,
+    _check_int,
+    _check_size,
+    _least_rotation,
+    _shapes,
+)
 
 
 def _exact_quotient(numerator: int, denominator: int, what: str) -> int:
@@ -58,6 +64,7 @@ def _exact_quotient(numerator: int, denominator: int, what: str) -> int:
 
 def catalan(k: int) -> int:
     """Catalan number C(k) = binom(2k, k) / (k+1)."""
+    _check_int(k, "k")
     if k < 0:
         raise ValueError(f"Catalan numbers need k >= 0, got {k}")
     return comb(2 * k, k) // (k + 1)
@@ -66,6 +73,7 @@ def catalan(k: int) -> int:
 def catalan_list(upto: int) -> list[int]:
     """[C(0), ..., C(upto)], by the ratio C(k+1) = C(k) 2(2k+1) / (k+2),
     which divides exactly: one product per k instead of one binomial."""
+    _check_int(upto, "upto")
     out = [1] if upto >= 0 else []
     for k in range(upto):
         out.append(out[k] * 2 * (2 * k + 1) // (k + 2))
@@ -100,6 +108,7 @@ def catalan_partial_convolution(n: int, k: int) -> int:
 
 def max_ears(n: int) -> int:
     """Largest possible ear count of an n-gon triangulation: floor(n/2)."""
+    _check_int(n, "polygon size")
     if n < 4:
         raise ValueError(f"ear counts need n >= 4, got {n}")
     return n // 2
@@ -143,6 +152,7 @@ def symmetry_classes_2ear(n: int) -> int:
     2^(n-6) + 2^(floor(n/2)-3) for n >= 5, as half of 2^(n-5) + 2^(floor(n/2)-2).
     At n = 4 it is 3/4; the true class count there is 1 (see the orbit method).
     """
+    _check_int(n, "polygon size")
     if n < 5:
         raise ValueError(f"2-ear class formula requires n >= 5, got {n}")
     twice = (1 << (n - 5)) + (1 << (n // 2 - 2))
@@ -151,6 +161,7 @@ def symmetry_classes_2ear(n: int) -> int:
 
 def symmetry_classes_3ear(n: int) -> int:
     """Closed-form count of symmetry classes of 3-eared triangulations (n >= 6)."""
+    _check_int(n, "polygon size")
     if n < 6:
         raise ValueError(f"3-ear class formula requires n >= 6, got {n}")
     # 48 times the module docstring's formula, term by term

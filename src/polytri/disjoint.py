@@ -67,6 +67,7 @@ from polytri.triangulation import (
     Pair,
     Triple,
     Triangulation,
+    _check_int,
     _check_size,
     diagonal,
     enumerate_triangulations,
@@ -232,6 +233,7 @@ def count_disjoint(t: Triangulation) -> int:
 
 def disjoint_two_eared(n: int) -> int:
     """Disjointness count of any 2-eared triangulation: catalan(n-3)."""
+    _check_int(n, "polygon size")
     if n < 4:
         raise ValueError(f"2-eared triangulations need n >= 4, got {n}")
     return catalan(n - 3)

@@ -34,16 +34,23 @@ Pair = tuple[int, int]
 Triple = tuple[int, int, int]
 
 
+def _check_int(value: int, what: str) -> None:
+    """Refuse a value that is not an int, naming it as `what`."""
+    if not isinstance(value, int):
+        raise ValueError(f"{what} must be an int, got {value!r}")
+
+
 def _check_size(n: int) -> None:
     """Refuse a polygon size n that is not an int of at least 3."""
-    if not isinstance(n, int):
-        raise ValueError(f"polygon size must be an int, got {n!r}")
+    _check_int(n, "polygon size")
     if n < 3:
         raise ValueError(f"polygon needs at least 3 vertices, got n={n}")
 
 
 def _check_ears(k: int) -> None:
-    """Refuse an ear count k below 2, which no triangulation has."""
+    """Refuse an ear count k that is not an int, or is below 2, which no
+    triangulation has."""
+    _check_int(k, "ear count")
     if k < 2:
         raise ValueError(f"every triangulation has >= 2 ears, got k={k}")
 

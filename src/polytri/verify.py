@@ -12,13 +12,19 @@ failed: the published variant of the 3-eared disjointness formula (see
 polytri.disjoint.three_ear_disjoint_published) disagrees with the case
 analysis, witnessed already at n=6.
 
-Suites run one after another on the calling thread, in the order asked
-for, and their lines are reported in that order.
+Every row runs through one routine, `_run_row`.  When more than one CPU
+is usable, `run_suites` hands the rows to forked worker processes, one per
+usable CPU, and puts their results back in table order; otherwise it runs
+them one after another in the calling process.  Either way the suites'
+lines are reported in the order asked for, so the report is the same
+bytes.  A suite's time is the sum of its rows' times.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import threading
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -320,24 +326,27 @@ def _line(row: Row, n: int) -> tuple:
     return None, n, params, expected, got
 
 
+def _run_row(max_n: int | None, index: int) -> tuple[str, float, list[Check]]:
+    """(check id, elapsed seconds, checks) of the row CHECKS[index], run over
+    its window capped by max_n.  Every route runs its rows through this one
+    routine: a worker process, the in-process map and the SUITES entries."""
+    row = CHECKS[index]
+    start = time.perf_counter()
+    top = min(row.ceiling, row.default if max_n is None else max_n)
+    window = range(row.first, top + 1, row.step)
+    lines = row.body(window) if row.scan else [_line(row, n) for n in window]
+    checks = []
+    for status, n, params, expected, got in lines:
+        if status is None:
+            status = "PASS" if expected == got else "FAIL"
+        checks.append(Check(status, row.check_id, str(n), params, str(expected), str(got)))
+    return row.check_id, time.perf_counter() - start, checks
+
+
 def _run_suite(suite: str, max_n: int | None) -> list[tuple[str, float, list[Check]]]:
     """(check id, elapsed seconds, checks) of each of one suite's rows, in
-    table order, each row run over its window capped by max_n."""
-    out = []
-    for row in CHECKS:
-        if row.suite != suite:
-            continue
-        start = time.perf_counter()
-        top = min(row.ceiling, row.default if max_n is None else max_n)
-        window = range(row.first, top + 1, row.step)
-        lines = row.body(window) if row.scan else [_line(row, n) for n in window]
-        checks = []
-        for status, n, params, expected, got in lines:
-            if status is None:
-                status = "PASS" if expected == got else "FAIL"
-            checks.append(Check(status, row.check_id, str(n), params, str(expected), str(got)))
-        out.append((row.check_id, time.perf_counter() - start, checks))
-    return out
+    table order, run one after another in this process."""
+    return [_run_row(max_n, i) for i, row in enumerate(CHECKS) if row.suite == suite]
 
 
 SUITES: dict[str, Callable[[int | None], list[tuple[str, float, list[Check]]]]] = {
@@ -387,9 +396,34 @@ class RunReport:
 
 
 def thread_count() -> int:
-    """Always 1: suites run on the calling thread.  Kept only because the
-    benchmark records this value with every result."""
+    """Always 1: every process that runs rows, the calling one or a worker,
+    runs them on one thread.  Kept only because the benchmark records this
+    value with every result."""
     return 1
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork_context(workers: int):
+    """The multiprocessing fork context if `workers` > 1 processes may be
+    forked here, else None.  Forking needs the fork start method and a
+    process that is not daemonic (a daemonic one may not start children)
+    and runs no other thread (a lock held there would stay held in the
+    child).  multiprocessing is imported here, not at module level, where
+    it would add its import time to every importer of this module."""
+    if workers < 2 or threading.active_count() > 1:
+        return None
+    import multiprocessing
+
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return None
+    return multiprocessing.get_context("fork")
 
 
 def run_suites(
@@ -397,11 +431,16 @@ def run_suites(
 ) -> RunReport:
     """Run the named suites (default: all) and return the buffered report.
 
-    A name given twice runs once, at its first position.  Suites run one
-    after another on the calling thread, in the order given; each is looked
-    up in SUITES when it runs, so a wrapper set there sees the call.  Each
-    suite's elapsed time is recorded in suite_times, and each row's in
-    row_times.
+    A name given twice runs once, at its first position.  The suites' rows,
+    in the order given and in table order within each suite, run through
+    `_run_row`: in forked worker processes, one per usable CPU up to one
+    per row, when more than one CPU is usable and `_fork_context` allows,
+    else one after another in this process.  The results come back in that
+    order, so the report is the same bytes either way; a row that raises
+    raises here, and no worker outlives the call.  Each row's elapsed time,
+    taken where it ran, is recorded in row_times, and each suite's, the sum
+    of its rows' times, in suite_times; with workers, the suite times may
+    add up to more than wall_time.
     """
     names = list(SUITES) if suites is None else list(dict.fromkeys(suites))
     for name in names:
@@ -412,21 +451,25 @@ def run_suites(
     if max_n is not None and max_n < 3:
         raise ValueError(f"max_n must be >= 3, got {max_n}")
     start = time.perf_counter()
-    checks: list[Check] = []
-    suite_times = []
-    row_times = []
-    for name in names:
-        suite_start = time.perf_counter()
-        rows = SUITES[name](max_n)
-        suite_times.append((name, time.perf_counter() - suite_start))
-        for check_id, seconds, row_checks in rows:
-            checks.extend(row_checks)
-            row_times.append((check_id, seconds))
+    indices = [i for name in names for i, row in enumerate(CHECKS) if row.suite == name]
+    run = partial(_run_row, max_n)
+    workers = min(_usable_cpus(), len(indices))
+    context = _fork_context(workers)
+    if context is None:
+        rows = list(map(run, indices))
+    else:
+        with context.Pool(workers) as pool:
+            rows = pool.map(run, indices, chunksize=1)
+            pool.close()
+            pool.join()
+    seconds_of = dict.fromkeys(names, 0.0)
+    for i, (_, seconds, _) in zip(indices, rows):
+        seconds_of[CHECKS[i].suite] += seconds
     return RunReport(
         suites=tuple(names),
         max_n=max_n,
-        checks=tuple(checks),
+        checks=tuple(check for _, _, checks in rows for check in checks),
         wall_time=time.perf_counter() - start,
-        suite_times=tuple(suite_times),
-        row_times=tuple(row_times),
+        suite_times=tuple(seconds_of.items()),
+        row_times=tuple((check_id, seconds) for check_id, seconds, _ in rows),
     )

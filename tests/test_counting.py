@@ -39,7 +39,7 @@ from polytri.counting import (
     symmetry_classes_3ear,
     symmetry_classes_orbit,
 )
-from polytri.disjoint import arrow, snake
+from polytri.disjoint import arrow, disjoint_two_eared, snake
 from polytri.triangulation import _least_rotation, enumerate_triangulations
 
 # frozen prefix, derived from the Segner recurrence (see helpers.py)
@@ -159,6 +159,24 @@ def test_census_rejects():
 def test_orbit_census_refuses_fewer_than_three_vertices():
     with pytest.raises(ValueError, match=r"^polygon needs at least 3 vertices, got n=2$"):
         symmetry_classes_orbit(2)
+
+
+@pytest.mark.parametrize("refused, message", [
+    (lambda: max_ears(6.5), "polygon size must be an int, got 6.5"),
+    (lambda: catalan(4.0), "k must be an int, got 4.0"),
+    (lambda: catalan_list(4.0), "upto must be an int, got 4.0"),
+    (lambda: hurtado_noy(6.0, 2), "polygon size must be an int, got 6.0"),
+    (lambda: ear_census(6.0), "polygon size must be an int, got 6.0"),
+    (lambda: symmetry_classes_2ear(7.0), "polygon size must be an int, got 7.0"),
+    (lambda: symmetry_classes_3ear(7.0), "polygon size must be an int, got 7.0"),
+    (lambda: disjoint_two_eared(7.0), "polygon size must be an int, got 7.0"),
+], ids=["max_ears", "catalan", "catalan_list", "hurtado_noy", "ear_census",
+        "symmetry_classes_2ear", "symmetry_classes_3ear", "disjoint_two_eared"])
+def test_closed_forms_refuse_an_argument_that_is_not_an_int(refused, message):
+    with pytest.raises(ValueError) as info:
+        refused()
+    assert str(info.value) == message
+    assert [catalan(k) for k in (0, 1, 2)] == [1, 1, 2]
 
 
 # -- symmetry class counts ---------------------------------------------------------

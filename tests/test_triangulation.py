@@ -147,7 +147,8 @@ def test_every_entry_refuses_a_bad_polygon_size_with_the_same_words(entry, n):
     assert is_triangulation(n, ()) is False
 
 
-# every entry that takes an ear count; each refuses one below 2 with the same words
+# every entry that takes an ear count; each refuses one below 2, or one that
+# is not an int, with the same words
 EAR_ENTRIES = {
     "listing": lambda k: listing(6, k),
     "enumerate_triangulations": lambda k: enumerate_triangulations(6, k),
@@ -157,10 +158,13 @@ EAR_ENTRIES = {
 
 
 @pytest.mark.parametrize("entry", [*EAR_ENTRIES, "polytri sequence"])
-@pytest.mark.parametrize("k", [1, 0, -3])
+@pytest.mark.parametrize("k", [1, 0, -3, 2.0, 2.5])
 def test_every_entry_refuses_fewer_than_two_ears_with_the_same_words(capsys, entry, k):
-    message = f"every triangulation has >= 2 ears, got k={k}"
+    message = (f"every triangulation has >= 2 ears, got k={k}" if isinstance(k, int)
+               else f"ear count must be an int, got {k!r}")
     if entry == "polytri sequence":
+        if not isinstance(k, int):  # the command parses k before any entry sees it
+            message = f"bad ear count in 'hurtado-noy:{k}'"
         assert cli.run(["sequence", "--what", f"hurtado-noy:{k}", "--n", "6"]) == 1
         assert capsys.readouterr() == ("", f"{cli.PROG}: error: {message}\n")
         return

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 import re
-import threading
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,33 +90,119 @@ def test_exit_code_two_on_any_fail():
 
 
 def test_results_identical_on_a_warm_cache_rerun():
-    # the second run finds the counting caches filled by the first
     first = run_suites(max_n=7).render_text()
     assert run_suites(max_n=7).render_text() == first
 
 
-def test_suites_run_on_the_calling_thread_through_the_registry(monkeypatch):
-    plain = run_suites(["core", "parallel"], max_n=6)
-    calls = []
-    suite = verify.SUITES["parallel"]
-
-    def wrapper(max_n):
-        calls.append((threading.get_ident(), max_n))
-        return suite(max_n)
-
-    # replaced as a tracer would, after the module was imported
-    monkeypatch.setitem(verify.SUITES, "parallel", wrapper)
+def test_registry_entries_return_the_checks_run_suites_reports():
     report = run_suites(["core", "parallel"], max_n=6)
-    assert calls == [(threading.get_ident(), 6)]
-    assert report.render_text() == plain.render_text()
+    suite_of = {row.check_id: row.suite for row in verify.CHECKS}
+    # each entry, called directly, runs its rows in this process
+    direct = {name: verify.SUITES[name](6) for name in report.suites}
+    for name, rows in direct.items():
+        assert [c for _, _, checks in rows for c in checks] == [
+            c for c in report.checks if suite_of[c.check_id] == name]
+    from_registry = tuple(c for rows in direct.values() for _, _, checks in rows for c in checks)
+    assert RunReport(report.suites, 6, from_registry, 0.0).render_text() == report.render_text()
     assert [name for name, _ in report.suite_times] == list(report.suites) == ["core", "parallel"]
-    assert sum(seconds for _, seconds in report.suite_times) <= report.wall_time
-    # the wrapped suite still times its rows, in table order
     assert [check_id for check_id, _ in report.row_times] == [
         row.check_id for row in verify.CHECKS if row.suite in ("core", "parallel")
     ]
-    assert sum(seconds for _, seconds in report.row_times) <= report.wall_time
+    # a suite's time is the sum of its rows' times, wherever they ran
+    for name, seconds in report.suite_times:
+        assert seconds == sum(t for check_id, t in report.row_times if suite_of[check_id] == name)
     assert verify.thread_count() == 1
+
+
+# -- in this process and in worker processes ------------------------------------------
+
+
+def _run_with_cpus(monkeypatch, cpus, *args, **kwargs):
+    """run_suites as if `cpus` CPUs were usable: 1 runs the rows in this
+    process, 2 in forked workers where the platform allows."""
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
+    return run_suites(*args, **kwargs)
+
+
+@pytest.mark.parametrize("suites, max_n, render", [
+    (None, 6, RunReport.render_text),
+    (None, 8, RunReport.render_text),
+    (["compositions"], 16, RunReport.render_text),
+    (None, 8, RunReport.render_json),
+], ids=["max-n-6", "max-n-8", "compositions-16", "max-n-8-json"])
+def test_workers_report_the_same_bytes_as_this_process(monkeypatch, suites, max_n, render):
+    alone = _run_with_cpus(monkeypatch, 1, suites, max_n)
+    pooled = _run_with_cpus(monkeypatch, 2, suites, max_n)
+    assert render(pooled) == render(alone)
+    assert [c for c, _ in pooled.row_times] == [c for c, _ in alone.row_times]
+    assert multiprocessing.active_children() == []
+
+
+def _pid(n):
+    return os.getpid(), os.getpid()
+
+
+def _pid_rows():
+    """Two rows whose lines report the pid of the process that ran them."""
+    return tuple(verify.Row("core", f"pid-{i}", 4, 4, 4, 1, "-", _pid) for i in range(2))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_rows_leave_this_process_only_when_more_than_one_cpu_is_usable(monkeypatch, cpus):
+    monkeypatch.setattr(verify, "CHECKS", _pid_rows())
+    report = _run_with_cpus(monkeypatch, cpus, ["core"])
+    pids = {int(c.got) for c in report.checks}
+    assert (pids == {os.getpid()}) == (cpus == 1)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_row_that_raises_reaches_the_caller_unchanged(monkeypatch, cpus):
+    def boom(n):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(verify, "CHECKS", tuple(
+        row._replace(body=boom) if row.check_id == "parallel-two-residues" else row
+        for row in verify.CHECKS))
+    with pytest.raises(ValueError) as info:
+        _run_with_cpus(monkeypatch, cpus, ["core", "parallel"], max_n=6)
+    assert type(info.value) is ValueError and str(info.value) == "boom"
+    assert multiprocessing.active_children() == []
+
+
+def _child(script: str) -> subprocess.CompletedProcess:
+    """A fresh Python process running script with the package under test."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(verify.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+
+
+def test_text_buffered_before_the_workers_start_is_written_once():
+    proc = _child(
+        "from polytri import verify\n"
+        "verify._usable_cpus = lambda: 2\n"
+        "print('buffered', end='')\n"
+        "verify.run_suites(max_n=5)\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "buffered", "")
+
+
+@pytest.mark.parametrize("setup", [
+    "verify._usable_cpus = lambda: 1",
+    "verify._usable_cpus = lambda: 2\n"
+    "import multiprocessing\n"
+    "multiprocessing.get_all_start_methods = lambda: ['spawn']",
+], ids=["one-cpu", "no-fork"])
+def test_no_pool_is_imported_without_two_cpus_and_fork(setup):
+    proc = _child(
+        "import sys\n"
+        "from polytri import verify\n"
+        f"{setup}\n"
+        "verify.run_suites(max_n=5)\n"
+        "assert 'multiprocessing.pool' not in sys.modules\n")
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_json_rendering_round_trips():
