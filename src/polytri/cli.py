@@ -3,10 +3,12 @@ identity verification, sequence emission and SVG figures.
 
 Exit codes: 0 success, 1 usage or domain error, 2 verification failure
 (a FAIL line from `verify`, or a cross-check mismatch under `--method
-both`).  A failed write to stdout exits 1: with no message when the
-reader closed early (a broken pipe), with one `cannot write output`
-line for any other fault, such as a full device; help text is output
-like any other.  A failed write to stderr exits 1 too, after every
+both`), 130 on Ctrl-C (SIGINT), with no traceback (see `main`).  A
+verify worker that dies, killed or crashed, exits 1 with one line.  A
+failed write to stdout exits 1: with no message when the reader closed
+early (a broken pipe), with one `cannot write output` line for any
+other fault, such as a full device; help text is output like any
+other.  A failed write to stderr exits 1 too, after every
 byte written to stdout before it is flushed (see `run`).  Stdout is
 byte-deterministic for identical invocations; the optional --timing
 lines go to stderr.  The range commands, `symmetry` and `sequence`,
@@ -572,14 +574,16 @@ def run(argv: list[str] | None = None) -> int:
     the bytes left in its buffer go there and the interpreter's final
     flush cannot fail; a stream with no descriptor (a StringIO) is left
     as it is.  No command raises any other OSError: `svg --out` turns
-    its own into a refusal."""
+    its own into a refusal.  A KeyboardInterrupt goes through, so Ctrl-C
+    still stops a caller such as a test run; `main`, the process entry of
+    both `polytri` and `python -m polytri`, turns it into exit 130."""
     try:
         try:
             args = _parse_args(sys.argv[1:] if argv is None else argv)
             code = args.func(args)
         except SystemExit as exc:
             code = exc.code
-        except (ValueError, ArithmeticError) as exc:
+        except (ValueError, ArithmeticError, verify.WorkerDied) as exc:
             print(f"{PROG}: error: {exc}", file=sys.stderr)
             code = 1
         sys.stdout.flush()
@@ -611,4 +615,9 @@ def _drop(stream) -> None:
 
 
 def main() -> None:
-    sys.exit(run())
+    """Run the command of sys.argv and exit with its code, or with 130 and
+    no traceback on Ctrl-C."""
+    try:
+        sys.exit(run())
+    except KeyboardInterrupt:
+        sys.exit(130)

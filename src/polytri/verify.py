@@ -17,7 +17,9 @@ is usable, `run_suites` hands the rows to forked worker processes, one per
 usable CPU, and puts their results back in table order; otherwise it runs
 them one after another in the calling process.  Either way the suites'
 lines are reported in the order asked for, so the report is the same
-bytes.  A suite's time is the sum of its rows' times.
+bytes.  A suite's time is the sum of its rows' times.  A worker that dies,
+killed or crashed, ends the run with `WorkerDied`, and no worker outlives
+the call.
 """
 
 from __future__ import annotations
@@ -402,6 +404,10 @@ def thread_count() -> int:
     return 1
 
 
+class WorkerDied(RuntimeError):
+    """A worker process ended, killed or crashed, before it returned its rows."""
+
+
 def _usable_cpus() -> int:
     """The number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -436,8 +442,11 @@ def run_suites(
     `_run_row`: in forked worker processes, one per usable CPU up to one
     per row, when more than one CPU is usable and `_fork_context` allows,
     else one after another in this process.  The results come back in that
-    order, so the report is the same bytes either way; a row that raises
-    raises here, and no worker outlives the call.  Each row's elapsed time,
+    order, so the report is the same bytes either way.  A row that raises
+    raises here; a worker that dies raises `WorkerDied`; either way no
+    worker outlives the call.  While workers run, SIGINT is blocked in this
+    process and in them, so Ctrl-C takes effect here once their rows are
+    back, and never inside the executor.  Each row's elapsed time,
     taken where it ran, is recorded in row_times, and each suite's, the sum
     of its rows' times, in suite_times; with workers, the suite times may
     add up to more than wall_time.
@@ -458,10 +467,20 @@ def run_suites(
     if context is None:
         rows = list(map(run, indices))
     else:
-        with context.Pool(workers) as pool:
-            rows = pool.map(run, indices, chunksize=1)
-            pool.close()
-            pool.join()
+        import signal
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+
+        # A KeyboardInterrupt raised while the executor starts its workers
+        # can leave one that is never joined, so SIGINT waits until the rows
+        # are back.  The workers, forked with it blocked, keep it blocked.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                rows = list(pool.map(run, indices))
+        except BrokenExecutor:
+            raise WorkerDied("a verify worker died") from None
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
     seconds_of = dict.fromkeys(names, 0.0)
     for i, (_, seconds, _) in zip(indices, rows):
         seconds_of[CHECKS[i].suite] += seconds

@@ -1390,6 +1390,25 @@ def test_run_returns_the_parsers_exit_code(argv, code):
     assert (out.getvalue(), err.getvalue()) == (parser_out.getvalue(), parser_err.getvalue())
 
 
+def test_main_turns_ctrl_c_into_exit_130_and_run_lets_it_through(monkeypatch):
+    def interrupted(n):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli.SEQUENCES, "catalan", interrupted)
+    monkeypatch.setattr(sys, "argv", ["polytri", "sequence", "--what", "catalan", "--n", "5"])
+    with pytest.raises(KeyboardInterrupt):
+        cli.run()
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 130
+
+
+def test_the_polytri_script_runs_what_python_m_polytri_runs():
+    root = Path(__file__).parent.parent
+    assert 'polytri = "polytri.cli:main"' in (root / "pyproject.toml").read_text().splitlines()
+    assert "from polytri.cli import main" in (root / "src/polytri/__main__.py").read_text()
+
+
 def run_captured(argv):
     """(exit code, stdout, stderr) of one in-process run."""
     out, err = io.StringIO(), io.StringIO()

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -31,3 +33,14 @@ def test_sources_found():
 def test_imports_are_stdlib_or_polytri(path):
     outside = imported_top_levels(path) - set(sys.stdlib_module_names) - {"polytri"}
     assert not outside, f"{path.name} imports {sorted(outside)}"
+
+
+def test_the_cli_and_verify_leave_process_pools_unimported():
+    """Verify imports its worker pool only when it forks workers, so every
+    other command starts without it."""
+    src = Path(__file__).parent.parent / "src"
+    script = ("import sys, polytri.cli, polytri.verify\n"
+              "assert not {'concurrent.futures', 'multiprocessing'} & sys.modules.keys()\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")

@@ -6,8 +6,10 @@ import json
 import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -189,20 +191,62 @@ def test_text_buffered_before_the_workers_start_is_written_once():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "buffered", "")
 
 
-@pytest.mark.parametrize("setup", [
-    "verify._usable_cpus = lambda: 1",
-    "verify._usable_cpus = lambda: 2\n"
-    "import multiprocessing\n"
-    "multiprocessing.get_all_start_methods = lambda: ['spawn']",
+@pytest.mark.parametrize("setup, absent", [
+    ("verify._usable_cpus = lambda: 1", {"concurrent.futures.process", "multiprocessing"}),
+    # the check for fork imports multiprocessing, and so does the patch
+    ("verify._usable_cpus = lambda: 2\n"
+     "import multiprocessing\n"
+     "multiprocessing.get_all_start_methods = lambda: ['spawn']",
+     {"concurrent.futures.process"}),
 ], ids=["one-cpu", "no-fork"])
-def test_no_pool_is_imported_without_two_cpus_and_fork(setup):
+def test_no_pool_is_imported_without_two_cpus_and_fork(setup, absent):
     proc = _child(
         "import sys\n"
         "from polytri import verify\n"
         f"{setup}\n"
         "verify.run_suites(max_n=5)\n"
-        "assert 'multiprocessing.pool' not in sys.modules\n")
+        f"assert not {sorted(absent)} & sys.modules.keys()\n")
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def _die_in_a_worker(n, parent=os.getpid()):
+    if os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return 0, 0
+
+
+def test_a_worker_that_dies_ends_the_call_with_a_named_error(monkeypatch):
+    monkeypatch.setattr(verify, "CHECKS", tuple(
+        verify.Row("core", f"die-{i}", 4, 4, 4, 1, "-", _die_in_a_worker) for i in range(2)))
+    with pytest.raises(verify.WorkerDied, match="^a verify worker died$"):
+        _run_with_cpus(monkeypatch, 2, ["core"])
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_ends_verify_with_exit_1_and_one_line():
+    proc = _child(
+        "import os, signal, sys\n"
+        "from polytri import cli, verify\n"
+        "def die(n, parent=os.getpid()):\n"
+        "    if os.getpid() != parent:\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    return 0, 0\n"
+        "verify.CHECKS = (verify.Row('core', 'die', 4, 4, 4, 1, '-', die),) * 2\n"
+        "verify._usable_cpus = lambda: 2\n"
+        "sys.exit(cli.run(['verify']))\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "polytri: error: a verify worker died\n")
+
+
+def test_a_second_call_still_runs_its_rows_in_workers(monkeypatch):
+    """The executor's own threads are joined when a call returns, so the
+    next call still finds this process free to fork."""
+    monkeypatch.setattr(verify, "CHECKS", _pid_rows())
+    for _ in range(2):
+        report = _run_with_cpus(monkeypatch, 2, ["core"])
+        assert os.getpid() not in {int(c.got) for c in report.checks}
+        assert threading.active_count() == 1
+    assert multiprocessing.active_children() == []
 
 
 def test_json_rendering_round_trips():
