@@ -413,12 +413,34 @@ def cmd_svg(args: argparse.Namespace) -> int:
 
 # -- sequence -------------------------------------------------------------------
 
-# name -> count at n; `symmetry --method closed` reads sym2 and sym3 here too
+
+def _stepped(count: Callable[[int], int], step: Callable[[int, int], int]) -> Callable[[int], int]:
+    """count, except that the value at n comes from the one at n-1 by
+    step(n, value) when n-1 is the last n counted, so a range is one ratio
+    run from its first n that count accepts.  The last value is kept, and
+    it is exact, as each step checks its division; a run a later call
+    continues stays exact.  An n that is not an int goes to count, which
+    refuses it."""
+    last: list = [None, None]  # the last n counted, and its value
+
+    def at(n: int) -> int:
+        value = step(n, last[1]) if isinstance(n, int) and n - 1 == last[0] else count(n)
+        last[:] = n, value
+        return value
+
+    return at
+
+
+# name -> count at n; `symmetry --method closed` reads sym2 and sym3 here too.
+# catalan and disj2 step by the Catalan ratio over a range: `--n 1..7150`
+# takes 0.8 s instead of 12 s with a binomial per n (fresh processes, 2-core
+# x86-64, Python 3.11), and the per-n counts stay the oracles of the steps
 SEQUENCES: dict[str, Callable[[int], int]] = {
-    "catalan": counting.catalan,
+    "catalan": _stepped(counting.catalan, counting.catalan_step),
     "sym2": counting.symmetry_classes_2ear,
     "sym3": counting.symmetry_classes_3ear,
-    "disj2": disjoint.disjoint_two_eared,
+    "disj2": _stepped(disjoint.disjoint_two_eared,
+                      lambda n, before: counting.catalan_step(n - 3, before)),
     "classes-compositions": lambda m: comp.count_classes(m, "closed"),
 }
 

@@ -70,6 +70,13 @@ def catalan(k: int) -> int:
     return comb(2 * k, k) // (k + 1)
 
 
+def catalan_step(k: int, before: int) -> int:
+    """C(k) from before = C(k-1), for k >= 1, by the ratio
+    C(k) = C(k-1) 2(2k-1) / (k+1), checked exact: one product and one
+    division by a small int instead of a binomial."""
+    return _exact_quotient(before * (4 * k - 2), k + 1, f"C({k}) by the ratio")
+
+
 def catalan_list(upto: int) -> list[int]:
     """[C(0), ..., C(upto)], by the ratio C(k+1) = C(k) 2(2k+1) / (k+2),
     which divides exactly: one product per k instead of one binomial."""

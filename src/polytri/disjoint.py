@@ -58,7 +58,7 @@ Identities implemented and cross-checked by the verify suites:
 from __future__ import annotations
 
 from math import prod
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable
 
 from polytri.compositions import enumerate_compositions
@@ -191,7 +191,9 @@ def count_disjoint(t: Triangulation) -> int:
     the sum is a bottom-up "tree knapsack" over that tree, walked through
     t.triangles() without building a DualTree.  A triangle (i, j, k),
     i < j < k, sits over the arc (i, k); taken in (-i, k) order it comes
-    after the triangles over its child arcs (i, j) and (j, k).
+    after the triangles over its child arcs (i, j) and (j, k).  The
+    triangles come sorted, so each vertex's group is already ascending in
+    k, and a stable sort by i alone, descending, gives that order.
     ``below[arc][s-1]`` is the signed weight of everything under the arc
     when the cell holding the arc's triangle, still open, has s triangles.
     A child arc that is a side adds nothing.  Over a diagonal the child's
@@ -207,7 +209,7 @@ def count_disjoint(t: Triangulation) -> int:
     n = t.n
     cat = catalan_list(n - 2)[1:]  # cat[s-1] = C(s)
     below: dict[Pair, list[int]] = {}
-    for i, j, k in sorted(t.triangles(), key=lambda tri: (-tri[0], tri[2])):
+    for i, j, k in sorted(t.triangles(), key=itemgetter(0), reverse=True):
         f = [1]  # the triangle alone: one open cell of size 1
         for child in ((i, j), (j, k)):
             if child[1] - child[0] < 2:

@@ -24,6 +24,8 @@ Orbits of this action are called symmetry classes.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -173,6 +175,12 @@ def _canonical_diagonals(n: int, diags: Iterable[Pair]) -> tuple[Pair, ...]:
     lists hold different keys, so the least key is taken over both.
     Several images tie on the whole sequence only when the triangulation
     is symmetric.
+
+    Each key is the vertex's own offset list, sorted in place, with the
+    marker appended: no copy is made.  Read from the stored, sorted
+    diagonals, a vertex's offsets arrive as two runs, to its lower and
+    then its upper neighbours, each ascending (forward) or descending
+    (backward), so each sort has only two runs to merge.
     """
     fwd: list[list[int]] = [[] for _ in range(n)]
     bwd: list[list[int]] = [[] for _ in range(n)]
@@ -182,11 +190,12 @@ def _canonical_diagonals(n: int, diags: Iterable[Pair]) -> tuple[Pair, ...]:
         fwd[b].append(n - d)
         bwd[a].append(n - d)
         bwd[b].append(d)
-    fwd_keys = [tuple(sorted(offs)) + (n,) for offs in fwd]
-    bwd_keys = [tuple(sorted(offs)) + (n,) for offs in bwd]
-    # the image (u0, -1) reads bwd_keys[u0], bwd_keys[u0-1], ...: the
-    # rotation of the reversed list that starts at n-1-u0
-    keys = _least_rotation(fwd_keys, bwd_keys[::-1], min(min(fwd_keys), min(bwd_keys)))
+    for key in chain(fwd, bwd):
+        key.sort()
+        key.append(n)
+    # the image (u0, -1) reads bwd[u0], bwd[u0-1], ...: the rotation of
+    # the reversed list that starts at n-1-u0
+    keys = _least_rotation(fwd, bwd[::-1], min(min(fwd), min(bwd)))
     return tuple((v, v + d) for v, key in enumerate(keys) for d in key if d < n - v)
 
 
@@ -399,11 +408,22 @@ class DualTree:
     def degree(self, node: Triple) -> int:
         return len(self.adjacency[node])
 
+    @cached_property
+    def _degrees(self) -> Counter[Triple]:
+        return Counter(chain.from_iterable(self.edges))
+
     def leaves(self) -> tuple[Triple, ...]:
-        return tuple(t for t in self.nodes if self.degree(t) == 1)
+        """The nodes of degree 1 (the ears), in node order.  The degrees
+        come from one count over the edges, shared with `branch_nodes`;
+        no adjacency is built."""
+        degrees = self._degrees
+        return tuple(t for t in self.nodes if degrees[t] == 1)
 
     def branch_nodes(self) -> tuple[Triple, ...]:
-        return tuple(t for t in self.nodes if self.degree(t) == 3)
+        """The nodes of degree 3 (the internal triangles), in node order,
+        from the same count as `leaves`."""
+        degrees = self._degrees
+        return tuple(t for t in self.nodes if degrees[t] == 3)
 
 
 @dataclass(frozen=True, order=True)
@@ -454,8 +474,15 @@ class Triangulation:
             diags.append((lo, hi))
         return cls(n, tuple(diags))
 
-    def __str__(self) -> str:
+    @cached_property
+    def _text(self) -> str:
         return f"{self.n}:" + ",".join(map("%d-%d".__mod__, self.diagonals))
+
+    def __str__(self) -> str:
+        """The 'n:a-b,c-d,...' text form that `parse` reads.  Computed
+        once per object and cached, so the SVG figure's title and the
+        caller share one string."""
+        return self._text
 
     # -- basic structure ---------------------------------------------------
 
@@ -470,26 +497,28 @@ class Triangulation:
 
     @cached_property
     def _triangles(self) -> tuple[Triple, ...]:
-        n = self.n
-        # above[i]: the neighbours of i above i; the diagonals are stored
-        # sorted and n-1 is the largest, so every list comes out ascending
-        above = [[i + 1] for i in range(n - 1)]
-        for a, b in self.diagonals:
-            above[a].append(b)
-        above[0].append(n - 1)
-        return tuple(
-            (i, j, k) for i, nbrs in enumerate(above) for j, k in zip(nbrs, nbrs[1:])
-        )
+        diags = self.diagonals
+        zero = bisect_left(diags, (1, 0))  # the diagonals at vertex 0
+        tris = []
+        group = j = -1
+        for a, b in chain(diags[:zero], ((0, self.n - 1),), diags[zero:]):
+            if a != group:  # a's first arc
+                group, j = a, a + 1
+            tris.append((a, j, b))
+            j = b
+        return tuple(tris)
 
     def triangles(self) -> tuple[Triple, ...]:
         """The n-2 triangles as sorted vertex triples, in sorted order.
 
-        The triangles whose least vertex is i are i with each consecutive
-        pair of i's neighbours above i, taken in ascending order (the sides
-        to i+1 and, for i = 0, to n-1 count as neighbours).  Emitted for i
-        ascending they are already sorted.  O(n), computed once per object
-        and cached, since internal triangles and the dual tree both start
-        from it.
+        A triangle (i, j, k), i < j < k, sits over the arc (i, k): a
+        diagonal, or the root side (0, n-1).  Each arc (a, b) closes the
+        triangle (a, j, b), where j is a's previous upper neighbour, or
+        a+1 for a's first arc.  The stored diagonals are sorted, so with
+        the root arc placed after vertex 0's diagonals the triangles come
+        out sorted, in one pass with no sort.  O(n), computed once per
+        object and cached, since internal triangles and the dual tree both
+        start from it.
         """
         return self._triangles
 
@@ -508,14 +537,23 @@ class Triangulation:
 
     @cached_property
     def _ears(self) -> tuple[Triple, ...]:
-        n = self.n
-        return tuple(sorted(tuple(sorted(((v - 1) % n, v, (v + 1) % n))) for v in self.ear_tips()))
+        n, tips = self.n, self.ear_tips()
+        first, last = tips[0] == 0, tips[-1] == n - 1  # never both: tips are not adjacent
+        ears = [(v - 1, v, v + 1) for v in tips[first:len(tips) - last]]
+        if first:
+            ears.insert(0, (0, 1, n - 1))
+        if last:
+            ears.insert(tips[0] == 1, (0, n - 2, n - 1))
+        return tuple(ears)
 
     def ears(self) -> tuple[Triple, ...]:
         """Triangles sharing exactly two sides with the polygon (n >= 4),
-        sorted: the triangle (v-1, v, v+1) at each ear tip v.  Computed
-        once per object and cached, as the SVG figure reads them again;
-        n < 4 raises on every call."""
+        sorted: the triangle at each ear tip v, (v-1, v, v+1) mod n sorted.
+        The tips come ascending, so the triangles do too, except those
+        that wrap: tip 0 gives (0, 1, n-1), which goes first, and tip n-1
+        gives (0, n-2, n-1), which goes after tip 1's (0, 1, 2) if there
+        is one.  Computed once per object and cached, as the SVG figure
+        reads them again; n < 4 raises on every call."""
         return self._ears
 
     def internal_triangles(self) -> tuple[Triple, ...]:
@@ -533,22 +571,31 @@ class Triangulation:
         return len(self.ear_tips())
 
     def dual_tree(self) -> DualTree:
-        """The triangle (i, j, k), i < j < k, sits over the arc (i, k) and
-        is joined to the triangles over its child arcs (i, j) and (j, k)
-        that are diagonals.  The one over (i, j) is (i, m, j) with m < j,
-        so it sorts before (i, j, k); the one over (j, k) sorts after."""
+        """The dual tree, its edges sorted, each a sorted pair.
+
+        The triangle (i, j, k), i < j < k, sits over the arc (i, k) and is
+        joined to the triangles over its child arcs (i, j) and (j, k) that
+        are diagonals.  The one over (i, j) is the triangle before it in
+        i's group (see `triangles`), so each triangle that is not the last
+        of its group is joined to the next one, its parent.  The one over
+        (j, k) is the last of j's group, as k is j's largest upper
+        neighbour (a larger one would cross (i, k)).  Taken for each
+        triangle in sorted order, the edge to the next triangle of its
+        group, (i, k, l), sorts before the one to (j, m, k), so the edges
+        come out sorted, with no sort.
+        """
         if self.n < 4:
             raise ValueError("dual tree requires n >= 4")
         tris = self.triangles()
-        over = {(t[0], t[2]): t for t in tris}
+        last = {t[0]: t for t in tris}  # each vertex's last triangle
         edges = []
-        for t in tris:
+        for t, after in zip(tris, (*tris[1:], (-1,))):
             i, j, k = t
-            if j - i > 1:
-                edges.append((over[i, j], t))
+            if after[0] == i:
+                edges.append((t, after))
             if k - j > 1:
-                edges.append((t, over[j, k]))
-        return DualTree(nodes=tris, edges=tuple(sorted(edges)))
+                edges.append((t, last[j]))
+        return DualTree(nodes=tris, edges=tuple(edges))
 
     # -- dihedral action ---------------------------------------------------
 

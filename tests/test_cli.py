@@ -886,6 +886,37 @@ def test_sequence_catalan(capsys):
     assert capsys.readouterr().out == "1\n1\n2\n5\n14\n42\n132\n"
 
 
+@pytest.mark.parametrize("what, per_n, ns", [
+    ("catalan", catalan, "0..400"),
+    ("catalan", catalan, "7100..7150"),
+    ("disj2", disjoint.disjoint_two_eared, "4..400"),
+    ("disj2", disjoint.disjoint_two_eared, "7100..7150"),
+])
+def test_sequence_ratio_ranges_match_the_per_n_counts(capsys, what, per_n, ns):
+    assert invoke(["sequence", "--what", what, "--n", ns]) == 0
+    expected = "".join(f"{per_n(n)}\n" for n in cli.parse_range(ns))
+    assert capsys.readouterr().out == expected
+
+
+def test_stepped_count_steps_from_the_last_n_and_counts_after_a_gap_or_refusal():
+    # 9.0 follows 8 but is no int, so count sees it and refuses it
+    counted = []
+
+    def count(n):
+        counted.append(n)
+        if n < 4:
+            raise ValueError(f"no count at n={n}")
+        return catalan(n - 3)
+
+    at = cli._stepped(count, lambda n, before: counting.catalan_step(n - 3, before))
+    values = {}
+    for n in [*range(1, 41), *range(45, 60), 7, 8, 9.0]:
+        with contextlib.suppress(ValueError):
+            values[n] = at(n)
+    assert counted == [1, 2, 3, 4, 45, 7, 9.0]
+    assert values == {n: catalan(n - 3) for n in values}
+
+
 def test_sequence_hurtado_noy_with_k(capsys):
     assert invoke(["sequence", "--what", "hurtado-noy:2", "--n", "4..8"]) == 0
     assert capsys.readouterr().out == "2\n5\n12\n28\n64\n"

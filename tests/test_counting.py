@@ -31,6 +31,7 @@ from polytri.counting import (
     _glue_ears,
     catalan,
     catalan_list,
+    catalan_step,
     catalan_partial_convolution,
     ear_census,
     hurtado_noy,
@@ -49,6 +50,13 @@ CATALAN_PREFIX = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012
 def test_catalan_list_matches_binomial_form():
     assert catalan_list(-1) == []
     assert catalan_list(1500) == [catalan(k) for k in range(1501)]
+
+
+def test_catalan_step_matches_catalan_and_refuses_an_inexact_ratio():
+    for k in [*range(1, 401), 5000, 7150, 20000]:
+        assert catalan_step(k, catalan(k - 1)) == catalan(k)
+    with pytest.raises(ArithmeticError, match=r"C\(3\) by the ratio is not an integer"):
+        catalan_step(3, 1)  # 1 * 10 / 4
 
 
 def test_catalan_against_recurrence():

@@ -4,6 +4,7 @@ dihedral action, text format."""
 from __future__ import annotations
 
 import gc
+import hashlib
 import os
 import random
 import re
@@ -47,6 +48,7 @@ from polytri.disjoint import arrow, count_avoiding, snake, three_ear_rep
 import polytri
 from polytri import cli, triangulation
 from polytri.counting import ear_census, hurtado_noy, symmetry_classes_orbit
+from polytri.svgfig import render_svg
 from polytri.triangulation import (
     ENUMERATION_CEILING,
     _CODE_BASE,
@@ -596,6 +598,16 @@ def test_ears_and_tips_match_side_count_on_every_image(shape, n):
         assert_ears_match_side_count(t)
 
 
+@pytest.mark.parametrize("n", [40, 101])
+@pytest.mark.parametrize("shape", [arrow, snake, lambda n: three_ear_rep(n, (5, 11, n - 19))])
+def test_triangles_and_dual_tree_match_oracles_on_every_image(shape, n):
+    # the images move the root triangle, which follows vertex 0's group,
+    # and the ear tips 0 and n-1, which wrap, through every offset
+    for t in shape(n).dihedral_images():
+        assert t.triangles() == triangles_by_apex_scan(t)
+        assert t.dual_tree().edges == dual_tree_edges_by_shared_diagonal(t)
+
+
 @pytest.mark.parametrize("shape", [arrow, snake])
 def test_ears_match_boundary_sides_on_deep_triangulations(shape):
     # the fan at 1 has the ear (0, 1, n-1) on the closing side (0, n-1)
@@ -836,6 +848,40 @@ def test_parse_format_round_trip():
     for n in range(3, 9):
         for t in all_triangulations(n):
             assert Triangulation.parse(str(t)) == t
+
+
+def test_text_is_built_once_and_shared_with_the_figure():
+    t = Triangulation.parse("6:0-4,0-2,2-4")
+    text = str(t)
+    assert text == "6:0-2,0-4,2-4"
+    assert str(t) is text
+    assert f"  <title>{text}</title>\n" in render_svg(t)
+    assert str(t) is text  # the figure read the same cached string
+
+
+# sha256 of render_svg(t, "both"), str(t.canonical()) and
+# repr(t.dual_tree().edges), written by the routines that built each
+# vertex's neighbours in a list and sorted the triangles, ears and edges
+OBJECT_MODEL_SHA256 = {
+    "arrow": ("5298bb0cfdebda0f3430941b326fe953997daa40f352151a57efd7a7d60c9ed6",
+              "84a0c620997b31494913df60bd30541d8c4764e1c594aa69326e497fc9c0e570",
+              "5d978037fd4b3149aee382e5ae0d3f8e651a850d5e7e048b51838ee9f5ff17a4"),
+    "snake": ("6201b0b460883470eb1f350c0070212c22e6c18bb1976b74302436a2a5969dcd",
+              "24f9a4cb6556f80fd7b4e0bf2fdbc764a4a689d178be5f5e76e0d809073b2417",
+              "4d4e3a08bdc4ebdf6618af13e5c9bd766e08d7f460d0dbe2cd90362db2655ffa"),
+    "three-ear": ("87aedd1338295d0d7b3efeaa4c75fda5ad4835f3ad3718bb07ba23dc5c19516b",
+                  "332ca3da061d0f09c8bb0722ed6c18f65db1e120b2b8e4f2a933c84c6f0551c0",
+                  "590acfb4e35b66c0ef4cc85f501ce061828eef8d2f3eb90eb35853f39a9c9a27"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OBJECT_MODEL_SHA256))
+def test_figure_canonical_text_and_dual_tree_are_pinned_at_n_500(name):
+    t = {"arrow": arrow, "snake": snake,
+         "three-ear": lambda n: three_ear_rep(n, (100, 150, 247))}[name](500)
+    outputs = (render_svg(t, "both"), str(t.canonical()), repr(t.dual_tree().edges))
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in outputs)
+    assert digests == OBJECT_MODEL_SHA256[name]
 
 
 def test_parse_accepts_unsorted_input():
