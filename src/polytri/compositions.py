@@ -49,7 +49,7 @@ from itertools import accumulate
 from typing import Iterable, Iterator
 
 from polytri.counting import _exact_quotient, symmetry_classes_2ear
-from polytri.triangulation import Triangulation
+from polytri.triangulation import Triangulation, _check_at_least
 
 Composition = tuple[int, ...]
 
@@ -115,8 +115,7 @@ def all_mask_images(m: int) -> Iterator[tuple[int, int, int, int]]:
     """mask_images(m, mask) for every bar mask of m, in counter order.  Each
     reversal joins the low 8 bits' reversal, from a table, with the high
     bits' reversal, so memory stays bounded at any m."""
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
+    _check_at_least(m, 1, "m", "m must be positive, got {}")
     full = (1 << (m - 1)) - 1
     for mask, rev in enumerate(_reversals(m - 1)):
         yield mask, rev, mask ^ full, rev ^ full
@@ -132,8 +131,7 @@ def enumerate_compositions(m: int) -> Iterator[Composition]:
     the part that straddles them.  No table is wider than 2^8 entries, so
     memory stays bounded at any m.
     """
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
+    _check_at_least(m, 1, "m", "m must be positive, got {}")
     if m <= _TABLE_BITS + 1:
         yield from _composition_table(m)
         return
@@ -159,8 +157,7 @@ def count_fixed(m: int, op: str) -> int:
     m > 1 (and only (1) for m = 1); conjugate-reversal fixes 2^floor(m/2)
     for odd m and none for even m.
     """
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
+    _check_at_least(m, 1, "m", "m must be positive, got {}")
     if op == "reversal":
         return 1 << m // 2
     if op == "conjugation":
@@ -183,11 +180,9 @@ def count_classes(m: int, method: str = "closed") -> int:
     it is least iff it is at most its reversal and the reversal's
     conjugate (at m = 1 the one mask, 0, is least).
     """
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
+    _check_at_least(m, 1, "m", "m must be positive, got {}")
     if method == "closed":
-        if m < 2:
-            raise ValueError("closed form for class counts requires m >= 2")
+        _check_at_least(m, 2, "m", "closed form for class counts requires m >= 2")
         return symmetry_classes_2ear(m + 3)
     if method == "burnside":
         total = (1 << (m - 1)) + sum(count_fixed(m, op) for op in _OPS)
@@ -252,8 +247,7 @@ def pointing_string(t: Triangulation) -> str:
     (top+1, bottom) is a diagonal, else read U and retreat bottom.
     """
     n = t.n
-    if n < 5:
-        raise ValueError("pointing strings are defined for n >= 5")
+    _check_at_least(n, 5, "polygon size", "pointing strings are defined for n >= 5")
     tips = t.ear_tips()
     if len(tips) != 2:
         raise ValueError(f"triangulation has {len(tips)} ears, need exactly 2")

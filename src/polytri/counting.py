@@ -44,6 +44,7 @@ from math import comb
 from typing import Iterator, Sequence
 
 from polytri.triangulation import (
+    _check_at_least,
     _check_ears,
     _check_int,
     _check_size,
@@ -64,9 +65,7 @@ def _exact_quotient(numerator: int, denominator: int, what: str) -> int:
 
 def catalan(k: int) -> int:
     """Catalan number C(k) = binom(2k, k) / (k+1)."""
-    _check_int(k, "k")
-    if k < 0:
-        raise ValueError(f"Catalan numbers need k >= 0, got {k}")
+    _check_at_least(k, 0, "k", "Catalan numbers need k >= 0, got {}")
     return comb(2 * k, k) // (k + 1)
 
 
@@ -96,9 +95,9 @@ def _catalan_convolution(cat: list[int], lo: int, hi: int) -> int:
 
 
 def _check_partial(n: int, k: int) -> None:
-    """Refuse a k outside -1 <= k <= n-4 for S(n, k)."""
-    if k < -1:
-        raise ValueError(f"k must be >= -1, got {k}")
+    """Refuse a non-int n or k, and a k outside -1 <= k <= n-4, for S(n, k)."""
+    _check_int(n, "polygon size")
+    _check_at_least(k, -1, "k", "k must be >= -1, got {}")
     if k > n - 4:
         raise ValueError(f"k={k} exceeds n-4={n - 4}")
 
@@ -115,9 +114,7 @@ def catalan_partial_convolution(n: int, k: int) -> int:
 
 def max_ears(n: int) -> int:
     """Largest possible ear count of an n-gon triangulation: floor(n/2)."""
-    _check_int(n, "polygon size")
-    if n < 4:
-        raise ValueError(f"ear counts need n >= 4, got {n}")
+    _check_at_least(n, 4, "polygon size", "ear counts need n >= 4, got {}")
     return n // 2
 
 
@@ -159,18 +156,14 @@ def symmetry_classes_2ear(n: int) -> int:
     2^(n-6) + 2^(floor(n/2)-3) for n >= 5, as half of 2^(n-5) + 2^(floor(n/2)-2).
     At n = 4 it is 3/4; the true class count there is 1 (see the orbit method).
     """
-    _check_int(n, "polygon size")
-    if n < 5:
-        raise ValueError(f"2-ear class formula requires n >= 5, got {n}")
+    _check_at_least(n, 5, "polygon size", "2-ear class formula requires n >= 5, got {}")
     twice = (1 << (n - 5)) + (1 << (n // 2 - 2))
     return _exact_quotient(twice, 2, f"2-ear class formula at n={n}")
 
 
 def symmetry_classes_3ear(n: int) -> int:
     """Closed-form count of symmetry classes of 3-eared triangulations (n >= 6)."""
-    _check_int(n, "polygon size")
-    if n < 6:
-        raise ValueError(f"3-ear class formula requires n >= 6, got {n}")
+    _check_at_least(n, 6, "polygon size", "3-ear class formula requires n >= 6, got {}")
     # 48 times the module docstring's formula, term by term
     times48 = ((n - 4) * (n - 5)) << (n - 4)
     if n % 2 == 0:
@@ -240,8 +233,7 @@ def symmetry_classes_orbit(n: int, ears: int | None = None) -> int:
     """
     _check_size(n)
     if ears is not None:
-        if n < 4:
-            raise ValueError("ear filter requires n >= 4")
+        _check_at_least(n, 4, "polygon size", "ear filter requires n >= 4")
         _check_ears(ears)
     keys = _class_keys(n, ears)
     return len(keys) if ears is None else sum(key.count(1) == ears for key in keys)

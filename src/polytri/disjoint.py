@@ -67,6 +67,7 @@ from polytri.triangulation import (
     Pair,
     Triple,
     Triangulation,
+    _check_at_least,
     _check_int,
     _check_size,
     diagonal,
@@ -79,8 +80,7 @@ from polytri.triangulation import (
 
 def arrow(n: int) -> Triangulation:
     """The fan at vertex 1: diagonals (1, 3), (1, 4), ..., (1, n-1)."""
-    if n < 4:
-        raise ValueError(f"fan triangulations need n >= 4, got {n}")
+    _check_at_least(n, 4, "polygon size", "fan triangulations need n >= 4, got {}")
     return Triangulation._trusted(n, [(1, b) for b in range(3, n)])
 
 
@@ -91,8 +91,7 @@ def snake(n: int) -> Triangulation:
     endpoint to the next unused vertex on the opposite side until the n-3
     diagonals are placed.  Every diagonal has (a+b) mod n in {1, 2}.
     """
-    if n < 4:
-        raise ValueError(f"snake triangulations need n >= 4, got {n}")
+    _check_at_least(n, 4, "polygon size", "snake triangulations need n >= 4, got {}")
     chain = [0, 2]
     lo, hi = 3, n - 1
     take_high = True
@@ -122,7 +121,8 @@ def three_ear_rep(n: int, ptype: Iterable[int]) -> Triangulation:
 
 
 def check_type(n: int, ptype: Iterable[int]) -> tuple[int, int, int]:
-    """ptype as a 3-eared type (p, q, r) of the n-gon, or ValueError."""
+    """ptype as a 3-eared type (p, q, r) of the n-gon (n an int), or ValueError."""
+    _check_int(n, "polygon size")
     parts = tuple(ptype)
     if len(parts) != 3 or any(not isinstance(x, int) or x < 1 for x in parts):
         raise ValueError(f"type must be three positive integers, got {parts!r}")
@@ -235,17 +235,14 @@ def count_disjoint(t: Triangulation) -> int:
 
 def disjoint_two_eared(n: int) -> int:
     """Disjointness count of any 2-eared triangulation: catalan(n-3)."""
-    _check_int(n, "polygon size")
-    if n < 4:
-        raise ValueError(f"2-eared triangulations need n >= 4, got {n}")
+    _check_at_least(n, 4, "polygon size", "2-eared triangulations need n >= 4, got {}")
     return catalan(n - 3)
 
 
 def disjoint_inclusion_exclusion(n: int) -> int:
     """Evaluate sum over compositions (a_1..a_i) of n-2 of
     (-1)^(i+1) C(a_1)...C(a_i); equals catalan(n-3)."""
-    if n < 4:
-        raise ValueError(f"inclusion-exclusion needs n >= 4, got {n}")
+    _check_at_least(n, 4, "polygon size", "inclusion-exclusion needs n >= 4, got {}")
     cat = catalan_list(n - 2).__getitem__
     total = 0
     for comp in enumerate_compositions(n - 2):
@@ -261,8 +258,7 @@ def disjoint_series(limit: int) -> list[int]:
     The alternating sum telescopes back to c(x), so the returned list is
     the Catalan numbers again; the verify suite checks exactly that.
     """
-    if limit < 0:
-        raise ValueError(f"limit must be >= 0, got {limit}")
+    _check_at_least(limit, 0, "limit", "limit must be >= 0, got {}")
     size = limit + 1
 
     def mul(f: list[int], g: list[int]) -> list[int]:
@@ -289,20 +285,17 @@ def disjoint_series(limit: int) -> list[int]:
 
 def fan_prefix_diagonals(n: int, apex: int, m: int) -> tuple[Pair, ...]:
     """The m shortest diagonals at a vertex: (a, a+2), ..., (a, a+m+1) mod n."""
-    if not 0 <= apex < n:
-        raise ValueError(f"apex {apex} out of range for n={n}")
-    if not 0 <= m <= n - 3:
-        raise ValueError(f"need 0 <= m <= n-3, got m={m}")
+    _check_int(n, "polygon size")
+    _check_at_least(apex, 0, "apex", f"apex {{}} out of range for n={n}", n - 1)
+    _check_at_least(m, 0, "m", "need 0 <= m <= n-3, got m={}", n - 3)
     return tuple(diagonal(n, apex, (apex + j) % n) for j in range(2, m + 2))
 
 
 def avoid_fan_formula(n: int, m: int) -> int:
     """Triangulations avoiding the m shortest diagonals at one vertex:
     sum_{i=0}^{n-3-m} C(i) C(n-3-i).  At m = 0 this is catalan(n-2)."""
-    if n < 4:
-        raise ValueError(f"need n >= 4, got {n}")
-    if not 0 <= m <= n - 3:
-        raise ValueError(f"need 0 <= m <= n-3, got m={m}")
+    _check_at_least(n, 4, "polygon size", "need n >= 4, got {}")
+    _check_at_least(m, 0, "m", "need 0 <= m <= n-3, got m={}", n - 3)
     return _catalan_convolution(catalan_list(n - 3), 0, n - 2 - m)
 
 
@@ -325,13 +318,15 @@ def three_ear_closed_form(n: int, branches: Iterable[int]) -> int:
     """2 C(n-3) - S(p-1) - S(q-1) - S(r-1), S(k) = catalan_partial_convolution(n, k),
     over branch sizes >= 0: the closed form of the 3-ear case sum, where
     an empty branch adds the empty sum S(-1) = 0.  A count of branches
-    other than three is refused, and every branch is checked as S checks
-    its k, before the one Catalan list is built."""
+    other than three is refused, and n and each branch must be ints, each
+    branch checked then as S checks its k, before the Catalan list is built."""
+    _check_int(n, "polygon size")
     branches = tuple(branches)
     if len(branches) != 3:
         raise ValueError(f"a 3-eared triangulation has 3 branches, got {len(branches)}")
     whole = 2 * catalan(n - 3)
     for x in branches:
+        _check_int(x, "branch")
         _check_partial(n, x - 1)
     cat = catalan_list(n - 4)
     return whole - sum(_catalan_convolution(cat, 0, x) for x in branches)
@@ -351,6 +346,7 @@ def three_ear_disjoint_published(n: int, ptype: Iterable[int]) -> int:
 
 def diagonals_with_residue(n: int, residues: Iterable[int]) -> tuple[Pair, ...]:
     """All diagonals whose parallel class lies in the given residues."""
+    _check_size(n)
     wanted = {r % n for r in residues}
     out = []
     for a in range(n):
@@ -362,8 +358,7 @@ def diagonals_with_residue(n: int, residues: Iterable[int]) -> tuple[Pair, ...]:
 
 def count_avoiding_parallel(n: int, residues: Iterable[int]) -> int:
     """Triangulations avoiding every diagonal in the given parallel classes."""
-    if n < 4:
-        raise ValueError(f"need n >= 4, got {n}")
+    _check_at_least(n, 4, "polygon size", "need n >= 4, got {}")
     return count_avoiding(n, diagonals_with_residue(n, residues))
 
 
@@ -384,8 +379,8 @@ def signature_invariance_check(n: int) -> dict[tuple[Triple, ...], list[int]]:
     n <= 10.  The disjointness count depends only on the signature iff
     every list is constant.
     """
-    if not 4 <= n <= 10:
-        raise ValueError(f"pairwise signature check is feasible for 4 <= n <= 10, got {n}")
+    _check_at_least(n, 4, "polygon size",
+                    "pairwise signature check is feasible for 4 <= n <= 10, got {}", 10)
     ts = list(enumerate_triangulations(n))
     holders: dict[Pair, int] = {}
     for i, t in enumerate(ts):

@@ -42,19 +42,25 @@ def _check_int(value: int, what: str) -> None:
         raise ValueError(f"{what} must be an int, got {value!r}")
 
 
+def _check_at_least(value: int, least: int, what: str, words: str,
+                    most: int | None = None) -> None:
+    """The package's one rule for an int argument: refuse a non-int as
+    `_check_int` does, naming it `what`, and a value below `least` or above
+    `most` (if not None) in the caller's `words`, `{}` standing for it."""
+    _check_int(value, what)
+    if value < least or most is not None and value > most:
+        raise ValueError(words.format(value))
+
+
 def _check_size(n: int) -> None:
-    """Refuse a polygon size n that is not an int of at least 3."""
-    _check_int(n, "polygon size")
-    if n < 3:
-        raise ValueError(f"polygon needs at least 3 vertices, got n={n}")
+    """Refuse a polygon size n that is not an int of at least 3, by the rule."""
+    _check_at_least(n, 3, "polygon size", "polygon needs at least 3 vertices, got n={}")
 
 
 def _check_ears(k: int) -> None:
     """Refuse an ear count k that is not an int, or is below 2, which no
-    triangulation has."""
-    _check_int(k, "ear count")
-    if k < 2:
-        raise ValueError(f"every triangulation has >= 2 ears, got k={k}")
+    triangulation has, by the rule."""
+    _check_at_least(k, 2, "ear count", "every triangulation has >= 2 ears, got k={}")
 
 
 def diagonal(n: int, a: int, b: int) -> Pair:
@@ -610,6 +616,7 @@ class Triangulation:
 
     def rotated(self, s: int) -> "Triangulation":
         """Image under the rotation v -> v+s (mod n)."""
+        _check_int(s, "rotation")
         return self._image(s, 1)
 
     def reflected(self) -> "Triangulation":
@@ -646,9 +653,8 @@ def _shapes(n: int, ears: int | None = None) -> Iterator[tuple[tuple[int, ...], 
         )
     if ears is None:
         wanted = _ear_count_set(n, -1)
-    elif n < 4:
-        raise ValueError("ears are undefined for n < 4")
     else:
+        _check_at_least(n, 4, "polygon size", "ears are undefined for n < 4")
         _check_ears(ears)
         wanted = {ears}
     return _eared_shapes(tuple(range(n)), -1, wanted)

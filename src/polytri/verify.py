@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 
 from polytri import compositions as comp
 from polytri import counting, disjoint
-from polytri.triangulation import enumerate_triangulations
+from polytri.triangulation import _check_at_least, enumerate_triangulations
 
 
 @dataclass(frozen=True)
@@ -437,8 +437,9 @@ def run_suites(
 ) -> RunReport:
     """Run the named suites (default: all) and return the buffered report.
 
-    A name given twice runs once, at its first position.  The suites' rows,
-    in the order given and in table order within each suite, run through
+    A name given twice runs once, at its first position; a bare string is
+    refused, not read letter by letter.  The suites' rows, in the order
+    given and in table order within each suite, run through
     `_run_row`: in forked worker processes, one per usable CPU up to one
     per row, when more than one CPU is usable and `_fork_context` allows,
     else one after another in this process.  The results come back in that
@@ -451,14 +452,16 @@ def run_suites(
     of its rows' times, in suite_times; with workers, the suite times may
     add up to more than wall_time.
     """
+    if isinstance(suites, str):
+        raise ValueError(f"suites must be a list of suite names, got {suites!r}")
     names = list(SUITES) if suites is None else list(dict.fromkeys(suites))
     for name in names:
         if name not in SUITES:
             raise ValueError(
                 f"unknown suite {name!r}; choose from {', '.join(SUITES)}"
             )
-    if max_n is not None and max_n < 3:
-        raise ValueError(f"max_n must be >= 3, got {max_n}")
+    if max_n is not None:
+        _check_at_least(max_n, 3, "max_n", "max_n must be >= 3, got {}")
     start = time.perf_counter()
     indices = [i for name in names for i, row in enumerate(CHECKS) if row.suite == name]
     run = partial(_run_row, max_n)

@@ -62,17 +62,20 @@ is the AHU code of the unlabeled tree rooted at its center, which only the
 shape-invariance tests of the disjointness count use.  The Hurtado-Noy
 count and the 3-ear class formula are evaluated here in exact rational
 arithmetic (`fractions`), term by term as written, where the package
-divides an integer numerator by a fixed denominator.
+divides an integer numerator by a fixed denominator.  `child_env` is the
+one environment of the tests' child Python processes.
 """
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
 
+import polytri
 from polytri import compositions as comp
 from polytri.compositions import _composition
 from polytri.triangulation import (
@@ -85,6 +88,21 @@ from polytri.triangulation import (
     diagonal,
     enumerate_triangulations,
 )
+
+
+def child_env(**extra: str | None) -> dict[str, str]:
+    """os.environ for a child Python process that imports the package under
+    test, also when pytest alone put src/ on the path: src/ first on
+    PYTHONPATH, then each of `extra` set, or removed when it is None."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(polytri.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    for name, value in extra.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return env
 
 
 @lru_cache(maxsize=None)

@@ -7,17 +7,15 @@ reads as a one-line-per-criterion report.
 
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
 import time
 
-import polytri
 from polytri import compositions as comp
 from polytri import counting, disjoint, verify
 from polytri.triangulation import enumerate_triangulations
 
-from helpers import conjugate_by_bars, count_disjoint_by_enumeration, segner_catalan
+from helpers import child_env, conjugate_by_bars, count_disjoint_by_enumeration, segner_catalan
 
 
 def _done(name: str, started: float, budget: float) -> None:
@@ -174,11 +172,7 @@ def test_criterion_11_internal_signature_invariance():
 def test_criterion_12_verify_report_determinism():
     started = time.perf_counter()
     cmd = [sys.executable, "-m", "polytri", "verify", "--max-n", "10"]
-    # the child imports the package under test, also when pytest alone put
-    # src/ on the path
-    src = os.path.dirname(os.path.dirname(os.path.abspath(polytri.__file__)))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path)
+    env = child_env()
     outputs = []
     for _ in range(2):
         proc = subprocess.run(cmd, capture_output=True, env=env)

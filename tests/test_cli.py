@@ -18,11 +18,10 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
-from helpers import listing_by_recursion
+from helpers import child_env, listing_by_recursion
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import polytri
 from polytri import cli, compositions, counting, disjoint, svgfig, triangulation, verify
 from polytri.counting import catalan, symmetry_classes_2ear
 from polytri.verify import Check, RunReport
@@ -1217,12 +1216,7 @@ def polytri_process(argv, buffering, stdout=subprocess.PIPE, stderr=subprocess.P
     """The finished `python -m polytri` child, its streams given as file
     descriptors or subprocess.PIPE.  A buffered stream fails at a flush,
     an unbuffered one (PYTHONUNBUFFERED) at the write itself."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(polytri.__file__)))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path)
-    env.pop("PYTHONUNBUFFERED", None)
-    if buffering == "unbuffered":
-        env["PYTHONUNBUFFERED"] = "1"
+    env = child_env(PYTHONUNBUFFERED="1" if buffering == "unbuffered" else None)
     return subprocess.run([sys.executable, "-m", "polytri", *argv], stdout=stdout,
                           stderr=stderr, text=True, env=env, timeout=60)
 
@@ -1599,9 +1593,7 @@ def test_huge_n_is_refused_with_no_digit_limit(argv):
         from polytri import cli
         sys.exit(cli.run({argv!r}))
     """)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(polytri.__file__)))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path, PYTHONINTMAXSTRDIGITS="0")
+    env = child_env(PYTHONINTMAXSTRDIGITS="0")
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=20
     )

@@ -152,6 +152,20 @@ def test_bulk_and_fixed_counts_refuse_m_below_one(refused):
     assert str(info.value) == "m must be positive, got 0"
 
 
+@pytest.mark.parametrize("refused", [
+    lambda: count_classes(5.0, "direct"),
+    lambda: list(enumerate_compositions(5.0)),
+    lambda: count_fixed(5.0, "reversal"),
+    lambda: list(all_mask_images(5.0)),
+    lambda: count_classes(5.0),
+], ids=["count-classes-direct", "enumerate", "count-fixed", "all-mask-images",
+        "count-classes-closed"])
+def test_bulk_and_fixed_counts_refuse_an_m_that_is_not_an_int(refused):
+    with pytest.raises(ValueError) as info:
+        refused()
+    assert str(info.value) == "m must be an int, got 5.0"
+
+
 # -- the involutions -----------------------------------------------------------
 
 

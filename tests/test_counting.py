@@ -178,8 +178,11 @@ def test_orbit_census_refuses_fewer_than_three_vertices():
     (lambda: symmetry_classes_2ear(7.0), "polygon size must be an int, got 7.0"),
     (lambda: symmetry_classes_3ear(7.0), "polygon size must be an int, got 7.0"),
     (lambda: disjoint_two_eared(7.0), "polygon size must be an int, got 7.0"),
+    (lambda: catalan_partial_convolution(7, 1.0), "k must be an int, got 1.0"),
+    (lambda: catalan_partial_convolution(7.0, 1), "polygon size must be an int, got 7.0"),
 ], ids=["max_ears", "catalan", "catalan_list", "hurtado_noy", "ear_census",
-        "symmetry_classes_2ear", "symmetry_classes_3ear", "disjoint_two_eared"])
+        "symmetry_classes_2ear", "symmetry_classes_3ear", "disjoint_two_eared",
+        "partial_convolution-k", "partial_convolution-n"])
 def test_closed_forms_refuse_an_argument_that_is_not_an_int(refused, message):
     with pytest.raises(ValueError) as info:
         refused()

@@ -385,7 +385,22 @@ def test_published_variant_sums_to_p_q_r(n):
     (lambda: avoid_fan_formula(3, 0), "need n >= 4, got 3"),
     (lambda: avoid_fan_formula(6, 4), "need 0 <= m <= n-3, got m=4"),
     (lambda: count_avoiding_parallel(3, [1]), "need n >= 4, got 3"),
-], ids=["inclusion-exclusion", "series", "fan-n", "fan-m", "parallel"])
+    (lambda: arrow(6.0), "polygon size must be an int, got 6.0"),
+    (lambda: three_ear_rep(6.0, (1, 1, 1)), "polygon size must be an int, got 6.0"),
+    (lambda: diagonals_with_residue(6.0, [1]), "polygon size must be an int, got 6.0"),
+    (lambda: count_avoiding_parallel(6.0, [1]), "polygon size must be an int, got 6.0"),
+    (lambda: avoid_fan_formula(6, 1.0), "m must be an int, got 1.0"),
+    (lambda: fan_prefix_diagonals(6, 0, 1.0), "m must be an int, got 1.0"),
+    (lambda: fan_prefix_diagonals(6.0, 0, 0), "polygon size must be an int, got 6.0"),
+    (lambda: three_ear_closed_form(7, (1, 1, 2.0)), "branch must be an int, got 2.0"),
+    (lambda: disjoint_inclusion_exclusion(6.0), "polygon size must be an int, got 6.0"),
+    (lambda: avoid_fan_formula(6.0, 0), "polygon size must be an int, got 6.0"),
+    (lambda: three_ear_disjoint(7.0, (1, 1, 2)), "polygon size must be an int, got 7.0"),
+    (lambda: disjoint_series(5.0), "limit must be an int, got 5.0"),
+], ids=["inclusion-exclusion", "series", "fan-n", "fan-m", "parallel",
+        "arrow-float", "three-ear-rep-float", "residue-float", "parallel-float",
+        "fan-m-float", "fan-prefix-m-float", "fan-prefix-n-float", "closed-form-branch-float",
+        "inclusion-exclusion-float", "fan-n-float", "three-ear-float", "series-float"])
 def test_refusals_name_the_fault(refused, message):
     with pytest.raises(ValueError) as info:
         refused()

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import ast
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from helpers import child_env
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "polytri").glob("*.py"))
 
@@ -38,9 +38,8 @@ def test_imports_are_stdlib_or_polytri(path):
 def test_the_cli_and_verify_leave_process_pools_unimported():
     """Verify imports its worker pool only when it forks workers, so every
     other command starts without it."""
-    src = Path(__file__).parent.parent / "src"
     script = ("import sys, polytri.cli, polytri.verify\n"
               "assert not {'concurrent.futures', 'multiprocessing'} & sys.modules.keys()\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+                          env=child_env(), timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")

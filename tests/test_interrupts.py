@@ -17,8 +17,7 @@ import sys
 import time
 
 import pytest
-
-import polytri
+from helpers import child_env
 
 # a line on stderr once the package is imported and `cli.main` is next
 STARTED = "started"
@@ -43,10 +42,7 @@ COMMANDS = {
 
 def start(argv) -> subprocess.Popen:
     """`cli.main` on argv in a new session, started up to its command."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(polytri.__file__)))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path)
-    env.pop("PYTHONUNBUFFERED", None)
+    env = child_env(PYTHONUNBUFFERED=None)
     proc = subprocess.Popen([sys.executable, "-c", LAUNCH, *argv], stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True, env=env,
                             start_new_session=True)

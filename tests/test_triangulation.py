@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import gc
 import hashlib
-import os
 import random
 import re
 import subprocess
@@ -20,6 +19,7 @@ from helpers import (
     boundary_sides,
     canonical_by_sorting,
     checked_by_sorting,
+    child_env,
     crosses,
     decoded,
     diagonal_sets_by_recursion,
@@ -45,7 +45,6 @@ from hypothesis import strategies as st
 
 from polytri.compositions import two_eared_from_pointing
 from polytri.disjoint import arrow, count_avoiding, snake, three_ear_rep
-import polytri
 from polytri import cli, triangulation
 from polytri.counting import ear_census, hurtado_noy, symmetry_classes_orbit
 from polytri.svgfig import render_svg
@@ -313,10 +312,8 @@ def test_validation_refuses_a_huge_n_before_any_work_of_size_n(call):
             print(exc)
         print(tracemalloc.get_traced_memory()[1])
     """)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(polytri.__file__)))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path), timeout=60)
+                          env=child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr[-500:]
     answer, peak = proc.stdout.splitlines()
     assert answer in ("False", f"a triangulation of the {HUGE_N}-gon has {HUGE_N - 3} "
@@ -494,12 +491,10 @@ def test_first_triangulation_at_the_ceiling_fits_in_memory():
         t = next(enumerate_triangulations(ENUMERATION_CEILING))
         assert t.n == ENUMERATION_CEILING and len(t.diagonals) == t.n - 3
     """)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(polytri.__file__)))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=child_env(),
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr.decode()[-500:]
@@ -735,6 +730,13 @@ def test_reflection_fixes_fan_at_zero():
 def test_rotation_spec_example():
     t = Triangulation.parse("6:0-2,2-4,0-4")
     assert str(t.rotated(1)) == "6:1-3,1-5,3-5"
+
+
+@pytest.mark.parametrize("s", [1.0, 1.5])
+def test_rotation_refuses_a_shift_that_is_not_an_int(s):
+    with pytest.raises(ValueError) as info:
+        Triangulation.parse("6:0-2,2-4,0-4").rotated(s)
+    assert str(info.value) == f"rotation must be an int, got {s!r}"
 
 
 @given(st.integers(min_value=4, max_value=8), st.data())

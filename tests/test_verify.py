@@ -16,6 +16,7 @@ import pytest
 from helpers import (
     all_triangulations,
     canonical_orbit_constant_by_images,
+    child_env,
     images_read_in_class_by_images,
 )
 
@@ -49,6 +50,15 @@ def test_unknown_suite_rejected():
 def test_max_n_must_be_at_least_three():
     with pytest.raises(ValueError, match="max_n"):
         run_suites(max_n=2)
+    with pytest.raises(ValueError) as info:
+        run_suites(["core"], 6.5)
+    assert str(info.value) == "max_n must be an int, got 6.5"
+
+
+def test_a_bare_string_of_suites_is_refused_by_name():
+    with pytest.raises(ValueError) as info:
+        run_suites("core")
+    assert str(info.value) == "suites must be a list of suite names, got 'core'"
 
 
 @pytest.mark.parametrize("suite", list(verify.SUITES))
@@ -174,12 +184,8 @@ def test_a_row_that_raises_reaches_the_caller_unchanged(monkeypatch, cpus):
 
 def _child(script: str) -> subprocess.CompletedProcess:
     """A fresh Python process running script with the package under test."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(verify.__file__)))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path)
-    env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=60)
+                          env=child_env(PYTHONUNBUFFERED=None), timeout=60)
 
 
 def test_text_buffered_before_the_workers_start_is_written_once():
