@@ -4,7 +4,8 @@ identity verification, sequence emission and SVG figures.
 Exit codes: 0 success, 1 usage or domain error, 2 verification failure
 (a FAIL line from `verify`, or a cross-check mismatch under `--method
 both`), 130 on Ctrl-C (SIGINT), with no traceback (see `main`).  A
-verify worker that dies, killed or crashed, exits 1 with one line.  A
+verify or listing worker that dies, killed or crashed, exits 1 with one
+line: `a verify worker died` or `a listing worker died`.  A
 failed write to stdout exits 1: with no message when the reader closed
 early (a broken pipe), with one `cannot write output` line for any
 other fault, such as a full device; help text is output like any
@@ -32,9 +33,16 @@ import os
 import sys
 from typing import Callable, Iterator, NamedTuple
 
+from polytri import _workers, counting, disjoint, svgfig, verify
 from polytri import compositions as comp
-from polytri import counting, disjoint, svgfig, verify
-from polytri.triangulation import Triangulation, _check_ears, _check_size, listing
+from polytri._workers import WorkerDied
+from polytri.triangulation import (
+    Triangulation,
+    _check_ears,
+    _check_size,
+    _wanted_ears,
+    listing,
+)
 
 PROG = "polytri"
 
@@ -69,7 +77,8 @@ class Domain(NamedTuple):
 # x86-64 machine (Python 3.11).
 DOMAINS: dict[str, Domain] = {
     # `enumerate` without --count-only: C(n-2) lines, 208,012 at n = 14,
-    # in 0.7 s and 63 MB (medians of eight)
+    # in 0.45 s, 33 MB in the parent and 29 MB in each of two workers
+    # (medians of eight; 0.59 s and 64 MB in one process)
     "listing": Domain(14, "full listings are supported for 3 <= n <= {ceiling}, "
                       "got n={n} (use --count-only for larger n)"),
     # the ear-insertion census of `symmetry --method orbit|both`: with
@@ -251,6 +260,18 @@ def _resolve_shape(args: argparse.Namespace, *routes: str) -> tuple[Triangulatio
 # -- enumerate ------------------------------------------------------------------
 
 
+# A listing of more lines than this is made in forked workers (see
+# `_workers.map`), one top-level apex per task; a shorter one in this
+# process, in one task.  The command's time in a fresh process, forked vs
+# not, medians of nine on a 2-core x86-64 machine (Python 3.11): 7,168
+# lines (12-gon, 3 ears) 25.1 vs 22.3 ms, 8,736 (13-gon, 5 ears) 29.0 vs
+# 29.3 ms, 16,796 (the whole 12-gon) 32.7 vs 37.8 ms.  With the shape
+# cache already built in this process, forking the 12-gon measured no
+# gain (26.9 vs 26.2 ms), and 19,968 lines (13-gon, 3 ears) still gained
+# (28.9 vs 32.7 ms).
+_FORK_LINES = 10000
+
+
 def cmd_enumerate(args: argparse.Namespace) -> int:
     n, k = args.n, args.ears
     if args.count_only:
@@ -267,12 +288,39 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             print(count)
         return 0
     _refuse("listing", n)
-    lines = listing(n, k)
-    if args.format == "json":
-        print(json.dumps({"n": n, "ears": k, "triangulations": lines}))
-    else:
-        sys.stdout.write("\n".join([*lines, ""]))  # one write for the whole listing
+    _wanted_ears(n, k)  # the listing's own refusals, before its lines are counted
+    lines = counting.catalan(n - 2) if k is None else counting.hurtado_noy(n, k)
+    # one task for the whole listing, or one per top-level apex: 2, n-1, 3,
+    # n-2, ..., the outer ones first, as they hold the most lines
+    apexes = ([None] if lines <= _FORK_LINES
+              else sorted(range(2, n), key=lambda j: min(j - 2, n - 1 - j)))
+    as_json = args.format == "json"
+    try:
+        chunks = _workers.map(functools.partial(_listing_chunk, n, k, as_json), apexes)
+    except WorkerDied:
+        raise WorkerDied("a listing worker died") from None
+    chunks = [chunk for _, chunk in sorted(zip(apexes, chunks))]  # in apex order
+    if not as_json:
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+        return 0
+    # json.dumps of the listing, written a chunk at a time
+    sys.stdout.write(json.dumps({"n": n, "ears": k, "triangulations": []})[:-2])
+    sep = ""
+    for chunk in chunks:
+        if chunk:
+            sys.stdout.write(sep)
+            sys.stdout.write(chunk)
+            sep = ", "
+    sys.stdout.write("]}\n")
     return 0
+
+
+def _listing_chunk(n: int, k: int | None, as_json: bool, apex: int | None) -> str:
+    """The lines of `listing(n, k, apex)` as they appear in the command's
+    text output, or in its JSON array, without the brackets."""
+    lines = listing(n, k, apex)
+    return json.dumps(lines)[1:-1] if as_json else "\n".join([*lines, ""])
 
 
 # -- symmetry -------------------------------------------------------------------
@@ -605,7 +653,7 @@ def run(argv: list[str] | None = None) -> int:
             code = args.func(args)
         except SystemExit as exc:
             code = exc.code
-        except (ValueError, ArithmeticError, verify.WorkerDied) as exc:
+        except (ValueError, ArithmeticError, WorkerDied) as exc:
             print(f"{PROG}: error: {exc}", file=sys.stderr)
             code = 1
         sys.stdout.flush()

@@ -347,7 +347,10 @@ def three_ear_disjoint_published(n: int, ptype: Iterable[int]) -> int:
 def diagonals_with_residue(n: int, residues: Iterable[int]) -> tuple[Pair, ...]:
     """All diagonals whose parallel class lies in the given residues."""
     _check_size(n)
-    wanted = {r % n for r in residues}
+    wanted = set()
+    for r in residues:
+        _check_int(r, "residue")
+        wanted.add(r % n)
     out = []
     for a in range(n):
         for b in range(a + 2, n):

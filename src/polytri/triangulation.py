@@ -365,10 +365,13 @@ def _eared_shapes(
 
 
 def _split_shapes(
-    verts: tuple[int, ...], d: int, wanted: set[int]
+    verts: tuple[int, ...], d: int, wanted: set[int], apexes: range | None = None
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """`_eared_shapes(verts, d, wanted)` by splitting at every apex, for
     wanted counts the sub-polygon can hold; it also builds the cache.
+    Given `apexes`, a range within 2..s-1, it splits at those apexes only,
+    so a listing can be made one top-level apex at a time with no
+    generator level added.
 
     Each left shape is taken in order with the right shapes that complete
     it to a wanted count, also in order, so the output is the filtered
@@ -378,7 +381,7 @@ def _split_shapes(
     that complete some left shape.
     """
     s = len(verts)
-    for j in range(2, s):
+    for j in range(2, s) if apexes is None else apexes:
         added, d_left, d_right = _split_ears(s, d, j)
         r = s - j + 1
         right_counts = _ear_count_set(r, d_right)
@@ -641,28 +644,47 @@ class Triangulation:
         return not self.mask & other.mask
 
 
-def _shapes(n: int, ears: int | None = None) -> Iterator[tuple[tuple[int, ...], int]]:
-    """(diagonal codes, ears) of the n-gon's triangulations with this many
-    ears (all of them for None), in the order of `_eared_shapes`.  The one
-    entry to the enumeration: it checks n and the ear count at the call,
-    before any tuple is built."""
+def _wanted_ears(n: int, ears: int | None) -> frozenset[int]:
+    """The ear counts a listing of the n-gon with this many ears (all for
+    None) keeps.  The one check of n and the ear count of every listing,
+    made before any tuple is built: n in 3..ENUMERATION_CEILING, and with
+    an ear count, n >= 4 and a count of at least 2."""
     _check_size(n)
     if n > ENUMERATION_CEILING:
         raise ValueError(
             f"enumeration is supported for n <= {ENUMERATION_CEILING}, got n={n}"
         )
     if ears is None:
-        wanted = _ear_count_set(n, -1)
-    else:
-        _check_at_least(n, 4, "polygon size", "ears are undefined for n < 4")
-        _check_ears(ears)
-        wanted = {ears}
-    return _eared_shapes(tuple(range(n)), -1, wanted)
+        return _ear_count_set(n, -1)
+    _check_at_least(n, 4, "polygon size", "ears are undefined for n < 4")
+    _check_ears(ears)
+    return frozenset((ears,))
 
 
-def listing(n: int, ears: int | None = None) -> list[str]:
+def _shapes(
+    n: int, ears: int | None = None, apex: int | None = None
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(diagonal codes, ears) of the n-gon's triangulations with this many
+    ears (all of them for None), in the order of `_eared_shapes`; given an
+    apex, only those whose triangle over the side (0, 1) has it as its
+    apex.  The one entry to the enumeration: it checks n, the ear count
+    and the apex at the call, before any tuple is built."""
+    wanted = _wanted_ears(n, ears)
+    if apex is not None:
+        _check_at_least(apex, 2, "apex", f"apex must be in 2..{n - 1}, got {{}}", most=n - 1)
+    verts = tuple(range(n))
+    if apex is None or n == 3:  # the triangle has one apex and no split
+        return _eared_shapes(verts, -1, wanted)
+    wanted = wanted & _ear_count_set(n, -1)
+    return _split_shapes(verts, -1, wanted, range(apex, apex + 1)) if wanted else iter(())
+
+
+def listing(n: int, ears: int | None = None, apex: int | None = None) -> list[str]:
     """Text forms of the n-gon's triangulations with this many ears (all
-    of them for None), in the order of `enumerate_triangulations`.
+    of them for None), in the order of `enumerate_triangulations`; given
+    an apex, 2..n-1, only those whose triangle over the side (0, 1) has it
+    as its apex, so the listings of the apexes 2, 3, ..., n-1, in turn,
+    are the whole listing.
 
     Only the triangulations with a wanted ear count are generated
     (`_eared_shapes`), so the work follows the length of the listing, not
@@ -670,7 +692,7 @@ def listing(n: int, ears: int | None = None) -> list[str]:
     Triangulation objects are built: each line joins the texts of the
     sorted diagonal codes, in the 'n:a-b,c-d,...' form of `str`.
     """
-    shapes = _shapes(n, ears)
+    shapes = _shapes(n, ears, apex)
     head, text = f"{n}:", _decoder(n, "{}-{}".format)
     return [head + ",".join(map(text, sorted(codes))) for codes, _ in shapes]
 

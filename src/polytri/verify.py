@@ -12,29 +12,29 @@ failed: the published variant of the 3-eared disjointness formula (see
 polytri.disjoint.three_ear_disjoint_published) disagrees with the case
 analysis, witnessed already at n=6.
 
-Every row runs through one routine, `_run_row`.  When more than one CPU
-is usable, `run_suites` hands the rows to forked worker processes, one per
-usable CPU, and puts their results back in table order; otherwise it runs
-them one after another in the calling process.  Either way the suites'
-lines are reported in the order asked for, so the report is the same
-bytes.  A suite's time is the sum of its rows' times.  A worker that dies,
-killed or crashed, ends the run with `WorkerDied`, and no worker outlives
-the call.
+Every row runs through one routine, `_run_row`.  `run_suites` hands the
+rows, one task each, to the package's one fork runner, `_workers.map`,
+which runs them in forked worker processes, one per usable CPU, when more
+than one CPU is usable, and otherwise one after another in the calling
+process, and gives their results back in table order.  Either way the
+suites' lines are reported in the order asked for, so the report is the
+same bytes.  A suite's time is the sum of its rows' times.  A worker that
+dies, killed or crashed, ends the run with `WorkerDied`, and no worker
+outlives the call.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import threading
 import time
 from dataclasses import dataclass
 from functools import partial
 from itertools import permutations, product
 from typing import Callable, NamedTuple
 
+from polytri import _workers, counting, disjoint
 from polytri import compositions as comp
-from polytri import counting, disjoint
+from polytri._workers import WorkerDied
 from polytri.triangulation import _check_at_least, enumerate_triangulations
 
 
@@ -404,34 +404,6 @@ def thread_count() -> int:
     return 1
 
 
-class WorkerDied(RuntimeError):
-    """A worker process ended, killed or crashed, before it returned its rows."""
-
-
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _fork_context(workers: int):
-    """The multiprocessing fork context if `workers` > 1 processes may be
-    forked here, else None.  Forking needs the fork start method and a
-    process that is not daemonic (a daemonic one may not start children)
-    and runs no other thread (a lock held there would stay held in the
-    child).  multiprocessing is imported here, not at module level, where
-    it would add its import time to every importer of this module."""
-    if workers < 2 or threading.active_count() > 1:
-        return None
-    import multiprocessing
-
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon):
-        return None
-    return multiprocessing.get_context("fork")
-
-
 def run_suites(
     suites: list[str] | None = None, max_n: int | None = None
 ) -> RunReport:
@@ -440,17 +412,17 @@ def run_suites(
     A name given twice runs once, at its first position; a bare string is
     refused, not read letter by letter.  The suites' rows, in the order
     given and in table order within each suite, run through
-    `_run_row`: in forked worker processes, one per usable CPU up to one
-    per row, when more than one CPU is usable and `_fork_context` allows,
-    else one after another in this process.  The results come back in that
-    order, so the report is the same bytes either way.  A row that raises
-    raises here; a worker that dies raises `WorkerDied`; either way no
-    worker outlives the call.  While workers run, SIGINT is blocked in this
-    process and in them, so Ctrl-C takes effect here once their rows are
-    back, and never inside the executor.  Each row's elapsed time,
-    taken where it ran, is recorded in row_times, and each suite's, the sum
-    of its rows' times, in suite_times; with workers, the suite times may
-    add up to more than wall_time.
+    `_run_row` by `_workers.map`: in forked worker processes, one per
+    usable CPU up to one per row, where that runner may fork, else one
+    after another in this process.  The results come back in that order,
+    so the report is the same bytes either way.  A row that raises raises
+    here; a worker that dies raises `WorkerDied("a verify worker died")`;
+    either way no worker outlives the call.  While workers run, SIGINT is
+    blocked in this process and in them, so Ctrl-C takes effect here once
+    their rows are back.  Each row's elapsed time, taken where it ran, is
+    recorded in row_times, and each suite's, the sum of its rows' times,
+    in suite_times; with workers, the suite times may add up to more than
+    wall_time.
     """
     if isinstance(suites, str):
         raise ValueError(f"suites must be a list of suite names, got {suites!r}")
@@ -464,26 +436,10 @@ def run_suites(
         _check_at_least(max_n, 3, "max_n", "max_n must be >= 3, got {}")
     start = time.perf_counter()
     indices = [i for name in names for i, row in enumerate(CHECKS) if row.suite == name]
-    run = partial(_run_row, max_n)
-    workers = min(_usable_cpus(), len(indices))
-    context = _fork_context(workers)
-    if context is None:
-        rows = list(map(run, indices))
-    else:
-        import signal
-        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-
-        # A KeyboardInterrupt raised while the executor starts its workers
-        # can leave one that is never joined, so SIGINT waits until the rows
-        # are back.  The workers, forked with it blocked, keep it blocked.
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-        try:
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                rows = list(pool.map(run, indices))
-        except BrokenExecutor:
-            raise WorkerDied("a verify worker died") from None
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    try:
+        rows = _workers.map(partial(_run_row, max_n), indices)
+    except WorkerDied:
+        raise WorkerDied("a verify worker died") from None
     seconds_of = dict.fromkeys(names, 0.0)
     for i, (_, seconds, _) in zip(indices, rows):
         seconds_of[CHECKS[i].suite] += seconds

@@ -63,7 +63,8 @@ shape-invariance tests of the disjointness count use.  The Hurtado-Noy
 count and the 3-ear class formula are evaluated here in exact rational
 arithmetic (`fractions`), term by term as written, where the package
 divides an integer numerator by a fixed denominator.  `child_env` is the
-one environment of the tests' child Python processes.
+one environment of the tests' child Python processes, and `no_child_left`
+the one check that a call left no worker process behind.
 """
 
 from __future__ import annotations
@@ -103,6 +104,15 @@ def child_env(**extra: str | None) -> dict[str, str]:
         else:
             env[name] = value
     return env
+
+
+def no_child_left() -> bool:
+    """True iff this process has no child process, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 @lru_cache(maxsize=None)

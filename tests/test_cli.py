@@ -22,7 +22,7 @@ from helpers import child_env, listing_by_recursion
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polytri import cli, compositions, counting, disjoint, svgfig, triangulation, verify
+from polytri import _workers, cli, compositions, counting, disjoint, svgfig, triangulation, verify
 from polytri.counting import catalan, symmetry_classes_2ear
 from polytri.verify import Check, RunReport
 
@@ -155,8 +155,14 @@ N14_LISTING_SHA256 = {
 }
 
 
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs, so a listing above the fork bound forks its workers."""
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
+
+
 @pytest.mark.parametrize("ears", sorted(N14_LISTING_SHA256))
-def test_enumerate_n14_ear_listing_is_pinned(capsys, ears):
+def test_enumerate_n14_ear_listing_is_pinned(capsys, two_cpus, ears):
     assert invoke(["enumerate", "--n", "14", "--ears", str(ears)]) == 0
     out = capsys.readouterr().out.encode()
     assert out.count(b"\n") == counting.hurtado_noy(14, ears)
@@ -174,7 +180,7 @@ UNFILTERED_LISTING_SHA256 = {
 
 
 @pytest.mark.parametrize("case", sorted(UNFILTERED_LISTING_SHA256))
-def test_enumerate_unfiltered_listing_is_pinned(capsys, case):
+def test_enumerate_unfiltered_listing_is_pinned(capsys, two_cpus, case):
     n, _, fmt = case.partition("-")
     formats = ["--format", fmt] if fmt else []
     assert invoke(["enumerate", "--n", n, *formats]) == 0
@@ -182,12 +188,73 @@ def test_enumerate_unfiltered_listing_is_pinned(capsys, case):
     assert hashlib.sha256(out).hexdigest() == UNFILTERED_LISTING_SHA256[case]
 
 
+@pytest.mark.parametrize("argv, digest", [
+    *((["--n", "14", "--ears", str(k)], digest) for k, digest in N14_LISTING_SHA256.items()),
+    *((["--n", case.partition("-")[0], *(["--format", "json"] if "json" in case else [])],
+       digest) for case, digest in UNFILTERED_LISTING_SHA256.items()),
+], ids=[*(f"14-{k}" for k in N14_LISTING_SHA256), *UNFILTERED_LISTING_SHA256])
+def test_pinned_listings_are_the_same_bytes_on_one_cpu(capsys, monkeypatch, argv, digest):
+    # the apexes' chunks made one after another in this process
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 1)
+    assert invoke(["enumerate", *argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, tasks", [
+    (["--n", "9"], [None]),
+    (["--n", "13", "--ears", "5"], [None]),  # 8,736 lines
+    (["--n", "12", "--format", "json"], [2, 11, 3, 10, 4, 9, 5, 8, 6, 7]),  # 16,796 lines
+    (["--n", "13"], [2, 12, 3, 11, 4, 10, 5, 9, 6, 8, 7]),
+], ids=["9", "13-5", "12-json", "13"])
+def test_a_listing_past_the_bound_is_one_task_per_apex_outer_first(
+        capsys, monkeypatch, argv, tasks):
+    seen = []
+
+    def recorded(fn, given):
+        seen.extend(given)
+        return [fn(task) for task in given]
+
+    monkeypatch.setattr(_workers, "map", recorded)
+    assert invoke(["enumerate", *argv]) == 0
+    assert seen == tasks
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["--n", "3", "--ears", "2"], "ears are undefined for n < 4"),
+    (["--n", "14", "--ears", "1"], "every triangulation has >= 2 ears, got k=1"),
+    (["--n", "15"], "full listings are supported for 3 <= n <= 14, got n=15 "
+                    "(use --count-only for larger n)"),
+    (["--n", "15", "--ears", "1"], "full listings are supported for 3 <= n <= 14, got n=15 "
+                                   "(use --count-only for larger n)"),
+], ids=["n-3-ears-2", "n-14-ears-1", "n-15", "n-15-ears-1"])
+def test_enumerate_refuses_a_listing_in_one_line(capsys, argv, err):
+    assert invoke(["enumerate", *argv]) == 1
+    assert capsys.readouterr() == ("", f"{cli.PROG}: error: {err}\n")
+
+
+def test_a_listing_worker_that_dies_exits_1_with_one_line():
+    proc = subprocess.run([sys.executable, "-c", (
+        "import os, signal, sys\n"
+        "from polytri import _workers, cli\n"
+        "def die(n, k, as_json, apex, parent=os.getpid()):\n"
+        "    if os.getpid() != parent:\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    return ''\n"
+        "cli._listing_chunk = die\n"
+        "_workers._usable_cpus = lambda: 2\n"
+        "sys.exit(cli.run(['enumerate', '--n', '13']))\n")],
+        capture_output=True, text=True, env=child_env(PYTHONUNBUFFERED=None), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", f"{cli.PROG}: error: a listing worker died\n")
+
+
 def test_enumerate_ear_filter_above_max_ears_skips_enumeration(capsys, monkeypatch):
-    def refuse(n):
-        raise AssertionError("the listing enumerated for an empty ear filter")
+    def refuse(*args):
+        raise AssertionError("the listing enumerated or forked for an empty ear filter")
 
     for name in ("_cached_shapes", "_split_shapes"):
         monkeypatch.setattr(triangulation, name, refuse)
+    monkeypatch.setattr(_workers, "_forked", refuse)
     assert invoke(["enumerate", "--n", "14", "--ears", "8"]) == 0
     assert capsys.readouterr().out == ""
     assert invoke(["enumerate", "--n", "14", "--ears", "8", "--format", "json"]) == 0

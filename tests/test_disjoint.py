@@ -397,10 +397,13 @@ def test_published_variant_sums_to_p_q_r(n):
     (lambda: avoid_fan_formula(6.0, 0), "polygon size must be an int, got 6.0"),
     (lambda: three_ear_disjoint(7.0, (1, 1, 2)), "polygon size must be an int, got 7.0"),
     (lambda: disjoint_series(5.0), "limit must be an int, got 5.0"),
+    (lambda: diagonals_with_residue(6, [1.0]), "residue must be an int, got 1.0"),
+    (lambda: count_avoiding_parallel(6, [2, 1.0]), "residue must be an int, got 1.0"),
 ], ids=["inclusion-exclusion", "series", "fan-n", "fan-m", "parallel",
         "arrow-float", "three-ear-rep-float", "residue-float", "parallel-float",
         "fan-m-float", "fan-prefix-m-float", "fan-prefix-n-float", "closed-form-branch-float",
-        "inclusion-exclusion-float", "fan-n-float", "three-ear-float", "series-float"])
+        "inclusion-exclusion-float", "fan-n-float", "three-ear-float", "series-float",
+        "residue-class-float", "parallel-class-float"])
 def test_refusals_name_the_fault(refused, message):
     with pytest.raises(ValueError) as info:
         refused()

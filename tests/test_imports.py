@@ -36,9 +36,15 @@ def test_imports_are_stdlib_or_polytri(path):
 
 
 def test_the_cli_and_verify_leave_process_pools_unimported():
-    """Verify imports its worker pool only when it forks workers, so every
-    other command starts without it."""
-    script = ("import sys, polytri.cli, polytri.verify\n"
+    """The package's fork runner uses os.fork and pipes, so neither
+    importing the CLI nor forking verify's and a listing's workers imports
+    a process pool."""
+    script = ("import contextlib, io, sys\n"
+              "from polytri import _workers, cli\n"
+              "_workers._usable_cpus = lambda: 2\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    assert cli.run(['verify', '--max-n', '5']) == 0\n"
+              "    assert cli.run(['enumerate', '--n', '13']) == 0\n"
               "assert not {'concurrent.futures', 'multiprocessing'} & sys.modules.keys()\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=child_env(), timeout=60)

@@ -1,11 +1,13 @@
-"""Ctrl-C and a dead verify worker end a command in real processes: Ctrl-C
-with exit 130 and no traceback, a dead worker with exit 1 and one line,
-and neither leaves a process behind.
+"""Ctrl-C and a dead worker end a command in real processes: Ctrl-C with
+exit 130 and no traceback, a dead verify or listing worker with exit 1 and
+one line, and neither leaves a process behind.
 
 Each child runs `cli.main`, the function both the `polytri` script and
 `python -m polytri` call, in a session of its own, so that a signal sent
-to its process group reaches only it and its workers.  Verify is told
-that two CPUs are usable, so it forks its workers on any machine.
+to its process group reaches only it and its workers, and with SIGINT at
+its default, as a shell's foreground command has it, even when the test
+run itself ignores SIGINT.  The fork runner is told that two CPUs are
+usable, so verify and a large listing fork their workers on any machine.
 """
 
 from __future__ import annotations
@@ -23,21 +25,28 @@ from helpers import child_env
 STARTED = "started"
 LAUNCH = (
     "import sys\n"
-    "from polytri import cli, verify\n"
-    "verify._usable_cpus = lambda: 2\n"
+    "from polytri import _workers, cli\n"
+    "_workers._usable_cpus = lambda: 2\n"
     f"print({STARTED!r}, file=sys.stderr, flush=True)\n"
     "cli.main()\n"
 )
 
 # commands that run for seconds; each is signalled once it runs: verify
-# once its workers exist, sequence after its first line, the others a
-# moment after `cli.main` is called
+# and the listing once their workers exist, sequence after its first line,
+# the others a moment after `cli.main` is called
 COMMANDS = {
     "verify": ["verify"],
+    "enumerate": ["enumerate", "--n", "14"],
     "symmetry": ["symmetry", "--n", "16"],
     "sequence": ["sequence", "--what", "catalan", "--n", "1..7150"],
     "disjoint": ["disjoint", "--snake", "--n", "2000"],
 }
+
+
+def _default_sigint() -> None:
+    """Run in the child before it execs: a SIGINT ignored here, as in a
+    test run started in the background, would stay ignored there."""
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
 
 
 def start(argv) -> subprocess.Popen:
@@ -45,7 +54,7 @@ def start(argv) -> subprocess.Popen:
     env = child_env(PYTHONUNBUFFERED=None)
     proc = subprocess.Popen([sys.executable, "-c", LAUNCH, *argv], stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True, env=env,
-                            start_new_session=True)
+                            start_new_session=True, preexec_fn=_default_sigint)
     assert proc.stderr.readline() == STARTED + "\n"
     return proc
 
@@ -56,7 +65,7 @@ def children(pid: int) -> list[int]:
 
 
 def workers(proc: subprocess.Popen, count: int = 2) -> list[int]:
-    """The pids of verify's workers, once `count` of them exist."""
+    """The pids of proc's workers, once `count` of them exist."""
     deadline = time.monotonic() + 10
     while len(found := children(proc.pid)) < count:
         assert proc.poll() is None and time.monotonic() < deadline, "no workers started"
@@ -85,7 +94,7 @@ def finish(proc: subprocess.Popen) -> tuple[int, str]:
 def test_ctrl_c_exits_130_with_no_traceback(argv, target):
     proc = start(argv)
     try:
-        if argv[0] == "verify":
+        if argv[0] in ("verify", "enumerate"):
             workers(proc)
         elif argv[0] == "sequence":
             assert proc.stdout.readline() == "1\n"
@@ -101,10 +110,21 @@ def test_ctrl_c_exits_130_with_no_traceback(argv, target):
     assert (code, err) == (130, "")
 
 
-def test_a_killed_worker_ends_verify_with_exit_1_and_one_line():
-    proc = start(["verify"])
+def kill_a_worker(argv) -> tuple[int, str]:
+    """(exit code, stderr) of `cli.main` on argv when one of its workers
+    is killed, as the OOM killer would kill it."""
+    proc = start(argv)
     try:
-        os.kill(workers(proc)[0], signal.SIGKILL)  # as the OOM killer would
+        os.kill(workers(proc)[0], signal.SIGKILL)
     finally:
         code, err = finish(proc)
-    assert (code, err) == (1, "polytri: error: a verify worker died\n")
+    return code, err
+
+
+def test_a_killed_worker_ends_verify_with_exit_1_and_one_line():
+    assert kill_a_worker(["verify"]) == (1, "polytri: error: a verify worker died\n")
+
+
+def test_a_killed_worker_ends_a_listing_with_exit_1_and_one_line():
+    assert kill_a_worker(COMMANDS["enumerate"]) == (
+        1, "polytri: error: a listing worker died\n")

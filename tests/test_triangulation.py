@@ -415,6 +415,30 @@ def test_listing_above_the_cache_bound_matches_the_enumeration(ears):
     assert [str(t) for t in enumerate_triangulations(13, ears=ears)] == listing(13, ears)
 
 
+@pytest.mark.parametrize("n", [3, 4, 7, 11, 12, 13])
+def test_the_apexes_listings_in_turn_are_the_listing(n):
+    # below, at and above the shape cache bound; each apex's lines are
+    # those whose triangle over the side (0, 1) has it as its apex
+    for ears in [None, *range(2, n // 2 + 2)] if n >= 4 else [None]:
+        parts = [listing(n, ears, apex) for apex in range(2, n)]
+        assert [line for part in parts for line in part] == listing(n, ears), ears
+        for apex, part in enumerate(parts, start=2):
+            for line in part:
+                # the sides (0, n-1) and (1, 2) close the triangle at the apexes n-1 and 2
+                edges = {*Triangulation.parse(line).diagonals, (0, n - 1), (1, 2)}
+                assert [j for j in range(2, n) if {(0, j), (1, j)} <= edges] == [apex]
+
+
+@pytest.mark.parametrize("apex, message", [
+    (1, "apex must be in 2..7, got 1"),
+    (8, "apex must be in 2..7, got 8"),
+    (2.0, "apex must be an int, got 2.0"),
+])
+def test_listing_refuses_an_apex_off_the_polygon(apex, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        listing(8, None, apex)
+
+
 def test_codes_stand_for_one_pair_up_to_the_ceiling():
     # a code a * _CODE_BASE + b decodes to one pair only while b < _CODE_BASE
     assert _CODE_BASE > ENUMERATION_CEILING

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import re
 import signal
@@ -18,9 +17,10 @@ from helpers import (
     canonical_orbit_constant_by_images,
     child_env,
     images_read_in_class_by_images,
+    no_child_left,
 )
 
-from polytri import cli, compositions, disjoint, verify
+from polytri import _workers, cli, compositions, disjoint, verify
 from polytri.disjoint import arrow, snake
 from polytri.triangulation import Triangulation
 from polytri.verify import Check, RunReport, run_suites
@@ -132,7 +132,7 @@ def test_registry_entries_return_the_checks_run_suites_reports():
 def _run_with_cpus(monkeypatch, cpus, *args, **kwargs):
     """run_suites as if `cpus` CPUs were usable: 1 runs the rows in this
     process, 2 in forked workers where the platform allows."""
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: cpus)
     return run_suites(*args, **kwargs)
 
 
@@ -147,7 +147,7 @@ def test_workers_report_the_same_bytes_as_this_process(monkeypatch, suites, max_
     pooled = _run_with_cpus(monkeypatch, 2, suites, max_n)
     assert render(pooled) == render(alone)
     assert [c for c, _ in pooled.row_times] == [c for c, _ in alone.row_times]
-    assert multiprocessing.active_children() == []
+    assert no_child_left()
 
 
 def _pid(n):
@@ -165,7 +165,7 @@ def test_rows_leave_this_process_only_when_more_than_one_cpu_is_usable(monkeypat
     report = _run_with_cpus(monkeypatch, cpus, ["core"])
     pids = {int(c.got) for c in report.checks}
     assert (pids == {os.getpid()}) == (cpus == 1)
-    assert multiprocessing.active_children() == []
+    assert no_child_left()
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -179,7 +179,7 @@ def test_a_row_that_raises_reaches_the_caller_unchanged(monkeypatch, cpus):
     with pytest.raises(ValueError) as info:
         _run_with_cpus(monkeypatch, cpus, ["core", "parallel"], max_n=6)
     assert type(info.value) is ValueError and str(info.value) == "boom"
-    assert multiprocessing.active_children() == []
+    assert no_child_left()
 
 
 def _child(script: str) -> subprocess.CompletedProcess:
@@ -190,29 +190,36 @@ def _child(script: str) -> subprocess.CompletedProcess:
 
 def test_text_buffered_before_the_workers_start_is_written_once():
     proc = _child(
-        "from polytri import verify\n"
-        "verify._usable_cpus = lambda: 2\n"
+        "from polytri import _workers, verify\n"
+        "_workers._usable_cpus = lambda: 2\n"
         "print('buffered', end='')\n"
         "verify.run_suites(max_n=5)\n")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "buffered", "")
 
 
-@pytest.mark.parametrize("setup, absent", [
-    ("verify._usable_cpus = lambda: 1", {"concurrent.futures.process", "multiprocessing"}),
-    # the check for fork imports multiprocessing, and so does the patch
-    ("verify._usable_cpus = lambda: 2\n"
-     "import multiprocessing\n"
-     "multiprocessing.get_all_start_methods = lambda: ['spawn']",
-     {"concurrent.futures.process"}),
-], ids=["one-cpu", "no-fork"])
-def test_no_pool_is_imported_without_two_cpus_and_fork(setup, absent):
+@pytest.mark.parametrize("setup", [
+    "_workers._usable_cpus = lambda: 1",
+    "_workers._usable_cpus = lambda: 2\n"
+    "del os.fork",
+    # a lock another thread held at a fork would stay held in the worker
+    "_workers._usable_cpus = lambda: 2\n"
+    "done = threading.Event()\n"
+    "threading.Thread(target=done.wait).start()",
+], ids=["one-cpu", "no-fork", "another-thread"])
+def test_rows_stay_in_this_process_without_two_cpus_fork_and_one_thread(setup):
     proc = _child(
-        "import sys\n"
-        "from polytri import verify\n"
+        "import os, threading\n"
+        "from polytri import _workers, verify\n"
+        "def pid(n):\n"
+        "    return os.getpid(), os.getpid()\n"
+        "verify.CHECKS = tuple(verify.Row('core', f'pid-{i}', 4, 4, 4, 1, '-', pid)\n"
+        "                      for i in range(2))\n"
         f"{setup}\n"
-        "verify.run_suites(max_n=5)\n"
-        f"assert not {sorted(absent)} & sys.modules.keys()\n")
-    assert (proc.returncode, proc.stderr) == (0, "")
+        "report = verify.run_suites(['core'])\n"
+        "print(*{c.got for c in report.checks} - {str(os.getpid())})\n"
+        "if threading.active_count() > 1:\n"
+        "    done.set()\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
 
 
 def _die_in_a_worker(n, parent=os.getpid()):
@@ -226,7 +233,7 @@ def test_a_worker_that_dies_ends_the_call_with_a_named_error(monkeypatch):
         verify.Row("core", f"die-{i}", 4, 4, 4, 1, "-", _die_in_a_worker) for i in range(2)))
     with pytest.raises(verify.WorkerDied, match="^a verify worker died$"):
         _run_with_cpus(monkeypatch, 2, ["core"])
-    assert multiprocessing.active_children() == []
+    assert no_child_left()
 
 
 def test_a_worker_that_dies_ends_verify_with_exit_1_and_one_line():
@@ -238,21 +245,22 @@ def test_a_worker_that_dies_ends_verify_with_exit_1_and_one_line():
         "        os.kill(os.getpid(), signal.SIGKILL)\n"
         "    return 0, 0\n"
         "verify.CHECKS = (verify.Row('core', 'die', 4, 4, 4, 1, '-', die),) * 2\n"
-        "verify._usable_cpus = lambda: 2\n"
+        "from polytri import _workers\n"
+        "_workers._usable_cpus = lambda: 2\n"
         "sys.exit(cli.run(['verify']))\n")
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         1, "", "polytri: error: a verify worker died\n")
 
 
 def test_a_second_call_still_runs_its_rows_in_workers(monkeypatch):
-    """The executor's own threads are joined when a call returns, so the
-    next call still finds this process free to fork."""
+    """The runner starts no thread, so the next call still finds this
+    process free to fork."""
     monkeypatch.setattr(verify, "CHECKS", _pid_rows())
     for _ in range(2):
         report = _run_with_cpus(monkeypatch, 2, ["core"])
         assert os.getpid() not in {int(c.got) for c in report.checks}
         assert threading.active_count() == 1
-    assert multiprocessing.active_children() == []
+    assert no_child_left()
 
 
 def test_json_rendering_round_trips():

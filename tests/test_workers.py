@@ -1,0 +1,83 @@
+"""The fork runner, `_workers.map`: results in task order on both routes,
+a task's exception raised unchanged, a dead worker named, SIGINT left as
+it was, and no worker left behind on any path."""
+
+from __future__ import annotations
+
+import os
+import signal
+
+import pytest
+from helpers import no_child_left
+
+from polytri import _workers
+
+
+@pytest.fixture(params=[1, 2], ids=["one-cpu", "two-cpus"])
+def cpus(request, monkeypatch):
+    """The runner as if 1 or 2 CPUs were usable: 1 runs the tasks in this
+    process, 2 in forked workers."""
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: request.param)
+    return request.param
+
+
+def test_results_come_back_in_task_order(cpus):
+    offset = 10  # a closure: only results cross between processes
+    tasks = list(range(7, 0, -1))
+    assert _workers.map(lambda task: (task + offset, "x" * task), tasks) == [
+        (task + offset, "x" * task) for task in tasks]
+    assert _workers.map(str, []) == []
+    assert no_child_left()
+
+
+def test_tasks_leave_this_process_only_with_two_cpus(cpus):
+    pids = set(_workers.map(lambda _: os.getpid(), range(6)))
+    assert (pids == {os.getpid()}) == (cpus == 1)
+    assert no_child_left()
+
+
+def test_a_task_list_too_long_for_one_pipe_write_stays_in_this_process(cpus):
+    tasks = range(_workers._PIPE_BUF // _workers._WIDTH + 1)
+    assert set(_workers.map(lambda _: os.getpid(), tasks)) == {os.getpid()}
+
+
+class Boom(Exception):
+    """An exception of the test's own, which must come back as itself."""
+
+
+def _raise_at(*failing):
+    def task(index):
+        if index in failing:
+            raise Boom(f"task {index}")
+        return index
+
+    return task
+
+
+@pytest.mark.parametrize("failing", [(3,), (5, 2), (0, 1, 2, 3, 4, 5)])
+def test_the_first_failing_task_raises_unchanged(cpus, failing):
+    with pytest.raises(Boom) as info:
+        _workers.map(_raise_at(*failing), range(6))
+    assert type(info.value) is Boom and str(info.value) == f"task {min(failing)}"
+    assert no_child_left()
+
+
+def _die_in_a_worker(task, parent=os.getpid()):
+    if os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return task
+
+
+def test_a_worker_that_dies_raises_worker_died(monkeypatch):
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
+    with pytest.raises(_workers.WorkerDied):
+        _workers.map(_die_in_a_worker, range(4))
+    assert no_child_left()
+
+
+def test_sigint_is_blocked_in_workers_and_restored_after(cpus):
+    before = signal.pthread_sigmask(signal.SIG_BLOCK, [])
+    blocked = _workers.map(
+        lambda _: signal.SIGINT in signal.pthread_sigmask(signal.SIG_BLOCK, []), range(2))
+    assert blocked == [cpus == 2] * 2
+    assert signal.pthread_sigmask(signal.SIG_BLOCK, []) == before
