@@ -4,28 +4,38 @@
 at least two CPUs are usable, `os.fork` exists and this process runs no
 other thread (a lock held there would stay held in a child), it forks
 min(usable CPUs, len(tasks)) workers and the tasks run there; otherwise
-they run one after another in this process.  Only the results cross
-between processes, pickled, so fn may be any callable, a closure included,
-but a result or exception that does not pickle ends its worker without
-results.
+they run one after another in this process.
 
 Before it forks, the parent writes every task index, at a fixed width,
 into one pipe, in one write of at most PIPE_BUF bytes, which a pipe holds
 whole, and closes its end.  Each worker reads one index at a time, so each
 task reaches exactly one worker, the next one free (as an executor's
-chunksize=1 would), until the pipe is empty.  A worker writes its results,
-or its first exception, to a pipe of its own after its last task, and
-leaves by `os._exit`.  The parent reads each worker's pipe to EOF in turn,
-which cannot deadlock, as no worker waits on another, and then reaps every
-worker.  A task's exception is raised here unchanged: the first in task
-order, as the in-process map would raise it.  A worker that ended without
-its results, killed or crashed, raises `WorkerDied`.  SIGINT stays blocked
-here and in the workers for the whole run, so Ctrl-C takes effect here once
-the workers are reaped, and no worker outlives the call on any path.
+chunksize=1 would), until the pipe is empty or one of its tasks raises.
+It then writes the results it has, pickled, to a pipe of its own and
+leaves by `os._exit`.  Only results cross between processes, never an
+exception, so fn may be any callable, a closure included.  The parent
+reads each worker's pipe to EOF in turn, which cannot deadlock, as no
+worker waits on another, and then reaps every worker.
+
+Every task no worker returns runs here afterwards, in task order, once
+the workers are reaped and SIGINT is unblocked, so the caller gets what
+the in-process map would return or raise.  That covers a task that raised
+in a worker, and those the task pipe still held; every task of a worker
+whose results do not load, which is so when one of them did not pickle (a
+pickle cut short has no STOP opcode) or does not rebuild; and every task
+when a pipe, a fork or a worker's exit status cannot be had (an
+`OSError`: fork refused with EAGAIN, or SIGCHLD ignored, so that the
+kernel reaps the workers itself).  A task may thus run twice, once in a
+worker and once here, so fn must have no side effects.  A worker that
+ends by a signal or a nonzero exit code, killed or crashed, raises
+`WorkerDied`.  SIGINT stays blocked here and in the workers while they
+run, so Ctrl-C takes effect here once they are reaped, and no worker
+outlives the call on any path.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import signal
 import threading
@@ -54,45 +64,46 @@ def _usable_cpus() -> int:
 
 def map(fn: Callable[[T], R], tasks: Sequence[T]) -> list[R]:
     """[fn(task) for task in tasks], in forked workers where this process
-    may fork them (see the module docstring), else in this process."""
+    may fork them, and here for every task no worker returns (see the
+    module docstring)."""
     workers = min(_usable_cpus(), len(tasks))
-    if (workers < 2 or len(tasks) * _WIDTH > _PIPE_BUF or not hasattr(os, "fork")
-            or threading.active_count() > 1):
-        return [fn(task) for task in tasks]
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-    try:
-        return _forked(fn, tasks, workers)
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    done: dict[int, R] = {}
+    if (workers > 1 and len(tasks) * _WIDTH <= _PIPE_BUF and hasattr(os, "fork")
+            and threading.active_count() == 1):
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            done = _forked(fn, tasks, workers)
+        except OSError:  # no pipe, fork or exit status to be had: every task runs here
+            pass
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    return [done[i] if i in done else fn(task) for i, task in enumerate(tasks)]
 
 
-def _forked(fn: Callable[[T], R], tasks: Sequence[T], workers: int) -> list[R]:
-    """`map` in `workers` forked processes, with SIGINT blocked.  pickle is
-    imported here, not at module level, so a process that never forks
-    does not pay for it."""
+def _forked(fn: Callable[[T], R], tasks: Sequence[T], workers: int) -> dict[int, R]:
+    """The results that `workers` forked processes return, by task index,
+    with SIGINT blocked.  pickle is imported here, not at module level, so
+    a process that never forks does not pay for it."""
     import pickle
 
     task_r, task_w = os.pipe()
-    try:
-        os.write(task_w, b"".join(i.to_bytes(_WIDTH, "little") for i in range(len(tasks))))
-    finally:
-        os.close(task_w)
     pids: list[int] = []  # the workers not yet reaped
     readers: list[int] = []  # their result pipes not yet read
     try:
+        try:
+            os.write(task_w, b"".join(i.to_bytes(_WIDTH, "little") for i in range(len(tasks))))
+        finally:
+            os.close(task_w)
         for _ in range(workers):
             out_r, out_w = os.pipe()
+            readers.append(out_r)
             try:
                 pid = os.fork()
-            except OSError:
-                os.close(out_r)
+                if pid == 0:
+                    _work(fn, tasks, task_r, out_w)  # never returns
+            finally:
                 os.close(out_w)
-                raise
-            if pid == 0:
-                _work(fn, tasks, task_r, out_w)  # never returns
             pids.append(pid)
-            readers.append(out_r)
-            os.close(out_w)
         payloads = []
         while readers:
             with open(readers.pop(0), "rb") as out:
@@ -106,43 +117,36 @@ def _forked(fn: Callable[[T], R], tasks: Sequence[T], workers: int) -> list[R]:
         for out_r in readers:  # left only when something raised
             os.close(out_r)
         for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    if any(os.waitstatus_to_exitcode(status) != 0 for status in statuses):
+            # a worker the kernel reaped itself, as it does while SIGCHLD
+            # is ignored, is no longer a child, and its pid not ours to kill
+            with contextlib.suppress(OSError):
+                if os.waitpid(pid, os.WNOHANG)[0] == 0:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+    if any(statuses):  # a status other than exit code 0: killed, or crashed
         raise WorkerDied("a worker died")
-    results: list = [None] * len(tasks)
-    failures = []
-    while payloads:  # each payload freed once read
-        done, failure = pickle.loads(payloads.pop())
-        for index, result in done:
-            results[index] = result
-        if failure is not None:
-            failures.append(failure)
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    return results
+    done: dict[int, R] = {}
+    while payloads:  # each payload freed once loaded
+        with contextlib.suppress(Exception):  # else its tasks run in `map`
+            done.update(pickle.loads(payloads.pop()))
+    return done
 
 
 def _work(fn: Callable[[T], R], tasks: Sequence[T], task_r: int, out_w: int) -> None:
     """A forked worker's whole life: run tasks until the task pipe is
-    empty or one raises, write (results, first failure) to out_w, and
-    leave by `os._exit`, never returning into the parent's stack; the exit
-    code is 0 only once everything is written."""
-    import pickle
-
-    code = 1
+    empty or one raises, write [(index, result), ...] to out_w, and leave
+    by `os._exit(0)`, never returning into the parent's stack."""
     try:
+        import pickle
+
         done: list[tuple[int, R]] = []
-        failure = None
-        while chunk := os.read(task_r, _WIDTH):
-            index = int.from_bytes(chunk, "little")
-            try:
+        try:
+            while chunk := os.read(task_r, _WIDTH):
+                index = int.from_bytes(chunk, "little")
                 done.append((index, fn(tasks[index])))
-            except BaseException as exc:  # the parent raises it, as the in-process map would
-                failure = (index, exc)
-                break
+        except BaseException:  # the parent runs this task again, and raises what it raises
+            pass
         with open(out_w, "wb") as out:
-            pickle.dump((done, failure), out)
-        code = 0
+            pickle.dump(done, out)  # a dump that raises leaves a pickle that does not load
     finally:
-        os._exit(code)
+        os._exit(0)

@@ -77,8 +77,10 @@ class Domain(NamedTuple):
 # x86-64 machine (Python 3.11).
 DOMAINS: dict[str, Domain] = {
     # `enumerate` without --count-only: C(n-2) lines, 208,012 at n = 14,
-    # in 0.45 s, 33 MB in the parent and 29 MB in each of two workers
-    # (medians of eight; 0.59 s and 64 MB in one process)
+    # in 0.28-0.48 s, 32 MB in the parent and 28-29 MB in each of two
+    # workers; 0.44-0.55 s and 37 MB on one CPU (the command's own time,
+    # medians of eight fresh processes; the ranges span four and two such
+    # sets, taken on the same machine at different times)
     "listing": Domain(14, "full listings are supported for 3 <= n <= {ceiling}, "
                       "got n={n} (use --count-only for larger n)"),
     # the ear-insertion census of `symmetry --method orbit|both`: with

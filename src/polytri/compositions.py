@@ -186,7 +186,7 @@ def count_classes(m: int, method: str = "closed") -> int:
         return symmetry_classes_2ear(m + 3)
     if method == "burnside":
         total = (1 << (m - 1)) + sum(count_fixed(m, op) for op in _OPS)
-        return _exact_quotient(total, 4, f"Burnside class count at m={m}")
+        return _exact_quotient(total, 4, "Burnside class count at m={}", m)
     if method == "direct":
         full = (1 << (m - 1)) - 1
         masks = range(1 << (m - 2) if m > 1 else 1)

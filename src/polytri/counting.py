@@ -53,36 +53,37 @@ from polytri.triangulation import (
 )
 
 
-def _exact_quotient(numerator: int, denominator: int, what: str) -> int:
-    """numerator / denominator, which must divide exactly; `what` names the
-    formula and n.  The message leaves the numerator out: at large n it has
-    more digits than Python will print."""
+def _exact_quotient(numerator: int, denominator: int, what: str, *args: object) -> int:
+    """numerator / denominator, which must divide exactly; `what`, formatted
+    with args only when the division fails, names the formula and n.  The
+    message leaves the numerator out: at large n it has more digits than
+    Python will print."""
     quotient, remainder = divmod(numerator, denominator)
     if remainder:
-        raise ArithmeticError(f"{what} is not an integer")
+        raise ArithmeticError(f"{what.format(*args)} is not an integer")
     return quotient
 
 
 def catalan(k: int) -> int:
     """Catalan number C(k) = binom(2k, k) / (k+1)."""
     _check_at_least(k, 0, "k", "Catalan numbers need k >= 0, got {}")
-    return comb(2 * k, k) // (k + 1)
+    return _exact_quotient(comb(2 * k, k), k + 1, "C({}) by the binomial", k)
 
 
 def catalan_step(k: int, before: int) -> int:
     """C(k) from before = C(k-1), for k >= 1, by the ratio
     C(k) = C(k-1) 2(2k-1) / (k+1), checked exact: one product and one
     division by a small int instead of a binomial."""
-    return _exact_quotient(before * (4 * k - 2), k + 1, f"C({k}) by the ratio")
+    return _exact_quotient(before * (4 * k - 2), k + 1, "C({}) by the ratio", k)
 
 
 def catalan_list(upto: int) -> list[int]:
-    """[C(0), ..., C(upto)], by the ratio C(k+1) = C(k) 2(2k+1) / (k+2),
-    which divides exactly: one product per k instead of one binomial."""
+    """[C(0), ..., C(upto)], a run of `catalan_step`: one product and one
+    checked division per k instead of one binomial."""
     _check_int(upto, "upto")
     out = [1] if upto >= 0 else []
-    for k in range(upto):
-        out.append(out[k] * 2 * (2 * k + 1) // (k + 2))
+    for k in range(1, upto + 1):
+        out.append(catalan_step(k, out[-1]))
     return out
 
 
@@ -130,7 +131,7 @@ def hurtado_noy(n: int, k: int) -> int:
     if k > top:
         return 0
     numerator = (n * comb(n - 4, 2 * k - 4) * catalan(k - 2)) << (n - 2 * k)
-    return _exact_quotient(numerator, k, f"ear count formula at n={n}, k={k}")
+    return _exact_quotient(numerator, k, "ear count formula at n={}, k={}", n, k)
 
 
 def ear_census(n: int, method: str = "formula") -> dict[int, int]:
@@ -158,7 +159,7 @@ def symmetry_classes_2ear(n: int) -> int:
     """
     _check_at_least(n, 5, "polygon size", "2-ear class formula requires n >= 5, got {}")
     twice = (1 << (n - 5)) + (1 << (n // 2 - 2))
-    return _exact_quotient(twice, 2, f"2-ear class formula at n={n}")
+    return _exact_quotient(twice, 2, "2-ear class formula at n={}", n)
 
 
 def symmetry_classes_3ear(n: int) -> int:
@@ -170,7 +171,7 @@ def symmetry_classes_3ear(n: int) -> int:
         times48 += 3 << (n // 2)
     if n % 3 == 0:
         times48 += 1 << (n // 3 + 2)
-    return _exact_quotient(times48, 48, f"3-ear class formula at n={n}")
+    return _exact_quotient(times48, 48, "3-ear class formula at n={}", n)
 
 
 def _glue_ears(quiddity: Sequence[int], tip_sides: bool = False) -> Iterator[list[int]]:

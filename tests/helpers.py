@@ -69,12 +69,15 @@ the one check that a call left no worker process behind.
 
 from __future__ import annotations
 
+import errno
 import os
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
+
+import pytest
 
 import polytri
 from polytri import compositions as comp
@@ -113,6 +116,29 @@ def no_child_left() -> bool:
     except ChildProcessError:
         return True
     return False
+
+
+def refused_at(real, call: int):
+    """real, an `os` call such as `os.fork`, but raising OSError(EAGAIN),
+    as a fork refused for want of processes does, at its call-th call."""
+    calls = 0
+
+    def refused(*args):
+        nonlocal calls
+        calls += 1
+        if calls == call:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real(*args)
+
+    return refused
+
+
+def open_fds() -> set[str]:
+    """The file descriptors this process has open, from /proc/self/fd;
+    the test calling it is skipped where that directory is absent."""
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd to list open file descriptors")
+    return set(os.listdir("/proc/self/fd"))
 
 
 @lru_cache(maxsize=None)

@@ -10,6 +10,7 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import textwrap
@@ -18,7 +19,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
-from helpers import child_env, listing_by_recursion
+from helpers import child_env, listing_by_recursion, no_child_left, open_fds, refused_at
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -198,6 +199,46 @@ def test_pinned_listings_are_the_same_bytes_on_one_cpu(capsys, monkeypatch, argv
     monkeypatch.setattr(_workers, "_usable_cpus", lambda: 1)
     assert invoke(["enumerate", *argv]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("call", [1, 2], ids=["first-fork", "second-fork"])
+@pytest.mark.parametrize("argv", [["verify", "--max-n", "8"], ["enumerate", "--n", "13"]],
+                         ids=["verify", "listing"])
+def test_a_refused_fork_answers_in_this_process(capsys, two_cpus, monkeypatch, argv, call):
+    # fork refused with EAGAIN at the first or the second worker: every
+    # task runs here, and the worker forked before is reaped
+    fds = open_fds()
+    monkeypatch.setattr(os, "fork", refused_at(os.fork, call))
+    assert invoke(argv) == 0
+    monkeypatch.undo()
+    out, err = capsys.readouterr()
+    assert err == ""
+    if argv[0] == "verify":
+        assert out == (GOLDEN_DIR / "verify-max-n-8.txt").read_text()
+    else:
+        assert hashlib.sha256(out.encode()).hexdigest() == UNFILTERED_LISTING_SHA256["13"]
+    assert no_child_left()
+    assert open_fds() == fds
+
+
+def _ignore_sigchld() -> None:
+    """Run in the child before it execs: an ignored SIGCHLD stays ignored
+    across exec, as under `bash -c "trap '' CHLD; ..."`."""
+    signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+
+
+@pytest.mark.parametrize("argv", [["verify", "--max-n", "8"], ["enumerate", "--n", "13"]],
+                         ids=["verify", "listing"])
+def test_polytri_answers_with_sigchld_ignored(argv):
+    # two usable CPUs, so the command forks its workers on any machine
+    launch = "from polytri import _workers, cli\n_workers._usable_cpus = lambda: 2\ncli.main()\n"
+    done = subprocess.run([sys.executable, "-c", launch, *argv], capture_output=True,
+                          env=child_env(), preexec_fn=_ignore_sigchld, timeout=60)
+    assert (done.returncode, done.stderr) == (0, b"")
+    if argv[0] == "verify":
+        assert done.stdout == (GOLDEN_DIR / "verify-max-n-8.txt").read_bytes()
+    else:
+        assert hashlib.sha256(done.stdout).hexdigest() == UNFILTERED_LISTING_SHA256["13"]
 
 
 @pytest.mark.parametrize("argv, tasks", [

@@ -23,7 +23,7 @@ from helpers import (
     three_ear_classes_by_fractions,
 )
 
-from polytri import triangulation
+from polytri import counting, triangulation
 from polytri.compositions import count_classes
 from polytri.counting import (
     _class_keys,
@@ -57,6 +57,18 @@ def test_catalan_step_matches_catalan_and_refuses_an_inexact_ratio():
         assert catalan_step(k, catalan(k - 1)) == catalan(k)
     with pytest.raises(ArithmeticError, match=r"C\(3\) by the ratio is not an integer"):
         catalan_step(3, 1)  # 1 * 10 / 4
+
+
+def test_every_catalan_route_checks_its_division(monkeypatch):
+    monkeypatch.setattr(counting, "comb", lambda n, k: 7)  # 7 / 4 at k = 3
+    with pytest.raises(ArithmeticError, match=r"^C\(3\) by the binomial is not an integer$"):
+        catalan(3)
+    monkeypatch.undo()
+    steps = []
+    monkeypatch.setattr(counting, "catalan_step",
+                        lambda k, before: steps.append((k, before)) or catalan_step(k, before))
+    assert catalan_list(4) == CATALAN_PREFIX[:5]
+    assert steps == [(k, CATALAN_PREFIX[k - 1]) for k in range(1, 5)]
 
 
 def test_catalan_against_recurrence():
@@ -108,6 +120,12 @@ def test_exact_quotient_divides_or_names_the_formula():
     assert _exact_quotient(1 << 200, 1 << 100, "x") == 1 << 100
     with pytest.raises(ArithmeticError, match=r"^sample formula at n=7 is not an integer$"):
         _exact_quotient(15, 4, "sample formula at n=7")
+
+
+def test_exact_quotient_formats_its_message_only_when_the_division_fails():
+    assert _exact_quotient(8, 2, "{} {}") == 4  # formatted with no args, it would raise
+    with pytest.raises(ArithmeticError, match=r"^sample formula at n=7, k=3 is not an integer$"):
+        _exact_quotient(15, 4, "sample formula at n={}, k={}", 7, 3)
 
 
 def test_exact_quotient_message_leaves_out_a_numerator_too_long_to_print():

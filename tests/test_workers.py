@@ -1,6 +1,8 @@
 """The fork runner, `_workers.map`: results in task order on both routes,
-a task's exception raised unchanged, a dead worker named, SIGINT left as
-it was, and no worker left behind on any path."""
+a task's exception raised unchanged, every task no worker returns run in
+this process (a task that raised, results that do not cross a pipe, a
+pipe or fork refused, SIGCHLD ignored), a dead worker named, SIGINT left
+as it was, and no worker or pipe left behind on any path."""
 
 from __future__ import annotations
 
@@ -8,7 +10,7 @@ import os
 import signal
 
 import pytest
-from helpers import no_child_left
+from helpers import no_child_left, open_fds, refused_at
 
 from polytri import _workers
 
@@ -81,3 +83,78 @@ def test_sigint_is_blocked_in_workers_and_restored_after(cpus):
         lambda _: signal.SIGINT in signal.pthread_sigmask(signal.SIG_BLOCK, []), range(2))
     assert blocked == [cpus == 2] * 2
     assert signal.pthread_sigmask(signal.SIG_BLOCK, []) == before
+
+
+class TwoArgs(Exception):
+    """An exception whose __init__ takes two arguments and passes one on, so
+    that pickle, which rebuilds it from its args, cannot rebuild it."""
+
+    def __init__(self, message, extra):
+        super().__init__(message)
+        self.extra = extra
+
+
+def _raise_two_args(task):
+    if task == 3:
+        raise TwoArgs("task 3", "extra")
+    return task
+
+
+def test_an_exception_that_does_not_pickle_back_raises_as_itself(cpus):
+    with pytest.raises(TwoArgs) as info:
+        _workers.map(_raise_two_args, range(6))
+    assert (str(info.value), info.value.extra) == ("task 3", "extra")
+    assert no_child_left()
+
+
+@pytest.mark.parametrize("make, read", [
+    (lambda task: lambda: task, lambda result: result()),  # does not pickle
+    (lambda task: TwoArgs(task, "extra"), lambda result: result.args[0]),  # does not load
+], ids=["lambda", "unloadable"])
+def test_a_result_that_does_not_cross_a_pipe_comes_back(cpus, make, read):
+    assert [read(result) for result in _workers.map(make, range(6))] == list(range(6))
+    assert no_child_left()
+
+
+def test_a_task_that_raised_in_a_worker_runs_again_here_with_sigint_unblocked(monkeypatch):
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
+    parent = os.getpid()
+
+    def task(index):
+        if os.getpid() != parent:
+            if index == 2:
+                raise Boom("in a worker")
+            return "worker"
+        return "here", signal.SIGINT in signal.pthread_sigmask(signal.SIG_BLOCK, [])
+
+    results = _workers.map(task, range(4))
+    assert results[2] == ("here", False)
+    assert set(results) <= {"worker", ("here", False)}
+    assert no_child_left()
+
+
+@pytest.mark.parametrize("name, call", [
+    ("fork", 1), ("fork", 2),
+    ("pipe", 1),  # the task pipe
+    ("pipe", 2), ("pipe", 3),  # the first and the second worker's result pipe
+], ids=["fork-1", "fork-2", "pipe-1", "pipe-2", "pipe-3"])
+def test_a_refused_fork_or_pipe_runs_every_task_here(monkeypatch, name, call):
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
+    fds = open_fds()
+    monkeypatch.setattr(os, name, refused_at(getattr(os, name), call))
+    results = _workers.map(lambda task: (task, os.getpid()), range(6))
+    monkeypatch.undo()
+    assert results == [(task, os.getpid()) for task in range(6)]
+    assert no_child_left()
+    assert open_fds() == fds
+
+
+def test_ignored_sigchld_gives_the_same_results(cpus):
+    before = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        results = _workers.map(lambda task: task * task, range(6))
+    finally:
+        signal.signal(signal.SIGCHLD, before)
+    assert results == [task * task for task in range(6)]
+    assert no_child_left()
+
