@@ -1,10 +1,19 @@
 """One runner for work that forked worker processes may share: `map`.
 
-`map(fn, tasks)` returns [fn(task) for task in tasks], in task order.  When
-at least two CPUs are usable, `os.fork` exists and this process runs no
-other thread (a lock held there would stay held in a child), it forks
-min(usable CPUs, len(tasks)) workers and the tasks run there; otherwise
-they run one after another in this process.
+`map(fn, tasks, **estimate)` returns [fn(task) for task in tasks], in task
+order.  It forks min(usable CPUs, len(tasks)) workers, and the tasks run
+there, only when forking can pay and can work:
+
+- the caller's work estimate reaches its unit's threshold in FORK_FROM
+  (`pays`), as below it a fork and a worker's start cost more than the
+  workers save;
+- at least two CPUs are usable, and the task indices fit the task pipe;
+- `os.fork` exists, and this process runs no other thread (a lock held
+  there would stay held in a child);
+- SIGCHLD is not ignored, since then the kernel reaps the workers itself
+  and their exit status cannot be had.
+
+Otherwise the tasks run one after another in this process.
 
 Before it forks, the parent writes every task index, at a fixed width,
 into one pipe, in one write of at most PIPE_BUF bytes, which a pipe holds
@@ -15,7 +24,10 @@ It then writes the results it has, pickled, to a pipe of its own and
 leaves by `os._exit`.  Only results cross between processes, never an
 exception, so fn may be any callable, a closure included.  The parent
 reads each worker's pipe to EOF in turn, which cannot deadlock, as no
-worker waits on another, and then reaps every worker.
+worker waits on another, and then reaps every worker.  A worker inherits
+what this process built before the fork, such as a cache, so a caller
+that builds what every task reads before calling `map` spares each
+worker that work.
 
 Every task no worker returns runs here afterwards, in task order, once
 the workers are reaped and SIGINT is unblocked, so the caller gets what
@@ -24,13 +36,12 @@ in a worker, and those the task pipe still held; every task of a worker
 whose results do not load, which is so when one of them did not pickle (a
 pickle cut short has no STOP opcode) or does not rebuild; and every task
 when a pipe, a fork or a worker's exit status cannot be had (an
-`OSError`: fork refused with EAGAIN, or SIGCHLD ignored, so that the
-kernel reaps the workers itself).  A task may thus run twice, once in a
-worker and once here, so fn must have no side effects.  A worker that
-ends by a signal or a nonzero exit code, killed or crashed, raises
-`WorkerDied`.  SIGINT stays blocked here and in the workers while they
-run, so Ctrl-C takes effect here once they are reaped, and no worker
-outlives the call on any path.
+`OSError`, such as a fork refused with EAGAIN).  A task may thus run
+twice, once in a worker and once here, so fn must have no side effects.
+A worker that ends by a signal or a nonzero exit code, killed or
+crashed, raises `WorkerDied`.  SIGINT stays blocked here and in the
+workers while they run, so Ctrl-C takes effect here once they are
+reaped, and no worker outlives the call on any path.
 """
 
 from __future__ import annotations
@@ -51,6 +62,26 @@ _WIDTH = 2  # bytes per task index in the task pipe
 _PIPE_BUF = 512
 
 
+# The least work estimate at which `map` forks, by the unit its caller
+# counts work in (see `pays`).  Each was set by alternating fresh-process
+# timings on a 2-core x86-64 machine (Python 3.11), medians of 11-15:
+FORK_FROM = {
+    # the lines of a listing.  The command's own time, forked against one
+    # task in this process: 7,168 lines (12-gon, 3 ears) 42.0 vs 36.8 ms,
+    # 8,736 (13-gon, 5 ears) 43.8 vs 36.8 ms; the whole 12-gon's 16,796
+    # lines 46.8 vs 44.4 ms (48.2 vs 50.4 ms as JSON), even within the
+    # noise; 19,968 (13-gon, 3 ears) 54.4 vs 56.4 ms; 26,208 (13-gon, 4
+    # ears) 63.3 vs 68.4 ms.  No listing of n <= 14 has 8,737 to 16,795
+    # lines, so any bound between acts the same
+    "lines": 10001,
+    # verify's cap on its rows' windows, --max-n; None, each row's own
+    # window (a full run), always forks.  The whole command, forked against
+    # one CPU: --max-n 6 127 vs 110 ms, 8 157 vs 156 ms, 9 232 vs 269 ms,
+    # 10 315 vs 444 ms
+    "max_n": 9,
+}
+
+
 class WorkerDied(RuntimeError):
     """A worker process ended, killed or crashed, before it returned its results."""
 
@@ -62,14 +93,23 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def map(fn: Callable[[T], R], tasks: Sequence[T]) -> list[R]:
-    """[fn(task) for task in tasks], in forked workers where this process
-    may fork them, and here for every task no worker returns (see the
-    module docstring)."""
+def pays(**estimate: int | None) -> bool:
+    """Whether a call of this much work gains by forking: each keyword
+    names a unit of FORK_FROM, and its value is the caller's estimate in
+    it, None for no bound (which always pays).  No estimate pays."""
+    return all(work is None or work >= FORK_FROM[unit] for unit, work in estimate.items())
+
+
+def map(fn: Callable[[T], R], tasks: Sequence[T], **estimate: int | None) -> list[R]:
+    """[fn(task) for task in tasks], in forked workers where forking pays
+    for the caller's work estimate (see `pays`) and this process may fork
+    them, and here for every task no worker returns (see the module
+    docstring)."""
     workers = min(_usable_cpus(), len(tasks))
     done: dict[int, R] = {}
-    if (workers > 1 and len(tasks) * _WIDTH <= _PIPE_BUF and hasattr(os, "fork")
-            and threading.active_count() == 1):
+    if (workers > 1 and len(tasks) * _WIDTH <= _PIPE_BUF and pays(**estimate)
+            and hasattr(os, "fork") and threading.active_count() == 1
+            and signal.getsignal(signal.SIGCHLD) != signal.SIG_IGN):
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
             done = _forked(fn, tasks, workers)
@@ -117,8 +157,10 @@ def _forked(fn: Callable[[T], R], tasks: Sequence[T], workers: int) -> dict[int,
         for out_r in readers:  # left only when something raised
             os.close(out_r)
         for pid in pids:
-            # a worker the kernel reaped itself, as it does while SIGCHLD
-            # is ignored, is no longer a child, and its pid not ours to kill
+            # a worker the kernel reaped itself, as it does when SIGCHLD
+            # was ignored by means `signal.getsignal` does not see (a C
+            # library's sigaction), is no longer a child, and its pid not
+            # ours to kill
             with contextlib.suppress(OSError):
                 if os.waitpid(pid, os.WNOHANG)[0] == 0:
                     os.kill(pid, signal.SIGKILL)

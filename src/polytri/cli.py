@@ -41,6 +41,7 @@ from polytri.triangulation import (
     _check_ears,
     _check_size,
     _wanted_ears,
+    _warm_shapes,
     listing,
 )
 
@@ -77,10 +78,11 @@ class Domain(NamedTuple):
 # x86-64 machine (Python 3.11).
 DOMAINS: dict[str, Domain] = {
     # `enumerate` without --count-only: C(n-2) lines, 208,012 at n = 14,
-    # in 0.28-0.48 s, 32 MB in the parent and 28-29 MB in each of two
-    # workers; 0.44-0.55 s and 37 MB on one CPU (the command's own time,
-    # medians of eight fresh processes; the ranges span four and two such
-    # sets, taken on the same machine at different times)
+    # in 0.29-0.37 s forked, 35 MB in the parent, which builds the shape
+    # tables first, and 31 MB in each of two workers; 0.43-0.55 s and
+    # 37 MB on one CPU (the command's own time; the ranges span the
+    # medians of five and two sets of 11-40 alternating fresh processes,
+    # taken on the same machine at different times)
     "listing": Domain(14, "full listings are supported for 3 <= n <= {ceiling}, "
                       "got n={n} (use --count-only for larger n)"),
     # the ear-insertion census of `symmetry --method orbit|both`: with
@@ -262,18 +264,6 @@ def _resolve_shape(args: argparse.Namespace, *routes: str) -> tuple[Triangulatio
 # -- enumerate ------------------------------------------------------------------
 
 
-# A listing of more lines than this is made in forked workers (see
-# `_workers.map`), one top-level apex per task; a shorter one in this
-# process, in one task.  The command's time in a fresh process, forked vs
-# not, medians of nine on a 2-core x86-64 machine (Python 3.11): 7,168
-# lines (12-gon, 3 ears) 25.1 vs 22.3 ms, 8,736 (13-gon, 5 ears) 29.0 vs
-# 29.3 ms, 16,796 (the whole 12-gon) 32.7 vs 37.8 ms.  With the shape
-# cache already built in this process, forking the 12-gon measured no
-# gain (26.9 vs 26.2 ms), and 19,968 lines (13-gon, 3 ears) still gained
-# (28.9 vs 32.7 ms).
-_FORK_LINES = 10000
-
-
 def cmd_enumerate(args: argparse.Namespace) -> int:
     n, k = args.n, args.ears
     if args.count_only:
@@ -292,10 +282,16 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     _refuse("listing", n)
     _wanted_ears(n, k)  # the listing's own refusals, before its lines are counted
     lines = counting.catalan(n - 2) if k is None else counting.hurtado_noy(n, k)
-    # one task for the whole listing, or one per top-level apex: 2, n-1, 3,
-    # n-2, ..., the outer ones first, as they hold the most lines
-    apexes = ([None] if lines <= _FORK_LINES
-              else sorted(range(2, n), key=lambda j: min(j - 2, n - 1 - j)))
+    # a listing too short to pay for a fork (`_workers.pays`) is one task;
+    # a longer one is one task per top-level apex: 2, n-1, 3, n-2, ..., the
+    # outer ones first, as they hold the most lines.  Every apex reads the
+    # same shape tables, so they are built here, once, and a forked worker
+    # inherits them built
+    if _workers.pays(lines=lines):
+        apexes = sorted(range(2, n), key=lambda j: min(j - 2, n - 1 - j))
+        _warm_shapes(n)
+    else:
+        apexes = [None]
     as_json = args.format == "json"
     try:
         chunks = _workers.map(functools.partial(_listing_chunk, n, k, as_json), apexes)

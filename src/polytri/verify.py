@@ -14,8 +14,10 @@ analysis, witnessed already at n=6.
 
 Every row runs through one routine, `_run_row`.  `run_suites` hands the
 rows, one task each, to the package's one fork runner, `_workers.map`,
-which runs them in forked worker processes, one per usable CPU, when more
-than one CPU is usable, and otherwise one after another in the calling
+with its cap on the rows' windows as the work estimate.  The runner runs
+them in forked worker processes, one per usable CPU, when more than one
+CPU is usable and the cap is none or reaches its fork threshold
+(`_workers.FORK_FROM`), and otherwise one after another in the calling
 process, and gives their results back in table order.  A row no worker
 returns, such as one that raised, runs again in the calling process.
 Either way the suites' lines are reported in the order asked for, so the
@@ -414,7 +416,8 @@ def run_suites(
     refused, not read letter by letter.  The suites' rows, in the order
     given and in table order within each suite, run through
     `_run_row` by `_workers.map`: in forked worker processes, one per
-    usable CPU up to one per row, where that runner may fork, else one
+    usable CPU up to one per row, where that runner may fork and max_n,
+    its work estimate, pays for the fork (`_workers.pays`), else one
     after another in this process.  The results come back in that order,
     so the report is the same bytes either way.  A row that raises in a
     worker runs again in this process once the workers are reaped, in
@@ -441,7 +444,7 @@ def run_suites(
     start = time.perf_counter()
     indices = [i for name in names for i, row in enumerate(CHECKS) if row.suite == name]
     try:
-        rows = _workers.map(partial(_run_row, max_n), indices)
+        rows = _workers.map(partial(_run_row, max_n), indices, max_n=max_n)
     except WorkerDied:
         raise WorkerDied("a verify worker died") from None
     seconds_of = dict.fromkeys(names, 0.0)

@@ -289,6 +289,36 @@ def test_a_listing_worker_that_dies_exits_1_with_one_line():
         1, "", f"{cli.PROG}: error: a listing worker died\n")
 
 
+def test_a_second_listing_forks_workers_that_inherit_the_shape_tables():
+    # in a process of its own, so the tables start cold: the first forked
+    # listing builds them here, and the second one's workers, each task
+    # reporting its pid and the table's misses, build none of them again
+    proc = subprocess.run([sys.executable, "-c", (
+        "import contextlib, io, os\n"
+        "from polytri import _workers, cli, triangulation\n"
+        "_workers._usable_cpus = lambda: 2\n"
+        "shapes = triangulation._cached_shapes\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.run(['enumerate', '--n', '13']) == 0\n"
+        "built = shapes.cache_info()\n"
+        "listing_chunk = cli._listing_chunk\n"
+        "def chunk(*args):\n"
+        "    listing_chunk(*args)\n"
+        "    return f'{os.getpid()} {shapes.cache_info().misses}\\n'\n"
+        "cli._listing_chunk = chunk\n"
+        "print(os.getpid(), built.currsize, built.misses)\n"
+        "assert cli.run(['enumerate', '--n', '13']) == 0\n")],
+        capture_output=True, text=True, env=child_env(), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    head, *tasks = proc.stdout.splitlines()
+    parent, size, misses = map(int, head.split())
+    assert size > 0
+    assert len(tasks) == 11  # apexes 2..12
+    for task in tasks:
+        pid, task_misses = map(int, task.split())
+        assert pid != parent and task_misses == misses
+
+
 def test_enumerate_ear_filter_above_max_ears_skips_enumeration(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("the listing enumerated or forked for an empty ear filter")

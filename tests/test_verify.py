@@ -182,6 +182,22 @@ def test_a_row_that_raises_reaches_the_caller_unchanged(monkeypatch, cpus):
     assert no_child_left()
 
 
+def _pid_of_row(max_n, index):
+    """A row's (check id, seconds, checks), whose check id is the pid of the
+    process that ran it."""
+    return str(os.getpid()), 0.0, []
+
+
+def test_a_window_below_the_fork_threshold_runs_every_row_here(monkeypatch):
+    monkeypatch.setattr(verify, "_run_row", _pid_of_row)
+    below = _run_with_cpus(monkeypatch, 2, max_n=_workers.FORK_FROM["max_n"] - 1)
+    assert [pid for pid, _ in below.row_times] == [str(os.getpid())] * len(verify.CHECKS)
+    # a full run, each row over its own window, still forks
+    full = _run_with_cpus(monkeypatch, 2)
+    assert str(os.getpid()) not in {pid for pid, _ in full.row_times}
+    assert no_child_left()
+
+
 def _child(script: str) -> subprocess.CompletedProcess:
     """A fresh Python process running script with the package under test."""
     return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

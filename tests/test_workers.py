@@ -158,3 +158,34 @@ def test_ignored_sigchld_gives_the_same_results(cpus):
     assert results == [task * task for task in range(6)]
     assert no_child_left()
 
+
+def test_ignored_sigchld_runs_every_task_here_without_a_fork(monkeypatch):
+    # with SIGCHLD ignored the kernel reaps the workers itself, so their
+    # exit status cannot be had: the tasks run here, and no worker is forked
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
+    forks = []
+
+    def fork():
+        forks.append(os.getpid())
+        raise AssertionError("forked with SIGCHLD ignored")
+
+    monkeypatch.setattr(os, "fork", fork)
+    before = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        results = _workers.map(lambda task: (task, os.getpid()), range(6))
+    finally:
+        signal.signal(signal.SIGCHLD, before)
+    assert results == [(task, os.getpid()) for task in range(6)]
+    assert forks == []
+
+
+@pytest.mark.parametrize("unit", sorted(_workers.FORK_FROM))
+def test_a_call_forks_only_from_its_units_threshold(monkeypatch, unit):
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
+    least = _workers.FORK_FROM[unit]
+    for work, forks in [(least - 1, False), (least, True), (None, True)]:
+        assert _workers.pays(**{unit: work}) == forks
+        pids = set(_workers.map(lambda _: os.getpid(), range(4), **{unit: work}))
+        assert (os.getpid() not in pids) == forks
+    assert _workers.pays()
+    assert no_child_left()
