@@ -28,7 +28,11 @@ Identities implemented and cross-checked by the verify suites:
 * Inclusion-exclusion over compositions of n-2:
       sum_{(a_1..a_i)} (-1)^(i+1) C(a_1) ... C(a_i) = C(n-3),
   with the generating-series form  sum_i (-x)^i s(x)^(i+1) = c(x)  where
-  c is the Catalan series and s = (c-1)/x.
+  c is the Catalan series and s = (c-1)/x.  The two are different
+  evaluations of the same signed terms: disjoint_inclusion_exclusion groups
+  them by their first part, a recurrence of O(n^2) products that walks no
+  composition, and disjoint_series groups them by their number of parts,
+  through the powers of s(x).
 * Avoiding the m shortest diagonals at one vertex leaves
       sum_{i=0}^{n-3-m} C(i) C(n-3-i)   triangulations.
 * A 3-eared triangulation of type (p, q, r) (the triangle counts of the
@@ -57,11 +61,9 @@ Identities implemented and cross-checked by the verify suites:
 
 from __future__ import annotations
 
-from math import prod
 from operator import itemgetter, mul
 from typing import Iterable
 
-from polytri.compositions import enumerate_compositions
 from polytri.counting import _catalan_convolution, _check_partial, catalan, catalan_list
 from polytri.triangulation import (
     Pair,
@@ -241,14 +243,25 @@ def disjoint_two_eared(n: int) -> int:
 
 def disjoint_inclusion_exclusion(n: int) -> int:
     """Evaluate sum over compositions (a_1..a_i) of n-2 of
-    (-1)^(i+1) C(a_1)...C(a_i); equals catalan(n-3)."""
+    (-1)^(i+1) C(a_1)...C(a_i); equals catalan(n-3).
+
+    The terms are summed grouped by their first part.  With F(r) the sum
+    over the compositions of r, and F(0) = -1 for the empty one, a first
+    part a adds one part to each composition of r-a and so flips its sign:
+
+        F(r) = -sum_{a=1}^{r} C(a) F(r-a),
+
+    and the answer is F(n-2).  That takes O(n^2) big-integer products
+    where the sum term by term has 2^(n-3) terms, and no composition is
+    walked.  disjoint_series groups the same terms by their number of
+    parts instead, through the powers of s(x): a different evaluation.
+    """
     _check_at_least(n, 4, "polygon size", "inclusion-exclusion needs n >= 4, got {}")
-    cat = catalan_list(n - 2).__getitem__
-    total = 0
-    for comp in enumerate_compositions(n - 2):
-        product = prod(map(cat, comp))
-        total += -product if len(comp) % 2 == 0 else product
-    return total
+    cat = catalan_list(n - 2)[1:]  # cat[a-1] = C(a)
+    f = [-1]  # f[r] = F(r)
+    for _ in range(n - 2):
+        f.append(-sum(map(mul, cat, reversed(f))))
+    return f[-1]
 
 
 def disjoint_series(limit: int) -> list[int]:

@@ -31,7 +31,10 @@ string-based `_composition`, where the package's bulk enumerator joins
 table entries.  The tables are filled by `_composition` and
 `mask_images` too, so up to m = 9 that oracle meets the same routine; the
 independent check of the tables is `compositions_by_parts` sorted by
-`bar_mask_by_sums`, with each tuple reversed for the reversals.  The pointing-string oracle walks the dual tree's path
+`bar_mask_by_sums`, with each tuple reversed for the reversals.  The
+2-ear inclusion-exclusion oracle sums its signed Catalan products one
+composition at a time, where the package groups them by their first
+part.  The pointing-string oracle walks the dual tree's path
 from ear to ear and sorts each middle triangle's boundary side by arc,
 where the package walks chords; the path walk (`is_path`, `path_from`)
 lives here as functions of a DualTree, since only this oracle uses it.
@@ -75,7 +78,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -404,6 +407,16 @@ def compositions_by_parts(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(
         (first, *rest) for first in range(1, m + 1) for rest in compositions_by_parts(m - first)
     )
+
+
+def inclusion_exclusion_by_compositions(n: int) -> int:
+    """The 2-ear inclusion-exclusion term by term: sum over the
+    compositions (a_1..a_i) of n-2 of (-1)^(i+1) C(a_1)...C(a_i)."""
+    total = 0
+    for comp in compositions_by_parts(n - 2):
+        term = prod(segner_catalan(a) for a in comp)
+        total += -term if len(comp) % 2 == 0 else term
+    return total
 
 
 def compositions_by_mask(m: int) -> list[tuple[int, ...]]:

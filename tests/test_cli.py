@@ -6,6 +6,7 @@ import contextlib
 import errno
 import functools
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -1568,8 +1569,11 @@ def test_main_turns_ctrl_c_into_exit_130_and_run_lets_it_through(monkeypatch):
 
 def test_the_polytri_script_runs_what_python_m_polytri_runs():
     root = Path(__file__).parent.parent
-    assert 'polytri = "polytri.cli:main"' in (root / "pyproject.toml").read_text().splitlines()
-    assert "from polytri.cli import main" in (root / "src/polytri/__main__.py").read_text()
+    scripts = (root / "pyproject.toml").read_text().splitlines()
+    assert 'polytri = "polytri.__main__:main"' in scripts
+    source = (root / "src/polytri/__main__.py").read_text()
+    assert source.endswith('\nif __name__ == "__main__":\n    main()\n')
+    assert callable(importlib.import_module("polytri.__main__").main)
 
 
 def run_captured(argv):

@@ -13,6 +13,7 @@ from helpers import (
     count_avoiding_recursive,
     count_disjoint_by_enumeration,
     dual_tree_shape_key,
+    inclusion_exclusion_by_compositions,
     parallel_residue,
     random_triangulation,
     rotation_symmetric,
@@ -23,7 +24,7 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polytri import counting, disjoint
+from polytri import compositions, counting, disjoint
 from polytri.counting import catalan, catalan_list, catalan_partial_convolution
 from polytri.disjoint import (
     arrow,
@@ -288,6 +289,23 @@ def test_inclusion_exclusion_values():
     assert disjoint_inclusion_exclusion(6) == 5
     for n in range(4, 19):
         assert disjoint_inclusion_exclusion(n) == catalan(n - 3)
+
+
+@pytest.mark.parametrize("n", range(4, 19))
+def test_inclusion_exclusion_matches_the_sum_term_by_term(n):
+    # verify's window; past it the oracle's cached compositions stay alive
+    assert disjoint_inclusion_exclusion(n) == inclusion_exclusion_by_compositions(n)
+
+
+def test_inclusion_exclusion_walks_no_composition(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the inclusion-exclusion walked the compositions")
+
+    original = compositions.enumerate_compositions
+    for module in [m for name, m in sys.modules.items() if name.startswith("polytri")]:
+        if getattr(module, "enumerate_compositions", None) is original:
+            monkeypatch.setattr(module, "enumerate_compositions", refuse)
+    assert disjoint_inclusion_exclusion(300) == catalan(297)
 
 
 def test_series_telescopes_to_catalan():

@@ -49,3 +49,15 @@ def test_the_cli_and_verify_leave_process_pools_unimported():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=child_env(), timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_importing_the_package_imports_no_submodule():
+    """The exports are resolved on first access, so a bare import runs
+    none of the package's modules, and the first export brings them in."""
+    script = ("import sys, polytri\n"
+              "assert [m for m in sys.modules if m.startswith('polytri.')] == []\n"
+              "assert polytri.Triangulation.__module__ == 'polytri.triangulation'\n"
+              "assert 'polytri.triangulation' in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=child_env(), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")

@@ -2,12 +2,14 @@
 exit 130 and no traceback, a dead verify or listing worker with exit 1 and
 one line, and neither leaves a process behind.
 
-Each child runs `cli.main`, the function both the `polytri` script and
-`python -m polytri` call, in a session of its own, so that a signal sent
+Each child runs `cli.main`, which both the `polytri` script and `python
+-m polytri` call through `polytri.__main__.main`, in a session of its own, so that a signal sent
 to its process group reaches only it and its workers, and with SIGINT at
 its default, as a shell's foreground command has it, even when the test
 run itself ignores SIGINT.  The fork runner is told that two CPUs are
 usable, so verify and a large listing fork their workers on any machine.
+A Ctrl-C that lands while the package is still being imported is
+injected by an import hook instead, through both entries.
 """
 
 from __future__ import annotations
@@ -128,3 +130,37 @@ def test_a_killed_worker_ends_verify_with_exit_1_and_one_line():
 def test_a_killed_worker_ends_a_listing_with_exit_1_and_one_line():
     assert kill_a_worker(COMMANDS["enumerate"]) == (
         1, "polytri: error: a listing worker died\n")
+
+
+# a sitecustomize that makes the import of one module raise KeyboardInterrupt,
+# as a Ctrl-C in the first moments of a command does
+INTERRUPTED_IMPORT = """\
+import sys
+
+
+class CtrlC:
+    def find_spec(self, name, path=None, target=None):
+        if name == {module!r}:
+            raise KeyboardInterrupt
+        return None
+
+
+sys.meta_path.insert(0, CtrlC())
+"""
+
+ENTRIES = {
+    "python-m": ["-m", "polytri", "verify"],
+    "main": ["-c", "from polytri.__main__ import main; main()", "verify"],
+}
+
+
+@pytest.mark.parametrize("module", ["polytri.cli", "polytri.triangulation"])
+@pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES)
+def test_ctrl_c_while_the_package_imports_exits_130_with_no_traceback(
+        entry, module, tmp_path):
+    (tmp_path / "sitecustomize.py").write_text(INTERRUPTED_IMPORT.format(module=module))
+    env = child_env()
+    env["PYTHONPATH"] = os.pathsep.join((str(tmp_path), env["PYTHONPATH"]))
+    proc = subprocess.run([sys.executable, *entry], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (130, "", "")
