@@ -78,11 +78,12 @@ class Domain(NamedTuple):
 # x86-64 machine (Python 3.11).
 DOMAINS: dict[str, Domain] = {
     # `enumerate` without --count-only: C(n-2) lines, 208,012 at n = 14,
-    # in 0.29-0.37 s forked, 35 MB in the parent, which builds the shape
-    # tables first, and 31 MB in each of two workers; 0.43-0.55 s and
-    # 37 MB on one CPU (the command's own time; the ranges span the
-    # medians of five and two sets of 11-40 alternating fresh processes,
-    # taken on the same machine at different times)
+    # in 0.33-0.48 s forked, 40-41 MB in the calling process, which builds
+    # the shape tables first and lists apexes beside its one worker, and
+    # 30 MB in the worker; 0.52-0.84 s and 37 MB on one CPU (the
+    # command's own time; the ranges span the medians of four sets of
+    # 11-21 alternating fresh processes, taken on the same machine at
+    # different times, the later three about 1.5 times slower)
     "listing": Domain(14, "full listings are supported for 3 <= n <= {ceiling}, "
                       "got n={n} (use --count-only for larger n)"),
     # the ear-insertion census of `symmetry --method orbit|both`: with
@@ -286,7 +287,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     # a longer one is one task per top-level apex: 2, n-1, 3, n-2, ..., the
     # outer ones first, as they hold the most lines.  Every apex reads the
     # same shape tables, so they are built here, once, and a forked worker
-    # inherits them built
+    # inherits them built; this process lists apexes beside its workers
+    # (`_workers.map`'s `here`)
     if _workers.pays(lines=lines):
         apexes = sorted(range(2, n), key=lambda j: min(j - 2, n - 1 - j))
         _warm_shapes(n)
@@ -294,7 +296,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         apexes = [None]
     as_json = args.format == "json"
     try:
-        chunks = _workers.map(functools.partial(_listing_chunk, n, k, as_json), apexes)
+        chunks = _workers.map(functools.partial(_listing_chunk, n, k, as_json), apexes,
+                              here=True)
     except WorkerDied:
         raise WorkerDied("a listing worker died") from None
     chunks = [chunk for _, chunk in sorted(zip(apexes, chunks))]  # in apex order

@@ -136,6 +136,20 @@ def refused_at(real, call: int):
     return refused
 
 
+def count_forks(monkeypatch) -> list[int]:
+    """Patch `os.fork`, as it is now, to record the pid of each process
+    that calls it, a refused call included; returns the list it fills."""
+    forks: list[int] = []
+    real = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
 def open_fds() -> set[str]:
     """The file descriptors this process has open, from /proc/self/fd;
     the test calling it is skipped where that directory is absent."""

@@ -20,7 +20,14 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
-from helpers import child_env, listing_by_recursion, no_child_left, open_fds, refused_at
+from helpers import (
+    child_env,
+    count_forks,
+    listing_by_recursion,
+    no_child_left,
+    open_fds,
+    refused_at,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -203,20 +210,27 @@ def test_pinned_listings_are_the_same_bytes_on_one_cpu(capsys, monkeypatch, argv
 
 
 @pytest.mark.parametrize("call", [1, 2], ids=["first-fork", "second-fork"])
-@pytest.mark.parametrize("argv", [["verify", "--max-n", "8"], ["enumerate", "--n", "13"]],
+@pytest.mark.parametrize("argv", [["verify", "--max-n", "9"], ["enumerate", "--n", "13"]],
                          ids=["verify", "listing"])
-def test_a_refused_fork_answers_in_this_process(capsys, two_cpus, monkeypatch, argv, call):
+def test_a_refused_fork_answers_in_this_process(capsys, monkeypatch, argv, call):
     # fork refused with EAGAIN at the first or the second worker: every
-    # task runs here, and the worker forked before is reaped
+    # task runs here, with the bytes of one usable CPU, and the worker
+    # forked before is reaped.  verify forks one worker per usable CPU
+    # from --max-n 9 up; a listing forks one fewer, as this process lists
+    # apexes beside them, so it sees three CPUs to fork a second one
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 1)
+    assert invoke(argv) == 0
+    one_cpu = capsys.readouterr()
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2 if argv[0] == "verify" else 3)
     fds = open_fds()
     monkeypatch.setattr(os, "fork", refused_at(os.fork, call))
+    forks = count_forks(monkeypatch)
     assert invoke(argv) == 0
     monkeypatch.undo()
+    assert len(forks) == call  # the refused fork is one the command makes
     out, err = capsys.readouterr()
-    assert err == ""
-    if argv[0] == "verify":
-        assert out == (GOLDEN_DIR / "verify-max-n-8.txt").read_text()
-    else:
+    assert (out, err) == one_cpu and err == ""
+    if argv[0] == "enumerate":
         assert hashlib.sha256(out.encode()).hexdigest() == UNFILTERED_LISTING_SHA256["13"]
     assert no_child_left()
     assert open_fds() == fds
@@ -228,17 +242,20 @@ def _ignore_sigchld() -> None:
     signal.signal(signal.SIGCHLD, signal.SIG_IGN)
 
 
-@pytest.mark.parametrize("argv", [["verify", "--max-n", "8"], ["enumerate", "--n", "13"]],
+@pytest.mark.parametrize("argv", [["verify", "--max-n", "9"], ["enumerate", "--n", "13"]],
                          ids=["verify", "listing"])
-def test_polytri_answers_with_sigchld_ignored(argv):
-    # two usable CPUs, so the command forks its workers on any machine
+def test_polytri_answers_with_sigchld_ignored(capsys, monkeypatch, argv):
+    # two usable CPUs, and a call that forks there (verify from --max-n 9),
+    # so the command would fork its workers on any machine: it answers
+    # with the bytes of one usable CPU
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 1)
+    assert invoke(argv) == 0
+    one_cpu = capsys.readouterr().out.encode()
     launch = "from polytri import _workers, cli\n_workers._usable_cpus = lambda: 2\ncli.main()\n"
     done = subprocess.run([sys.executable, "-c", launch, *argv], capture_output=True,
                           env=child_env(), preexec_fn=_ignore_sigchld, timeout=60)
-    assert (done.returncode, done.stderr) == (0, b"")
-    if argv[0] == "verify":
-        assert done.stdout == (GOLDEN_DIR / "verify-max-n-8.txt").read_bytes()
-    else:
+    assert (done.returncode, done.stderr, done.stdout) == (0, b"", one_cpu)
+    if argv[0] == "enumerate":
         assert hashlib.sha256(done.stdout).hexdigest() == UNFILTERED_LISTING_SHA256["13"]
 
 
@@ -252,8 +269,9 @@ def test_a_listing_past_the_bound_is_one_task_per_apex_outer_first(
         capsys, monkeypatch, argv, tasks):
     seen = []
 
-    def recorded(fn, given):
+    def recorded(fn, given, **flags):
         seen.extend(given)
+        assert flags == {"here": True}  # this process lists apexes beside its workers
         return [fn(task) for task in given]
 
     monkeypatch.setattr(_workers, "map", recorded)
@@ -275,12 +293,17 @@ def test_enumerate_refuses_a_listing_in_one_line(capsys, argv, err):
 
 
 def test_a_listing_worker_that_dies_exits_1_with_one_line():
+    # the calling process lists apexes too: its own wait until the worker
+    # has taken one, so that a worker dies
     proc = subprocess.run([sys.executable, "-c", (
-        "import os, signal, sys\n"
+        "import os, select, signal, sys\n"
         "from polytri import _workers, cli\n"
+        "died_r, died_w = os.pipe()\n"
         "def die(n, k, as_json, apex, parent=os.getpid()):\n"
         "    if os.getpid() != parent:\n"
+        "        os.write(died_w, b'x')\n"
         "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    select.select([died_r], [], [], 10)\n"
         "    return ''\n"
         "cli._listing_chunk = die\n"
         "_workers._usable_cpus = lambda: 2\n"
@@ -292,10 +315,12 @@ def test_a_listing_worker_that_dies_exits_1_with_one_line():
 
 def test_a_second_listing_forks_workers_that_inherit_the_shape_tables():
     # in a process of its own, so the tables start cold: the first forked
-    # listing builds them here, and the second one's workers, each task
-    # reporting its pid and the table's misses, build none of them again
+    # listing builds them here, and the second one's worker and this
+    # process, each task reporting its pid and the table's misses, build
+    # none of them again; this process's tasks wait until the worker has
+    # run one, so that the worker takes a task
     proc = subprocess.run([sys.executable, "-c", (
-        "import contextlib, io, os\n"
+        "import contextlib, io, os, select\n"
         "from polytri import _workers, cli, triangulation\n"
         "_workers._usable_cpus = lambda: 2\n"
         "shapes = triangulation._cached_shapes\n"
@@ -303,8 +328,13 @@ def test_a_second_listing_forks_workers_that_inherit_the_shape_tables():
         "    assert cli.run(['enumerate', '--n', '13']) == 0\n"
         "built = shapes.cache_info()\n"
         "listing_chunk = cli._listing_chunk\n"
-        "def chunk(*args):\n"
+        "ran_r, ran_w = os.pipe()\n"
+        "def chunk(*args, parent=os.getpid()):\n"
+        "    if os.getpid() == parent:\n"
+        "        select.select([ran_r], [], [], 10)\n"
         "    listing_chunk(*args)\n"
+        "    if os.getpid() != parent:\n"
+        "        os.write(ran_w, b'x')\n"
         "    return f'{os.getpid()} {shapes.cache_info().misses}\\n'\n"
         "cli._listing_chunk = chunk\n"
         "print(os.getpid(), built.currsize, built.misses)\n"
@@ -315,9 +345,12 @@ def test_a_second_listing_forks_workers_that_inherit_the_shape_tables():
     parent, size, misses = map(int, head.split())
     assert size > 0
     assert len(tasks) == 11  # apexes 2..12
+    pids = set()
     for task in tasks:
         pid, task_misses = map(int, task.split())
-        assert pid != parent and task_misses == misses
+        pids.add(pid)
+        assert task_misses == misses
+    assert len(pids - {parent}) == 1  # one worker, which took a task
 
 
 def test_enumerate_ear_filter_above_max_ears_skips_enumeration(capsys, monkeypatch):

@@ -43,6 +43,9 @@ COMMANDS = {
     "sequence": ["sequence", "--what", "catalan", "--n", "1..7150"],
     "disjoint": ["disjoint", "--snake", "--n", "2000"],
 }
+# the workers each forking command has with two usable CPUs: verify one per
+# CPU, and a listing one fewer, as its own process lists apexes beside it
+WORKERS = {"verify": 2, "enumerate": 1}
 
 
 def _default_sigint() -> None:
@@ -66,7 +69,7 @@ def children(pid: int) -> list[int]:
     return [int(child) for child in out.split()]
 
 
-def workers(proc: subprocess.Popen, count: int = 2) -> list[int]:
+def workers(proc: subprocess.Popen, count: int) -> list[int]:
     """The pids of proc's workers, once `count` of them exist."""
     deadline = time.monotonic() + 10
     while len(found := children(proc.pid)) < count:
@@ -96,8 +99,8 @@ def finish(proc: subprocess.Popen) -> tuple[int, str]:
 def test_ctrl_c_exits_130_with_no_traceback(argv, target):
     proc = start(argv)
     try:
-        if argv[0] in ("verify", "enumerate"):
-            workers(proc)
+        if argv[0] in WORKERS:
+            workers(proc, WORKERS[argv[0]])
         elif argv[0] == "sequence":
             assert proc.stdout.readline() == "1\n"
         else:  # it prints only at its end, seconds from now: let `main` start it
@@ -117,7 +120,7 @@ def kill_a_worker(argv) -> tuple[int, str]:
     is killed, as the OOM killer would kill it."""
     proc = start(argv)
     try:
-        os.kill(workers(proc)[0], signal.SIGKILL)
+        os.kill(workers(proc, WORKERS[argv[0]])[0], signal.SIGKILL)
     finally:
         code, err = finish(proc)
     return code, err

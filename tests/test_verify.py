@@ -16,6 +16,7 @@ from helpers import (
     all_triangulations,
     canonical_orbit_constant_by_images,
     child_env,
+    count_forks,
     images_read_in_class_by_images,
     no_child_left,
 )
@@ -190,11 +191,18 @@ def _pid_of_row(max_n, index):
 
 def test_a_window_below_the_fork_threshold_runs_every_row_here(monkeypatch):
     monkeypatch.setattr(verify, "_run_row", _pid_of_row)
+    forks = count_forks(monkeypatch)
     below = _run_with_cpus(monkeypatch, 2, max_n=_workers.FORK_FROM["max_n"] - 1)
     assert [pid for pid, _ in below.row_times] == [str(os.getpid())] * len(verify.CHECKS)
-    # a full run, each row over its own window, still forks
+    assert forks == []
+    # a full run, each row over its own window, still forks one worker per
+    # CPU, and unlike a listing this process takes no row beside them, so
+    # the rows' working memory stays out of its peak RSS
     full = _run_with_cpus(monkeypatch, 2)
+    monkeypatch.undo()
     assert str(os.getpid()) not in {pid for pid, _ in full.row_times}
+    assert len(full.row_times) == len(verify.CHECKS)
+    assert forks == [os.getpid()] * 2
     assert no_child_left()
 
 
