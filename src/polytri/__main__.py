@@ -4,13 +4,15 @@ import sys
 
 
 def main() -> None:
-    """Import the CLI and run `cli.main`, exiting with 130 and no
-    traceback on a Ctrl-C that lands while the package is imported."""
+    """Import the CLI, run the command of sys.argv and exit with its code,
+    or with 130 and no traceback on Ctrl-C, one that lands while the
+    package is imported included."""
     try:
         from polytri import cli
+
+        sys.exit(cli.run())
     except KeyboardInterrupt:
         sys.exit(130)
-    cli.main()
 
 
 if __name__ == "__main__":

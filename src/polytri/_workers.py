@@ -5,9 +5,9 @@ order.  It forks min(usable CPUs, len(tasks)) workers, and the tasks run
 there; with `here=True` it forks one worker fewer and this process takes
 tasks beside them.  It forks only when forking can pay and can work:
 
-- the caller's work estimate reaches its unit's threshold in FORK_FROM
-  (`pays`), as below it a fork and a worker's start cost more than the
-  workers save;
+- every work estimate the caller gives, a keyword naming its unit,
+  reaches that unit's threshold in FORK_FROM or is None (no bound), as
+  below it a fork and a worker's start cost more than the workers save;
 - at least two CPUs are usable, and the task indices fit the task pipe;
 - `os.fork` exists, and this process runs no other thread (a lock held
   there would stay held in a child);
@@ -29,8 +29,8 @@ workers are forked, and keeps its own results, which cross no pipe.  The
 parent then reads each worker's pipe to EOF in turn, which cannot
 deadlock, as no worker waits on another, and then reaps every worker.  A
 worker inherits what this process built before the fork, such as a
-cache, so a caller that builds what every task reads before calling
-`map` spares each worker that work.
+cache, so what this process's own share of one call builds, the workers
+of a later call start with.
 
 Every task whose result the run does not return runs here afterwards, in
 task order, once the workers are reaped and SIGINT is unblocked, so the
@@ -67,19 +67,22 @@ _PIPE_BUF = 512
 
 
 # The least work estimate at which `map` forks, by the unit its caller
-# counts work in (see `pays`).  Each was set by alternating fresh-process
-# timings on a 2-core x86-64 machine (Python 3.11), medians of 11-31:
+# counts work in.  Each was set by alternating fresh-process timings on a
+# 2-core x86-64 machine (Python 3.11), medians of 11-31:
 FORK_FROM = {
     # the lines of a listing.  The command's own time, forked (this
-    # process beside one worker) against one task in this process:
-    # 7,168 lines (12-gon, 3 ears) 28.8 vs 26.9 ms, and 29.6 vs 29.0 ms
-    # in a second set (14-gon, 2 ears: 34.8 vs 35.0 ms); 8,736 (13-gon,
-    # 5 ears) 33.2 vs 34.6 ms, and 38.5 vs 38.0 ms, even within the
-    # noise; the whole 12-gon's 16,796 lines 37.8 vs 44.7 ms (40.3 vs
-    # 48.5 ms as JSON); 19,968 (13-gon, 3 ears) 44.0 vs 56.8 ms; 26,208
-    # (13-gon, 4 ears) 55.4 vs 68.3 ms.  So forking pays from 16,796
-    # lines and is even at 7,168 to 8,736; no listing of n <= 14 has
-    # 8,737 to 16,795 lines, so any bound between acts the same
+    # process beside one worker) against the same apexes one after another
+    # in this process, in two sets (the rounds forking won):
+    # 7,168 lines (12-gon, 3 ears) 36.0 vs 29.7 ms (6 of 21) and 40.4 vs
+    # 44.5 ms (14 of 31), (14-gon, 2 ears) 41.3 vs 49.4 ms (11 of 21) and
+    # 43.1 vs 50.1 ms (20 of 31); 8,736 (13-gon, 5 ears) 45.9 vs 39.4 ms
+    # (11 of 21) and 52.2 vs 53.4 ms (14 of 31); the whole 12-gon's 16,796
+    # 47.5 vs 50.8 ms (18 of 21) and 49.4 vs 63.0 ms (28 of 31), as JSON
+    # 54.1 vs 52.0 ms (15 of 21) and 55.4 vs 77.0 ms (26 of 31); 19,968
+    # (13-gon, 3 ears) 55.6 vs 59.5 ms (18 of 21) and 60.8 vs 83.0 ms (25
+    # of 31).  So forking pays from 16,796 lines and is mixed at 7,168 to
+    # 8,736; no listing of n <= 14 has 8,737 to 16,795 lines, so any bound
+    # between acts the same
     "lines": 10001,
     # verify's cap on its rows' windows, --max-n; None, each row's own
     # window (a full run), always forks.  The whole command, forked against
@@ -100,19 +103,14 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def pays(**estimate: int | None) -> bool:
-    """Whether a call of this much work gains by forking: each keyword
-    names a unit of FORK_FROM, and its value is the caller's estimate in
-    it, None for no bound (which always pays).  No estimate pays."""
-    return all(work is None or work >= FORK_FROM[unit] for unit, work in estimate.items())
-
-
 def map(fn: Callable[[T], R], tasks: Sequence[T], *, here: bool = False,
         **estimate: int | None) -> list[R]:
     """[fn(task) for task in tasks], in forked workers where forking pays
-    for the caller's work estimate (see `pays`) and this process may fork
-    them, and here for every task no worker returns (see the module
-    docstring).
+    for the caller's work estimate and this process may fork them, and
+    here for every task no worker returns (see the module docstring).
+    Each keyword of the estimate names a unit of FORK_FROM, and its value
+    is the caller's work in it, None for no bound; with no estimate a call
+    forks wherever it may.
 
     With `here`, this process forks one worker fewer and takes tasks from
     the task pipe beside them, its results never pickled.  `enumerate`
@@ -125,7 +123,8 @@ def map(fn: Callable[[T], R], tasks: Sequence[T], *, here: bool = False,
     its wall time did not move (0.340 -> 0.355 s, 2 of 4 pairs won)."""
     workers = min(_usable_cpus(), len(tasks))
     done: dict[int, R] = {}
-    if (workers > 1 and len(tasks) * _WIDTH <= _PIPE_BUF and pays(**estimate)
+    if (workers > 1 and len(tasks) * _WIDTH <= _PIPE_BUF
+            and all(work is None or work >= FORK_FROM[unit] for unit, work in estimate.items())
             and hasattr(os, "fork") and threading.active_count() == 1
             and signal.getsignal(signal.SIGCHLD) != signal.SIG_IGN):
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})

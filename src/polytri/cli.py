@@ -3,13 +3,13 @@ identity verification, sequence emission and SVG figures.
 
 Exit codes: 0 success, 1 usage or domain error, 2 verification failure
 (a FAIL line from `verify`, or a cross-check mismatch under `--method
-both`), 130 on Ctrl-C (SIGINT), with no traceback (see `main`).  A
-verify or listing worker that dies, killed or crashed, exits 1 with one
-line: `a verify worker died` or `a listing worker died`.  A
-failed write to stdout exits 1: with no message when the reader closed
-early (a broken pipe), with one `cannot write output` line for any
-other fault, such as a full device; help text is output like any
-other.  A failed write to stderr exits 1 too, after every
+both`), 130 on Ctrl-C (SIGINT), with no traceback (see
+`polytri.__main__`).  A verify or listing worker that dies, killed or
+crashed, exits 1 with one line: `a verify worker died` or `a listing
+worker died`.  A failed write to stdout exits 1: with no message when
+the reader closed early (a broken pipe), with one `cannot write output`
+line for any other fault, such as a full device; help text is output
+like any other.  A failed write to stderr exits 1 too, after every
 byte written to stdout before it is flushed (see `run`).  Stdout is
 byte-deterministic for identical invocations; the optional --timing
 lines go to stderr.  The range commands, `symmetry` and `sequence`,
@@ -41,7 +41,6 @@ from polytri.triangulation import (
     _check_ears,
     _check_size,
     _wanted_ears,
-    _warm_shapes,
     listing,
 )
 
@@ -78,12 +77,12 @@ class Domain(NamedTuple):
 # x86-64 machine (Python 3.11).
 DOMAINS: dict[str, Domain] = {
     # `enumerate` without --count-only: C(n-2) lines, 208,012 at n = 14,
-    # in 0.33-0.48 s forked, 40-41 MB in the calling process, which builds
-    # the shape tables first and lists apexes beside its one worker, and
-    # 30 MB in the worker; 0.52-0.84 s and 37 MB on one CPU (the
-    # command's own time; the ranges span the medians of four sets of
-    # 11-21 alternating fresh processes, taken on the same machine at
-    # different times, the later three about 1.5 times slower)
+    # in 0.33-0.48 s forked, 39-41 MB in the calling process, which lists
+    # apexes beside its one worker, and 28-30 MB in the worker; 0.52-0.84 s
+    # and 36-37 MB on one CPU (the command's own time; the ranges span the
+    # medians of five sets of 11-21 alternating fresh processes, taken on
+    # the same machine at different times, whose speed differed by about
+    # 1.5 times)
     "listing": Domain(14, "full listings are supported for 3 <= n <= {ceiling}, "
                       "got n={n} (use --count-only for larger n)"),
     # the ear-insertion census of `symmetry --method orbit|both`: with
@@ -283,21 +282,15 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     _refuse("listing", n)
     _wanted_ears(n, k)  # the listing's own refusals, before its lines are counted
     lines = counting.catalan(n - 2) if k is None else counting.hurtado_noy(n, k)
-    # a listing too short to pay for a fork (`_workers.pays`) is one task;
-    # a longer one is one task per top-level apex: 2, n-1, 3, n-2, ..., the
-    # outer ones first, as they hold the most lines.  Every apex reads the
-    # same shape tables, so they are built here, once, and a forked worker
-    # inherits them built; this process lists apexes beside its workers
-    # (`_workers.map`'s `here`)
-    if _workers.pays(lines=lines):
-        apexes = sorted(range(2, n), key=lambda j: min(j - 2, n - 1 - j))
-        _warm_shapes(n)
-    else:
-        apexes = [None]
+    # one task per top-level apex: 2, n-1, 3, n-2, ..., the outer ones
+    # first, as they hold the most lines.  The runner decides from the line
+    # count whether to fork, and this process lists apexes beside any
+    # workers (`_workers.map`'s `here`)
+    apexes = sorted(range(2, n), key=lambda j: min(j - 2, n - 1 - j))
     as_json = args.format == "json"
     try:
         chunks = _workers.map(functools.partial(_listing_chunk, n, k, as_json), apexes,
-                              here=True)
+                              here=True, lines=lines)
     except WorkerDied:
         raise WorkerDied("a listing worker died") from None
     chunks = [chunk for _, chunk in sorted(zip(apexes, chunks))]  # in apex order
@@ -317,7 +310,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _listing_chunk(n: int, k: int | None, as_json: bool, apex: int | None) -> str:
+def _listing_chunk(n: int, k: int | None, as_json: bool, apex: int) -> str:
     """The lines of `listing(n, k, apex)` as they appear in the command's
     text output, or in its JSON array, without the brackets."""
     lines = listing(n, k, apex)
@@ -646,8 +639,9 @@ def run(argv: list[str] | None = None) -> int:
     flush cannot fail; a stream with no descriptor (a StringIO) is left
     as it is.  No command raises any other OSError: `svg --out` turns
     its own into a refusal.  A KeyboardInterrupt goes through, so Ctrl-C
-    still stops a caller such as a test run; `main`, the process entry of
-    both `polytri` and `python -m polytri`, turns it into exit 130."""
+    still stops a caller such as a test run; `polytri.__main__.main`, the
+    process entry of both `polytri` and `python -m polytri`, turns it into
+    exit 130."""
     try:
         try:
             args = _parse_args(sys.argv[1:] if argv is None else argv)
@@ -683,12 +677,3 @@ def _drop(stream) -> None:
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, fd)
     os.close(devnull)
-
-
-def main() -> None:
-    """Run the command of sys.argv and exit with its code, or with 130 and
-    no traceback on Ctrl-C."""
-    try:
-        sys.exit(run())
-    except KeyboardInterrupt:
-        sys.exit(130)

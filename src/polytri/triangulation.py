@@ -272,14 +272,6 @@ def _cached_shapes(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(shape for shape, _ in _split_shapes(tuple(range(m)), -1, _ear_count_set(m, -1)))
 
 
-def _warm_shapes(n: int) -> None:
-    """Build the shape tables that the listing of every top-level apex of
-    the n-gon reads: `_cached_shapes` of every sub-polygon size up to n-1,
-    as far as the cache bound (each size builds the smaller ones).  A
-    process that forks workers after this hands them the tables built."""
-    _cached_shapes(min(n - 1, _SHAPE_CACHE_MAX))
-
-
 def _split_ears(s: int, d: int, j: int) -> tuple[int, int, int]:
     """Splitting a sub-polygon (s, d) at apex j: the ears of the whole
     polygon the triangle (0, 1, j) adds, and the d of the left and right

@@ -16,10 +16,10 @@ Every row runs through one routine, `_run_row`.  `run_suites` hands the
 rows, one task each, to the package's one fork runner, `_workers.map`,
 with its cap on the rows' windows as the work estimate.  The runner runs
 them in forked worker processes, one per usable CPU, when more than one
-CPU is usable and the cap is none or reaches its fork threshold
-(`_workers.FORK_FROM`), and otherwise one after another in the calling
-process, and gives their results back in table order.  A row no worker
-returns, such as one that raised, runs again in the calling process.
+CPU is usable and the cap is none or reaches the runner's fork
+threshold, and otherwise one after another in the calling process, and
+gives their results back in table order.  A row no worker returns, such
+as one that raised, runs again in the calling process.
 Either way the suites' lines are reported in the order asked for, so the
 report is the same bytes.  A suite's time is the sum of its rows' times.
 A worker that dies, killed or crashed, ends the run with `WorkerDied`,
@@ -417,22 +417,21 @@ def run_suites(
 
     A name given twice runs once, at its first position; a bare string is
     refused, not read letter by letter.  The suites' rows, in the order
-    given and in table order within each suite, run through
-    `_run_row` by `_workers.map`: in forked worker processes, one per
-    usable CPU up to one per row, where that runner may fork and max_n,
-    its work estimate, pays for the fork (`_workers.pays`), else one
-    after another in this process.  The results come back in that order,
-    so the report is the same bytes either way.  A row that raises in a
-    worker runs again in this process once the workers are reaped, in
-    table order with every row no worker returned, and its exception
-    reaches the caller as it would with one CPU, so a row must have no
-    side effects; a worker that dies raises `WorkerDied("a verify worker
-    died")`; either way no worker outlives the call.  While workers run,
-    SIGINT is blocked in this process and in them, so Ctrl-C takes effect
-    here once their rows are back.  Each row's elapsed time, taken where it ran, is
-    recorded in row_times, and each suite's, the sum of its rows' times,
-    in suite_times; with workers, the suite times may add up to more than
-    wall_time.
+    given and in table order within each suite, run through `_run_row` by
+    `_workers.map`: in forked worker processes, one per usable CPU up to one
+    per row, where that runner may fork and max_n, its work estimate,
+    reaches the runner's fork threshold (None always does), else one after
+    another in this process.  The results come back in that order, so the
+    report is the same bytes either way.  A row that raises in a worker runs
+    again in this process once the workers are reaped, in table order with
+    every row no worker returned, and its exception reaches the caller as it
+    would with one CPU, so a row must have no side effects; a worker that
+    dies raises `WorkerDied("a verify worker died")`; either way no worker
+    outlives the call.  While workers run, SIGINT is blocked in this process
+    and in them, so Ctrl-C takes effect here once their rows are back.  Each
+    row's elapsed time, taken where it ran, is recorded in row_times, and
+    each suite's, the sum of its rows' times, in suite_times; with workers,
+    the suite times may add up to more than wall_time.
     """
     if isinstance(suites, str):
         raise ValueError(f"suites must be a list of suite names, got {suites!r}")

@@ -11,6 +11,7 @@ import io
 import json
 import os
 import re
+import select
 import signal
 import subprocess
 import sys
@@ -251,7 +252,8 @@ def test_polytri_answers_with_sigchld_ignored(capsys, monkeypatch, argv):
     monkeypatch.setattr(_workers, "_usable_cpus", lambda: 1)
     assert invoke(argv) == 0
     one_cpu = capsys.readouterr().out.encode()
-    launch = "from polytri import _workers, cli\n_workers._usable_cpus = lambda: 2\ncli.main()\n"
+    launch = ("from polytri import _workers\nfrom polytri.__main__ import main\n"
+              "_workers._usable_cpus = lambda: 2\nmain()\n")
     done = subprocess.run([sys.executable, "-c", launch, *argv], capture_output=True,
                           env=child_env(), preexec_fn=_ignore_sigchld, timeout=60)
     assert (done.returncode, done.stderr, done.stdout) == (0, b"", one_cpu)
@@ -259,24 +261,65 @@ def test_polytri_answers_with_sigchld_ignored(capsys, monkeypatch, argv):
         assert hashlib.sha256(done.stdout).hexdigest() == UNFILTERED_LISTING_SHA256["13"]
 
 
-@pytest.mark.parametrize("argv, tasks", [
-    (["--n", "9"], [None]),
-    (["--n", "13", "--ears", "5"], [None]),  # 8,736 lines
-    (["--n", "12", "--format", "json"], [2, 11, 3, 10, 4, 9, 5, 8, 6, 7]),  # 16,796 lines
-    (["--n", "13"], [2, 12, 3, 11, 4, 10, 5, 9, 6, 8, 7]),
-], ids=["9", "13-5", "12-json", "13"])
-def test_a_listing_past_the_bound_is_one_task_per_apex_outer_first(
-        capsys, monkeypatch, argv, tasks):
+@pytest.mark.parametrize("argv, lines, tasks", [
+    (["--n", "3"], 1, [2]),
+    (["--n", "9"], 429, [2, 8, 3, 7, 4, 6, 5]),
+    (["--n", "13", "--ears", "5"], 8736, [2, 12, 3, 11, 4, 10, 5, 9, 6, 8, 7]),
+    (["--n", "12", "--format", "json"], 16796, [2, 11, 3, 10, 4, 9, 5, 8, 6, 7]),
+    (["--n", "13"], 58786, [2, 12, 3, 11, 4, 10, 5, 9, 6, 8, 7]),
+], ids=["3", "9", "13-5", "12-json", "13"])
+def test_every_listing_is_one_task_per_apex_outer_first(capsys, monkeypatch, argv, lines,
+                                                         tasks):
     seen = []
 
     def recorded(fn, given, **flags):
         seen.extend(given)
-        assert flags == {"here": True}  # this process lists apexes beside its workers
+        # the runner decides from the line count whether to fork, and this
+        # process lists apexes beside any workers
+        assert flags == {"here": True, "lines": lines}
         return [fn(task) for task in given]
 
     monkeypatch.setattr(_workers, "map", recorded)
     assert invoke(["enumerate", *argv]) == 0
     assert seen == tasks
+
+
+@pytest.mark.parametrize("argv, lines, forks", [
+    (["--n", "13", "--ears", "5"], 8736, 0),
+    (["--n", "12", "--format", "json"], 16796, 1),
+], ids=["13-5", "12-json"])
+def test_a_listing_forks_one_worker_only_from_the_line_threshold(
+        capsys, monkeypatch, two_cpus, argv, lines, forks):
+    # the apexes this process lists; with a worker, its first one waits
+    # until the worker has listed one, so that each lists some
+    parent, here = os.getpid(), []
+    ran_r, ran_w = os.pipe()
+    listing_chunk = cli._listing_chunk
+
+    def chunk(n, k, as_json, apex):
+        if os.getpid() == parent:
+            here.append(apex)
+            if forks and len(here) == 1:
+                select.select([ran_r], [], [], 10)
+        text = listing_chunk(n, k, as_json, apex)
+        if os.getpid() != parent:
+            os.write(ran_w, b"x")
+        return text
+
+    monkeypatch.setattr(cli, "_listing_chunk", chunk)
+    forked = count_forks(monkeypatch)
+    try:
+        assert invoke(["enumerate", *argv]) == 0
+    finally:
+        os.close(ran_r)
+        os.close(ran_w)
+    assert forked == [parent] * forks
+    apexes = int(argv[1]) - 2
+    assert (0 < len(here) < apexes) if forks else len(here) == apexes
+    out = capsys.readouterr().out
+    assert (len(json.loads(out)["triangulations"]) if "json" in argv
+            else out.count("\n")) == lines
+    assert no_child_left()
 
 
 @pytest.mark.parametrize("argv, err", [
@@ -1596,7 +1639,7 @@ def test_main_turns_ctrl_c_into_exit_130_and_run_lets_it_through(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         cli.run()
     with pytest.raises(SystemExit) as exc:
-        cli.main()
+        importlib.import_module("polytri.__main__").main()
     assert exc.value.code == 130
 
 

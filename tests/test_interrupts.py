@@ -2,14 +2,14 @@
 exit 130 and no traceback, a dead verify or listing worker with exit 1 and
 one line, and neither leaves a process behind.
 
-Each child runs `cli.main`, which both the `polytri` script and `python
--m polytri` call through `polytri.__main__.main`, in a session of its own, so that a signal sent
-to its process group reaches only it and its workers, and with SIGINT at
-its default, as a shell's foreground command has it, even when the test
-run itself ignores SIGINT.  The fork runner is told that two CPUs are
-usable, so verify and a large listing fork their workers on any machine.
-A Ctrl-C that lands while the package is still being imported is
-injected by an import hook instead, through both entries.
+Each child runs `polytri.__main__.main`, the function both the `polytri`
+script and `python -m polytri` run, in a session of its own, so that a
+signal sent to its process group reaches only it and its workers, and
+with SIGINT at its default, as a shell's foreground command has it, even
+when the test run itself ignores SIGINT.  The fork runner is told that
+two CPUs are usable, so verify and a large listing fork their workers on
+any machine.  A Ctrl-C that lands while the package is still being
+imported is injected by an import hook instead, through both entries.
 """
 
 from __future__ import annotations
@@ -23,19 +23,20 @@ import time
 import pytest
 from helpers import child_env
 
-# a line on stderr once the package is imported and `cli.main` is next
+# a line on stderr once the CLI is imported and `polytri.__main__.main` is next
 STARTED = "started"
 LAUNCH = (
     "import sys\n"
     "from polytri import _workers, cli\n"
+    "from polytri.__main__ import main\n"
     "_workers._usable_cpus = lambda: 2\n"
     f"print({STARTED!r}, file=sys.stderr, flush=True)\n"
-    "cli.main()\n"
+    "main()\n"
 )
 
 # commands that run for seconds; each is signalled once it runs: verify
 # and the listing once their workers exist, sequence after its first line,
-# the others a moment after `cli.main` is called
+# the others a moment after `main` is called
 COMMANDS = {
     "verify": ["verify"],
     "enumerate": ["enumerate", "--n", "14"],
@@ -55,7 +56,8 @@ def _default_sigint() -> None:
 
 
 def start(argv) -> subprocess.Popen:
-    """`cli.main` on argv in a new session, started up to its command."""
+    """`polytri.__main__.main` on argv in a new session, started up to its
+    command."""
     env = child_env(PYTHONUNBUFFERED=None)
     proc = subprocess.Popen([sys.executable, "-c", LAUNCH, *argv], stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True, env=env,
@@ -116,8 +118,8 @@ def test_ctrl_c_exits_130_with_no_traceback(argv, target):
 
 
 def kill_a_worker(argv) -> tuple[int, str]:
-    """(exit code, stderr) of `cli.main` on argv when one of its workers
-    is killed, as the OOM killer would kill it."""
+    """(exit code, stderr) of `polytri.__main__.main` on argv when one of
+    its workers is killed, as the OOM killer would kill it."""
     proc = start(argv)
     try:
         os.kill(workers(proc, WORKERS[argv[0]])[0], signal.SIGKILL)

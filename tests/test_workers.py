@@ -270,12 +270,13 @@ def test_ignored_sigchld_runs_every_task_here_without_a_fork(monkeypatch):
 
 
 @pytest.mark.parametrize("unit", sorted(_workers.FORK_FROM))
-def test_a_call_forks_only_from_its_units_threshold(monkeypatch, unit):
-    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
+def test_a_call_forks_only_from_its_units_threshold(two_cpus, monkeypatch, unit):
     least = _workers.FORK_FROM[unit]
-    for work, forks in [(least - 1, False), (least, True), (None, True)]:
-        assert _workers.pays(**{unit: work}) == forks
-        pids = set(_workers.map(lambda _: os.getpid(), range(4), **{unit: work}))
-        assert (os.getpid() not in pids) == forks
-    assert _workers.pays()
-    assert no_child_left()
+    forks = count_forks(monkeypatch)
+    # one below the threshold, the threshold, no bound and no estimate
+    for estimate, forked in [({unit: least - 1}, 0), ({unit: least}, 2), ({unit: None}, 2),
+                             ({}, 2)]:
+        forks.clear()
+        pids = set(_workers.map(lambda _: os.getpid(), range(4), **estimate))
+        assert forks == [os.getpid()] * forked
+        assert (os.getpid() not in pids) == bool(forked)
