@@ -33,8 +33,9 @@ A glued child has as many ears as its parent or one more, one more
 exactly when neither end of its side is an ear tip, so a census asked for
 k ears builds only the classes with at most k ears at every level: a
 parent that already has k ears is glued only onto its sides with a tip at
-an end.  At n = 16 it takes 0.2 s for k = 2 and 0.6 s for k = 3, against
-about 3 s for every class (fresh processes).
+an end.  At n = 16 it takes 0.07 s for k = 2 and 0.28 s for k = 3,
+against 2.2 s for every class (fresh processes, medians of five to seven,
+on a 2-core x86-64 machine with Python 3.11).
 """
 
 from __future__ import annotations

@@ -5,10 +5,12 @@ vertex 0 at the top and labels increasing counterclockwise, boundary and
 diagonals drawn solid, with optional shading of ears and internal
 triangles.  Output is deterministic: fixed attribute order and
 coordinates rounded to two decimals, so identical inputs yield identical
-bytes.  Each vertex's sine and cosine are computed once and its
-coordinates formatted once; the outline, the shaded triangles, the
-diagonals and the vertex dots all reuse those strings.  Nothing is kept
-between calls.
+bytes.  Each vertex's sine and cosine are computed once, by `map` over
+the angles, and its coordinates formatted once; the outline, the shaded
+triangles, the diagonals and the vertex dots all reuse those strings.
+The n vertex labels are one `%` template repeated n times and filled from
+one flat tuple of (x, y, i) values, so the whole block is one format
+call.  Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -53,12 +55,9 @@ def render_svg(
     # Vertex i sits at angle 2*pi*i/n from the top, counterclockwise on
     # screen.  SVG's y axis points down, so that is x = cx - r sin(theta),
     # y = cy - r cos(theta), for the polygon's radius and the labels'.
-    sines = []
-    cosines = []
-    for i in range(n):
-        theta = 2 * pi * i / n
-        sines.append(sin(theta))
-        cosines.append(cos(theta))
+    thetas = [2 * pi * i / n for i in range(n)]
+    sines = list(map(sin, thetas))
+    cosines = list(map(cos, thetas))
     xs = [f"{cx - radius * s:.2f}" for s in sines]
     ys = [f"{cy - radius * c:.2f}" for c in cosines]
     points = [f"{x},{y}" for x, y in zip(xs, ys)]
@@ -90,11 +89,12 @@ def render_svg(
         for a, b in t.diagonals
     ]
     lines += [f'  <circle cx="{x}" cy="{y}" r="3" fill="black"/>' for x, y in zip(xs, ys)]
-    lines += [
-        f'  <text x="{cx - label_radius * s:.2f}" y="{cy - label_radius * c:.2f}" '
-        f'font-size="{font_size}" font-family="sans-serif" text-anchor="middle" '
-        f'dominant-baseline="central">{i}</text>'
-        for i, (s, c) in enumerate(zip(sines, cosines))
-    ]
+    label = (f'  <text x="%.2f" y="%.2f" font-size="{font_size}" font-family="sans-serif" '
+             'text-anchor="middle" dominant-baseline="central">%d</text>')
+    values = [0] * (3 * n)  # (x, y, i) of each label, flat
+    values[0::3] = [cx - label_radius * s for s in sines]
+    values[1::3] = [cy - label_radius * c for c in cosines]
+    values[2::3] = range(n)
+    lines.append("\n".join([label] * n) % tuple(values))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -84,13 +84,7 @@ def _checked(n: int, diagonals: Iterable[Pair]) -> tuple[Pair, ...]:
 
     One pass over the pairs, which tests each one's range inline and
     calls `diagonal` only for a pair that fails the test (so the fault
-    keeps its wording), then a refusal of the wrong count, before any
-    list as long as n is built.  Seen as intervals a..b, two diagonals
-    that do not cross are nested or share at most an endpoint.  The
-    pairs are bucketed by their lower end a, and the buckets are scanned
-    in order of a, each in descending order of b, with a stack of the
-    diagonals enclosing the current one; each bucket is then emitted
-    ascending, so the result comes out sorted.
+    keeps its wording), then `_noncrossing`, which `parse` calls too.
     """
     _check_size(n)
     lows: list[int] = []
@@ -108,6 +102,22 @@ def _checked(n: int, diagonals: Iterable[Pair]) -> tuple[Pair, ...]:
             a, b = diagonal(n, a, b)
         lows.append(a)
         highs.append(b)
+    return _noncrossing(n, lows, highs)
+
+
+def _noncrossing(n: int, lows: list[int], highs: list[int]) -> tuple[Pair, ...]:
+    """The diagonals (lows[i], highs[i]) of the n-gon (n >= 3), each a
+    pair in range with lows[i] < highs[i], sorted, if they are n-3 of them
+    and no two cross or are equal; otherwise a ValueError naming the
+    fault.
+
+    The wrong count is refused before any list as long as n is built.
+    Seen as intervals a..b, two diagonals that do not cross are nested or
+    share at most an endpoint.  The pairs are bucketed by their lower end
+    a, and the buckets are scanned in order of a, each in descending order
+    of b, with a stack of the diagonals enclosing the current one; each
+    bucket is then emitted ascending, so the result comes out sorted.
+    """
     size = len(lows) + 3
     if size != n:
         raise ValueError(f"a triangulation of the {n}-gon has {n - 3} diagonals, got {len(lows)}")
@@ -148,14 +158,21 @@ def is_triangulation(n: int, diagonals: Iterable[Pair]) -> bool:
 def _least_rotation(fwd: list[T], rev: list[T], least: T) -> list[T]:
     """The least rotation of the cyclic sequence fwd or of its reversal
     rev; `least` is the least entry of both.  Only the rotations that
-    start at it are compared, over a generator, one O(n) slice at a time."""
+    start at it are compared: `list.index` finds each start in the
+    doubled sequence until one falls at n or later (the first start's
+    second copy), and each start takes one O(n) slice.
+    A sequence without `least` adds no rotation (`canonical()`'s keys can
+    hold it on one side only)."""
     n = len(fwd)
-    return min(
-        seq[i:i + n]
-        for seq in (fwd + fwd, rev + rev)
-        for i in range(n)
-        if seq[i] == least
-    )
+    rotations = []
+    for seq in (fwd, rev):
+        if least in seq:
+            seq = seq + seq
+            i = seq.index(least)
+            while i < n:
+                rotations.append(seq[i:i + n])
+                i = seq.index(least, i + 1)
+    return min(rotations)
 
 
 def _canonical_diagonals(n: int, diags: Iterable[Pair]) -> tuple[Pair, ...]:
@@ -459,7 +476,15 @@ class Triangulation:
 
     @classmethod
     def parse(cls, text: str) -> "Triangulation":
-        """Parse the 'n:a-b,c-d,...' text form, e.g. '6:0-2,2-4,0-4'."""
+        """Parse the 'n:a-b,c-d,...' text form, e.g. '6:0-2,2-4,0-4'.
+
+        One pass reads each chunk and tests its range as the constructor
+        does; the constructor's `_noncrossing` scan then checks the lows
+        and highs it collected.  The faults are refused in the
+        constructor's order, each in its words, after every chunk's
+        syntax: the size, then the first pair out of range, then the
+        count, then a crossing or duplicate.
+        """
         head, sep, body = text.strip().partition(":")
         if not sep:
             raise ValueError(f"missing ':' in triangulation text {text!r}")
@@ -467,7 +492,9 @@ class Triangulation:
             n = int(head)
         except ValueError:
             raise ValueError(f"bad polygon size in {text!r}") from None
-        diags = []
+        lows: list[int] = []
+        highs: list[int] = []
+        bad = None
         for chunk in body.split(",") if body else ():
             # a second '-' stays in hi: int() refuses it there, or reads it
             # as the sign of an hi below lo, which has none
@@ -480,8 +507,16 @@ class Triangulation:
                 raise ValueError(
                     f"bad diagonal {chunk!r} in {text!r}; expected 'a-b' with ints a < b"
                 ) from None
-            diags.append((lo, hi))
-        return cls(n, tuple(diags))
+            # lo has no sign, so 0 <= lo < hi: a diagonal unless hi is out
+            # of range or (lo, hi) is a side
+            if not (hi < n and 1 < hi - lo < n - 1) and bad is None:
+                bad = lo, hi
+            lows.append(lo)
+            highs.append(hi)
+        _check_size(n)
+        if bad is not None:
+            diagonal(n, *bad)  # raises, in its words
+        return cls._trusted(n, _noncrossing(n, lows, highs))
 
     @cached_property
     def _text(self) -> str:

@@ -14,7 +14,10 @@ triangulation test scans every pair of diagonals for a crossing.  The
 constructor's check (`checked_by_sorting`) is the one the package's
 one-pass check replaced: each pair through `diagonal`, then a sort by
 (a, -b), a stack scan and a second sort, where the package tests each
-pair's range inline and scans pairs bucketed by their lower end.  The triangle oracle scans every apex
+pair's range inline and scans pairs bucketed by their lower end.  The
+parse oracle (`parse_by_sorting`) reads every chunk's syntax before it
+hands the pairs to that check, where the package's `parse` tests each
+pair's range as it reads it.  The triangle oracle scans every apex
 over each chord, and the canonical-form oracle maps and sorts all 2n
 dihedral images; both are the routines the package's faster ones replaced.
 The orbit-count oracle counts distinct canonical diagonal tuples instead
@@ -22,6 +25,10 @@ of quiddity keys.  The class-census oracle keys every triangulation of the
 full enumeration, where the package builds the keys by ear insertion, and
 the least dihedral image of a sequence is the minimum over all 2n
 rotations and reversed rotations, not only those starting at a 1-entry.
+`least_rotation_by_scan` tests every position of the doubled sequences
+for the least entry, where the package finds each start by `list.index`,
+and `render_svg_by_lines` builds each label line by its own f-string,
+where the package fills one template for the whole block.
 The composition oracles work on tuples and bar sets and share no code
 with the package's bar masks: compositions are built part by part,
 conjugation complements the set of partial sums, and a class is the set of
@@ -78,13 +85,14 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, prod
+from math import comb, cos, pi, prod, sin
 
 import pytest
 
 import polytri
 from polytri import compositions as comp
 from polytri.compositions import _composition
+from polytri.svgfig import EAR_FILL, INTERNAL_FILL
 from polytri.triangulation import (
     DualTree,
     Triangulation,
@@ -413,6 +421,19 @@ def least_dihedral_image(seq) -> tuple[int, ...]:
     return min(tuple(s[i:] + s[:i]) for s in (fwd, fwd[::-1]) for i in range(len(fwd)))
 
 
+def least_rotation_by_scan(fwd: list, rev: list, least) -> list:
+    """`triangulation._least_rotation` by testing every start: the least
+    of the rotations of fwd and of rev that start at `least`, over a
+    generator of all 2n positions of the doubled sequences."""
+    n = len(fwd)
+    return min(
+        seq[i:i + n]
+        for seq in (fwd + fwd, rev + rev)
+        for i in range(n)
+        if seq[i] == least
+    )
+
+
 @lru_cache(maxsize=None)
 def compositions_by_parts(m: int) -> tuple[tuple[int, ...], ...]:
     """Every composition of m, by choosing the first part (m = 0: the empty one)."""
@@ -684,6 +705,33 @@ def checked_by_sorting(n: int, diagonals) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(diags))
 
 
+def parse_by_sorting(text: str) -> Triangulation:
+    """`Triangulation.parse` in two passes: every chunk's syntax first,
+    then `checked_by_sorting` on the pairs, which checks the size, each
+    pair's range, the count and the crossings in that order; the package
+    tests each pair's range as it reads the chunk."""
+    head, sep, body = text.strip().partition(":")
+    if not sep:
+        raise ValueError(f"missing ':' in triangulation text {text!r}")
+    try:
+        n = int(head)
+    except ValueError:
+        raise ValueError(f"bad polygon size in {text!r}") from None
+    pairs = []
+    for chunk in body.split(",") if body else ():
+        lo, _, hi = chunk.partition("-")
+        try:
+            lo, hi = int(lo), int(hi)
+            if lo >= hi:
+                raise ValueError
+        except ValueError:
+            raise ValueError(
+                f"bad diagonal {chunk!r} in {text!r}; expected 'a-b' with ints a < b"
+            ) from None
+        pairs.append((lo, hi))
+    return Triangulation._trusted(n, checked_by_sorting(n, pairs))
+
+
 def is_triangulation_pairwise(n: int, diagonals) -> bool:
     """is_triangulation by testing every pair of diagonals for a crossing."""
     if n < 3:
@@ -711,6 +759,66 @@ def parallel_residue(n: int, chord) -> int:
 def all_diagonals(n: int) -> list[tuple[int, int]]:
     """Every diagonal (a, b), a < b, of the n-gon."""
     return [(a, b) for a in range(n) for b in range(a + 2, n) if (a, b) != (0, n - 1)]
+
+
+def render_svg_by_lines(t: Triangulation, highlight: str = "none", size: int = 420,
+                        stroke_width: float = 2.0, font_size: int = 14) -> str:
+    """`svgfig.render_svg` with each vertex's sine and cosine taken in a
+    loop and each label line built by its own f-string, where the package
+    maps the sines and cosines and fills one template for every label.
+    The arguments are not checked."""
+    n = t.n
+    cx = cy = size / 2.0
+    radius = size * 0.40
+    label_radius = radius * 1.13
+    # Vertex i sits at angle 2*pi*i/n from the top, counterclockwise on
+    # screen.  SVG's y axis points down, so that is x = cx - r sin(theta),
+    # y = cy - r cos(theta), for the polygon's radius and the labels'.
+    sines = []
+    cosines = []
+    for i in range(n):
+        theta = 2 * pi * i / n
+        sines.append(sin(theta))
+        cosines.append(cos(theta))
+    xs = [f"{cx - radius * s:.2f}" for s in sines]
+    ys = [f"{cy - radius * c:.2f}" for c in cosines]
+    points = [f"{x},{y}" for x, y in zip(xs, ys)]
+    width = f"{stroke_width:.2f}"
+
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'viewBox="0 0 {size} {size}">',
+        f"  <title>{t}</title>",
+        f'  <rect width="{size}" height="{size}" fill="white"/>',
+    ]
+
+    shaded: list[tuple[tuple[int, int, int], str]] = []
+    if n >= 4 and highlight in ("ears", "both"):
+        shaded += [(tri, EAR_FILL) for tri in t.ears()]
+    if highlight in ("internal", "both"):
+        shaded += [(tri, INTERNAL_FILL) for tri in t.internal_triangles()]
+    for (a, b, c), fill in sorted(shaded):
+        lines.append(f'  <polygon points="{points[a]} {points[b]} {points[c]}" fill="{fill}"/>')
+
+    lines.append(
+        f'  <polygon points="{" ".join(points)}" fill="none" stroke="black" '
+        f'stroke-width="{width}"/>'
+    )
+    lines += [
+        f'  <line x1="{xs[a]}" y1="{ys[a]}" x2="{xs[b]}" y2="{ys[b]}" '
+        f'stroke="black" stroke-width="{width}"/>'
+        for a, b in t.diagonals
+    ]
+    lines += [f'  <circle cx="{x}" cy="{y}" r="3" fill="black"/>' for x, y in zip(xs, ys)]
+    lines += [
+        f'  <text x="{cx - label_radius * s:.2f}" y="{cy - label_radius * c:.2f}" '
+        f'font-size="{font_size}" font-family="sans-serif" text-anchor="middle" '
+        f'dominant-baseline="central">{i}</text>'
+        for i, (s, c) in enumerate(zip(sines, cosines))
+    ]
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
 
 
 def random_triangulation(n: int, rng) -> Triangulation:

@@ -15,6 +15,7 @@ from helpers import (
     ear_census_by_enumeration,
     hurtado_noy_by_fractions,
     least_dihedral_image,
+    least_rotation_by_scan,
     orbit_count_by_canonical,
     quiddity_key,
     random_triangulation,
@@ -398,6 +399,23 @@ def test_least_rotation_matches_every_rotation(seed):
     seq = [rng.randint(1, 3) for _ in range(rng.randint(1, 30))]
     got = _least_rotation(seq, seq[::-1], min(seq))
     assert tuple(got) == least_dihedral_image(seq)
+    assert got == least_rotation_by_scan(seq, seq[::-1], min(seq))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_least_rotation_with_its_least_entry_on_one_side(seed):
+    # `canonical()` hands over two lists of key lists, not a sequence and
+    # its reversal, and the least key can be in one of them only; few
+    # distinct entries, so many rotations tie on their first ones
+    rng = random.Random(seed)
+    n = rng.choice([1, 2, rng.randint(3, 30)])
+    low = [[rng.randint(1, 2), 9] for _ in range(n)]
+    high = [[rng.randint(2, 3), 9] for _ in range(n)]
+    low[rng.randrange(n)] = least = [1, 9]
+    fwd, rev = (low, high) if seed % 2 else (high, low)
+    got = _least_rotation(fwd, rev, least)
+    assert got == least_rotation_by_scan(fwd, rev, least)
+    assert got == min(seq[i:] + seq[:i] for seq in (fwd, rev) for i in range(n))
 
 
 @pytest.mark.parametrize("n", [15, 40, 101])

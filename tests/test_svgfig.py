@@ -6,7 +6,7 @@ import hashlib
 import random
 
 import pytest
-from helpers import random_triangulation
+from helpers import random_triangulation, render_svg_by_lines
 
 from polytri.disjoint import arrow, snake
 from polytri.svgfig import HIGHLIGHTS, render_svg
@@ -55,3 +55,15 @@ def test_render_bytes_are_pinned(name, n):
         for stroke_width in (2.0, 1.2345):
             digest.update(render_svg(t, highlight=highlight, stroke_width=stroke_width).encode())
     assert digest.hexdigest() == RENDER_SHA256[name, n]
+
+
+@pytest.mark.parametrize("n", range(3, 65))
+def test_render_gives_the_bytes_of_one_line_per_label(n):
+    t = shape("random", n)
+    for highlight in HIGHLIGHTS:
+        for size in (60, 420, 1001):
+            for font_size in (1, 14, 30):
+                for stroke_width in (0, 2.0, 1.2345):
+                    options = dict(highlight=highlight, size=size, stroke_width=stroke_width,
+                                   font_size=font_size)
+                    assert render_svg(t, **options) == render_svg_by_lines(t, **options), options

@@ -34,6 +34,7 @@ from helpers import (
     is_path,
     is_triangulation_pairwise,
     listings_by_filter,
+    parse_by_sorting,
     path_from,
     random_triangulation,
     rotation_symmetric,
@@ -286,6 +287,68 @@ def test_one_pass_check_matches_the_sorting_oracle():
     assert outcomes == {"accepted", "not a pair", "must be ints", "out of range", "a vertex of",
                         "a side of", "diagonals, got", "duplicate", "crossing",
                         "at least 3 vertices"}
+
+
+def parse_outcome(parse, text):
+    """What parse(text) gives: its diagonals and its text, or the error
+    type and its whole message."""
+    try:
+        t = parse(text)
+    except Exception as exc:  # the two parsers must fail alike, whatever the type
+        return type(exc), str(exc)
+    return t.n, t.diagonals, str(t)
+
+
+def mangled_text(n: int, rng: random.Random) -> str:
+    """`mangled_pairs` written as parse's text, each int pair low end
+    first (a pair written high end first is a syntax fault), and in about
+    a third of the texts one syntax fault put in."""
+    chunks = []
+    for entry in mangled_pairs(max(n, 3), rng):
+        try:
+            a, b = entry
+        except (TypeError, ValueError):
+            chunks.append(str(entry))
+            continue
+        if type(a) is int and type(b) is int and a > b:
+            a, b = b, a
+        chunks.append(f"{a}-{b}")
+    if rng.random() < 1 / 3:
+        chunks.insert(rng.randrange(len(chunks) + 1), rng.choice(["x-y", "0-2-4", "2-0", ""]))
+    return f"{n}:" + ",".join(chunks)
+
+
+# texts with two faults each, and the one parse reports: syntax before an
+# earlier range fault, syntax before size, size before range, the first
+# of two range faults; then a duplicate, and a count refused before any
+# list as long as n is built
+PARSE_FAULTS = {
+    "6:0-9,x-y": "bad diagonal 'x-y' in '6:0-9,x-y'; expected 'a-b' with ints a < b",
+    "2:x-y": "bad diagonal 'x-y' in '2:x-y'; expected 'a-b' with ints a < b",
+    "2:0-1": "polygon needs at least 3 vertices, got n=2",
+    "6:0-9,0-1": "vertex out of range for n=6: (0, 9)",
+    "6:1-3,1-3,0-4": "duplicate diagonals (1, 3) and (1, 3)",
+    "10000000000:0-2": "a triangulation of the 10000000000-gon has 9999999997 diagonals, got 1",
+}
+
+
+def test_parse_refuses_in_the_order_of_the_two_pass_oracle():
+    for text, message in PARSE_FAULTS.items():
+        assert parse_outcome(Triangulation.parse, text) == (ValueError, message)
+        assert parse_outcome(parse_by_sorting, text) == (ValueError, message)
+    rng = random.Random(20261022)
+    outcomes = set()
+    for case in range(5000):
+        n = rng.choice([3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 40]) if case % 50 else rng.choice([2, 1])
+        text = mangled_text(n, rng)
+        got = parse_outcome(Triangulation.parse, text)
+        assert got == parse_outcome(parse_by_sorting, text), text
+        fault = FAULT.search(got[1]) if got[0] is ValueError else None
+        outcomes.add(fault.group() if fault else "bad diagonal" if got[0] is ValueError
+                     else "accepted")
+    # every fault a text can hold was met, and some texts were accepted
+    assert outcomes == {"accepted", "bad diagonal", "out of range", "a side of",
+                        "diagonals, got", "duplicate", "crossing", "at least 3 vertices"}
 
 
 HUGE_N = 10**10
